@@ -2,7 +2,7 @@
 /// Ablation: conflict-set (clique) constraints vs the naive pairwise
 /// encoding. The paper's Section 3.3 argues the pairwise form is quadratic
 /// in the interval count while the linear conflict-set form keeps the ILP
-/// tractable; this bench counts rows and times the generic LP-based branch &
+/// tractable; this bench counts rows and times the LP-based branch &
 /// bound on both encodings over growing instances.
 ///
 /// Usage: bench_ablation_constraints [--max-pins n] [--cap sec]
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   if (const int rc = h.parse(argc, argv); rc >= 0) return rc;
   const std::size_t maxPins = static_cast<std::size_t>(maxPinsArg);
 
-  // Small, low-competition instances keep the generic LP B&B in range.
+  // Small, low-competition instances keep the LP B&B in range.
   gen::GenOptions go;
   go.seed = 3;
   go.width = 220;
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   g.maxExtent = 10;
 
   std::printf("Ablation: clique vs pairwise conflict constraints "
-              "(generic LP branch & bound, cap %.0fs)\n", cap);
+              "(LP branch & bound, cap %.0fs)\n", cap);
   std::printf("%5s %9s | %10s %10s | %12s %12s\n", "pins", "intervals",
               "cliqueRows", "pairRows", "clique cpu", "pair cpu");
   bench::hr();
@@ -59,7 +59,6 @@ int main(int argc, char** argv) {
     const core::IlpBuild pair = core::buildIlpModel(prob, true);
 
     ilp::IlpOptions opts;
-    opts.lp.implicitUnitBounds = true;
 
     auto t0 = bench::Clock::now();
     opts.deadline = support::Deadline::after(cap);

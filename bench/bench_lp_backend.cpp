@@ -1,17 +1,15 @@
 /// \file bench_lp_backend.cpp
-/// LP engine micro-bench for the `ilp::LpBackend` seam: times the generic
-/// branch & bound over the paper's Formula-(1) panel models under the three
-/// configurations the seam exposes — the dense two-phase reference engine,
-/// the revised simplex solved cold at every node, and the revised simplex
-/// warm-started from each parent basis (the default). The headline number
-/// is the warm/cold pivot ratio: warm starting must cut total simplex
+/// LP engine micro-bench: times the branch & bound over the paper's
+/// Formula-(1) panel models with the revised simplex solved cold at every
+/// node and warm-started from each parent basis (the default). The headline
+/// number is the warm/cold pivot ratio: warm starting must cut total simplex
 /// iterations roughly in half or better on these instances.
 ///
 /// Two instance families:
 ///   1. Formula-(1) models from suite panels (pairwise conflict encoding).
 ///      Their relaxations solve integrally — interval conflict graphs are
-///      perfect — so B&B stops at the root; this section compares the raw
-///      engines cold.
+///      perfect — so B&B stops at the root; this section compares cold and
+///      warm solves of the root relaxation.
 ///   2. Conflict knapsacks with even weights and an odd capacity, whose
 ///      relaxation is fractional at every node: deep search trees where the
 ///      parent-basis warm start pays off. The headline warm/cold ratio is
@@ -36,10 +34,8 @@ struct EngineRun {
   double sec = 0.0;
 };
 
-EngineRun runEngine(const cpr::ilp::Model& m, const char* backend,
-                    bool warm, double cap) {
+EngineRun runEngine(const cpr::ilp::Model& m, bool warm, double cap) {
   cpr::ilp::IlpOptions opts;
-  opts.lp.backend = backend;
   opts.lp.warmStart = warm;
   opts.deadline = cpr::support::Deadline::after(cap);
   const auto t0 = cpr::bench::Clock::now();
@@ -66,19 +62,16 @@ cpr::ilp::Model conflictKnapsack(int n) {
   return m;
 }
 
-void printRow(long size, int rows, const EngineRun& dense,
-              const EngineRun& cold, const EngineRun& warm) {
+void printRow(long size, int rows, const EngineRun& cold,
+              const EngineRun& warm) {
   using cpr::ilp::IlpStatus;
   const double ratio = cold.res.lpPivots > 0
       ? static_cast<double>(warm.res.lpPivots) /
             static_cast<double>(cold.res.lpPivots)
       : 1.0;
   std::printf(
-      "%5ld %6d | %6ld | %9ld %7.3f%s | %9ld %7.3f%s | %9ld %7.3f%s | "
-      "%5.2f\n",
-      size, rows, warm.res.nodesExplored, dense.res.lpPivots, dense.sec,
-      dense.res.status == IlpStatus::Optimal ? " " : "+",
-      cold.res.lpPivots, cold.sec,
+      "%5ld %6d | %6ld | %9ld %7.3f%s | %9ld %7.3f%s | %5.2f\n",
+      size, rows, warm.res.nodesExplored, cold.res.lpPivots, cold.sec,
       cold.res.status == IlpStatus::Optimal ? " " : "+",
       warm.res.lpPivots, warm.sec,
       warm.res.status == IlpStatus::Optimal ? " " : "+", ratio);
@@ -92,7 +85,7 @@ int main(int argc, char** argv) {
   long maxPinsArg = 60;
   double cap = 10.0;
   bench::Harness h("bench_lp_backend",
-                   "LP engines over B&B: dense vs revised, cold vs warm");
+                   "LP engine over B&B: cold vs warm-started solves");
   h.parser().option("--max-pins", "n", "stop once the instance reaches this "
                     "many pins (default 60)", &maxPinsArg);
   h.parser().option("--cap", "sec", "wall-clock cap per engine per instance "
@@ -101,7 +94,7 @@ int main(int argc, char** argv) {
   const std::size_t maxPins = static_cast<std::size_t>(maxPinsArg);
 
   // Same instance family as bench_ablation_constraints: small-competition
-  // panels whose Formula-(1) models the generic B&B solves to optimality.
+  // panels whose Formula-(1) models the B&B solves to optimality.
   gen::GenOptions go;
   go.seed = 3;
   go.width = 220;
@@ -117,11 +110,10 @@ int main(int argc, char** argv) {
   obs::Collector report;
   report.note("bench", "lp_backend");
 
-  std::printf("LP engines over generic branch & bound (cap %.0fs/run)\n",
+  std::printf("Revised simplex over branch & bound (cap %.0fs/run)\n",
               cap);
-  std::printf("%5s %6s | %6s | %9s %8s | %9s %8s | %9s %8s | %6s\n",
-              "pins", "rows", "nodes", "densePiv", "dense s", "coldPiv",
-              "cold s", "warmPiv", "warm s", "w/c");
+  std::printf("%5s %6s | %6s | %9s %8s | %9s %8s | %6s\n", "pins", "rows",
+              "nodes", "coldPiv", "cold s", "warmPiv", "warm s", "w/c");
   bench::hr();
 
   for (std::size_t count = 1; count <= panels.size(); ++count) {
@@ -132,12 +124,11 @@ int main(int argc, char** argv) {
     if (prob.pins.empty()) continue;
 
     const core::IlpBuild build = core::buildIlpModel(prob, true);
-    const EngineRun dense = runEngine(build.model, "dense", false, cap);
-    const EngineRun cold = runEngine(build.model, "revised", false, cap);
-    const EngineRun warm = runEngine(build.model, "revised", true, cap);
+    const EngineRun cold = runEngine(build.model, false, cap);
+    const EngineRun warm = runEngine(build.model, true, cap);
 
     printRow(static_cast<long>(prob.pins.size()),
-             build.model.numConstraints(), dense, cold, warm);
+             build.model.numConstraints(), cold, warm);
     report.add(obs::names::kIlpPivots, warm.res.lpPivots);
     report.add(obs::names::kIlpWarmSolves, warm.res.lpWarmSolves);
     report.add(obs::names::kIlpColdSolves, warm.res.lpColdSolves);
@@ -145,22 +136,20 @@ int main(int argc, char** argv) {
 
   std::printf("\nConflict knapsacks (fractional at every node; size = "
               "variables)\n");
-  std::printf("%5s %6s | %6s | %9s %8s | %9s %8s | %9s %8s | %6s\n",
-              "size", "rows", "nodes", "densePiv", "dense s", "coldPiv",
-              "cold s", "warmPiv", "warm s", "w/c");
+  std::printf("%5s %6s | %6s | %9s %8s | %9s %8s | %6s\n", "size", "rows",
+              "nodes", "coldPiv", "cold s", "warmPiv", "warm s", "w/c");
   bench::hr();
 
   long totalCold = 0;
   long totalWarm = 0;
   for (int n = 10; n <= 22; n += 4) {
     const ilp::Model m = conflictKnapsack(n);
-    const EngineRun dense = runEngine(m, "dense", false, cap);
-    const EngineRun cold = runEngine(m, "revised", false, cap);
-    const EngineRun warm = runEngine(m, "revised", true, cap);
+    const EngineRun cold = runEngine(m, false, cap);
+    const EngineRun warm = runEngine(m, true, cap);
     totalCold += cold.res.lpPivots;
     totalWarm += warm.res.lpPivots;
 
-    printRow(n, m.numConstraints(), dense, cold, warm);
+    printRow(n, m.numConstraints(), cold, warm);
     report.add(obs::names::kIlpPivots, warm.res.lpPivots);
     report.add(obs::names::kIlpWarmSolves, warm.res.lpWarmSolves);
     report.add(obs::names::kIlpColdSolves, warm.res.lpColdSolves);

@@ -1,9 +1,9 @@
 /// \file bench_micro_kernels.cpp
 /// google-benchmark micro benchmarks of the library's hot kernels: pin
 /// access interval generation, conflict-set detection, CSR kernel
-/// compilation, one LR solve and one exact solve over a compiled kernel
-/// (arena-reused, the optimizer's steady-state configuration), the maze
-/// search, and DEF round-trip I/O.
+/// compilation, one LR solve over a compiled kernel (arena-reused, the
+/// optimizer's steady-state configuration), the maze search, and DEF
+/// round-trip I/O.
 ///
 /// Usage mirrors the other benches: `--report out.json` writes the standard
 /// google-benchmark JSON (mapped onto --benchmark_out); every native
@@ -95,34 +95,6 @@ void BM_LrSolvePanel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LrSolvePanel);
-
-void BM_ExactSolvePanel(benchmark::State& state) {
-  // A panel the branch & bound finishes in milliseconds (a few thousand
-  // nodes), so the per-node cost dominates the measurement.
-  gen::GenOptions o;
-  o.seed = 4;
-  o.width = 120;
-  o.numRows = 4;
-  o.pinDensity = 0.2;
-  o.maxNetSpan = 40;
-  const db::Design d = gen::generate(o);
-  core::Problem p = core::buildProblem(d, db::extractPanel(d, 0), {});
-  core::detectConflicts(p);
-  const core::PanelKernel k = core::PanelKernel::compile(std::move(p));
-  const core::ExactSolver solver;
-  core::PanelScratch scratch;
-  long nodes = 0;
-  for (auto _ : state) {
-    core::ExactStats stats;
-    const core::Assignment a =
-        core::solveExact(k, {}, &stats, nullptr, &scratch.exact);
-    benchmark::DoNotOptimize(a.objective);
-    nodes += stats.nodes;
-  }
-  state.counters["nodes_per_s"] = benchmark::Counter(
-      static_cast<double>(nodes), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ExactSolvePanel);
 
 void BM_MazeRouteNet(benchmark::State& state) {
   const db::Design d = benchDesign();

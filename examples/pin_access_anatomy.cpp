@@ -2,7 +2,7 @@
 /// Anatomy of concurrent pin access optimization on one panel: prints the
 /// candidate intervals the generator enumerates for each pin (Section 3.1),
 /// the conflict sets the scanline detects (Section 3.2), and the solutions
-/// found by the LR algorithm and the exact solver (Sections 3.3-3.4), both
+/// found by the LR algorithm and the exact ILP (Sections 3.3-3.4), both
 /// invoked through the uniform `core::Solver` interface with an
 /// `obs::Collector` gathering the work counters.
 ///
@@ -69,17 +69,17 @@ int main(int argc, char** argv) {
               lrSolver.name().data(), lr.objective,
               stats.counter(obs::names::kLrIterations));
 
-  core::ExactOptions eo;
-  eo.deadline = support::Deadline::after(10.0);
-  const core::ExactSolver exactSolver{eo};
-  const core::Assignment exact = exactSolver.solve(p, &stats);
+  ilp::IlpOptions io;
+  io.deadline = support::Deadline::after(10.0);
+  const core::IlpSolver ilpSolver{io};
+  const core::Assignment ilp = ilpSolver.solve(p, &stats);
   std::printf("%-5s (ILP B&B)   : objective %.3f, %ld nodes, %s\n",
-              exactSolver.name().data(), exact.objective,
-              stats.counter(obs::names::kExactNodes),
-              exact.provedOptimal ? "proven optimal"
+              ilpSolver.name().data(), ilp.objective,
+              stats.counter(obs::names::kIlpNodes),
+              ilp.provedOptimal ? "proven optimal"
                                   : "budget-capped incumbent");
   std::printf("LR achieves %.2f%% of the ILP objective\n",
-              100.0 * lr.objective / exact.objective);
+              100.0 * lr.objective / ilp.objective);
 
   std::printf("\n== assignments (pin -> interval) ==\n");
   std::printf("%-8s %-22s %-22s\n", "pin", "LR", "ILP");
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
     std::printf("%-8s %-22s %-22s\n",
                 d.pin(p.pins[j].designPin).name.c_str(),
                 fmt(lr.intervalOfPin[j]).c_str(),
-                fmt(exact.intervalOfPin[j]).c_str());
+                fmt(ilp.intervalOfPin[j]).c_str());
   }
   return 0;
 }

@@ -116,7 +116,7 @@ struct LrScratch {
 
 /// One invocation of Algorithm 1's maxGains greedy: selects one interval per
 /// pin maximizing total gain (profit minus penalty), ignoring conflicts.
-/// Exposed for tests and for the exact solver's incumbent heuristic.
+/// Exposed for tests.
 [[nodiscard]] std::vector<Index> maxGains(const Problem& p,
                                           const std::vector<double>& gains);
 

@@ -4,10 +4,10 @@
 ///
 /// For each standard-cell row the facade generates pin access intervals
 /// (Section 3.1), detects conflict sets (3.2), and solves the weighted
-/// interval assignment through the unified `Solver` interface (LR, exact
-/// branch & bound, or the generic ILP translation — solver.h). The result
-/// maps every accessible design pin to one conflict-free M2 interval — the
-/// "partial routes" handed to the router (Section 4).
+/// interval assignment through the unified `Solver` interface (LR or the
+/// exact ILP — solver.h). The result maps every accessible design pin to one
+/// conflict-free M2 interval — the "partial routes" handed to the router
+/// (Section 4).
 ///
 /// Every run is instrumented: `PinAccessPlan::stats` carries the merged
 /// per-panel counters, trace series, and phase timers. Each panel is
@@ -31,7 +31,7 @@ namespace cpr::core {
 struct OptimizerOptions {
   GenOptions gen;
   /// Solver method + per-engine options, handed to `makeSolver` verbatim.
-  /// One nested bundle instead of flat method/lr/exact/ilp fields, so every
+  /// One nested bundle instead of flat method/lr/ilp fields, so every
   /// layer from the CLI down spells solver configuration the same way.
   SolverOptions solve;
   ProfitModel profitModel = ProfitModel::SqrtSpan;
@@ -41,8 +41,7 @@ struct OptimizerOptions {
   support::Deadline deadline;
   /// Per-panel solve budget in seconds (0 = none). Each panel gets
   /// `deadline.sub(panelBudgetSeconds)` — its own slice, never outliving the
-  /// run deadline. Replaces the former `exact.timeLimitSeconds` per-panel
-  /// convention. Timeouts are wall-clock events, so plans under an active
+  /// run deadline. Timeouts are wall-clock events, so plans under an active
   /// budget are NOT guaranteed identical across thread counts or runs.
   double panelBudgetSeconds = 0.0;
   /// Worker threads for panel-level parallelism ("concurrent pin access
@@ -52,7 +51,7 @@ struct OptimizerOptions {
   /// the hardware concurrency.
   int threads = 0;
   /// Overrides `solve` when set: panels are solved by this solver instance
-  /// (it must be safe for concurrent `solve` calls, as the built-in three
+  /// (it must be safe for concurrent `solve` calls, as the built-in two
   /// are).
   std::shared_ptr<const Solver> solver;
 };
@@ -83,18 +82,16 @@ struct PinAccessPlan {
   [[nodiscard]] int unassignedPins() const {
     return static_cast<int>(stats.counter(obs::names::kPaoUnassigned));
   }
-  /// Solver work summed across panels: LR iterations, exact B&B nodes, and
-  /// generic-ILP nodes all count.
+  /// Solver work summed across panels: LR iterations and ILP branch &
+  /// bound nodes both count.
   [[nodiscard]] long solverIterations() const {
     return stats.counter(obs::names::kLrIterations) +
-           stats.counter(obs::names::kExactNodes) +
            stats.counter(obs::names::kIlpNodes);
   }
   /// True when no panel's solver gave up on proving optimality and no panel
   /// fell back to the LR heuristic. Trivially true for Method::Lr.
   [[nodiscard]] bool allProvedOptimal() const {
-    return stats.counter(obs::names::kExactNotProved) == 0 &&
-           stats.counter(obs::names::kIlpNotProved) == 0 &&
+    return stats.counter(obs::names::kIlpNotProved) == 0 &&
            stats.counter(obs::names::kPaoFallbacks) == 0;
   }
 };

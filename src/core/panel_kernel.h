@@ -8,8 +8,8 @@
 /// dominated by allocation and cache misses rather than by the subgradient
 /// math. `compile(Problem&&)` flattens the instance once into contiguous
 /// offset + data arrays (compressed sparse rows) plus packed per-interval /
-/// per-conflict columns; all three solvers, the ILP translation, and the
-/// flat `audit` then iterate spans over those arrays.
+/// per-conflict columns; the LR solver, the ILP translation, and the flat
+/// `audit` then iterate spans over those arrays.
 ///
 /// The three CSR index spaces are distinct strong types (`PinIdx`,
 /// `CandIdx`, `ConflictIdx` — see core/ids.h): an accessor can only be

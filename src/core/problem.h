@@ -3,10 +3,9 @@
 ///
 /// A `Problem` is the panel-level (or multi-panel) instance produced by pin
 /// access interval generation and linear conflict set detection; it is the
-/// common input of the three solvers (LR, specialized exact branch & bound,
-/// and the generic ILP translation). Notation follows the paper's Table 1:
-/// pins `pj` with candidate sets `Sj`, intervals `Ii` with profit `f(Ii)`,
-/// conflict sets `Cm`.
+/// common input of both solvers (LR and the exact ILP translation).
+/// Notation follows the paper's Table 1: pins `pj` with candidate sets `Sj`,
+/// intervals `Ii` with profit `f(Ii)`, conflict sets `Cm`.
 #pragma once
 
 #include <string>
@@ -85,7 +84,7 @@ struct Assignment {
   double objective = 0.0;
   /// Conflict sets still violated (0 for legal assignments).
   int violations = 0;
-  /// True when the solver proved optimality (exact solver only). Work
+  /// True when the solver proved optimality (ILP solver only). Work
   /// counts (LR iterations, branch & bound nodes, simplex pivots) are
   /// reported through the `obs::Collector` passed to the solver instead of
   /// being carried here.

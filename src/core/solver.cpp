@@ -8,6 +8,12 @@
 
 namespace cpr::core {
 
+std::optional<Method> methodFromName(std::string_view name) {
+  if (name == "lr") return Method::Lr;
+  if (name == "ilp") return Method::Ilp;
+  return std::nullopt;
+}
+
 Assignment Solver::solve(const Problem& p, obs::Collector* obs) const {
   return solve(PanelKernel::compile(Problem(p)), nullptr, obs);
 }
@@ -50,13 +56,6 @@ Assignment LrSolver::solve(const PanelKernel& k, PanelScratch* scratch,
                  deadline);
 }
 
-Assignment ExactSolver::solve(const PanelKernel& k, PanelScratch* scratch,
-                              obs::Collector* obs,
-                              support::Deadline deadline) const {
-  return solveExact(k, opts_, nullptr, obs,
-                    scratch ? &scratch->exact : nullptr, deadline);
-}
-
 Assignment IlpSolver::solve(const PanelKernel& k, PanelScratch* /*scratch*/,
                             obs::Collector* obs,
                             support::Deadline deadline) const {
@@ -70,7 +69,6 @@ Assignment IlpSolver::solve(const PanelKernel& k, PanelScratch* /*scratch*/,
   obs::add(obs, obs::names::kIlpPivots, res.lpPivots);
   obs::add(obs, obs::names::kIlpWarmSolves, res.lpWarmSolves);
   obs::add(obs, obs::names::kIlpColdSolves, res.lpColdSolves);
-  obs::note(obs, obs::names::kIlpBackendNote, res.backend);
   if (res.status != ilp::IlpStatus::Optimal)
     obs::add(obs, obs::names::kIlpNotProved);
   if (res.status == ilp::IlpStatus::TimeLimit)
@@ -90,7 +88,6 @@ Assignment IlpSolver::solve(const PanelKernel& k, PanelScratch* /*scratch*/,
 std::unique_ptr<Solver> makeSolver(const SolverOptions& opts) {
   switch (opts.method) {
     case Method::Lr: return std::make_unique<LrSolver>(opts.lr);
-    case Method::Exact: return std::make_unique<ExactSolver>(opts.exact);
     case Method::Ilp: return std::make_unique<IlpSolver>(opts.ilp);
   }
   CPR_UNREACHABLE();

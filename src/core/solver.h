@@ -1,14 +1,15 @@
 /// \file solver.h
 /// Unified solver interface over the weighted interval assignment problem.
 ///
-/// All three solving paths of the reproduction — the scalable Lagrangian
-/// relaxation (Section 3.4), the specialized exact branch & bound (playing
-/// the paper's commercial ILP solver), and the generic ILP translation
-/// through `ilp::Model` — implement the same `Solver` interface, so the
-/// design-level optimizer, the benches, and the CLI select a solver by value
-/// instead of switching on an enum at every call site. Solvers are stateless
-/// after construction and safe to share across panel-solving threads; all
-/// mutable per-solve state lives in the caller-owned `PanelScratch` arena.
+/// Both solving paths of the reproduction — the scalable Lagrangian
+/// relaxation (Section 3.4) and the exact ILP (Formula (1) translated into an
+/// `ilp::Model` and solved to proven optimality by the LP-based branch &
+/// bound, playing the paper's commercial ILP solver) — implement the same
+/// `Solver` interface, so the design-level optimizer, the benches, and the
+/// CLI select a solver by value instead of switching on an enum at every
+/// call site. Solvers are stateless after construction and safe to share
+/// across panel-solving threads; all mutable per-solve state lives in the
+/// caller-owned `PanelScratch` arena or in locals of the solve.
 ///
 /// The primary entry point consumes a compiled `PanelKernel` (see
 /// panel_kernel.h) plus an optional scratch arena; the `Problem` overload is
@@ -20,9 +21,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string_view>
 
-#include "core/exact_solver.h"
 #include "core/lr_solver.h"
 #include "core/panel_kernel.h"
 #include "core/problem.h"
@@ -34,26 +35,29 @@
 
 namespace cpr::core {
 
-/// Solver selection for option structs and command lines. `Lr` and `Exact`
-/// are the paper's two methods; `Ilp` is the generic LP-based branch & bound
-/// over the translated Formula (1) model (slow, used for cross-checking).
+/// Solver selection for option structs and command lines: the paper's two
+/// methods.
 enum class Method {
-  Lr,    ///< Lagrangian relaxation + greedy conflict removal (Algorithm 2)
-  Exact, ///< specialized branch & bound to proven optimality (the "ILP")
-  Ilp,   ///< generic ILP translation solved by ilp::solveBinaryIlp
+  Lr,   ///< Lagrangian relaxation + greedy conflict removal (Algorithm 2)
+  Ilp,  ///< Formula (1) solved to proven optimality by ilp::solveBinaryIlp
 };
 
-/// Per-worker arena shared by every solver behind the interface. A worker
-/// thread owns one `PanelScratch` and reuses it across all panels it
-/// processes; each solve fully reinitializes what it reads, so reuse only
-/// saves allocations (see LrScratch / ExactScratch).
+/// The one name table for `Method`: "lr" and "ilp", as spelled by the
+/// `--pin-access` flags and the service protocol's `pin_access` field.
+/// Any other name yields nullopt.
+[[nodiscard]] std::optional<Method> methodFromName(std::string_view name);
+
+/// Per-worker arena for the solvers behind the interface. A worker thread
+/// owns one `PanelScratch` and reuses it across all panels it processes;
+/// each solve fully reinitializes what it reads, so reuse only saves
+/// allocations (see LrScratch). The ILP path builds its own model per panel
+/// and uses no arena.
 struct PanelScratch {
   LrScratch lr;
-  ExactScratch exact;
 
-  /// Current capacity across the arenas, for the optimizer's gauge.
+  /// Current capacity of the arena, for the optimizer's gauge.
   [[nodiscard]] std::size_t footprintBytes() const {
-    return lr.footprintBytes() + exact.footprintBytes();
+    return lr.footprintBytes();
   }
 };
 
@@ -109,34 +113,17 @@ class LrSolver final : public Solver {
   LrOptions opts_;
 };
 
-/// The specialized exact branch & bound behind the interface; wraps
-/// `solveExact`.
-class ExactSolver final : public Solver {
- public:
-  using Solver::solve;
-  explicit ExactSolver(ExactOptions opts = {}) : opts_(opts) {}
-  [[nodiscard]] std::string_view name() const override { return "exact"; }
-  [[nodiscard]] Assignment solve(const PanelKernel& k,
-                                 PanelScratch* scratch = nullptr,
-                                 obs::Collector* obs = nullptr,
-                                 support::Deadline deadline = {}) const override
-      CPR_HOT;
-  [[nodiscard]] const ExactOptions& options() const { return opts_; }
-
- private:
-  ExactOptions opts_;
-};
-
-/// The ILP translation path: builds Formula (1) with `buildIlpModel`, solves
-/// it with the generic LP-based branch & bound, and decodes the 0/1 solution.
+/// The exact path: builds Formula (1) with `buildIlpModel`, solves it with
+/// the LP-based branch & bound, and decodes the 0/1 solution. The result is
+/// proved optimal unless the node budget or a deadline cut the search; with
+/// no incumbent by then every pin is left unassigned.
 class IlpSolver final : public Solver {
  public:
   using Solver::solve;
   explicit IlpSolver(ilp::IlpOptions opts = {}) : opts_(opts) {}
   [[nodiscard]] std::string_view name() const override { return "ilp"; }
-  // CPR_COLD_OK: the generic translation path exists as a cross-checking
-  // baseline; building the ilp::Model allocates by design and is never on
-  // the scaling-critical path.
+  // CPR_COLD_OK: the exact path is the optimality reference, not the
+  // scaling-critical one; building the ilp::Model allocates by design.
   [[nodiscard]] Assignment solve(const PanelKernel& k,
                                  PanelScratch* scratch = nullptr,
                                  obs::Collector* obs = nullptr,
@@ -151,12 +138,10 @@ class IlpSolver final : public Solver {
 /// Everything `makeSolver` needs, in one bundle: the method plus each
 /// engine's options. This is THE options path into the solver layer — the
 /// optimizer embeds one, the CLI and benches fill one, and per-engine knobs
-/// (including the ILP path's `ilp.lp.backend` LP-engine name) are reached
-/// through it instead of loose factory parameters.
+/// are reached through it instead of loose factory parameters.
 struct SolverOptions {
   Method method = Method::Lr;
   LrOptions lr;
-  ExactOptions exact;
   ilp::IlpOptions ilp;
 };
 

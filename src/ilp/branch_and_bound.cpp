@@ -3,20 +3,20 @@
 #include <cmath>
 #include <limits>
 
+#include "ilp/revised_simplex.h"
+
 namespace cpr::ilp {
 
 namespace {
 
 struct Search {
-  Search(const Model& m, const IlpOptions& o)
-      : model(m), opts(o), backend(makeLpBackend(o.lp.backend)) {
-    backend->bind(model, opts.lp);
-    result.backend = std::string(backend->name());
+  Search(const Model& m, const IlpOptions& o) : model(m), opts(o) {
+    lp.bind(model, opts.lp);
   }
 
   const Model& model;
   const IlpOptions& opts;
-  std::unique_ptr<LpBackend> backend;
+  RevisedSimplexBackend lp;
   IlpResult result;
   bool haveIncumbent = false;
   bool truncated = false;
@@ -35,31 +35,30 @@ struct Search {
   }
 
   /// `parent` is the optimal basis of the parent node's relaxation (empty at
-  /// the root and under engines that cannot warm-start): the child re-solve
-  /// starts dual-feasible from it after the branching bound change.
+  /// the root): the child re-solve starts dual-feasible from it after the
+  /// branching bound change.
   void explore(Fixing& fix, const LpBasis& parent) {
     if (outOfBudget()) return;
     ++result.nodesExplored;
 
     LpBasis basis;
-    const LpResult lp =
-        backend->solve(&fix, &parent, &basis, opts.deadline);
-    result.lpPivots += lp.pivots;
-    if (lp.warmStarted) ++result.lpWarmSolves;
+    const LpResult relax = lp.solve(&fix, &parent, &basis, opts.deadline);
+    result.lpPivots += relax.pivots;
+    if (relax.warmStarted) ++result.lpWarmSolves;
     else ++result.lpColdSolves;
-    if (lp.status == LpStatus::Infeasible) return;
-    if (lp.status == LpStatus::TimeLimit) {
+    if (relax.status == LpStatus::Infeasible) return;
+    if (relax.status == LpStatus::TimeLimit) {
       timedOut = true;
       return;
     }
-    if (lp.status != LpStatus::Optimal) {
+    if (relax.status != LpStatus::Optimal) {
       // Iteration-limited or unbounded relaxation: cannot certify this
       // subtree; treat the search as truncated rather than mispruning.
       truncated = true;
       return;
     }
     if (haveIncumbent &&
-        lp.objective <= result.objective + tol::kBoundImprovementEps)
+        relax.objective <= result.objective + tol::kBoundImprovementEps)
       return;
 
     // Find the most fractional variable.
@@ -67,7 +66,7 @@ struct Search {
     double bestFrac = opts.integralityEps;
     for (Index v = 0; v < model.numVars(); ++v) {
       if (fix[static_cast<std::size_t>(v)] >= 0) continue;
-      const double xv = lp.x[static_cast<std::size_t>(v)];
+      const double xv = relax.x[static_cast<std::size_t>(v)];
       const double frac = std::min(xv, 1.0 - xv);
       if (frac > bestFrac) {
         bestFrac = frac;
@@ -76,8 +75,8 @@ struct Search {
     }
     if (branchVar < 0) {
       // Integral solution: round and accept as incumbent.
-      std::vector<double> x(lp.x.size());
-      for (std::size_t v = 0; v < x.size(); ++v) x[v] = std::round(lp.x[v]);
+      std::vector<double> x(relax.x.size());
+      for (std::size_t v = 0; v < x.size(); ++v) x[v] = std::round(relax.x[v]);
       if (!model.feasible(x)) return;  // defensive: rounding artifact
       const double obj = model.evaluate(x);
       if (!haveIncumbent || obj > result.objective) {

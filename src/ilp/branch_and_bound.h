@@ -2,18 +2,16 @@
 /// Exact binary ILP solver: LP-relaxation branch & bound.
 ///
 /// Depth-first branch & bound over `ilp::Model` binaries. Node bounds come
-/// from whichever LP engine `IlpOptions::lp.backend` names (lp_backend.h) —
-/// the engine is bound to the model once and re-solved per node with a
-/// tightened fixing, and engines that support it warm-start every child from
-/// its parent's optimal basis (a dual-simplex re-solve, typically a handful
-/// of pivots). Branches on the most fractional variable, exploring the x=1
+/// from the revised simplex (revised_simplex.h): the engine is bound to the
+/// model once and re-solved per node with a tightened fixing, warm-starting
+/// every child from its parent's optimal basis (a dual-simplex re-solve,
+/// typically a handful of pivots). Branches on the most fractional variable, exploring the x=1
 /// child first (effective for the paper's set-partitioning structure, where
 /// fixing an interval to 1 rapidly propagates through the pin-equality
 /// rows — and the child relaxation continues directly from the basis still
 /// loaded in the engine).
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "ilp/lp_backend.h"
@@ -37,7 +35,6 @@ struct IlpResult {
   long lpPivots = 0;  ///< total simplex pivots across all node relaxations
   long lpWarmSolves = 0;  ///< node relaxations resumed from a parent basis
   long lpColdSolves = 0;  ///< node relaxations solved from scratch
-  std::string backend;    ///< LP engine that produced the bounds
 };
 
 struct IlpOptions {
@@ -53,8 +50,6 @@ struct IlpOptions {
 
 /// Solves the 0/1 model exactly. When `opts.deadline` fires the best
 /// incumbent found so far is returned with IlpStatus::TimeLimit.
-/// Throws std::invalid_argument if `opts.lp.backend` names no registered
-/// engine (see `lpBackendNames()`).
 [[nodiscard]] IlpResult solveBinaryIlp(const Model& m,
                                        const IlpOptions& opts = {});
 

@@ -3,8 +3,8 @@
 ///
 /// This module is the repository's stand-in for the commercial ILP solver the
 /// paper uses for Formula (1): variables are declared, linear constraints
-/// added, and the model handed to `solveLp` (LP relaxation) or
-/// `solveBinaryIlp` (exact branch & bound). Only what the paper's formulation
+/// added, and the model handed to `solveBinaryIlp` (exact branch & bound
+/// over LP relaxations). Only what the paper's formulation
 /// needs is supported: maximization, binary decision variables, and sparse
 /// linear constraints with <=, =, >= senses.
 #pragma once

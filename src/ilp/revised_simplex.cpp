@@ -76,7 +76,7 @@ void RevisedSimplexBackend::bind(const Model& m, const LpOptions& opts) {
 
   basic_.assign(m_, 0);
   state_.assign(total, VarState::AtLower);
-  binv_.assign(m_ * m_, 0.0);
+  binv_.clear();  // sized by the first coldStart / refactorize
   basisValid_ = false;
   refactorizations_ = 0;
 }
@@ -90,6 +90,12 @@ double RevisedSimplexBackend::columnDot(const std::vector<double>& rowVec,
   return acc;
 }
 
+bool RevisedSimplexBackend::outOfTime() {
+  if (!deadline_.expired()) return false;
+  basisValid_ = false;  // the inverse may be half rebuilt
+  return true;
+}
+
 bool RevisedSimplexBackend::refactorize() {
   // Product-form rebuild: start from the identity (the all-slack basis) and
   // replace one basis position at a time with its actual column via the
@@ -98,7 +104,8 @@ bool RevisedSimplexBackend::refactorize() {
   // on the panel models k is the variable count, far below the row count m,
   // where the dense Gauss-Jordan's O(m^3) dominated every solve. Positions
   // whose pivot is momentarily too small are deferred and retried after the
-  // others; if no ordering works, fall back to dense elimination.
+  // others; if no ordering works, fall back to dense elimination. Each
+  // position costs O(m^2), so the solve's deadline is polled per position.
   binv_.assign(m_ * m_, 0.0);
   for (std::size_t i = 0; i < m_; ++i) binv_[i * m_ + i] = 1.0;
   std::vector<std::size_t> pending;
@@ -111,6 +118,7 @@ bool RevisedSimplexBackend::refactorize() {
     progress = false;
     std::vector<std::size_t> defer;
     for (const std::size_t r : pending) {
+      if (outOfTime()) return false;
       const std::size_t q = static_cast<std::size_t>(basic_[r]);
       if (q >= n_) {
         // Foreign slack: its column is a unit vector, eta = Binv column.
@@ -151,6 +159,7 @@ bool RevisedSimplexBackend::refactorize() {
 bool RevisedSimplexBackend::refactorizeDense() {
   // Rebuild the explicit inverse from scratch: Gauss-Jordan with partial
   // pivoting on the basis matrix, mirroring every row operation into binv_.
+  if (outOfTime()) return false;  // before allocating a second m x m matrix
   std::vector<double> bmat(m_ * m_, 0.0);
   for (std::size_t i = 0; i < m_; ++i) {
     const std::size_t col = static_cast<std::size_t>(basic_[i]);
@@ -164,6 +173,7 @@ bool RevisedSimplexBackend::refactorizeDense() {
   binv_.assign(m_ * m_, 0.0);
   for (std::size_t i = 0; i < m_; ++i) binv_[i * m_ + i] = 1.0;
   for (std::size_t k = 0; k < m_; ++k) {
+    if (outOfTime()) return false;
     std::size_t piv = k;
     for (std::size_t i = k + 1; i < m_; ++i)
       if (std::abs(bmat[i * m_ + k]) > std::abs(bmat[piv * m_ + k])) piv = i;
@@ -332,6 +342,7 @@ LpResult RevisedSimplexBackend::solve(const Fixing* fix, const LpBasis* warm,
     }
   }
 
+  deadline_ = deadline;
   LpResult res;
   if (basisOut != nullptr) *basisOut = LpBasis{};
   if (opts_.warmStart && warm != nullptr && !warm->empty() &&
@@ -339,6 +350,10 @@ LpResult RevisedSimplexBackend::solve(const Fixing* fix, const LpBasis* warm,
     res.warmStarted = true;
   } else {
     coldStart();
+  }
+  if (deadline.expired()) {  // e.g. fired during a warm-start refactorization
+    res.status = LpStatus::TimeLimit;
+    return res;
   }
 
   const auto extract = [&] {
@@ -353,21 +368,27 @@ LpResult RevisedSimplexBackend::solve(const Fixing* fix, const LpBasis* warm,
     }
     res.objective = model_->evaluate(res.x);
   };
+  // A failed refactorization is a timeout when the deadline cut it short,
+  // and a numerical give-up otherwise.
+  const auto refactorFailed = [&] {
+    res.status = deadline.expired() ? LpStatus::TimeLimit
+                                    : LpStatus::IterationLimit;
+    extract();
+    return res;
+  };
 
   computeBasicValues();
   computeDuals();
   int degenerateRun = 0;
   int sinceRefactor = 0;
-  int sincePoll = 0;
   bool justRefactored = true;  // cold/warm start is exact by construction
   while (true) {
-    if (++sincePoll >= tol::kDeadlineCheckStride) {
-      sincePoll = 0;
-      if (deadline.expired()) {
-        res.status = LpStatus::TimeLimit;
-        extract();
-        return res;
-      }
+    // Polled every pivot: one pivot costs O(m^2) on the dense inverse, so
+    // any coarser stride overshoots the budget on large models.
+    if (deadline.expired()) {
+      res.status = LpStatus::TimeLimit;
+      extract();
+      return res;
     }
 
     // Leaving-variable selection: most-violated basic bound, or the smallest
@@ -417,11 +438,7 @@ LpResult RevisedSimplexBackend::solve(const Fixing* fix, const LpBasis* warm,
         for (std::size_t i = 0; i < m_; ++i)
           resid = std::max(resid, std::abs(work_[i] - val[n_ + i]));
         if (resid > tol::kResidualEps) {
-          if (!refactorize()) {
-            res.status = LpStatus::IterationLimit;
-            extract();
-            return res;
-          }
+          if (!refactorize()) return refactorFailed();
           computeBasicValues();
           computeDuals();
           justRefactored = true;
@@ -484,12 +501,15 @@ LpResult RevisedSimplexBackend::solve(const Fixing* fix, const LpBasis* warm,
       // Dual unbounded: no entering column can repair the violated bound.
       // Refactorize once first so drift in the inverse cannot manufacture a
       // spurious infeasibility verdict.
-      if (!justRefactored && refactorize()) {
-        computeBasicValues();
-        computeDuals();
-        justRefactored = true;
-        sinceRefactor = 0;
-        continue;
+      if (!justRefactored) {
+        if (refactorize()) {
+          computeBasicValues();
+          computeDuals();
+          justRefactored = true;
+          sinceRefactor = 0;
+          continue;
+        }
+        if (deadline.expired()) return refactorFailed();
       }
       res.status = LpStatus::Infeasible;
       return res;
@@ -511,11 +531,7 @@ LpResult RevisedSimplexBackend::solve(const Fixing* fix, const LpBasis* warm,
     if (std::abs(pivot) <= tol::kPivotEps) {
       // Numerically hopeless pivot: rebuild the inverse once and retry; if
       // it persists, give up rather than divide by noise.
-      if (justRefactored || !refactorize()) {
-        res.status = LpStatus::IterationLimit;
-        extract();
-        return res;
-      }
+      if (justRefactored || !refactorize()) return refactorFailed();
       computeBasicValues();
       computeDuals();
       justRefactored = true;
@@ -571,11 +587,7 @@ LpResult RevisedSimplexBackend::solve(const Fixing* fix, const LpBasis* warm,
     justRefactored = false;
     degenerateRun = bestRatio <= opts_.eps ? degenerateRun + 1 : 0;
     if (++sinceRefactor >= tol::kRefactorInterval) {
-      if (!refactorize()) {
-        res.status = LpStatus::IterationLimit;
-        extract();
-        return res;
-      }
+      if (!refactorize()) return refactorFailed();
       computeBasicValues();
       computeDuals();
       justRefactored = true;

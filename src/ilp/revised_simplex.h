@@ -1,9 +1,9 @@
 /// \file revised_simplex.h
-/// Revised simplex on sparse columns — the "revised" engine behind the
-/// `LpBackend` seam and the default LP solver.
+/// Revised simplex on sparse columns — the LP engine of the branch & bound.
 ///
-/// Differences from the dense oracle (simplex.h) that make it the scale
-/// engine for the ILP path:
+/// Differences from a textbook dense tableau (the test-only reference the
+/// test suites check it against) that make it the scale engine for the ILP
+/// path:
 ///
 ///   * Variable bounds are native. Binaries live in [0,1] (or [v,v] when
 ///     fixed) without materialized `x_i <= 1` rows, so the working basis has
@@ -56,6 +56,7 @@ class RevisedSimplexBackend final : public LpBackend {
   std::vector<double> loBase_, hiBase_;  ///< bounds before per-solve fixing
   const Model* model_ = nullptr;
   LpOptions opts_;
+  support::Deadline deadline_;  ///< the current solve's budget
 
   // --- engine state, preserved between solves for the continuation path
   enum class VarState : std::uint8_t { Basic, AtLower, AtUpper };
@@ -68,6 +69,9 @@ class RevisedSimplexBackend final : public LpBackend {
   // --- per-solve workspaces (members to amortize allocation across nodes)
   std::vector<double> lo_, hi_, xb_, y_, d_, alpha_, rho_, eta_, work_;
 
+  /// Polled by the O(m^2)-per-step refactorizations: true (and the basis
+  /// marked invalid) once the current solve's deadline has expired.
+  [[nodiscard]] bool outOfTime();
   [[nodiscard]] bool refactorize();
   [[nodiscard]] bool refactorizeDense();
   void computeBasicValues();

@@ -1,12 +1,12 @@
 /// \file tolerances.h
-/// Named numeric tolerances shared by every LP/ILP engine in `src/ilp`.
+/// Named numeric tolerances shared by the LP engine and the branch & bound
+/// in `src/ilp`.
 ///
-/// One header so the pivot, feasibility, and integrality thresholds that
-/// used to live as magic literals inside `simplex.cpp` and
-/// `branch_and_bound.cpp` have a single spelling, a documented meaning, and
-/// one place to tighten or relax. The two LP engines (dense two-phase and
-/// revised simplex) must agree on status + objective across the golden LP
-/// suite, which only holds when they classify "zero" the same way.
+/// One header so the pivot, feasibility, and integrality thresholds have a
+/// single spelling, a documented meaning, and one place to tighten or relax.
+/// The test-only dense reference engine uses them too: both engines must
+/// agree on status + objective across the golden LP suite, which only holds
+/// when they classify "zero" the same way.
 #pragma once
 
 namespace cpr::ilp::tol {
@@ -18,10 +18,6 @@ inline constexpr double kPivotEps = 1e-9;
 /// Primal feasibility slack on variable bounds and row activities; also the
 /// tolerance used when classifying a fully-substituted row as consistent.
 inline constexpr double kFeasEps = 1e-7;
-
-/// Residual of the phase-1 objective above which the dense engine declares
-/// the model infeasible (sum of artificials that refused to reach zero).
-inline constexpr double kPhase1Eps = 1e-7;
 
 /// Fractionality threshold for branch & bound: a relaxation value within
 /// this of 0 or 1 counts as integral.
@@ -35,21 +31,17 @@ inline constexpr double kBoundImprovementEps = 1e-9;
 /// columns of inequality rows are one-sided).
 inline constexpr double kInfiniteBound = 1e30;
 
-/// Default per-solve simplex iteration budget (both engines).
+/// Default per-solve simplex iteration budget.
 inline constexpr long kDefaultLpIterationLimit = 200000;
 
 /// Consecutive degenerate pivots tolerated before switching to Bland's
-/// rule (anti-cycling fallback, both engines).
+/// rule (anti-cycling fallback).
 inline constexpr int kDegenerateRunLimit = 64;
 
 /// Revised engine: pivots between basis refactorizations. The explicit
 /// inverse is updated in O(m^2) per pivot and rebuilt from scratch at this
 /// cadence to bound numerical drift.
 inline constexpr int kRefactorInterval = 64;
-
-/// Simplex iterations between Deadline polls (steady-clock reads are not
-/// free; the budget only needs coarse granularity).
-inline constexpr int kDeadlineCheckStride = 256;
 
 /// Infinity-norm residual of `B x_B - (b - N x_N)` above which the revised
 /// engine refactorizes and recomputes before trusting an optimal basis.

@@ -3,7 +3,7 @@
 /// series, scoped phase timers, and free-form run notes.
 ///
 /// The collector is the single sink every layer reports into — interval
-/// generation, conflict detection, the LR / exact / ILP solvers, the routing
+/// generation, conflict detection, the LR and ILP solvers, the routing
 /// engine, and DRC. It is deliberately NOT thread-safe: concurrent code gives
 /// each worker its own collector (tagged with a deterministic `src` id, e.g.
 /// the panel index) and merges them in a fixed order afterwards, so counters
@@ -11,7 +11,7 @@
 /// fields of timer spans vary between runs.
 ///
 /// Canonical counter naming: dot-separated `<layer>.<subject>.<aspect>`,
-/// lower_snake_case segments — e.g. `lr.iterations`, `exact.nodes`,
+/// lower_snake_case segments — e.g. `lr.iterations`, `ilp.nodes`,
 /// `route.astar.pops`, `drc.violations.via_spacing`. The full convention is
 /// documented in DESIGN.md ("Observability").
 #pragma once

@@ -2,7 +2,7 @@
 /// Canonical counter names shared between emitters and the backward-compat
 /// accessors on result structs. Naming convention:
 /// `<layer>.<subject>[.<aspect>]`, dot-separated lower_snake_case segments.
-/// Layers: gen, conflict, lr, exact, ilp, pao, route, drc, lint.
+/// Layers: gen, conflict, lr, ilp, pao, route, drc, lint.
 ///
 /// This header is the only place a metric-name literal may be spelled out:
 /// the `cpr_lint` rule OBS-LITERAL rejects inline `"pao.*"` / `"route.*"` /
@@ -29,24 +29,17 @@ inline constexpr std::string_view kLrReexpandUpgrades = "lr.reexpand.upgrades";
 /// Subgradient loop stopped by a Deadline (the best-so-far solution is still
 /// repaired and returned, so the result stays legal).
 inline constexpr std::string_view kLrTimeout = "lr.timeout";
-// Specialized exact branch & bound (Section 3.3).
-inline constexpr std::string_view kExactNodes = "exact.nodes";
-inline constexpr std::string_view kExactNotProved = "exact.not_proved";
-/// Search truncated by a Deadline (as opposed to the node budget).
-inline constexpr std::string_view kExactTimeout = "exact.timeout";
-// Generic ILP translation path (Formula 1 via ilp::Model).
+// Exact ILP path (Formula 1 via ilp::Model, LP-based branch & bound).
 inline constexpr std::string_view kIlpNodes = "ilp.nodes";
 inline constexpr std::string_view kIlpPivots = "ilp.lp.pivots";
 inline constexpr std::string_view kIlpNotProved = "ilp.not_proved";
-/// Generic B&B stopped by a Deadline (IlpStatus::TimeLimit).
+/// Branch & bound stopped by a Deadline (IlpStatus::TimeLimit).
 inline constexpr std::string_view kIlpTimeout = "ilp.timeout";
 /// Node relaxations warm-started from the parent's optimal basis (dual
 /// simplex re-solve) vs. solved from scratch; warm/cold split measures how
 /// often the LpBackend seam's basis hand-off actually engages.
 inline constexpr std::string_view kIlpWarmSolves = "ilp.lp.warm_solves";
 inline constexpr std::string_view kIlpColdSolves = "ilp.lp.cold_solves";
-/// Note: name() of the LP engine behind the generic B&B (lp_backend.h).
-inline constexpr std::string_view kIlpBackendNote = "ilp.backend";
 // Design-level optimizer (panel fan-out).
 inline constexpr std::string_view kPaoPanels = "pao.panels";
 inline constexpr std::string_view kPaoIntervals = "pao.intervals.generated";
@@ -96,8 +89,6 @@ inline constexpr std::string_view kPaoPanelStatusNote = "pao.panel.status";
 inline constexpr std::string_view kPaoPanelErrorNote = "pao.panel.error";
 // Solver trace series (per-iteration rows).
 inline constexpr std::string_view kLrIterSeries = "lr.iter";
-inline constexpr std::string_view kExactRootSeries = "exact.root";
-inline constexpr std::string_view kExactPanelSeries = "exact.panel";
 // Routing.
 inline constexpr std::string_view kRouteRrrIterations = "route.rrr.iterations";
 inline constexpr std::string_view kRouteCongestedPreRrr =
@@ -191,35 +182,33 @@ inline constexpr std::string_view kServeEvRejected = "serve.job.rejected";
 /// are unique and follow the `^[a-z]+(\.[a-z_]+)+$` grammar, which is what
 /// catches a typo'd or duplicated metric name at test time rather than in a
 /// dashboard.
-inline constexpr std::array<std::string_view, 85> kAll = {
-    kGenIntervals,         kGenShared,           kGenBlockedPins,
-    kConflictSets,         kLrIterations,        kLrRemovalRounds,
-    kLrReexpandUpgrades,   kLrTimeout,           kExactNodes,
-    kExactNotProved,       kExactTimeout,        kIlpNodes,
-    kIlpPivots,            kIlpNotProved,        kIlpTimeout,
-    kIlpWarmSolves,        kIlpColdSolves,       kIlpBackendNote,
-    kPaoPanels,            kPaoIntervals,        kPaoConflicts,
-    kPaoUnassigned,        kPaoFallbacks,        kPaoPanelFailed,
-    kPaoPanelDegraded,     kPaoRungPrimary,      kPaoRungLr,
-    kPaoRungGreedy,        kPaoRungMinimal,      kPaoKernelBytes,
-    kPaoScratchPeakBytes,  kPaoGenSpan,          kPaoConflictSpan,
-    kPaoCompileSpan,       kPaoSolveSpan,        kPaoFallbackSpan,
-    kPaoTotalSpan,         kPaoSolverNote,       kPaoPanelStatusNote,
-    kPaoPanelErrorNote,    kLrIterSeries,        kExactRootSeries,
-    kExactPanelSeries,     kRouteRrrIterations,  kRouteCongestedPreRrr,
-    kRouteRipups,          kRouteRetries,        kRouteSearches,
-    kRoutePops,            kRouteDroppedSharing, kRouteTimeout,
-    kRouteBatches,         kRouteBatchConflicts, kRouteParallelNets,
-    kRouteSweepSeries,     kRouteIndependentSpan, kRouteRrrSpan,
-    kRouteDrcRepairSpan,   kRouteSignoffSpan,    kDrcViolations,
-    kDrcLineEnd,           kDrcViaSpacing,       kDrcDirtyNets,
-    kLintFiles,            kLintDiagnostics,     kLintRunSpan,
-    kServeConnections,     kServeFramesBad,      kServeAcceptRetried,
-    kServeJobsAccepted,    kServeJobsRejected,   kServeJobsCompleted,
-    kServeJobsFailed,      kServeJobsRetried,    kServeJobsCancelled,
-    kServeQueuePeakDepth,  kServeJobSpan,        kServeEvAccepted,
-    kServeEvStarted,       kServeEvRetrying,     kServeEvCompleted,
-    kServeEvFailed,        kServeEvRejected,     kPaoHotPathAllocs,
+inline constexpr std::array<std::string_view, 79> kAll = {
+    kGenIntervals,        kGenShared,           kGenBlockedPins,
+    kConflictSets,        kLrIterations,        kLrRemovalRounds,
+    kLrReexpandUpgrades,  kLrTimeout,           kIlpNodes,
+    kIlpPivots,           kIlpNotProved,        kIlpTimeout,
+    kIlpWarmSolves,       kIlpColdSolves,       kPaoPanels,
+    kPaoIntervals,        kPaoConflicts,        kPaoUnassigned,
+    kPaoFallbacks,        kPaoPanelFailed,      kPaoPanelDegraded,
+    kPaoRungPrimary,      kPaoRungLr,           kPaoRungGreedy,
+    kPaoRungMinimal,      kPaoKernelBytes,      kPaoScratchPeakBytes,
+    kPaoGenSpan,          kPaoConflictSpan,     kPaoCompileSpan,
+    kPaoSolveSpan,        kPaoFallbackSpan,     kPaoTotalSpan,
+    kPaoSolverNote,       kPaoPanelStatusNote,  kPaoPanelErrorNote,
+    kLrIterSeries,        kRouteRrrIterations,  kRouteCongestedPreRrr,
+    kRouteRipups,         kRouteRetries,        kRouteSearches,
+    kRoutePops,           kRouteDroppedSharing, kRouteTimeout,
+    kRouteBatches,        kRouteBatchConflicts, kRouteParallelNets,
+    kRouteSweepSeries,    kRouteIndependentSpan, kRouteRrrSpan,
+    kRouteDrcRepairSpan,  kRouteSignoffSpan,    kDrcViolations,
+    kDrcLineEnd,          kDrcViaSpacing,       kDrcDirtyNets,
+    kLintFiles,           kLintDiagnostics,     kLintRunSpan,
+    kServeConnections,    kServeFramesBad,      kServeAcceptRetried,
+    kServeJobsAccepted,   kServeJobsRejected,   kServeJobsCompleted,
+    kServeJobsFailed,     kServeJobsRetried,    kServeJobsCancelled,
+    kServeQueuePeakDepth, kServeJobSpan,        kServeEvAccepted,
+    kServeEvStarted,      kServeEvRetrying,     kServeEvCompleted,
+    kServeEvFailed,       kServeEvRejected,     kPaoHotPathAllocs,
     kLintCallgraphEdges,
 };
 

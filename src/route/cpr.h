@@ -23,7 +23,7 @@ struct CprOptions {
     pinAccess.solve.lr.stallLimit = 12;
   }
 
-  core::OptimizerOptions pinAccess;  ///< Method::Lr (paper default) or Exact
+  core::OptimizerOptions pinAccess;  ///< Method::Lr (paper default) or Ilp
   NegotiationOptions routing;
 };
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "core/solver.h"
 #include "obs/names.h"
 #include "obs/report.h"
 
@@ -364,7 +365,7 @@ Request decodeRequest(std::string_view line) {
     return req;
   }
   r.pinAccess = obj.strOr("pin_access", "lr");
-  if (r.pinAccess != "lr" && r.pinAccess != "ilp" && r.pinAccess != "generic") {
+  if (!core::methodFromName(r.pinAccess)) {
     req.error = "unknown pin_access \"" + r.pinAccess + "\"";
     return req;
   }

@@ -41,7 +41,7 @@ struct RouteRequest {
   std::string design;           ///< suite benchmark name (ecc|efc|...)
   std::string defText;          ///< inline DEF payload (alternative)
   std::string scheme = "cpr";   ///< cpr | nopao | seq
-  std::string pinAccess = "lr"; ///< lr | ilp | generic (cpr scheme only)
+  std::string pinAccess = "lr"; ///< lr | ilp (cpr scheme only)
   Priority priority = Priority::Batch;
   double budgetSeconds = 0.0;   ///< job wall-clock budget; 0 = server default
   std::uint64_t seed = 7;       ///< generator seed for `design` jobs

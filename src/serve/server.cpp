@@ -505,12 +505,13 @@ JobResult Server::executeAttempt(const Job& job) {
     o.pinAccess.threads = opts_.jobThreads;
     o.pinAccess.deadline = job.deadline;
     o.pinAccess.solver = opts_.solverHook;
-    if (req.pinAccess == "ilp") {
-      o.pinAccess.solve.method = core::Method::Exact;
+    // The codec admitted only known names, so the lookup cannot miss.
+    o.pinAccess.solve.method =
+        core::methodFromName(req.pinAccess).value_or(core::Method::Lr);
+    // Containment: an exact solve gets a 1 s slice per panel, so one hard
+    // panel degrades down the ladder instead of holding a worker.
+    if (o.pinAccess.solve.method == core::Method::Ilp)
       o.pinAccess.panelBudgetSeconds = 1.0;
-    } else if (req.pinAccess == "generic") {
-      o.pinAccess.solve.method = core::Method::Ilp;
-    }
     if (job.attempt > 1) {
       // Lower-fidelity retry: fewer negotiation rounds, faster convergence
       // to *a* result inside the fresh (smaller) budget.

@@ -152,7 +152,7 @@ TEST_P(PanelKernelProperty, ScratchReuseDoesNotChangeResults) {
     const PanelKernel k = PanelKernel::compile(Problem(p));
     for (const auto& solver :
          {std::unique_ptr<Solver>(std::make_unique<LrSolver>()),
-          std::unique_ptr<Solver>(std::make_unique<ExactSolver>())}) {
+          std::unique_ptr<Solver>(std::make_unique<IlpSolver>())}) {
       // Each solve gets its own relative budget: a shared absolute deadline
       // could fire between the two calls and break bit-identity.
       const Assignment fresh = solver->solve(k, nullptr, nullptr,

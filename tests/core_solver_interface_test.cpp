@@ -3,7 +3,7 @@
 #include <memory>
 
 #include "core/conflict.h"
-#include "core/exact_solver.h"
+#include "core/ilp_builder.h"
 #include "core/interval_gen.h"
 #include "core/lr_solver.h"
 #include "core/optimizer.h"
@@ -43,28 +43,40 @@ TEST(SolverInterface, LrMatchesFreeFunction) {
   expectSameAssignment(direct, viaIface);
 }
 
-TEST(SolverInterface, ExactMatchesFreeFunction) {
+TEST(SolverInterface, IlpMatchesFreeFunction) {
   const Problem p = makeProblem(19);
-  ExactOptions eo;
-  eo.deadline = support::Deadline::after(10.0);
-  const Assignment direct = solveExact(p, eo);
-  const Assignment viaIface = ExactSolver{eo}.solve(p);
+  ilp::IlpOptions io;
+  io.deadline = support::Deadline::after(10.0);
+  const IlpBuild build = buildIlpModel(p);
+  const ilp::IlpResult res = ilp::solveBinaryIlp(build.model, io);
+  ASSERT_EQ(res.status, ilp::IlpStatus::Optimal);
+  Assignment direct = decodeIlpSolution(p, build, res.x);
+  direct.provedOptimal = true;
+  const Assignment viaIface = IlpSolver{io}.solve(p);
   expectSameAssignment(direct, viaIface);
   EXPECT_TRUE(viaIface.provedOptimal);
 }
 
 TEST(SolverInterface, NamesAndFactory) {
   EXPECT_EQ(LrSolver{}.name(), "lr");
-  EXPECT_EQ(ExactSolver{}.name(), "exact");
   EXPECT_EQ(IlpSolver{}.name(), "ilp");
   EXPECT_EQ(makeSolver({.method = Method::Lr})->name(), "lr");
-  EXPECT_EQ(makeSolver({.method = Method::Exact})->name(), "exact");
   EXPECT_EQ(makeSolver({.method = Method::Ilp})->name(), "ilp");
 }
 
-TEST(SolverInterface, AllThreeSolversAgreeOnObjective) {
-  // Small instance so the generic ILP path stays fast; exact and ilp are
-  // both optimal, LR is a lower bound on them.
+TEST(SolverInterface, MethodNameTable) {
+  EXPECT_EQ(methodFromName("lr"), Method::Lr);
+  EXPECT_EQ(methodFromName("ilp"), Method::Ilp);
+  // The retired LP-path alias and anything else are rejected.
+  EXPECT_EQ(methodFromName("generic"), std::nullopt);
+  EXPECT_EQ(methodFromName("exact"), std::nullopt);
+  EXPECT_EQ(methodFromName(""), std::nullopt);
+  EXPECT_EQ(methodFromName("ILP"), std::nullopt);
+}
+
+TEST(SolverInterface, BothSolversAgreeOnObjective) {
+  // Small instance so the ILP path stays fast: it proves optimality, and LR
+  // is a lower bound on the proved optimum.
   gen::GenOptions o;
   o.seed = 23;
   o.width = 48;
@@ -76,15 +88,11 @@ TEST(SolverInterface, AllThreeSolversAgreeOnObjective) {
   Problem p = buildProblem(d, db::extractPanel(d, 0), {});
   detectConflicts(p);
 
-  ExactOptions eo;
-  eo.deadline = support::Deadline::after(10.0);
   const Assignment lr = LrSolver{{}}.solve(p);
-  const Assignment exact = ExactSolver{eo}.solve(p);
   const Assignment ilp = IlpSolver{{}}.solve(p);
-  ASSERT_TRUE(exact.provedOptimal);
   ASSERT_TRUE(ilp.provedOptimal);
-  EXPECT_NEAR(exact.objective, ilp.objective, 1e-6);
-  EXPECT_LE(lr.objective, exact.objective + 1e-6);
+  EXPECT_EQ(ilp.violations, 0);
+  EXPECT_LE(lr.objective, ilp.objective + 1e-6);
 }
 
 TEST(SolverInterface, SolversEmitCanonicalCounters) {
@@ -93,12 +101,6 @@ TEST(SolverInterface, SolversEmitCanonicalCounters) {
   (void)LrSolver{{}}.solve(p, &lrObs);
   EXPECT_GT(lrObs.counter(obs::names::kLrIterations), 0);
   EXPECT_FALSE(lrObs.series().empty());
-
-  obs::Collector exObs;
-  ExactOptions eo;
-  eo.deadline = support::Deadline::after(10.0);
-  (void)ExactSolver{eo}.solve(p, &exObs);
-  EXPECT_GT(exObs.counter(obs::names::kExactNodes), 0);
 
   obs::Collector ilpObs;
   gen::GenOptions small;
@@ -125,12 +127,13 @@ TEST(SolverInterface, OptimizerHonorsCustomSolverOverride) {
   const db::Design d = gen::generate(o);
 
   OptimizerOptions viaEnum;
-  viaEnum.solve.method = Method::Exact;
-  viaEnum.solve.exact.deadline = support::Deadline::after(5.0);
+  viaEnum.solve.method = Method::Ilp;
+  viaEnum.solve.ilp.deadline = support::Deadline::after(5.0);
   const PinAccessPlan a = optimizePinAccess(d, viaEnum);
+  ASSERT_TRUE(a.allProvedOptimal());
 
   OptimizerOptions viaOverride;  // method left at Lr: override must win
-  viaOverride.solver = std::make_shared<ExactSolver>(viaEnum.solve.exact);
+  viaOverride.solver = std::make_shared<IlpSolver>(viaEnum.solve.ilp);
   const PinAccessPlan b = optimizePinAccess(d, viaOverride);
 
   ASSERT_EQ(a.routes.size(), b.routes.size());
@@ -140,9 +143,9 @@ TEST(SolverInterface, OptimizerHonorsCustomSolverOverride) {
   }
   EXPECT_DOUBLE_EQ(a.objective, b.objective);
   EXPECT_EQ(a.stats.notes().at(std::string(cpr::obs::names::kPaoSolverNote)),
-            "exact");
+            "ilp");
   EXPECT_EQ(b.stats.notes().at(std::string(cpr::obs::names::kPaoSolverNote)),
-            "exact");
+            "ilp");
 }
 
 TEST(SolverInterface, KernelOverloadMatchesProblemOverload) {
@@ -160,12 +163,8 @@ TEST(SolverInterface, KernelOverloadMatchesProblemOverload) {
   detectConflicts(p);
   const PanelKernel k = PanelKernel::compile(Problem(p));
 
-  ExactOptions eo;
-  eo.deadline = support::Deadline::after(10.0);
   const std::unique_ptr<Solver> solvers[] = {
-      makeSolver({.method = Method::Lr}),
-      makeSolver({.method = Method::Exact, .exact = eo}),
-      makeSolver({.method = Method::Ilp})};
+      makeSolver({.method = Method::Lr}), makeSolver({.method = Method::Ilp})};
   for (const auto& s : solvers) {
     const Assignment viaProblem = s->solve(p);
     const Assignment viaKernel = s->solve(k);
@@ -184,18 +183,18 @@ TEST(SolverInterface, GoldenObjectivesPinned) {
   const Golden goldens[] = {{17, 176.42178129662054},
                             {19, 172.90642536321195},
                             {29, 207.59023232254097}};
-  ExactOptions eo;
-  eo.deadline = support::Deadline::after(10.0);
+  ilp::IlpOptions io;
+  io.deadline = support::Deadline::after(10.0);
   for (const Golden& g : goldens) {
     const Problem p = makeProblem(g.seed);
     const Assignment lr = solveLr(p);
     EXPECT_DOUBLE_EQ(lr.objective, g.objective) << "lr seed " << g.seed;
     EXPECT_EQ(lr.violations, 0);
-    const Assignment exact = solveExact(p, eo);
-    EXPECT_DOUBLE_EQ(exact.objective, g.objective) << "exact seed " << g.seed;
+    const Assignment exact = IlpSolver{io}.solve(p);
+    EXPECT_DOUBLE_EQ(exact.objective, g.objective) << "ilp seed " << g.seed;
     EXPECT_TRUE(exact.provedOptimal);
   }
-  // Tiny single-panel fixture where all three solvers agree exactly.
+  // Tiny single-panel fixture where both solvers agree exactly.
   gen::GenOptions o;
   o.seed = 23;
   o.width = 48;
@@ -208,8 +207,7 @@ TEST(SolverInterface, GoldenObjectivesPinned) {
   detectConflicts(tiny);
   constexpr double kTinyGolden = 18.481436464210109;
   EXPECT_DOUBLE_EQ(LrSolver{{}}.solve(tiny).objective, kTinyGolden);
-  EXPECT_DOUBLE_EQ(ExactSolver{eo}.solve(tiny).objective, kTinyGolden);
-  EXPECT_DOUBLE_EQ(IlpSolver{{}}.solve(tiny).objective, kTinyGolden);
+  EXPECT_DOUBLE_EQ(IlpSolver{io}.solve(tiny).objective, kTinyGolden);
 }
 
 // Design-level plan goldens (LR method, pinned objective + FNV-1a route

@@ -1,4 +1,4 @@
-#include "ilp/simplex.h"
+#include "dense_simplex.h"
 
 #include <algorithm>
 #include <cassert>
@@ -10,6 +10,13 @@
 namespace cpr::ilp {
 
 namespace {
+
+/// Simplex iterations between Deadline polls.
+constexpr int kDeadlineCheckStride = 256;
+
+/// Residual of the phase-1 objective above which the model is declared
+/// infeasible (sum of artificials that refused to reach zero).
+constexpr double kPhase1Eps = 1e-7;
 
 /// Dense simplex tableau. Columns are [structural | slack/surplus |
 /// artificial | rhs]; rows are constraints. The objective row is kept in
@@ -80,7 +87,7 @@ PivotOutcome iterate(Tableau& t, long maxIters, double eps, long& pivots,
                      support::Deadline deadline) {
   long degenerateRun = 0;
   for (long it = 0; it < maxIters; ++it) {
-    if (it % tol::kDeadlineCheckStride == 0 && deadline.expired())
+    if (it % kDeadlineCheckStride == 0 && deadline.expired())
       return PivotOutcome::TimeLimit;
     const bool bland = degenerateRun > tol::kDegenerateRunLimit;
     // Entering column: positive reduced cost (maximization).
@@ -121,8 +128,9 @@ PivotOutcome iterate(Tableau& t, long maxIters, double eps, long& pivots,
 
 }  // namespace
 
-LpResult solveLp(const Model& m, const LpOptions& opts, const Fixing* fix,
-                 support::Deadline deadline) {
+LpResult solveLp(const Model& m, const DenseLpOptions& dense,
+                 const Fixing* fix, support::Deadline deadline) {
+  const LpOptions& opts = dense.lp;
   const std::size_t n = static_cast<std::size_t>(m.numVars());
   LpResult res;
   res.x.assign(n, 0.0);
@@ -143,7 +151,7 @@ LpResult solveLp(const Model& m, const LpOptions& opts, const Fixing* fix,
   };
   std::vector<Row> rowsIn;
   rowsIn.reserve(static_cast<std::size_t>(m.numConstraints()) +
-                 (opts.implicitUnitBounds ? 0 : nFree));
+                 (dense.implicitUnitBounds ? 0 : nFree));
   for (const Constraint& c : m.constraints()) {
     Row r{{}, c.sense, c.rhs};
     for (const Term& term : c.terms) {
@@ -167,7 +175,7 @@ LpResult solveLp(const Model& m, const LpOptions& opts, const Fixing* fix,
     }
     rowsIn.push_back(std::move(r));
   }
-  if (!opts.implicitUnitBounds) {
+  if (!dense.implicitUnitBounds) {
     for (std::size_t v = 0; v < n; ++v) {
       if (colOf[v] < 0) continue;
       rowsIn.push_back(Row{{{colOf[v], 1.0}}, Sense::LessEqual, 1.0});
@@ -242,7 +250,7 @@ LpResult solveLp(const Model& m, const LpOptions& opts, const Fixing* fix,
       return res;
     }
     const double z1 = -t.objRhs();
-    if (z1 < -tol::kPhase1Eps) {
+    if (z1 < -kPhase1Eps) {
       res.status = LpStatus::Infeasible;
       return res;
     }

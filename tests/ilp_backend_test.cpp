@@ -1,42 +1,43 @@
-/// Golden LP suite for the `LpBackend` seam (ilp/lp_backend.h): both
-/// registered engines — the dense two-phase reference and the revised
-/// simplex — must agree on status and objective across known-optimum,
-/// infeasible, degenerate, and randomly generated relaxations, with and
-/// without branch & bound fixings; and warm-started re-solves must match
-/// cold solves exactly while doing no more pivot work.
+/// Golden LP suite for the `LpBackend` seam (ilp/lp_backend.h): the
+/// revised simplex (the production engine) and the test-only dense
+/// two-phase reference must agree on status and objective across
+/// known-optimum, infeasible, degenerate, and randomly generated
+/// relaxations, with and without branch & bound fixings; and warm-started
+/// re-solves must match cold solves exactly while doing no more pivot work.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <random>
-#include <stdexcept>
-#include <string>
+#include <string_view>
 #include <vector>
 
+#include "dense_simplex.h"
 #include "ilp/branch_and_bound.h"
 #include "ilp/lp_backend.h"
 #include "ilp/model.h"
+#include "ilp/revised_simplex.h"
 
 namespace cpr::ilp {
 namespace {
 
-LpResult run(const Model& m, const std::string& backend,
+/// The two engines behind the seam, by the name each reports.
+std::unique_ptr<LpBackend> engine(std::string_view name) {
+  if (name == "dense") return std::make_unique<DenseSimplexBackend>();
+  return std::make_unique<RevisedSimplexBackend>();
+}
+
+LpResult run(const Model& m, std::string_view backend,
              const Fixing* fix = nullptr) {
-  const std::unique_ptr<LpBackend> be = makeLpBackend(backend);
+  const std::unique_ptr<LpBackend> be = engine(backend);
   be->bind(m, LpOptions{});
   return be->solve(fix);
 }
 
-TEST(LpBackendFactory, RegistersBothEnginesAndRejectsUnknownNames) {
-  EXPECT_EQ(makeLpBackend("revised")->name(), "revised");
-  EXPECT_EQ(makeLpBackend("dense")->name(), "dense");
-  EXPECT_THROW((void)makeLpBackend("cplex"), std::invalid_argument);
-  const auto& names = lpBackendNames();
-  ASSERT_EQ(names.size(), 2u);
-  // The preference order's head is the LpOptions default: the engine every
-  // caller gets unless it asks for another by name.
-  EXPECT_EQ(LpOptions{}.backend, names.front());
+TEST(LpBackendSeam, BothEnginesReportTheirNames) {
+  EXPECT_EQ(engine("revised")->name(), "revised");
+  EXPECT_EQ(engine("dense")->name(), "dense");
 }
 
 // ------------------------------------------------- golden suite ---------
@@ -227,10 +228,10 @@ TEST(LpBackendWarmStart, ChildResolveFromParentBasisMatchesColdSolve) {
   m.addConstraint({{2, 1.0}, {3, 1.0}, {4, 1.0}}, Sense::LessEqual, 2.0);
   m.addConstraint({{1, 1.0}, {4, 1.0}, {5, 1.0}}, Sense::Equal, 1.0);
 
-  const std::unique_ptr<LpBackend> warmEngine = makeLpBackend("revised");
-  warmEngine->bind(m, LpOptions{});
+  RevisedSimplexBackend warmEngine;
+  warmEngine.bind(m, LpOptions{});
   LpBasis parent;
-  const LpResult root = warmEngine->solve(nullptr, nullptr, &parent);
+  const LpResult root = warmEngine.solve(nullptr, nullptr, &parent, {});
   ASSERT_EQ(root.status, LpStatus::Optimal);
   EXPECT_FALSE(root.warmStarted);
   ASSERT_FALSE(parent.empty());
@@ -241,7 +242,7 @@ TEST(LpBackendWarmStart, ChildResolveFromParentBasisMatchesColdSolve) {
     if (dive[v] < 0) continue;
     fix[static_cast<std::size_t>(v)] = dive[v];
     LpBasis child;
-    const LpResult warm = warmEngine->solve(&fix, &parent, &child);
+    const LpResult warm = warmEngine.solve(&fix, &parent, &child, {});
     const LpResult cold = run(m, "revised", &fix);
     ASSERT_EQ(warm.status, cold.status) << "fixing var " << v;
     if (warm.status != LpStatus::Optimal) break;
@@ -267,8 +268,7 @@ TEST(LpBackendWarmStart, BnbWarmStartMatchesColdSearchAndSavesPivots) {
   m.addConstraint({{0, 1.0}, {3, 1.0}}, Sense::LessEqual, 1.0);
   m.addConstraint({{1, 1.0}, {4, 1.0}, {7, 1.0}}, Sense::LessEqual, 1.0);
 
-  IlpOptions warmOpts;
-  warmOpts.lp.backend = "revised";
+  const IlpOptions warmOpts;
   IlpOptions coldOpts = warmOpts;
   coldOpts.lp.warmStart = false;
 
@@ -277,7 +277,6 @@ TEST(LpBackendWarmStart, BnbWarmStartMatchesColdSearchAndSavesPivots) {
   ASSERT_EQ(warm.status, IlpStatus::Optimal);
   ASSERT_EQ(cold.status, IlpStatus::Optimal);
   EXPECT_NEAR(warm.objective, cold.objective, 1e-9);
-  EXPECT_EQ(warm.backend, "revised");
   EXPECT_GT(warm.nodesExplored, 1);
   EXPECT_GT(warm.lpWarmSolves, 0);
   EXPECT_EQ(cold.lpWarmSolves, 0);
@@ -285,11 +284,9 @@ TEST(LpBackendWarmStart, BnbWarmStartMatchesColdSearchAndSavesPivots) {
   EXPECT_LE(warm.lpPivots, cold.lpPivots);
 }
 
-// --------------------------------------- branch & bound per engine ------
+// ------------------------------------------------ branch & bound --------
 
-class BnbEngines : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(BnbEngines, MatchesBruteForceOnRandomModels) {
+TEST(Bnb, MatchesBruteForceOnRandomModels) {
   std::mt19937 rng(777u);
   std::uniform_int_distribution<int> nDist(2, 6);
   std::uniform_int_distribution<int> cDist(-4, 6);
@@ -318,17 +315,11 @@ TEST_P(BnbEngines, MatchesBruteForceOnRandomModels) {
       if (m.feasible(x)) best = std::max(best, m.evaluate(x));
     }
 
-    IlpOptions opts;
-    opts.lp.backend = GetParam();
-    const IlpResult r = solveBinaryIlp(m, opts);
+    const IlpResult r = solveBinaryIlp(m);
     ASSERT_EQ(r.status, IlpStatus::Optimal) << "round " << round;
     EXPECT_NEAR(r.objective, best, 1e-6) << "round " << round;
-    EXPECT_EQ(r.backend, GetParam());
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, BnbEngines,
-                         ::testing::Values("dense", "revised"));
 
 }  // namespace
 }  // namespace cpr::ilp

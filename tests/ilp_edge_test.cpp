@@ -3,10 +3,11 @@
 /// bound handling, and time limits.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <random>
 
+#include "dense_simplex.h"
 #include "ilp/branch_and_bound.h"
-#include "ilp/simplex.h"
 
 namespace cpr::ilp {
 namespace {
@@ -62,8 +63,8 @@ TEST(SimplexEdge, ImplicitUnitBoundsMatchExplicitOnPartitioning) {
     m.addConstraint({{0, 1.0}, {1, 1.0}, {2, 1.0}}, Sense::Equal, 1.0);
     m.addConstraint({{3, 1.0}, {4, 1.0}, {5, 1.0}}, Sense::Equal, 1.0);
     m.addConstraint({{1, 1.0}, {4, 1.0}}, Sense::LessEqual, 1.0);
-    LpOptions with;
-    LpOptions without;
+    DenseLpOptions with;
+    DenseLpOptions without;
     without.implicitUnitBounds = true;
     const LpResult a = solveLp(m, with);
     const LpResult b = solveLp(m, without);
@@ -102,6 +103,35 @@ TEST(BnbEdge, TimeLimitReturnsBestEffort) {
   opts.deadline = support::Deadline::after(0.0);
   const IlpResult r = solveBinaryIlp(m, opts);
   EXPECT_EQ(r.status, IlpStatus::TimeLimit);
+}
+
+TEST(BnbEdge, LargeModelReturnsCloseToItsDeadline) {
+  // A packing LP with thousands of rows: every pivot of the revised engine
+  // costs O(m^2) on its dense inverse (milliseconds here), and so does each
+  // basis position of a refactorization. The solve must notice an expired
+  // deadline within a pivot or two, not after a stride of hundreds of them.
+  constexpr int kVars = 4000;
+  constexpr int kRows = 4000;
+  Model m;
+  std::mt19937 rng(11);
+  std::uniform_real_distribution<double> profit(1.0, 2.0);
+  std::uniform_int_distribution<Index> pick(0, kVars - 1);
+  for (int v = 0; v < kVars; ++v) m.addBinary(profit(rng));
+  for (int r = 0; r < kRows; ++r) {
+    std::vector<Term> terms;
+    for (int k = 0; k < 4; ++k) terms.push_back({pick(rng), 1.0});
+    m.addConstraint(std::move(terms), Sense::LessEqual, 1.0);
+  }
+  constexpr double kBudget = 0.25;
+  IlpOptions opts;
+  const auto t0 = std::chrono::steady_clock::now();
+  opts.deadline = support::Deadline::after(kBudget);
+  const IlpResult r = solveBinaryIlp(m, opts);
+  const double took = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  EXPECT_EQ(r.status, IlpStatus::TimeLimit);
+  EXPECT_LT(took, 2 * kBudget) << "overran its deadline";
 }
 
 TEST(BnbEdge, EmptyModelIsTriviallyOptimal) {

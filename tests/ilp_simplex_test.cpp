@@ -2,8 +2,8 @@
 
 #include <random>
 
+#include "dense_simplex.h"
 #include "ilp/model.h"
-#include "ilp/simplex.h"
 
 namespace cpr::ilp {
 namespace {

@@ -36,9 +36,9 @@ TEST(ObsNames, EntriesFollowTheNamingGrammar) {
 }
 
 TEST(ObsNames, EntriesUseKnownSubsystemHeads) {
-  constexpr std::array<std::string_view, 10> kHeads = {
-      "gen",   "conflict", "lr",  "exact", "ilp",
-      "pao",   "route",    "drc", "lint",  "serve"};
+  constexpr std::array<std::string_view, 9> kHeads = {
+      "gen", "conflict", "lr",   "ilp",  "pao",
+      "route", "drc",    "lint", "serve"};
   for (const std::string_view name : cpr::obs::names::kAll) {
     const std::string_view head = name.substr(0, name.find('.'));
     bool known = false;

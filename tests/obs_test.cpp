@@ -185,7 +185,7 @@ TEST(Report, CanonicalNamesFollowConvention) {
   const std::vector<std::string_view> all = {
       kGenIntervals,   kGenShared,         kGenBlockedPins, kConflictSets,
       kLrIterations,   kLrRemovalRounds,   kLrReexpandUpgrades,
-      kExactNodes,     kExactNotProved,    kIlpNodes,       kIlpPivots,
+      kIlpNodes,       kIlpPivots,
       kIlpNotProved,   kPaoPanels,         kPaoIntervals,   kPaoConflicts,
       kPaoUnassigned,  kPaoFallbacks,      kPaoKernelBytes,
       kRouteRrrIterations,
@@ -202,9 +202,8 @@ TEST(Report, CanonicalNamesFollowConvention) {
     }
     const std::string_view layer = n.substr(0, n.find('.'));
     const bool known = layer == "gen" || layer == "conflict" || layer == "lr" ||
-                       layer == "exact" || layer == "ilp" || layer == "pao" ||
-                       layer == "route" || layer == "drc" || layer == "cli" ||
-                       layer == "bench";
+                       layer == "ilp" || layer == "pao" || layer == "route" ||
+                       layer == "drc" || layer == "cli" || layer == "bench";
     EXPECT_TRUE(known) << n;
   }
 }

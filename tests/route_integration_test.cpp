@@ -85,7 +85,7 @@ TEST(Integration, PinAccessOptimizationReducesVias) {
 }
 
 TEST(Integration, ExactPinAccessAlsoRoutes) {
-  // Small design so the exact solver budget stays reasonable.
+  // Small design so the ILP node budget stays reasonable.
   gen::GenOptions o;
   o.seed = 9;
   o.width = 60;
@@ -94,8 +94,8 @@ TEST(Integration, ExactPinAccessAlsoRoutes) {
   o.maxNetSpan = 30;
   const db::Design d = gen::generate(o);
   CprOptions opts;
-  opts.pinAccess.solve.method = core::Method::Exact;
-  opts.pinAccess.solve.exact.maxNodes = 200000;
+  opts.pinAccess.solve.method = core::Method::Ilp;
+  opts.pinAccess.solve.ilp.maxNodes = 200000;
   const CprResult r = routeCpr(d, opts);
   checkInvariants(d, r.routing);
   EXPECT_GT(eval::summarize(d, r.routing).routability, 90.0);

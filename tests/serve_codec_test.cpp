@@ -4,6 +4,9 @@
 /// policy, and the shared exit-code table.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <thread>
@@ -138,6 +141,24 @@ TEST(ServeCodec, MalformedFramesReportInvalidNeverCrash) {
     EXPECT_EQ(req.kind, Request::Kind::Invalid) << line;
     EXPECT_FALSE(req.error.empty()) << line;
   }
+}
+
+TEST(ServeCodec, PinAccessNamesComeFromTheMethodTable) {
+  const std::string head =
+      "{\"v\":\"cpr.serve.v1\",\"op\":\"route\",\"id\":\"x\","
+      "\"design\":\"ecc\",\"pin_access\":";
+  for (const char* ok : {"lr", "ilp"}) {
+    const Request req = decodeRequest(head + "\"" + ok + "\"}");
+    ASSERT_EQ(req.kind, Request::Kind::Route) << ok << ": " << req.error;
+    EXPECT_EQ(req.route.pinAccess, ok);
+  }
+  // A name outside the table, the retired "generic" included, is rejected
+  // with a diagnostic.
+  const Request req = decodeRequest(head + "\"generic\"}");
+  EXPECT_EQ(req.kind, Request::Kind::Invalid);
+  EXPECT_NE(req.error.find("unknown pin_access \"generic\""),
+            std::string::npos)
+      << req.error;
 }
 
 TEST(ServeCodec, UnknownKeysAndNestedValuesAreTolerated) {
@@ -310,6 +331,16 @@ TEST(ExitCodes, TableCoversEveryStatusCode) {
   EXPECT_EQ(cli::exitCodeFor(StatusCode::TimedOut), 4);
   EXPECT_EQ(cli::exitCodeFor(StatusCode::Failed), 5);
   EXPECT_EQ(cli::exitCodeFor(StatusCode::Cancelled), 6);
+}
+
+TEST(ExitCodes, CprRouteRejectsRetiredPinAccessAsUsageError) {
+  // The same name table guards the CLI: validated before any design is
+  // built, so the retired value fails fast with the usage exit code.
+  const std::string cmd = std::string(CPR_ROUTE_BIN) +
+                          " --design ecc --pin-access generic 2>/dev/null";
+  const int raw = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(raw)) << raw;
+  EXPECT_EQ(WEXITSTATUS(raw), 2);
 }
 
 TEST(ExitCodes, StatusNamesRoundTripThroughTheWireFormat) {

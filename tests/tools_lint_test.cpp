@@ -440,19 +440,16 @@ TEST(ToolsLintArch, ManifestForbidLinesParseAndValidate) {
   EXPECT_NE(error.find("nonesuch"), std::string::npos) << error;
 }
 
-// The LpBackend seam contract, pinned at the manifest level: src/core selects
-// LP engines by name through ilp/lp_backend.h and must never reach a
+// The LP engine seam, pinned at the manifest level: src/core reaches the LP
+// engine only through ilp/branch_and_bound.h and must never include the
 // concrete engine header, even transitively.
-TEST(ToolsLintArch, RepoManifestForbidsConcreteLpEngineHeadersInCore) {
+TEST(ToolsLintArch, RepoManifestForbidsConcreteLpEngineHeaderInCore) {
   const cpr::lint::LayerManifest& m = repoManifest();
-  bool dense = false;
   bool revised = false;
   for (const cpr::lint::LayerManifest::Forbid& f : m.forbids) {
     if (f.module != "core") continue;
-    dense = dense || f.include == "ilp/simplex.h";
     revised = revised || f.include == "ilp/revised_simplex.h";
   }
-  EXPECT_TRUE(dense) << "layers.txt lost 'forbid: core ilp/simplex.h'";
   EXPECT_TRUE(revised)
       << "layers.txt lost 'forbid: core ilp/revised_simplex.h'";
 }

@@ -19,6 +19,7 @@
 #include <string>
 
 #include "cli.h"
+#include "core/solver.h"
 #include "serve/client.h"
 #include "support/status.h"
 
@@ -58,7 +59,7 @@ int main(int argc, char** argv) {
                 &req.id);
   parser.option("--scheme", "cpr|nopao|seq", "routing scheme (default cpr)",
                 &req.scheme);
-  parser.option("--pin-access", "lr|ilp|generic",
+  parser.option("--pin-access", "lr|ilp",
                 "pin access optimizer for the cpr scheme", &req.pinAccess);
   parser.option("--priority", "interactive|batch",
                 "admission lane (default batch)", &priority);
@@ -83,6 +84,11 @@ int main(int argc, char** argv) {
     req.priority = serve::Priority::Interactive;
   } else if (priority != "batch") {
     std::fprintf(stderr, "unknown --priority %s\n", priority.c_str());
+    return 2;
+  }
+  if (!core::methodFromName(req.pinAccess)) {
+    std::fprintf(stderr, "unknown --pin-access %s (want lr|ilp)\n",
+                 req.pinAccess.c_str());
     return 2;
   }
 

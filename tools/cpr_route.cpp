@@ -6,8 +6,7 @@
 ///   cpr_route --design ecc                       # synthesize a suite design
 ///   cpr_route --def my.def                       # or load a DEF subset
 ///   cpr_route --design ecc --scheme nopao        # cpr | nopao | seq
-///   cpr_route --design ecc --pin-access ilp      # lr | ilp | generic
-///   cpr_route --design ecc --pin-access generic --lp-backend dense
+///   cpr_route --design ecc --pin-access ilp      # lr | ilp
 ///   cpr_route --design ecc --threads 4 --report run.json --trace run.trace.json
 ///   cpr_route --design ecc --svg out.svg --routed-def out.def --seed 9
 ///   cpr_route --def big.def --time-limit 30 --panel-budget 0.5
@@ -15,9 +14,9 @@
 /// Exit codes (see --help): 0 success, 2 usage error, 3 bad input (DEF parse
 /// or design validation failure), 4 completed but degraded (some panels fell
 /// down the degradation ladder), 5 internal error.
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 
 #include "cli.h"
@@ -39,7 +38,6 @@ struct Args {
   std::string defPath;
   std::string scheme = "cpr";
   std::string pinAccess = "lr";
-  std::string lpBackend;  ///< empty = ilp::LpOptions default
   std::string svgPath;
   std::string routedDefPath;
   std::string reportPath;
@@ -76,16 +74,12 @@ int main(int argc, char** argv) {
                 &args.defPath);
   parser.option("--scheme", "cpr|nopao|seq", "routing scheme (default cpr)",
                 &args.scheme);
-  parser.option("--pin-access", "lr|ilp|generic",
-                "pin access optimizer for the cpr scheme: lr (Algorithm 2), "
-                "ilp (exact branch & bound, the paper's ILP), generic "
-                "(Formula (1) through the generic 0/1 ILP; slow)",
+  parser.option("--pin-access", "lr|ilp",
+                "pin access optimizer for the cpr scheme: lr (Algorithm 2) "
+                "or ilp (Formula (1) solved to proven optimality by the "
+                "LP-based branch & bound, the paper's ILP; slow, and "
+                "unbudgeted unless --panel-budget is given)",
                 &args.pinAccess);
-  parser.option("--lp-backend", "revised|dense",
-                "LP engine for --pin-access generic: revised (sparse revised "
-                "simplex with warm-started branch & bound, the default) or "
-                "dense (two-phase tableau reference)",
-                &args.lpBackend);
   parser.option("--threads", "n",
                 "worker threads for pin access panels and wave-parallel "
                 "routing (default: hardware; results are thread-count "
@@ -118,6 +112,13 @@ int main(int argc, char** argv) {
       (args.design.empty() && args.defPath.empty())) {
     parser.printUsage(parser.helpRequested() ? stdout : stderr);
     return parser.helpRequested() ? 0 : 2;
+  }
+  const std::optional<core::Method> method =
+      core::methodFromName(args.pinAccess);
+  if (!method) {
+    std::fprintf(stderr, "unknown --pin-access %s (want lr|ilp)\n",
+                 args.pinAccess.c_str());
+    return 2;
   }
 
   int exitCode = 0;
@@ -177,28 +178,7 @@ int main(int argc, char** argv) {
       opts.pinAccess.threads = args.threads;
       opts.pinAccess.deadline = runDeadline;
       opts.pinAccess.panelBudgetSeconds = args.panelBudget;
-      if (args.pinAccess == "ilp") {
-        opts.pinAccess.solve.method = core::Method::Exact;
-        if (args.panelBudget <= 0.0)
-          opts.pinAccess.panelBudgetSeconds = 1.0;  // per panel
-      } else if (args.pinAccess == "generic") {
-        opts.pinAccess.solve.method = core::Method::Ilp;
-      } else if (args.pinAccess != "lr") {
-        std::fprintf(stderr, "unknown --pin-access %s\n",
-                     args.pinAccess.c_str());
-        return 2;
-      }
-      if (!args.lpBackend.empty()) {
-        const auto& known = ilp::lpBackendNames();
-        if (std::find(known.begin(), known.end(), args.lpBackend) ==
-            known.end()) {
-          std::fprintf(stderr, "unknown --lp-backend %s (want revised|dense)\n",
-                       args.lpBackend.c_str());
-          return 2;
-        }
-        opts.pinAccess.solve.ilp.lp.backend = args.lpBackend;
-        run.note("cli.lp_backend", args.lpBackend);
-      }
+      opts.pinAccess.solve.method = *method;
       run.note("cli.pin_access", args.pinAccess);
       route::CprResult r = route::routeCpr(d, opts);
       result = std::move(r.routing);

@@ -40,20 +40,20 @@ namespace cpr::lint {
 ///   gen lefdef ilp               # same-level modules may include each other
 ///   core
 ///   route eval viz               # top
-///   forbid: core ilp/simplex.h   # module must not reach this header at all
+///   forbid: core ilp/revised_simplex.h   # module must not reach this header
 ///
 /// A `forbid:` line names one module and one include path (as spelled in
 /// `#include` directives): no file of that module may include the header,
 /// directly or transitively. Layer direction alone cannot express this —
-/// `core` may include `ilp`, but only through the `lp_backend.h` seam, never
-/// a concrete engine header.
+/// `core` may include `ilp`, but only through `branch_and_bound.h`, never
+/// the concrete LP engine header.
 struct LayerManifest {
   static constexpr int kEverywhere = -1;
   static constexpr int kUnknown = -2;
 
   struct Forbid {
     std::string module;   ///< manifest module the ban applies to
-    std::string include;  ///< include path, e.g. "ilp/simplex.h"
+    std::string include;  ///< include path, e.g. "ilp/revised_simplex.h"
   };
 
   std::vector<std::string> everywhere;

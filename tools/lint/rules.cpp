@@ -37,11 +37,10 @@ bool isHeaderPath(std::string_view rel) {
 /// degradation-ladder rungs: the no-throw hot-path set of THROW-BOUNDARY.
 bool isTrySolveBoundary(std::string_view rel) {
   if (rel.find("panel_kernel") != std::string_view::npos) return true;
-  constexpr std::array<std::string_view, 8> kFiles = {
-      "src/core/solver.cpp",       "src/core/solver.h",
-      "src/core/optimizer.cpp",    "src/core/optimizer.h",
-      "src/core/lr_solver.cpp",    "src/core/lr_solver.h",
-      "src/core/exact_solver.cpp", "src/core/exact_solver.h",
+  constexpr std::array<std::string_view, 6> kFiles = {
+      "src/core/solver.cpp",    "src/core/solver.h",
+      "src/core/optimizer.cpp", "src/core/optimizer.h",
+      "src/core/lr_solver.cpp", "src/core/lr_solver.h",
   };
   return std::find(kFiles.begin(), kFiles.end(), rel) != kFiles.end();
 }
@@ -51,11 +50,9 @@ bool isTrySolveBoundary(std::string_view rel) {
 /// itself is deliberately outside the scope — it is where the one sanctioned
 /// raw conversion (`idx()`) lives.
 bool isStrongIndexScope(std::string_view rel) {
-  constexpr std::array<std::string_view, 7> kStems = {
-      "src/core/panel_kernel", "src/core/lr_solver",
-      "src/core/exact_solver", "src/core/ilp_builder",
-      "src/core/solver",       "src/core/optimizer",
-      "src/core/interval_gen",
+  constexpr std::array<std::string_view, 6> kStems = {
+      "src/core/panel_kernel", "src/core/lr_solver", "src/core/ilp_builder",
+      "src/core/solver",       "src/core/optimizer", "src/core/interval_gen",
   };
   for (const std::string_view stem : kStems) {
     if (rel == std::string(stem) + ".h" || rel == std::string(stem) + ".cpp")
