@@ -14,6 +14,13 @@
 /// which is where CI reads the speedup curve from. The digest column is an
 /// FNV-1a hash of every net's outcome and must be identical down the sweep —
 /// thread count is a pure throughput knob.
+///
+/// The report's `route.scratch.peak_bytes` gauge is the largest per-worker
+/// maze arena over every negotiation-router run (table and sweep); CI
+/// bounds it, since those arenas are sized to search windows, not the die.
+/// The sequential router is left out: its global retry searches the whole
+/// die by design.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -105,6 +112,14 @@ int main(int argc, char** argv) {
   std::printf("\n");
   bench::hr();
 
+  // Largest per-worker maze arena over the negotiation-router runs below.
+  double routeScratchPeak = 0.0;
+  auto notePeak = [&](const route::RoutingResult& r) {
+    routeScratchPeak = std::max(
+        routeScratchPeak,
+        r.stats.gaugeOr(obs::names::kRouteScratchPeakBytes, 0.0));
+  };
+
   Row sum{};
   int designs = 0;
   for (const gen::SuiteSpec& spec : suite) {
@@ -113,13 +128,15 @@ int main(int argc, char** argv) {
     route::SequentialOptions so;
     const eval::Metrics mSeq = eval::summarize(d, route::routeSequential(d, so));
 
-    const eval::Metrics mNoPao =
-        eval::summarize(d, route::routeNegotiated(d, nullptr));
+    const route::RoutingResult rNoPao = route::routeNegotiated(d, nullptr);
+    notePeak(rNoPao);
+    const eval::Metrics mNoPao = eval::summarize(d, rNoPao);
 
     route::CprOptions copts;
     copts.pinAccess.threads = h.threads();
     copts.routing.threads = h.threads();
     const route::CprResult c = route::routeCpr(d, copts);
+    notePeak(c.routing);
     const eval::Metrics mCpr =
         eval::summarize(d, c.routing, c.pinAccessSeconds);
     report.merge(c.plan.stats);
@@ -175,6 +192,7 @@ int main(int argc, char** argv) {
         route::NegotiationOptions ropts = copts.routing;
         ropts.threads = n;
         const route::RoutingResult r = route::routeNegotiated(d, &plan, ropts);
+        notePeak(r);
         const double rrr = spanSeconds(r.stats, obs::names::kRouteRrrSpan);
         if (n == counts.front()) base = r.seconds;
         const std::uint64_t digest = resultDigest(r);
@@ -197,6 +215,9 @@ int main(int argc, char** argv) {
   report.add(obs::names::kPaoHotPathAllocs, hotAllocs);
   std::printf("\nhot-path allocations (armed gate, all runs): %ld\n",
               hotAllocs);
+  report.gauge(obs::names::kRouteScratchPeakBytes, routeScratchPeak);
+  std::printf("largest maze search arena (negotiation runs): %.0f bytes\n",
+              routeScratchPeak);
   h.maybeWriteReport(report);
   return hotAllocs == 0 ? 0 : 3;
 }

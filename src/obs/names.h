@@ -97,6 +97,12 @@ inline constexpr std::string_view kRouteRipups = "route.ripups";
 inline constexpr std::string_view kRouteRetries = "route.retries";
 inline constexpr std::string_view kRouteSearches = "route.astar.searches";
 inline constexpr std::string_view kRoutePops = "route.astar.pops";
+/// Largest per-worker maze search arena (`MazeScratch::footprintBytes`) of
+/// one routing run. Arenas are window-sized, so this tracks the largest
+/// search box, not the die. A gauge: it depends on how nets landed on
+/// workers, so it may vary with the thread count.
+inline constexpr std::string_view kRouteScratchPeakBytes =
+    "route.scratch.peak_bytes";
 inline constexpr std::string_view kRouteDroppedSharing =
     "route.dropped.sharing";
 /// A router loop (RRR, sequential queue, DRC repair) stopped by a Deadline.
@@ -182,7 +188,7 @@ inline constexpr std::string_view kServeEvRejected = "serve.job.rejected";
 /// are unique and follow the `^[a-z]+(\.[a-z_]+)+$` grammar, which is what
 /// catches a typo'd or duplicated metric name at test time rather than in a
 /// dashboard.
-inline constexpr std::array<std::string_view, 79> kAll = {
+inline constexpr std::array<std::string_view, 80> kAll = {
     kGenIntervals,        kGenShared,           kGenBlockedPins,
     kConflictSets,        kLrIterations,        kLrRemovalRounds,
     kLrReexpandUpgrades,  kLrTimeout,           kIlpNodes,
@@ -209,7 +215,7 @@ inline constexpr std::array<std::string_view, 79> kAll = {
     kServeQueuePeakDepth, kServeJobSpan,        kServeEvAccepted,
     kServeEvStarted,      kServeEvRetrying,     kServeEvCompleted,
     kServeEvFailed,       kServeEvRejected,     kPaoHotPathAllocs,
-    kLintCallgraphEdges,
+    kLintCallgraphEdges,  kRouteScratchPeakBytes,
 };
 
 }  // namespace cpr::obs::names

@@ -14,12 +14,11 @@ RouteEngine::RouteEngine(const db::Design& design,
     : design_(design),
       grid_(design, plan),
       obs_(obs),
-      maze_(grid_, obs),
+      maze_(grid_),
       margin_(windowMargin),
       lineEndExtension_(lineEndExtension) {
   infos_.resize(design.nets().size());
   states_.resize(design.nets().size());
-  scratch_.bind(grid_.numNodes());
   for (std::size_t n = 0; n < design.nets().size(); ++n)
     buildNetInfo(static_cast<Index>(n), plan);
 }
@@ -27,7 +26,6 @@ RouteEngine::RouteEngine(const db::Design& design,
 void RouteEngine::buildNetInfo(Index net, const core::PinAccessPlan* plan) {
   NetInfo& info = infos_[static_cast<std::size_t>(net)];
   geom::Rect window;
-  bool first = true;
 
   for (Index pinId : design_.net(net).pins) {
     const db::Pin& pin = design_.pin(pinId);
@@ -72,9 +70,6 @@ void RouteEngine::buildNetInfo(Index net, const core::PinAccessPlan* plan) {
       acc.via = ViaSite{0, 0, 1};  // filled at landing time
       window.expand(pin.shape);
     }
-    if (first) {
-      first = false;
-    }
     info.access.push_back(std::move(acc));
   }
   info.window = window;
@@ -106,7 +101,6 @@ NetPlan RouteEngine::searchNet(Index net, const MazeCosts& costs,
   NetPlan plan;
   const NetInfo& info = infos_[static_cast<std::size_t>(net)];
   if (info.access.empty()) return plan;
-  scratch.bind(grid_.numNodes());
   plan.recUsedXs.reserve(info.recs.size());
   plan.recUsedXs.resize(info.recs.size());  // default Interval = empty extent
 
@@ -116,6 +110,9 @@ NetPlan RouteEngine::searchNet(Index net, const MazeCosts& costs,
                      std::min<Coord>(grid_.width() - 1, info.window.x.hi + m)},
       geom::Interval{std::max<Coord>(0, info.window.y.lo - m),
                      std::min<Coord>(grid_.height() - 1, info.window.y.hi + m)}};
+  // Every access target lies inside the window, so each findPath below
+  // binds the scratch to this same box and the tree stamps stay valid.
+  scratch.bind(window);
 
   // Connect pins left-to-right starting from pin 0's access component.
   std::vector<std::size_t> order(info.access.size());
@@ -140,8 +137,9 @@ NetPlan RouteEngine::searchNet(Index net, const MazeCosts& costs,
   tree.clear();
   tree.reserve(seedCap);  // warm no-op once the largest net has been seen
   auto addTree = [&](int id) {
-    if (scratch.treeStamp[static_cast<std::size_t>(id)] != treeEpoch) {
-      scratch.treeStamp[static_cast<std::size_t>(id)] = treeEpoch;
+    const std::size_t i = scratch.local(grid_.node(id));
+    if (scratch.treeStamp[i] != treeEpoch) {
+      scratch.treeStamp[i] = treeEpoch;
       tree.push_back(id);
     }
   };
@@ -175,6 +173,7 @@ NetPlan RouteEngine::searchNet(Index net, const MazeCosts& costs,
     std::optional<std::vector<int>> path =
         maze_.findPath(tree, acc.targets, window, net, costs, scratch);
     if (!path) return plan;  // not found; caller may retry with a larger margin
+    CPR_DCHECK(scratch.box == window);
     // Record V2 vias along the path and interval usage at both ends.
     for (std::size_t i = 0; i + 1 < path->size(); ++i) {
       const Node a = grid_.node((*path)[i]);
@@ -318,17 +317,18 @@ void RouteEngine::flushSearchStats(MazeScratch& scratch) {
 }
 
 bool RouteEngine::routeNet(Index net, const MazeCosts& costs,
-                           Coord extraMargin) {
+                           MazeScratch& scratch, Coord extraMargin) {
   ripNet(net);
-  NetPlan plan = searchNet(net, costs, extraMargin, scratch_);
-  flushSearchStats(scratch_);
+  NetPlan plan = searchNet(net, costs, extraMargin, scratch);
+  flushSearchStats(scratch);
   if (!plan.found) return false;
   commitPlan(net, plan);
   return true;
 }
 
 std::optional<std::vector<int>> RouteEngine::probePath(Index net,
-                                                       float present) {
+                                                       float present,
+                                                       MazeScratch& scratch) {
   const NetInfo& info = infos_[static_cast<std::size_t>(net)];
   if (info.access.size() < 2) return std::nullopt;
   MazeCosts costs;
@@ -340,8 +340,10 @@ std::optional<std::vector<int>> RouteEngine::probePath(Index net,
                      std::min<Coord>(grid_.width() - 1, info.window.x.hi + m)},
       geom::Interval{std::max<Coord>(0, info.window.y.lo - m),
                      std::min<Coord>(grid_.height() - 1, info.window.y.hi + m)}};
-  return maze_.findPath(info.access[0].targets, info.access[1].targets, window,
-                        net, costs);
+  auto path = maze_.findPath(info.access[0].targets, info.access[1].targets,
+                             window, net, costs, scratch);
+  flushSearchStats(scratch);
+  return path;
 }
 
 NetGeometry RouteEngine::geometryOf(Index net) const {
@@ -349,7 +351,6 @@ NetGeometry RouteEngine::geometryOf(Index net) const {
   const NetState& st = states_[static_cast<std::size_t>(net)];
   if (!st.routed) return out;
   const int plane = grid_.planeSize();
-  const Coord w = grid_.width();
   // Committed nodes are sorted by id: M2 first (row-major: runs are
   // consecutive ids), then M3 (runs differ by `w`). Extract maximal runs.
   std::size_t k = 0;
@@ -385,7 +386,6 @@ NetGeometry RouteEngine::geometryOf(Index net) const {
         true, start.x, geom::Interval{start.y, grid_.node(m3[e]).y}});
     i = e + 1;
   }
-  (void)w;
   out.vias.reserve(st.vias.size());
   for (const ViaSite& v : st.vias)
     out.vias.push_back(NetGeometry::Via{v.x, v.y, v.level});

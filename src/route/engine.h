@@ -17,7 +17,7 @@
 ///     state and must be serialized by the caller.
 ///
 /// `routeNet` is the sequential convenience that rips, searches through the
-/// engine's own scratch, and commits in one call.
+/// caller's scratch, and commits in one call.
 #pragma once
 
 #include <optional>
@@ -100,17 +100,20 @@ class RouteEngine {
   /// and zeroes them. Call from one thread only.
   void flushSearchStats(MazeScratch& scratch);
 
-  /// Routes `net` under the given cost model: rip + search + commit in one
-  /// sequential call. Returns success; on failure the net is left unrouted.
-  bool routeNet(Index net, const MazeCosts& costs, Coord extraMargin = 0);
+  /// Routes `net` under the given cost model: rip + search (through
+  /// `scratch`) + commit + tally flush in one sequential call. Returns
+  /// success; on failure the net is left unrouted.
+  bool routeNet(Index net, const MazeCosts& costs, MazeScratch& scratch,
+                Coord extraMargin = 0);
 
   /// Removes the net's committed metal, occupancy and vias.
   void ripNet(Index net);
 
   /// Min-cost path for `net` ignoring hard occupancy (sharing allowed at
   /// cost `present`); used by the sequential driver to find blocker nets.
-  [[nodiscard]] std::optional<std::vector<int>> probePath(Index net,
-                                                          float present);
+  /// Searches through `scratch` and flushes its tallies.
+  [[nodiscard]] std::optional<std::vector<int>> probePath(
+      Index net, float present, MazeScratch& scratch);
 
   /// Node-id views for DRC input.
   [[nodiscard]] std::vector<std::vector<int>> allNodes() const;
@@ -152,7 +155,6 @@ class RouteEngine {
   Coord lineEndExtension_;
   std::vector<NetInfo> infos_;
   std::vector<NetState> states_;
-  MazeScratch scratch_;  ///< scratch behind the sequential routeNet path
 };
 
 }  // namespace cpr::route

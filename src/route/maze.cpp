@@ -5,7 +5,6 @@
 #include <functional>
 #include <limits>
 
-#include "obs/names.h"
 #include "support/alloc_hook.h"
 
 namespace cpr::route {
@@ -14,28 +13,25 @@ namespace {
 constexpr float kInf = std::numeric_limits<float>::infinity();
 }
 
-void MazeScratch::bind(int numNodes) {
-  const std::size_t n = static_cast<std::size_t>(numNodes);
-  if (dist.size() == n) return;
-  dist.assign(n, kInf);
-  parent.assign(n, -1);
-  stamp.assign(n, -1);
-  targetStamp.assign(n, -1);
-  epoch = 0;
-  treeStamp.assign(n, -1);
-  treeEpoch = 0;
+void MazeScratch::bind(const geom::Rect& b) {
+  box = b;
+  boxWidth = b.width();
+  boxPlane = b.width() * b.height();
+  const std::size_t n = static_cast<std::size_t>(boxNodes());
+  if (dist.size() >= n) return;
+  dist.resize(n, kInf);
+  parent.resize(n, -1);
+  stamp.resize(n, -1);
+  targetStamp.resize(n, -1);
+  treeStamp.resize(n, -1);
 }
 
 std::size_t MazeScratch::footprintBytes() const {
-  return dist.size() * sizeof(float) + parent.size() * sizeof(int) +
-         (stamp.size() + targetStamp.size() + treeStamp.size()) * sizeof(long) +
+  return dist.capacity() * sizeof(float) + parent.capacity() * sizeof(int) +
+         (stamp.capacity() + targetStamp.capacity() + treeStamp.capacity()) *
+             sizeof(long) +
          tree.capacity() * sizeof(int) +
          heap.capacity() * sizeof(std::pair<float, int>);
-}
-
-MazeRouter::MazeRouter(const RoutingGrid& grid, obs::Collector* obs)
-    : grid_(grid), obs_(obs) {
-  own_.bind(grid_.numNodes());
 }
 
 float MazeRouter::nodeCost(int id, Index net, const MazeCosts& c) const {
@@ -72,24 +68,27 @@ std::optional<std::vector<int>> MazeRouter::findPath(
     const geom::Rect& window, Index net, const MazeCosts& costs,
     MazeScratch& scratch) const {
   if (sources.empty() || targets.empty()) return std::nullopt;
-  scratch.bind(grid_.numNodes());
+  // Target bbox for the admissible A* heuristic (min edge cost = metal).
+  geom::Rect tbox;
+  for (int t : targets) {
+    const Node n = grid_.node(t);
+    tbox.expand(geom::Point{n.x, n.y});
+  }
+  // The search touches the window plus its endpoints, all on the grid.
+  geom::Rect box = window;
+  box.expand(tbox);
+  for (int s : sources) {
+    const Node n = grid_.node(s);
+    box.expand(geom::Point{n.x, n.y});
+  }
+  scratch.bind(geom::intersect(
+      box, geom::Rect{0, 0, grid_.width() - 1, grid_.height() - 1}));
   const long epoch = ++scratch.epoch;
   ++scratch.searches;
   long pops = 0;  // tallied once per search to keep the hot loop branchless
+  for (int t : targets)
+    scratch.targetStamp[scratch.local(grid_.node(t))] = epoch;
 
-  // Target bbox for the admissible A* heuristic (min edge cost = metal).
-  geom::Rect tbox;
-  bool first = true;
-  for (int t : targets) {
-    scratch.targetStamp[static_cast<std::size_t>(t)] = epoch;
-    const Node n = grid_.node(t);
-    if (first) {
-      tbox = geom::Rect::point({n.x, n.y});
-      first = false;
-    } else {
-      tbox.expand(geom::Point{n.x, n.y});
-    }
-  }
   auto heuristic = [&](const Node& n) {
     const Coord dx = n.x < tbox.x.lo ? tbox.x.lo - n.x
                      : n.x > tbox.x.hi ? n.x - tbox.x.hi
@@ -102,28 +101,31 @@ std::optional<std::vector<int>> MazeRouter::findPath(
 
   // Worst-case open-list size, so the hot loop never grows the heap: the
   // heuristic is consistent (L1 distance to the target bbox scaled by the
-  // minimum edge cost), so each node is expanded at most once after its
-  // first fresh pop, each expansion pushes at most 3 entries (two lateral
-  // moves plus one via), and the seed pass pushes one entry per source.
-  // Warm scratches satisfy this reserve without touching the allocator.
+  // minimum edge cost), so each node of the box is expanded at most once
+  // after its first fresh pop, each expansion pushes at most 3 entries (two
+  // lateral moves plus one via), and the seed pass pushes one entry per
+  // source. Warm scratches satisfy this reserve without touching the
+  // allocator.
   scratch.heap.clear();
-  scratch.heap.reserve(static_cast<std::size_t>(grid_.numNodes()) * 3 +
+  scratch.heap.reserve(static_cast<std::size_t>(scratch.boxNodes()) * 3 +
                        sources.size());
 
-  auto relax = [&](int id, float g, int from) {
-    std::size_t i = static_cast<std::size_t>(id);
+  // `id` is the global node id (heap entries and parents keep it, so the
+  // (f, id) tie-break is independent of the box), `n` its decoded node.
+  auto relax = [&](int id, const Node& n, float g, int from) {
+    const std::size_t i = scratch.local(n);
     if (scratch.stamp[i] == epoch && scratch.dist[i] <= g) return;
     scratch.stamp[i] = epoch;
     scratch.dist[i] = g;
     scratch.parent[i] = from;
-    scratch.heap.push_back({g + heuristic(grid_.node(id)), id});
+    scratch.heap.push_back({g + heuristic(n), id});
     std::push_heap(scratch.heap.begin(), scratch.heap.end(), std::greater<>{});
   };
 
   int goal = -1;
   {
     const support::alloc::HotRegion hotRegion;  // runtime zero-alloc pin
-    for (int s : sources) relax(s, 0.0F, -1);
+    for (int s : sources) relax(s, grid_.node(s), 0.0F, -1);
 
     while (!scratch.heap.empty()) {
       const auto [f, u] = scratch.heap.front();
@@ -131,27 +133,28 @@ std::optional<std::vector<int>> MazeRouter::findPath(
                     std::greater<>{});
       scratch.heap.pop_back();
       ++pops;
-      const std::size_t ui = static_cast<std::size_t>(u);
+      const Node n = grid_.node(u);
+      const std::size_t ui = scratch.local(n);
       if (scratch.stamp[ui] != epoch ||
-          f > scratch.dist[ui] + heuristic(grid_.node(u)) + 1e-5F)
+          f > scratch.dist[ui] + heuristic(n) + 1e-5F)
         continue;  // stale entry
       if (scratch.targetStamp[ui] == epoch) {
         goal = u;
         break;
       }
-      const Node n = grid_.node(u);
       const float g = scratch.dist[ui];
 
       auto tryMove = [&](Coord x, Coord y, RLayer layer, bool viaMove) {
         if (!grid_.inside(x, y) || !window.contains(geom::Point{x, y})) return;
-        const int vid = grid_.id(Node{layer, x, y});
+        const Node v{layer, x, y};
+        const int vid = grid_.id(v);
         float step = nodeCost(vid, net, costs);
         if (step == kInf) return;
         if (viaMove) {
           step += costs.via;
           if (grid_.viaForbidden(x, y, net)) step += costs.forbiddenVia;
         }
-        relax(vid, g + step, u);
+        relax(vid, v, g + step, u);
       };
 
       if (n.layer == RLayer::M2) {
@@ -170,25 +173,13 @@ std::optional<std::vector<int>> MazeRouter::findPath(
 
   // Result assembly happens outside the hot region: the path vector is the
   // caller's to keep, so it cannot live in scratch.
+  const auto parentOf = [&](int v) {
+    return scratch.parent[scratch.local(grid_.node(v))];
+  };
   std::size_t len = 0;
-  for (int v = goal; v != -1; v = scratch.parent[static_cast<std::size_t>(v)])
-    ++len;
-  std::vector<int> path;
-  path.reserve(len);
-  for (int v = goal; v != -1; v = scratch.parent[static_cast<std::size_t>(v)])
-    path.push_back(v);
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
-std::optional<std::vector<int>> MazeRouter::findPath(
-    const std::vector<int>& sources, const std::vector<int>& targets,
-    const geom::Rect& window, Index net, const MazeCosts& costs) {
-  auto path = findPath(sources, targets, window, net, costs, own_);
-  obs::add(obs_, obs::names::kRouteSearches, own_.searches);
-  obs::add(obs_, obs::names::kRoutePops, own_.pops);
-  own_.searches = 0;
-  own_.pops = 0;
+  for (int v = goal; v != -1; v = parentOf(v)) ++len;
+  std::vector<int> path(len);
+  for (int v = goal; v != -1; v = parentOf(v)) path[--len] = v;
   return path;
 }
 

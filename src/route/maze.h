@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "geom/rect.h"
-#include "obs/collector.h"
 #include "route/grid.h"
 #include "support/hot_annotations.h"
 
@@ -45,9 +44,15 @@ struct MazeCosts {
 /// `route.astar.*` tallies (flushed to the observer by whoever owns the
 /// collector, after the parallel region — the collector itself is not
 /// thread-safe). Reused across searches; epochs avoid per-search clears.
+///
+/// The per-node arrays cover only the box the search is bound to (a net's
+/// window, not the die), indexed by the row-major local id
+/// `layer·bw·bh + (y−y0)·bw + (x−x0)`. Stored node ids (`parent`, `tree`,
+/// heap entries) stay global, so pop order and route digests do not depend
+/// on where the box sits.
 struct MazeScratch {
   std::vector<float> dist;
-  std::vector<int> parent;
+  std::vector<int> parent;        ///< global id of the predecessor
   std::vector<long> stamp;        ///< epoch per node for dist/parent
   std::vector<long> targetStamp;  ///< epoch per node marking targets
   long epoch = 0;
@@ -69,46 +74,49 @@ struct MazeScratch {
   /// resident so warm searches never touch the heap allocator; findPath
   /// reserves the worst-case entry count before entering the hot loop.
   std::vector<std::pair<float, int>> heap;
+  geom::Rect box;     ///< bound box (grid columns × tracks)
+  int boxWidth = 0;   ///< box.width(), the local row stride
+  int boxPlane = 0;   ///< nodes per layer inside the box
 
-  /// Sizes the arrays for a grid of `numNodes` nodes (no-op when already
-  /// bound to the same size). Sanctioned warmup allocation: everything the
-  /// hot search loop touches is (re)allocated here or not at all.
-  void bind(int numNodes) CPR_COLD_OK;
+  /// Binds the arena to a non-empty `box`: later local ids are relative to
+  /// it. The arrays only grow, when the box holds more nodes than any box
+  /// before; stale entries are harmless because epochs only increase.
+  /// Sanctioned warmup allocation: everything the hot search loop touches
+  /// is (re)allocated here or not at all.
+  void bind(const geom::Rect& box) CPR_COLD_OK;
+  /// Nodes (both layers) inside the bound box.
+  [[nodiscard]] int boxNodes() const { return 2 * boxPlane; }
+  /// Local id of a node inside the bound box.
+  [[nodiscard]] std::size_t local(const Node& n) const {
+    return static_cast<std::size_t>(static_cast<int>(n.layer) * boxPlane +
+                                    (n.y - box.y.lo) * boxWidth +
+                                    (n.x - box.x.lo));
+  }
   [[nodiscard]] std::size_t footprintBytes() const CPR_NOALLOC;
 };
 
 class MazeRouter {
  public:
-  explicit MazeRouter(const RoutingGrid& grid, obs::Collector* obs = nullptr);
-
-  /// Switches the instrumentation sink (the engine owns the router but the
-  /// driver owns the collector).
-  void setObserver(obs::Collector* obs) { obs_ = obs; }
+  explicit MazeRouter(const RoutingGrid& grid) : grid_(grid) {}
 
   /// Finds a min-cost path from any source to any target inside `window`
   /// (both layers). Returns the node-id path source→target inclusive, or
   /// nullopt when disconnected. Sources already in the target set return a
-  /// single-node path. Const over the grid; all mutable search state and the
-  /// searches/pops tallies land in `scratch`.
+  /// single-node path. Sources and targets may lie outside `window`; only
+  /// the moves between them are confined to it. Const over the grid; all
+  /// mutable search state and the searches/pops tallies land in `scratch`,
+  /// which is bound to the hull of `window` and the endpoints (clipped to
+  /// the grid).
   [[nodiscard]] std::optional<std::vector<int>> findPath(
       const std::vector<int>& sources, const std::vector<int>& targets,
       const geom::Rect& window, Index net, const MazeCosts& costs,
       MazeScratch& scratch) const CPR_HOT;
-
-  /// Single-threaded convenience: searches through the router's own scratch
-  /// and reports `route.astar.searches` / `route.astar.pops` to the observer
-  /// immediately.
-  [[nodiscard]] std::optional<std::vector<int>> findPath(
-      const std::vector<int>& sources, const std::vector<int>& targets,
-      const geom::Rect& window, Index net, const MazeCosts& costs);
 
  private:
   [[nodiscard]] float nodeCost(int id, Index net,
                                const MazeCosts& c) const CPR_HOT;
 
   const RoutingGrid& grid_;
-  obs::Collector* obs_ = nullptr;
-  MazeScratch own_;  ///< scratch behind the convenience overload
 };
 
 }  // namespace cpr::route

@@ -1,5 +1,6 @@
 #include "route/negotiation_router.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <vector>
@@ -87,10 +88,19 @@ class BatchRouter {
           break;
         }
         obs::add(obs_, obs::names::kRouteRetries);
-        engine_.routeNet(net, costs, /*extraMargin=*/24);
+        engine_.routeNet(net, costs, scratches_.front(), /*extraMargin=*/24);
       }
     }
     if (cut) obs::add(obs_, obs::names::kRouteTimeout);
+  }
+
+  /// Largest per-worker arena footprint so far (the retries run on worker
+  /// 0's arena, so they are covered too).
+  [[nodiscard]] std::size_t scratchPeakBytes() const {
+    std::size_t peak = 0;
+    for (const MazeScratch& s : scratches_)
+      peak = std::max(peak, s.footprintBytes());
+    return peak;
   }
 
  private:
@@ -99,7 +109,8 @@ class BatchRouter {
   obs::Collector* obs_;
   WaveScheduler scheduler_;
   Coord halo_;
-  std::vector<MazeScratch> scratches_;  ///< one search arena per worker
+  /// One search arena per worker; worker 0's also serves the retries.
+  std::vector<MazeScratch> scratches_;
 };
 
 }  // namespace
@@ -235,6 +246,11 @@ RoutingResult routeNegotiated(const db::Design& design,
       }
     }
   }
+
+  // Arena high-water mark. A gauge, not a counter: the value depends on how
+  // nets landed on workers, so it may vary with the thread count.
+  obs->gauge(obs::names::kRouteScratchPeakBytes,
+             static_cast<double>(batch.scratchPeakBytes()));
 
   // ---- signoff ----
   {

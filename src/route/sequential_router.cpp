@@ -32,6 +32,7 @@ RoutingResult routeSequential(const db::Design& design,
   if (costs.adjacency == 0.0F) costs.adjacency = 25.0F;  // line-end awareness
   const Coord retryMargin =
       opts.globalRetry ? std::max(grid.width(), grid.height()) : 16;
+  MazeScratch scratch;  // the one search arena of this single-threaded driver
 
   // Node owner map (occupancy never exceeds 1 in hard mode).
   std::vector<Index> owner(static_cast<std::size_t>(grid.numNodes()),
@@ -75,8 +76,8 @@ RoutingResult routeSequential(const db::Design& design,
     ++attempts[static_cast<std::size_t>(net)];
     passes = std::max(passes, attempts[static_cast<std::size_t>(net)]);
 
-    if (engine.routeNet(net, costs) ||
-        engine.routeNet(net, costs, retryMargin)) {
+    if (engine.routeNet(net, costs, scratch) ||
+        engine.routeNet(net, costs, scratch, retryMargin)) {
       claim(net);
       continue;
     }
@@ -86,7 +87,7 @@ RoutingResult routeSequential(const db::Design& design,
     }
     if (attempts[static_cast<std::size_t>(net)] >= 2) {
       // Rip-up pass: evict the nets sitting on the cheapest probe path.
-      if (auto probe = engine.probePath(net, /*present=*/50.0F)) {
+      if (auto probe = engine.probePath(net, /*present=*/50.0F, scratch)) {
         std::vector<Index> blockers;
         for (int id : *probe) {
           const Index o = owner[static_cast<std::size_t>(id)];
@@ -104,8 +105,8 @@ RoutingResult routeSequential(const db::Design& design,
           rippedAny = true;
         }
         if (rippedAny &&
-            (engine.routeNet(net, costs) ||
-             engine.routeNet(net, costs, retryMargin))) {
+            (engine.routeNet(net, costs, scratch) ||
+             engine.routeNet(net, costs, scratch, retryMargin))) {
           claim(net);
           continue;
         }
@@ -129,8 +130,8 @@ RoutingResult routeSequential(const db::Design& design,
       if (!report.dirty[static_cast<std::size_t>(n)]) continue;
       any = true;
       rip(n);
-      if (engine.routeNet(n, costs) ||
-          engine.routeNet(n, costs, retryMargin)) {
+      if (engine.routeNet(n, costs, scratch) ||
+          engine.routeNet(n, costs, scratch, retryMargin)) {
         claim(n);
       } else {
         failed[static_cast<std::size_t>(n)] = 1;
@@ -138,6 +139,9 @@ RoutingResult routeSequential(const db::Design& design,
     }
     if (!any) break;
   }
+
+  obs->gauge(obs::names::kRouteScratchPeakBytes,
+             static_cast<double>(scratch.footprintBytes()));
 
   // ---- signoff ----
   result.nets.resize(static_cast<std::size_t>(numNets));

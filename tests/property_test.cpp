@@ -91,8 +91,9 @@ TEST_P(DesignProperty, RoutedNetsTouchAllTheirPins) {
   const db::Design d = randomDesign(GetParam());
   route::RouteEngine engine(d, nullptr, 12);
   const route::RoutingGrid& g = engine.grid();
+  route::MazeScratch scratch;
   for (db::Index n = 0; n < static_cast<db::Index>(d.nets().size()); ++n) {
-    if (!engine.routeNet(n, {})) continue;
+    if (!engine.routeNet(n, {}, scratch)) continue;
     const auto& st = engine.state(n);
     std::set<int> nodes(st.nodes.begin(), st.nodes.end());
     // Every pin of the net must have a V1 via over its shape, and that via

@@ -140,5 +140,43 @@ TEST(AllocGate, ColdScratchBindStaysOutsideTheHotRegion) {
   EXPECT_EQ(alloc::hotRegionAllocs(), 0);
 }
 
+// One arena reused across boxes of different size and origin: it grows only
+// for the large box (in bind, outside the region), searches the small box at
+// another origin through the same arrays, and returns to the large one. Each
+// armed search allocates nothing in the hot region and finds exactly the
+// path a fresh scratch finds.
+TEST(AllocGate, ArenaReuseAcrossWindowsMatchesFreshScratch) {
+  const Design d = openField();
+  const RoutingGrid g(d, nullptr);
+  const MazeRouter maze(g);
+  struct Search {
+    int source, target;
+    geom::Rect window;
+  };
+  const Search large{g.id(Node{RLayer::M2, 1, 1}),
+                     g.id(Node{RLayer::M2, 20, 8}), fullWindow(g)};
+  const Search small{g.id(Node{RLayer::M2, 17, 6}),
+                     g.id(Node{RLayer::M2, 26, 8}), Rect{15, 5, 28, 9}};
+  auto fresh = [&](const Search& q) {
+    MazeScratch scratch;
+    return maze.findPath({q.source}, {q.target}, q.window, 0, {}, scratch);
+  };
+  const auto largeRef = fresh(large);
+  const auto smallRef = fresh(small);
+  ASSERT_TRUE(largeRef.has_value());
+  ASSERT_TRUE(smallRef.has_value());
+
+  MazeScratch reused;
+  ArmedScope armed;
+  for (const Search* q : {&large, &small, &large}) {
+    const auto path =
+        maze.findPath({q->source}, {q->target}, q->window, 0, {}, reused);
+    EXPECT_EQ(alloc::hotRegionAllocs(), 0);
+    ASSERT_TRUE(path.has_value());
+    EXPECT_EQ(*path, q == &small ? *smallRef : *largeRef);
+  }
+  EXPECT_EQ(reused.box, large.window);
+}
+
 }  // namespace
 }  // namespace cpr::route

@@ -22,9 +22,10 @@ Design twoNetDesign() {
 }
 
 TEST(RouteEngine, RoutesSimpleNet) {
+  MazeScratch scratch;
   const Design d = twoNetDesign();
   RouteEngine eng(d, nullptr, 8);
-  ASSERT_TRUE(eng.routeNet(0, {}));
+  ASSERT_TRUE(eng.routeNet(0, {}, scratch));
   const auto& st = eng.state(0);
   EXPECT_TRUE(st.routed);
   EXPECT_FALSE(st.nodes.empty());
@@ -36,10 +37,11 @@ TEST(RouteEngine, RoutesSimpleNet) {
 }
 
 TEST(RouteEngine, CommitsOccupancyAndRipsCleanly) {
+  MazeScratch scratch;
   const Design d = twoNetDesign();
   RouteEngine eng(d, nullptr, 8);
   RoutingGrid& g = eng.grid();
-  ASSERT_TRUE(eng.routeNet(0, {}));
+  ASSERT_TRUE(eng.routeNet(0, {}, scratch));
   long occupied = 0;
   for (int id = 0; id < g.numNodes(); ++id) occupied += g.occupancy(id);
   EXPECT_EQ(occupied, static_cast<long>(eng.state(0).nodes.size()));
@@ -51,9 +53,10 @@ TEST(RouteEngine, CommitsOccupancyAndRipsCleanly) {
 }
 
 TEST(RouteEngine, LineEndExtensionsCommitted) {
+  MazeScratch scratch;
   const Design d = twoNetDesign();
   RouteEngine eng(d, nullptr, 8, /*lineEndExtension=*/1);
-  ASSERT_TRUE(eng.routeNet(0, {}));
+  ASSERT_TRUE(eng.routeNet(0, {}, scratch));
   // The M2 runs must be extended: for every maximal M2 run of the committed
   // metal there is no way to tell extension cells apart, but the run through
   // pin a1 (x=4) must reach beyond the leftmost path column by one.
@@ -67,22 +70,24 @@ TEST(RouteEngine, LineEndExtensionsCommitted) {
 }
 
 TEST(RouteEngine, NoExtensionWhenDisabled) {
+  MazeScratch scratch;
   const Design d = twoNetDesign();
   RouteEngine ext(d, nullptr, 8, 1);
   RouteEngine noExt(d, nullptr, 8, 0);
-  ASSERT_TRUE(ext.routeNet(0, {}));
-  ASSERT_TRUE(noExt.routeNet(0, {}));
+  ASSERT_TRUE(ext.routeNet(0, {}, scratch));
+  ASSERT_TRUE(noExt.routeNet(0, {}, scratch));
   EXPECT_GT(ext.state(0).nodes.size(), noExt.state(0).nodes.size());
 }
 
 TEST(RouteEngine, PlanIntervalsBecomePartialRoutes) {
+  MazeScratch scratch;
   const Design d = twoNetDesign();
   core::PinAccessPlan plan;
   plan.routes.assign(d.pins().size(), core::PinRoute{});
   plan.routes[0] = core::PinRoute{3, Interval{2, 12}};   // a1
   plan.routes[1] = core::PinRoute{3, Interval{14, 22}};  // a2
   RouteEngine eng(d, &plan, 8);
-  ASSERT_TRUE(eng.routeNet(0, {}));
+  ASSERT_TRUE(eng.routeNet(0, {}, scratch));
   const auto& st = eng.state(0);
   // Metal on track 3 covering the pins' columns must be present.
   const RoutingGrid& g = eng.grid();
@@ -96,6 +101,7 @@ TEST(RouteEngine, PlanIntervalsBecomePartialRoutes) {
 }
 
 TEST(RouteEngine, IntervalTrimDropsUnusedTail) {
+  MazeScratch scratch;
   const Design d = twoNetDesign();
   core::PinAccessPlan plan;
   plan.routes.assign(d.pins().size(), core::PinRoute{});
@@ -103,7 +109,7 @@ TEST(RouteEngine, IntervalTrimDropsUnusedTail) {
   plan.routes[0] = core::PinRoute{3, Interval{0, 12}};
   plan.routes[1] = core::PinRoute{3, Interval{14, 22}};
   RouteEngine eng(d, &plan, 8);
-  ASSERT_TRUE(eng.routeNet(0, {}));
+  ASSERT_TRUE(eng.routeNet(0, {}, scratch));
   const RoutingGrid& g = eng.grid();
   // Columns 0..2 of track 3 are an unused tail (pin is at 4, connector goes
   // right); after trimming plus at most one extension cell nothing should
@@ -117,6 +123,7 @@ TEST(RouteEngine, IntervalTrimDropsUnusedTail) {
 }
 
 TEST(RouteEngine, FailsGracefullyWhenWalledIn) {
+  MazeScratch scratch;
   Design d("boxed", 30, 1, 10);
   const db::Index a = d.addNet("A");
   d.addPin("a1", a, Rect{Interval::point(4), Interval{4, 4}});
@@ -125,7 +132,7 @@ TEST(RouteEngine, FailsGracefullyWhenWalledIn) {
   d.addBlockage(db::Layer::M2, Rect{Interval{10, 11}, Interval{0, 9}});
   d.addBlockage(db::Layer::M3, Rect{Interval{10, 11}, Interval{0, 9}});
   RouteEngine eng(d, nullptr, 30);
-  EXPECT_FALSE(eng.routeNet(0, {}));
+  EXPECT_FALSE(eng.routeNet(0, {}, scratch));
   EXPECT_FALSE(eng.state(0).routed);
   // Nothing committed on failure.
   const RoutingGrid& g = eng.grid();
@@ -133,12 +140,13 @@ TEST(RouteEngine, FailsGracefullyWhenWalledIn) {
 }
 
 TEST(RouteEngine, WirelengthCountsAdjacentPairs) {
+  MazeScratch scratch;
   Design d("wl", 30, 1, 10);
   const db::Index a = d.addNet("A");
   d.addPin("a1", a, Rect{Interval::point(5), Interval{4, 4}});
   d.addPin("a2", a, Rect{Interval::point(10), Interval{4, 4}});
   RouteEngine eng(d, nullptr, 8, /*lineEndExtension=*/0);
-  ASSERT_TRUE(eng.routeNet(0, {}));
+  ASSERT_TRUE(eng.routeNet(0, {}, scratch));
   // Straight run 5..10 on track 4: 6 nodes, 5 edges.
   EXPECT_EQ(eng.state(0).wirelength, 5);
 }

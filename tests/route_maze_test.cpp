@@ -31,9 +31,10 @@ TEST(Maze, StraightTrackPath) {
   Design d = openField();
   RoutingGrid g(d, nullptr);
   MazeRouter maze(g);
+  MazeScratch scratch;
   const int s = g.id(Node{RLayer::M2, 2, 2});
   const int t = g.id(Node{RLayer::M2, 12, 2});
-  const auto path = maze.findPath({s}, {t}, fullWindow(g), 0, {});
+  const auto path = maze.findPath({s}, {t}, fullWindow(g), 0, {}, scratch);
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(path->size(), 11u);  // straight run of 11 nodes
   EXPECT_EQ(path->front(), s);
@@ -44,8 +45,9 @@ TEST(Maze, SourceIsTargetYieldsTrivialPath) {
   Design d = openField();
   RoutingGrid g(d, nullptr);
   MazeRouter maze(g);
+  MazeScratch scratch;
   const int s = g.id(Node{RLayer::M2, 4, 4});
-  const auto path = maze.findPath({s}, {s}, fullWindow(g), 0, {});
+  const auto path = maze.findPath({s}, {s}, fullWindow(g), 0, {}, scratch);
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(path->size(), 1u);
 }
@@ -54,9 +56,10 @@ TEST(Maze, TrackChangeUsesVias) {
   Design d = openField();
   RoutingGrid g(d, nullptr);
   MazeRouter maze(g);
+  MazeScratch scratch;
   const int s = g.id(Node{RLayer::M2, 5, 2});
   const int t = g.id(Node{RLayer::M2, 5, 7});
-  const auto path = maze.findPath({s}, {t}, fullWindow(g), 0, {});
+  const auto path = maze.findPath({s}, {t}, fullWindow(g), 0, {}, scratch);
   ASSERT_TRUE(path.has_value());
   // M2 -> via -> M3 run -> via -> M2: two layer changes.
   int layerChanges = 0;
@@ -71,9 +74,10 @@ TEST(Maze, UnidirectionalMovesOnly) {
   Design d = openField();
   RoutingGrid g(d, nullptr);
   MazeRouter maze(g);
+  MazeScratch scratch;
   const int s = g.id(Node{RLayer::M2, 1, 1});
   const int t = g.id(Node{RLayer::M2, 20, 8});
-  const auto path = maze.findPath({s}, {t}, fullWindow(g), 0, {});
+  const auto path = maze.findPath({s}, {t}, fullWindow(g), 0, {}, scratch);
   ASSERT_TRUE(path.has_value());
   for (std::size_t i = 0; i + 1 < path->size(); ++i) {
     const Node u = g.node((*path)[i]);
@@ -104,9 +108,10 @@ TEST(Maze, OtherNetPinProjectionIsHardWall) {
   d.addPin("b2", b, Rect{Interval::point(20), Interval{7, 8}});
   RoutingGrid g(d, nullptr);
   MazeRouter maze(g);
+  MazeScratch scratch;
   const int s = g.id(Node{RLayer::M2, 2, 4});
   const int t = g.id(Node{RLayer::M2, 27, 4});
-  const auto path = maze.findPath({s}, {t}, fullWindow(g), a, {});
+  const auto path = maze.findPath({s}, {t}, fullWindow(g), a, {}, scratch);
   ASSERT_TRUE(path.has_value());
   for (int id : *path) {
     const db::Index owner = id < g.planeSize() ? g.pinNetAt(id) : geom::kInvalidIndex;
@@ -115,7 +120,7 @@ TEST(Maze, OtherNetPinProjectionIsHardWall) {
   // Net B itself may use its own projection.
   const auto own = maze.findPath({g.id(Node{RLayer::M2, 14, 4})},
                                  {g.id(Node{RLayer::M2, 15, 4})},
-                                 fullWindow(g), b, {});
+                                 fullWindow(g), b, {}, scratch);
   ASSERT_TRUE(own.has_value());
   EXPECT_EQ(own->size(), 2u);
 }
@@ -129,11 +134,12 @@ TEST(Maze, HardBlockOccupiedMode) {
   for (geom::Coord y = 0; y < 9; ++y)
     g.addOcc(g.id(Node{RLayer::M3, 10, y}));
   MazeRouter maze(g);
+  MazeScratch scratch;
   MazeCosts hard;
   hard.hardBlockOccupied = true;
   const int s = g.id(Node{RLayer::M2, 2, 2});
   const int t = g.id(Node{RLayer::M2, 20, 2});
-  const auto path = maze.findPath({s}, {t}, fullWindow(g), 0, hard);
+  const auto path = maze.findPath({s}, {t}, fullWindow(g), 0, hard, scratch);
   ASSERT_TRUE(path.has_value());
   for (int id : *path) EXPECT_EQ(g.occupancy(id), 0);
 }
@@ -146,11 +152,35 @@ TEST(Maze, WindowLimitsSearch) {
   d.addBlockage(Layer::M2, Rect{Interval{10, 10}, Interval{2, 2}});
   RoutingGrid g2(d, nullptr);
   MazeRouter maze(g2);
+  MazeScratch scratch;
   const int s = g2.id(Node{RLayer::M2, 2, 2});
   const int t = g2.id(Node{RLayer::M2, 20, 2});
   const geom::Rect narrow{0, 2, 29, 2};  // single track
-  EXPECT_FALSE(maze.findPath({s}, {t}, narrow, 0, {}).has_value());
-  EXPECT_TRUE(maze.findPath({s}, {t}, fullWindow(g2), 0, {}).has_value());
+  EXPECT_FALSE(maze.findPath({s}, {t}, narrow, 0, {}, scratch).has_value());
+  EXPECT_TRUE(
+      maze.findPath({s}, {t}, fullWindow(g2), 0, {}, scratch).has_value());
+}
+
+// Endpoints outside the window are still searched from (the scratch binds to
+// the hull of window and endpoints); only the moves stay inside the window.
+TEST(Maze, SourceOutsideWindowIsStillASource) {
+  Design d = openField();
+  RoutingGrid g(d, nullptr);
+  MazeRouter maze(g);
+  MazeScratch scratch;
+  const int s = g.id(Node{RLayer::M2, 9, 2});
+  const int t = g.id(Node{RLayer::M2, 15, 2});
+  const geom::Rect window{10, 2, 20, 2};  // single track, right of s
+  const auto path = maze.findPath({s}, {t}, window, 0, {}, scratch);
+  ASSERT_TRUE(path.has_value());
+  EXPECT_EQ(path->size(), 7u);  // 9..15 on track 2
+  EXPECT_EQ(path->front(), s);
+  EXPECT_EQ(path->back(), t);
+  // A source that is also a target needs no move at all, window or not.
+  const int far = g.id(Node{RLayer::M3, 2, 8});
+  const auto trivial = maze.findPath({far}, {far}, window, 0, {}, scratch);
+  ASSERT_TRUE(trivial.has_value());
+  EXPECT_EQ(*trivial, std::vector<int>{far});
 }
 
 TEST(Maze, PresentCostAvoidsSharing) {
@@ -160,11 +190,12 @@ TEST(Maze, PresentCostAvoidsSharing) {
   for (geom::Coord x = 3; x <= 17; ++x)
     g.addOcc(g.id(Node{RLayer::M2, x, 2}));
   MazeRouter maze(g);
+  MazeScratch scratch;
   MazeCosts costs;
   costs.present = 50.0F;
   const int s = g.id(Node{RLayer::M2, 2, 2});
   const int t = g.id(Node{RLayer::M2, 18, 2});
-  const auto path = maze.findPath({s}, {t}, fullWindow(g), 0, costs);
+  const auto path = maze.findPath({s}, {t}, fullWindow(g), 0, costs, scratch);
   ASSERT_TRUE(path.has_value());
   int shared = 0;
   for (int id : *path) shared += g.occupancy(id) > 0 ? 1 : 0;
@@ -177,9 +208,10 @@ TEST(Maze, ForbiddenViaCostSteersViaPlacement) {
   // Another net's via sits where the cheapest via would otherwise drop.
   g.addVia(5, 2, /*net=*/1);
   MazeRouter maze(g);
+  MazeScratch scratch;
   const int s = g.id(Node{RLayer::M2, 5, 2});
   const int t = g.id(Node{RLayer::M2, 5, 8});
-  const auto path = maze.findPath({s}, {t}, fullWindow(g), 0, {});
+  const auto path = maze.findPath({s}, {t}, fullWindow(g), 0, {}, scratch);
   ASSERT_TRUE(path.has_value());
   for (std::size_t i = 0; i + 1 < path->size(); ++i) {
     const Node u = g.node((*path)[i]);
