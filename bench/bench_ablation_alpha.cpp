@@ -10,7 +10,6 @@
 #include <string>
 
 #include "bench_util.h"
-#include "core/conflict.h"
 #include "core/interval_gen.h"
 #include "core/solver.h"
 #include "db/panel.h"
@@ -48,12 +47,9 @@ int main(int argc, char** argv) {
     const auto t0 = bench::Clock::now();
     for (const db::Panel& panel : panels) {
       if (panel.pins.empty()) continue;
-      core::Problem prob = core::buildProblem(d, panel, g);
-      core::detectConflicts(prob);
       obs::Collector stats;
-      const core::Assignment a =
-          solver.solve(core::PanelKernel::compile(std::move(prob)), nullptr,
-                       &stats);
+      const core::Assignment a = solver.solve(
+          core::buildPanelKernel(d, {&panel, 1}, g), nullptr, &stats);
       iters += stats.counter(obs::names::kLrIterations);
       // Pre-repair violations: best_violations of the last lr.iter sample
       // (columns are src, iter, violations, best_violations, ...).

@@ -10,7 +10,6 @@
 #include <span>
 
 #include "bench_util.h"
-#include "core/conflict.h"
 #include "core/ilp_builder.h"
 #include "core/interval_gen.h"
 #include "db/panel.h"
@@ -49,14 +48,13 @@ int main(int argc, char** argv) {
   bench::hr();
 
   for (std::size_t count = 1; count <= panels.size(); ++count) {
-    core::Problem prob = core::buildProblem(
+    const core::PanelKernel kernel = core::buildPanelKernel(
         d, std::span<const db::Panel>(panels.data(), count), g);
-    core::detectConflicts(prob);
-    if (prob.pins.size() > maxPins) break;
-    if (prob.pins.empty()) continue;
+    if (kernel.numPins() > maxPins) break;
+    if (kernel.numPins() == 0) continue;
 
-    const core::IlpBuild clique = core::buildIlpModel(prob, false);
-    const core::IlpBuild pair = core::buildIlpModel(prob, true);
+    const core::IlpBuild clique = core::buildIlpModel(kernel, false);
+    const core::IlpBuild pair = core::buildIlpModel(kernel, true);
 
     ilp::IlpOptions opts;
 
@@ -70,7 +68,7 @@ int main(int argc, char** argv) {
     const double pairSec = bench::seconds(t0, bench::Clock::now());
 
     std::printf("%5zu %9zu | %10d %10d | %10.3f%s %10.3f%s\n",
-                prob.pins.size(), prob.intervals.size(),
+                kernel.numPins(), kernel.numIntervals(),
                 clique.model.numConstraints(), pair.model.numConstraints(),
                 cliqueSec, a.status == ilp::IlpStatus::Optimal ? " " : "+",
                 pairSec, b.status == ilp::IlpStatus::Optimal ? " " : "+");

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
                              core::ProfitModel::LinearSpan}) {
       route::CprOptions opts;
       opts.pinAccess.threads = h.threads();
-      opts.pinAccess.profitModel = model;
+      opts.pinAccess.gen.profitModel = model;
       const route::CprResult r = route::routeCpr(d, opts);
       report.merge(r.plan.stats);
       const eval::Metrics m = eval::summarize(d, r.routing);

@@ -17,7 +17,6 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/conflict.h"
 #include "core/interval_gen.h"
 #include "core/solver.h"
 #include "db/panel.h"
@@ -72,14 +71,10 @@ int main(int argc, char** argv) {
     const db::Design d = instance(scale);
     core::GenOptions g;
     g.maxExtent = 24;
-    core::Problem prob =
-        core::buildProblem(d, std::vector<db::Panel>(db::extractPanels(d)), g);
-    core::detectConflicts(prob);
-    const long pins = static_cast<long>(prob.pins.size());
-    if (pins == 0) continue;
-
     const core::PanelKernel kernel =
-        core::PanelKernel::compile(std::move(prob));
+        core::buildPanelKernel(d, db::extractPanels(d), g);
+    const long pins = static_cast<long>(kernel.numPins());
+    if (pins == 0) continue;
 
     const core::LrSolver lrSolver{{}};
     auto t0 = bench::Clock::now();

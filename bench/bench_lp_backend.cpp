@@ -20,7 +20,6 @@
 #include <span>
 
 #include "bench_util.h"
-#include "core/conflict.h"
 #include "core/ilp_builder.h"
 #include "core/interval_gen.h"
 #include "db/panel.h"
@@ -117,17 +116,16 @@ int main(int argc, char** argv) {
   bench::hr();
 
   for (std::size_t count = 1; count <= panels.size(); ++count) {
-    core::Problem prob = core::buildProblem(
+    const core::PanelKernel kernel = core::buildPanelKernel(
         d, std::span<const db::Panel>(panels.data(), count), g);
-    core::detectConflicts(prob);
-    if (prob.pins.size() > maxPins) break;
-    if (prob.pins.empty()) continue;
+    if (kernel.numPins() > maxPins) break;
+    if (kernel.numPins() == 0) continue;
 
-    const core::IlpBuild build = core::buildIlpModel(prob, true);
+    const core::IlpBuild build = core::buildIlpModel(kernel, true);
     const EngineRun cold = runEngine(build.model, false, cap);
     const EngineRun warm = runEngine(build.model, true, cap);
 
-    printRow(static_cast<long>(prob.pins.size()),
+    printRow(static_cast<long>(kernel.numPins()),
              build.model.numConstraints(), cold, warm);
     report.add(obs::names::kIlpPivots, warm.res.lpPivots);
     report.add(obs::names::kIlpWarmSolves, warm.res.lpWarmSolves);

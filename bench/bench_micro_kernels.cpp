@@ -1,9 +1,8 @@
 /// \file bench_micro_kernels.cpp
-/// google-benchmark micro benchmarks of the library's hot kernels: pin
-/// access interval generation, conflict-set detection, CSR kernel
-/// compilation, one LR solve over a compiled kernel (arena-reused, the
-/// optimizer's steady-state configuration), the maze search, and DEF
-/// round-trip I/O.
+/// google-benchmark micro benchmarks of the library's hot kernels: building
+/// one panel's kernel (interval generation, conflict sets, CSR finish), one
+/// LR solve over it (arena-reused, the optimizer's steady-state
+/// configuration), the maze search, and DEF round-trip I/O.
 ///
 /// Usage mirrors the other benches: `--report out.json` writes the standard
 /// google-benchmark JSON (mapped onto --benchmark_out); every native
@@ -15,7 +14,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/conflict.h"
 #include "core/interval_gen.h"
 #include "core/solver.h"
 #include "db/panel.h"
@@ -41,52 +39,25 @@ db::Design benchDesign() {
   return gen::generate(o);
 }
 
-core::Problem benchProblem(const db::Design& d) {
+core::PanelKernel benchKernel(const db::Design& d, const db::Panel& panel) {
   core::GenOptions g;
   g.maxExtent = 32;
-  core::Problem p = core::buildProblem(d, db::extractPanel(d, 3), g);
-  core::detectConflicts(p);
-  return p;
+  return core::buildPanelKernel(d, {&panel, 1}, g);
 }
 
-void BM_IntervalGeneration(benchmark::State& state) {
+void BM_PanelBuild(benchmark::State& state) {
   const db::Design d = benchDesign();
   const db::Panel panel = db::extractPanel(d, 3);
-  core::GenOptions g;
-  g.maxExtent = 32;
   for (auto _ : state) {
-    core::Problem p = core::buildProblem(d, panel, g);
-    benchmark::DoNotOptimize(p.intervals.size());
-  }
-}
-BENCHMARK(BM_IntervalGeneration);
-
-void BM_ConflictDetection(benchmark::State& state) {
-  const db::Design d = benchDesign();
-  core::GenOptions g;
-  g.maxExtent = 32;
-  const core::Problem base = core::buildProblem(d, db::extractPanel(d, 3), g);
-  for (auto _ : state) {
-    core::Problem p = base;
-    core::detectConflicts(p);
-    benchmark::DoNotOptimize(p.conflicts.size());
-  }
-}
-BENCHMARK(BM_ConflictDetection);
-
-void BM_PanelCompile(benchmark::State& state) {
-  const db::Design d = benchDesign();
-  const core::Problem base = benchProblem(d);
-  for (auto _ : state) {
-    const core::PanelKernel k = core::PanelKernel::compile(core::Problem(base));
+    const core::PanelKernel k = benchKernel(d, panel);
     benchmark::DoNotOptimize(k.footprintBytes());
   }
 }
-BENCHMARK(BM_PanelCompile);
+BENCHMARK(BM_PanelBuild);
 
 void BM_LrSolvePanel(benchmark::State& state) {
   const db::Design d = benchDesign();
-  const core::PanelKernel k = core::PanelKernel::compile(benchProblem(d));
+  const core::PanelKernel k = benchKernel(d, db::extractPanel(d, 3));
   const core::LrSolver solver;
   core::PanelScratch scratch;  // reused, as in the optimizer's worker loop
   for (auto _ : state) {

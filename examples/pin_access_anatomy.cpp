@@ -9,8 +9,9 @@
 ///   $ ./pin_access_anatomy [seed]
 #include <cstdio>
 #include <cstdlib>
+#include <span>
+#include <string>
 
-#include "core/conflict.h"
 #include "core/interval_gen.h"
 #include "core/solver.h"
 #include "db/panel.h"
@@ -28,43 +29,43 @@ int main(int argc, char** argv) {
   o.maxNetRowSpread = 0;
   const db::Design d = gen::generate(o);
 
-  core::Problem p = core::buildProblem(d, db::extractPanel(d, 0));
-  core::detectConflicts(p);
+  const db::Panel panel = db::extractPanel(d, 0);
+  const core::PanelKernel k = core::buildPanelKernel(d, {&panel, 1});
 
   std::printf("panel 0 of '%s': %zu pins, %zu candidate intervals, "
               "%zu conflict sets\n\n",
-              d.name().c_str(), p.pins.size(), p.intervals.size(),
-              p.conflicts.size());
+              d.name().c_str(), k.numPins(), k.numIntervals(),
+              k.numConflicts());
 
   std::printf("== candidate intervals per pin (Section 3.1) ==\n");
-  for (const core::ProblemPin& pin : p.pins) {
-    const db::Pin& dp = d.pin(pin.designPin);
+  for (std::size_t j = 0; j < k.numPins(); ++j) {
+    const db::Pin& dp = d.pin(k.designPinOf(core::PinIdx{j}));
+    const std::span<const core::CandIdx> cand =
+        k.candidatesOf(core::PinIdx{j});
     std::printf("pin %-6s (net %-4s, col %d, tracks [%d,%d]): %zu candidates\n",
-                dp.name.c_str(), d.net(pin.net).name.c_str(), dp.shape.x.lo,
-                dp.shape.y.lo, dp.shape.y.hi, pin.intervals.size());
-    for (core::Index i : pin.intervals) {
-      const core::AccessInterval& iv =
-          p.intervals[static_cast<std::size_t>(i)];
-      std::printf("    I%-3d track %d cols [%2d,%2d]%s%s covers %zu pin(s)\n",
-                  i, iv.track, iv.span.lo, iv.span.hi,
-                  iv.minimal ? " [minimum]" : "",
-                  iv.pins.size() > 1 ? " [shared]" : "", iv.pins.size());
+                dp.name.c_str(), d.net(dp.net).name.c_str(), dp.shape.x.lo,
+                dp.shape.y.lo, dp.shape.y.hi, cand.size());
+    for (const core::CandIdx i : cand) {
+      std::printf("    I%-3d track %d cols [%2d,%2d]%s%s covers %d pin(s)\n",
+                  i.value(), k.trackOf(i), k.spanOf(i).lo, k.spanOf(i).hi,
+                  k.isMinimal(i) ? " [minimum]" : "",
+                  k.degreeOf(i) > 1 ? " [shared]" : "", k.degreeOf(i));
     }
   }
 
   std::printf("\n== conflict sets (Section 3.2, scanline maximal cliques) ==\n");
-  for (std::size_t m = 0; m < p.conflicts.size(); ++m) {
-    const core::ConflictSet& cs = p.conflicts[m];
-    std::printf("C%-3zu track %d, common [%d,%d] (L=%d), members:", m,
-                cs.track, cs.common.lo, cs.common.hi, cs.common.span());
-    for (core::Index i : cs.intervals) std::printf(" I%d", i);
+  for (std::size_t m = 0; m < k.numConflicts(); ++m) {
+    const core::ConflictIdx c{m};
+    std::printf("C%-3zu track %d, common span L=%d, members:", m,
+                k.conflictTrackOf(c), k.conflictSpanOf(c));
+    for (const core::CandIdx i : k.membersOf(c)) std::printf(" I%d", i.value());
     std::printf("\n");
   }
 
   std::printf("\n== solving the weighted interval assignment ==\n");
   obs::Collector stats;
   const core::LrSolver lrSolver{{}};
-  const core::Assignment lr = lrSolver.solve(p, &stats);
+  const core::Assignment lr = lrSolver.solve(k, nullptr, &stats);
   std::printf("%-5s (Algorithm 2): objective %.3f after %ld iterations\n",
               lrSolver.name().data(), lr.objective,
               stats.counter(obs::names::kLrIterations));
@@ -72,7 +73,7 @@ int main(int argc, char** argv) {
   ilp::IlpOptions io;
   io.deadline = support::Deadline::after(10.0);
   const core::IlpSolver ilpSolver{io};
-  const core::Assignment ilp = ilpSolver.solve(p, &stats);
+  const core::Assignment ilp = ilpSolver.solve(k, nullptr, &stats);
   std::printf("%-5s (ILP B&B)   : objective %.3f, %ld nodes, %s\n",
               ilpSolver.name().data(), ilp.objective,
               stats.counter(obs::names::kIlpNodes),
@@ -83,18 +84,17 @@ int main(int argc, char** argv) {
 
   std::printf("\n== assignments (pin -> interval) ==\n");
   std::printf("%-8s %-22s %-22s\n", "pin", "LR", "ILP");
-  for (std::size_t j = 0; j < p.pins.size(); ++j) {
-    auto fmt = [&](core::Index i) -> std::string {
-      if (i == geom::kInvalidIndex) return "(none)";
-      const core::AccessInterval& iv =
-          p.intervals[static_cast<std::size_t>(i)];
+  for (std::size_t j = 0; j < k.numPins(); ++j) {
+    auto fmt = [&](core::Index raw) -> std::string {
+      if (raw == geom::kInvalidIndex) return "(none)";
+      const core::CandIdx i{raw};
       char buf[64];
-      std::snprintf(buf, sizeof(buf), "t%d [%d,%d]", iv.track, iv.span.lo,
-                    iv.span.hi);
+      std::snprintf(buf, sizeof(buf), "t%d [%d,%d]", k.trackOf(i),
+                    k.spanOf(i).lo, k.spanOf(i).hi);
       return buf;
     };
     std::printf("%-8s %-22s %-22s\n",
-                d.pin(p.pins[j].designPin).name.c_str(),
+                d.pin(k.designPinOf(core::PinIdx{j})).name.c_str(),
                 fmt(lr.intervalOfPin[j]).c_str(),
                 fmt(ilp.intervalOfPin[j]).c_str());
   }

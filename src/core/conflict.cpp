@@ -3,92 +3,32 @@
 #include <algorithm>
 #include <map>
 
-#include "obs/names.h"
-
 namespace cpr::core {
 
-namespace {
+std::vector<std::vector<CandIdx>> detectConflictsBruteForce(
+    const PanelKernel& k, Coord spacingGuard) {
+  auto guarded = [&](CandIdx i) {
+    return geom::Interval{k.spanOf(i).lo - spacingGuard,
+                          k.spanOf(i).hi + spacingGuard};
+  };
+  std::map<Coord, std::vector<CandIdx>> byTrack;
+  for (std::size_t i = 0; i < k.numIntervals(); ++i)
+    byTrack[k.trackOf(CandIdx{i})].push_back(CandIdx{i});
 
-using geom::Interval;
-
-/// Sorts interval ids of one track by (lo, hi).
-std::map<Coord, std::vector<Index>> groupByTrack(const Problem& p) {
-  std::map<Coord, std::vector<Index>> byTrack;
-  for (std::size_t i = 0; i < p.intervals.size(); ++i)
-    byTrack[p.intervals[i].track].push_back(static_cast<Index>(i));
-  for (auto& [t, ids] : byTrack) {
-    std::sort(ids.begin(), ids.end(), [&](Index a, Index b) {
-      const Interval& ia = p.intervals[static_cast<std::size_t>(a)].conflictSpan;
-      const Interval& ib = p.intervals[static_cast<std::size_t>(b)].conflictSpan;
-      return ia.lo != ib.lo ? ia.lo < ib.lo : ia.hi < ib.hi;
-    });
-  }
-  return byTrack;
-}
-
-ConflictSet makeSet(const Problem& p, Coord track, std::vector<Index> members) {
-  ConflictSet cs;
-  cs.track = track;
-  cs.common =
-      p.intervals[static_cast<std::size_t>(members.front())].conflictSpan;
-  for (Index id : members)
-    cs.common = geom::intersect(
-        cs.common, p.intervals[static_cast<std::size_t>(id)].conflictSpan);
-  cs.intervals = std::move(members);
-  return cs;
-}
-
-}  // namespace
-
-void detectConflicts(Problem& p, obs::Collector* obs) {
-  p.conflicts.clear();
-  for (auto& [track, ids] : groupByTrack(p)) {
-    // Scanline: `active` holds intervals containing the lo of the last
-    // inserted interval. A maximal clique is emitted whenever an insertion
-    // is about to expire members, and once at the end.
-    std::vector<Index> active;
-    bool insertedSinceEmit = false;
-    auto expires = [&](Index id, Coord lo) {
-      return p.intervals[static_cast<std::size_t>(id)].conflictSpan.hi < lo;
-    };
-    for (Index id : ids) {
-      const Coord lo = p.intervals[static_cast<std::size_t>(id)].conflictSpan.lo;
-      const bool anyExpired = std::any_of(
-          active.begin(), active.end(),
-          [&](Index a) { return expires(a, lo); });
-      if (anyExpired) {
-        if (insertedSinceEmit && active.size() >= 2)
-          p.conflicts.push_back(makeSet(p, track, active));
-        std::erase_if(active, [&](Index a) { return expires(a, lo); });
-        insertedSinceEmit = false;
-      }
-      active.push_back(id);
-      insertedSinceEmit = true;
-    }
-    if (insertedSinceEmit && active.size() >= 2)
-      p.conflicts.push_back(makeSet(p, track, std::move(active)));
-  }
-  obs::add(obs, obs::names::kConflictSets,
-           static_cast<long>(p.conflicts.size()));
-}
-
-std::vector<ConflictSet> detectConflictsBruteForce(const Problem& p) {
-  std::vector<ConflictSet> out;
-  for (auto& [track, ids] : groupByTrack(p)) {
+  std::vector<std::vector<CandIdx>> out;
+  for (const auto& [track, ids] : byTrack) {
     // Every maximal clique of an interval graph equals the set of intervals
     // containing some member's right endpoint; enumerate those point sets
     // and keep the inclusion-maximal distinct ones.
-    std::vector<std::vector<Index>> candidates;
-    for (Index id : ids) {
-      const Coord r = p.intervals[static_cast<std::size_t>(id)].conflictSpan.hi;
-      std::vector<Index> s;
-      for (Index j : ids) {
-        if (p.intervals[static_cast<std::size_t>(j)].conflictSpan.contains(r))
-          s.push_back(j);
+    std::vector<std::vector<CandIdx>> candidates;
+    for (const CandIdx id : ids) {
+      const Coord r = guarded(id).hi;
+      std::vector<CandIdx> s;
+      for (const CandIdx j : ids) {
+        if (guarded(j).contains(r)) s.push_back(j);
       }
       if (s.size() >= 2) candidates.push_back(std::move(s));
     }
-    for (auto& s : candidates) std::sort(s.begin(), s.end());
     std::sort(candidates.begin(), candidates.end());
     candidates.erase(std::unique(candidates.begin(), candidates.end()),
                      candidates.end());
@@ -99,7 +39,7 @@ std::vector<ConflictSet> detectConflictsBruteForce(const Problem& p) {
         maximal = !std::includes(candidates[b].begin(), candidates[b].end(),
                                  candidates[a].begin(), candidates[a].end());
       }
-      if (maximal) out.push_back(makeSet(p, track, candidates[a]));
+      if (maximal) out.push_back(candidates[a]);
     }
   }
   return out;

@@ -1,27 +1,26 @@
 /// \file conflict.h
-/// Linear conflict set detection (paper Section 3.2).
+/// Linear conflict set detection (paper Section 3.2): the reference.
 ///
 /// A conflict set is a maximal set of pin access intervals on one track
 /// whose common intersection is non-empty (a maximal clique of the track's
-/// interval graph). The scanline below emits every maximal clique exactly
-/// once; the number of cliques is linear in the number of intervals, which
-/// is what keeps the ILP constraint count (1c) linear instead of the
-/// quadratic pairwise formulation.
+/// interval graph). `PanelKernelBuilder::finish` emits every maximal clique
+/// exactly once with a scanline; the number of cliques is linear in the
+/// number of intervals, which is what keeps the ILP constraint count (1c)
+/// linear instead of the quadratic pairwise formulation. This header keeps
+/// the independent brute-force enumeration the scanline is tested against.
 #pragma once
 
-#include "core/problem.h"
-#include "obs/collector.h"
+#include <vector>
+
+#include "core/panel_kernel.h"
 
 namespace cpr::core {
 
-/// Fills `p.conflicts` from `p.intervals`. Cliques with fewer than two
-/// members are not conflicts and are skipped. A non-null `obs` receives the
-/// `conflict.sets` counter.
-void detectConflicts(Problem& p, obs::Collector* obs = nullptr);
-
 /// Reference O(n^2)-per-track implementation used by tests to validate the
-/// scanline: returns maximal cliques computed by pairwise overlap closure.
-[[nodiscard]] std::vector<ConflictSet> detectConflictsBruteForce(
-    const Problem& p);
+/// scanline: returns the maximal cliques (members ascending) computed by
+/// pairwise overlap closure over spans inflated by `spacingGuard` columns
+/// per side. Cliques with fewer than two members are not conflicts.
+[[nodiscard]] std::vector<std::vector<CandIdx>> detectConflictsBruteForce(
+    const PanelKernel& k, Coord spacingGuard);
 
 }  // namespace cpr::core

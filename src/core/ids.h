@@ -1,7 +1,7 @@
 /// \file ids.h
 /// Strong index types for the panel-local solver hot path.
 ///
-/// A compiled `PanelKernel` juggles four distinct dense index spaces — pins,
+/// A `PanelKernel` juggles four distinct dense index spaces — pins,
 /// candidate intervals, conflict sets, and panel-local tracks — and before
 /// this header they were all the same `geom::Index`, so a transposed
 /// argument or a pin id used to subscript a per-interval column compiled
@@ -14,8 +14,7 @@
 /// totally ordered, so `std::vector<CandIdx>` / `std::span<const PinIdx>`
 /// have the exact layout and codegen of their raw counterparts (the
 /// micro-kernel bench pins this at ±2%). Raw ids cross the boundary only at
-/// the `Problem` / `Assignment` interface via `value()` and the explicit
-/// constructors.
+/// the `Assignment` interface via `value()` and the explicit constructors.
 #pragma once
 
 #include <compare>
@@ -34,12 +33,12 @@ class StrongIdx {
   constexpr StrongIdx() = default;
   constexpr explicit StrongIdx(geom::Index v) : v_(v) {}
   /// Container-size entry point for `for (std::size_t ...)` loops; the
-  /// narrowing mirrors the CSR compile contract that every panel-local
+  /// narrowing mirrors the CSR build contract that every panel-local
   /// count fits an `Index`.
   constexpr explicit StrongIdx(std::size_t v)
       : v_(static_cast<geom::Index>(v)) {}
 
-  /// The raw id, for the `Problem`/`Assignment` boundary.
+  /// The raw id, for the `Assignment` boundary.
   [[nodiscard]] constexpr geom::Index value() const { return v_; }
   /// The one sanctioned index-to-subscript conversion.
   [[nodiscard]] constexpr std::size_t idx() const {
@@ -56,7 +55,7 @@ class StrongIdx {
   geom::Index v_ = geom::kInvalidIndex;
 };
 
-/// Problem-local pin `pj` (row of the pin→candidate CSR).
+/// Kernel-local pin `pj` (row of the pin→candidate CSR).
 using PinIdx = StrongIdx<struct PinIdxTag>;
 /// Candidate access interval `Ii` (row of the interval columns; "Cand"
 /// because every interval is some pin's candidate).

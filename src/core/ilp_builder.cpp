@@ -56,10 +56,6 @@ IlpBuild buildIlpModel(const PanelKernel& k, bool pairwiseConflicts) {
   return out;
 }
 
-IlpBuild buildIlpModel(const Problem& p, bool pairwiseConflicts) {
-  return buildIlpModel(PanelKernel::compile(Problem(p)), pairwiseConflicts);
-}
-
 Assignment decodeIlpSolution(const PanelKernel& k, const IlpBuild& build,
                              const std::vector<double>& x) {
   Assignment out;
@@ -81,11 +77,6 @@ Assignment decodeIlpSolution(const PanelKernel& k, const IlpBuild& build,
     }
   }
   return out;
-}
-
-Assignment decodeIlpSolution(const Problem& p, const IlpBuild& build,
-                             const std::vector<double>& x) {
-  return decodeIlpSolution(PanelKernel::compile(Problem(p)), build, x);
 }
 
 }  // namespace cpr::core

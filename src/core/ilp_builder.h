@@ -3,43 +3,29 @@
 /// binary ILP of Formula (1): objective (1a) weights each interval by
 /// degree * f(I); one equality row (1b) per pin; one <=1 row (1c) per
 /// conflict set (the linear-size alternative to quadratic pairwise rows).
-///
-/// The primary overloads consume a compiled `PanelKernel` (flat CSR arrays);
-/// the `Problem` overloads compile a kernel internally and are kept for the
-/// ablation benches and tests that start from a nested instance.
 #pragma once
 
 #include "core/panel_kernel.h"
-#include "core/problem.h"
 #include "ilp/model.h"
 
 namespace cpr::core {
 
 struct IlpBuild {
   ilp::Model model;
-  /// model variable id per problem interval (1:1, but kept explicit so
+  /// model variable id per kernel interval (1:1, but kept explicit so
   /// callers don't depend on the ordering).
   std::vector<ilp::Index> varOfInterval;
 };
 
-/// Builds Formula (1) from the compiled instance. When `pairwiseConflicts`
+/// Builds Formula (1) from the instance. When `pairwiseConflicts`
 /// is true the quadratic pairwise encoding (x_i + x_i' <= 1 per overlapping
 /// pair) is emitted instead of the conflict-set rows — only used by the
 /// constraint-count ablation bench; the solutions are identical.
 [[nodiscard]] IlpBuild buildIlpModel(const PanelKernel& k,
                                      bool pairwiseConflicts = false);
 
-/// Convenience overload: compiles `p` into a temporary kernel and builds.
-[[nodiscard]] IlpBuild buildIlpModel(const Problem& p,
-                                     bool pairwiseConflicts = false);
-
 /// Decodes a 0/1 model solution back into a per-pin assignment.
 [[nodiscard]] Assignment decodeIlpSolution(const PanelKernel& k,
-                                           const IlpBuild& build,
-                                           const std::vector<double>& x);
-
-/// Convenience overload of the above for nested instances.
-[[nodiscard]] Assignment decodeIlpSolution(const Problem& p,
                                            const IlpBuild& build,
                                            const std::vector<double>& x);
 

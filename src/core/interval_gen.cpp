@@ -1,7 +1,6 @@
 #include "core/interval_gen.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <tuple>
 
@@ -16,26 +15,21 @@ using geom::Interval;
 
 /// Per-track view of a panel's pins, for cut-line and coverage queries.
 struct TrackPin {
-  Index localPin;
+  PinIdx localPin;
   Interval x;
   Index net;
 };
 
-/// Incrementally builds a (possibly multi-panel) Problem.
-class Builder {
+/// Appends the candidates of one or more panels to a kernel builder.
+class Generator {
  public:
-  Builder(const db::Design& design, const GenOptions& opts, Problem& out)
+  Generator(const db::Design& design, const GenOptions& opts,
+            PanelKernelBuilder& out)
       : design_(design), opts_(opts), out_(out) {}
 
   void addPanel(const db::Panel& panel) {
-    const std::size_t firstLocal = out_.pins.size();
-    // Local pin records.
-    for (Index dp : panel.pins) {
-      ProblemPin pp;
-      pp.designPin = dp;
-      pp.net = design_.pin(dp).net;
-      out_.pins.push_back(std::move(pp));
-    }
+    const std::size_t firstLocal = out_.numPins();
+    for (const Index dp : panel.pins) (void)out_.addPin(dp);
     // Per-track pin buckets.
     const std::size_t nTracks = std::size_t(panel.tracks.span());
     std::vector<std::vector<TrackPin>> byTrack(nTracks);
@@ -43,7 +37,7 @@ class Builder {
       const db::Pin& pin = design_.pin(panel.pins[k]);
       for (Coord t = pin.shape.y.lo; t <= pin.shape.y.hi; ++t) {
         byTrack[TrackIdx{t - panel.tracks.lo}.idx()].push_back(
-            TrackPin{static_cast<Index>(firstLocal + k), pin.shape.x, pin.net});
+            TrackPin{PinIdx{firstLocal + k}, pin.shape.x, pin.net});
       }
     }
     for (auto& bucket : byTrack) {
@@ -52,48 +46,38 @@ class Builder {
     }
     // Generate candidates pin by pin.
     for (std::size_t k = 0; k < panel.pins.size(); ++k) {
-      generateForPin(panel, byTrack, static_cast<Index>(firstLocal + k));
+      const PinIdx local{firstLocal + k};
+      generateForPin(panel, byTrack, local, design_.pin(panel.pins[k]));
+      if (!out_.minimalIntervalOf(local).valid()) ++blocked_;
     }
   }
+
+  long shared() const { return shared_; }
+  long blocked() const { return blocked_; }
 
  private:
   /// Returns (creating if needed) the interval id for (net, track, span);
   /// associates it with every same-net pin it covers on that track.
-  Index internInterval(Coord track, Interval span, Index net,
-                       const std::vector<TrackPin>& bucket, bool minimal) {
+  CandIdx internInterval(Coord track, Interval span, Index net,
+                         const std::vector<TrackPin>& bucket, bool minimal) {
     const auto key = std::make_tuple(net, track, span.lo, span.hi);
     if (auto it = interned_.find(key); it != interned_.end()) {
-      AccessInterval& existing = out_.intervals[CandIdx{it->second}.idx()];
-      if (minimal) existing.minimal = true;
+      if (minimal) out_.markMinimal(it->second);
       return it->second;
     }
-    AccessInterval iv;
-    iv.track = track;
-    iv.span = span;
-    // Uniform inflation: Theorem 1 feasibility then requires same-track
-    // diff-net pins to sit more than 2*spacingGuard columns apart, which the
-    // design rules (and our generator) guarantee — standard cells never abut
-    // I/O pins that closely.
-    iv.conflictSpan = Interval{span.lo - opts_.spacingGuard,
-                               span.hi + opts_.spacingGuard};
-    iv.net = net;
-    iv.minimal = minimal;
+    covered_.clear();
     for (const TrackPin& tp : bucket) {
-      if (tp.net == net && span.contains(tp.x)) iv.pins.push_back(tp.localPin);
+      if (tp.net == net && span.contains(tp.x)) covered_.push_back(tp.localPin);
     }
-    const Index id = static_cast<Index>(out_.intervals.size());
-    for (Index covered : iv.pins)
-      out_.pins[PinIdx{covered}.idx()].intervals.push_back(id);
-    out_.intervals.push_back(std::move(iv));
+    if (covered_.size() > 1) ++shared_;
+    const CandIdx id = out_.addInterval(track, span, net, covered_, minimal);
     interned_.emplace(key, id);
     return id;
   }
 
   void generateForPin(const db::Panel& panel,
                       const std::vector<std::vector<TrackPin>>& byTrack,
-                      Index local) {
-    ProblemPin& pp = out_.pins[PinIdx{local}.idx()];
-    const db::Pin& pin = design_.pin(pp.designPin);
+                      PinIdx local, const db::Pin& pin) {
     Interval box = design_.netBox(pin.net).x;
     if (opts_.maxExtent > 0) {
       box = geom::intersect(
@@ -128,23 +112,20 @@ class Builder {
       dedupe(lefts);
       dedupe(rights);
 
-      bool emittedMinimal = false;
       for (const Coord le : lefts) {
         if (le > pin.shape.x.lo) continue;
         for (const Coord re : rights) {
           if (re < pin.shape.x.hi) continue;
-          const Index id = internInterval(t, Interval{le, re}, pin.net, bucket,
-                                          /*minimal=*/false);
-          (void)id;
+          (void)internInterval(t, Interval{le, re}, pin.net, bucket,
+                               /*minimal=*/false);
         }
       }
-      if (opts_.minimalPerTrack || pp.minimalInterval == geom::kInvalidIndex) {
-        const Index id = internInterval(t, pin.shape.x, pin.net, bucket,
+      // A minimum interval on every accessible track; the pin's own
+      // fallback is the first one.
+      const CandIdx id = internInterval(t, pin.shape.x, pin.net, bucket,
                                         /*minimal=*/true);
-        emittedMinimal = true;
-        if (pp.minimalInterval == geom::kInvalidIndex) pp.minimalInterval = id;
-      }
-      (void)emittedMinimal;
+      if (!out_.minimalIntervalOf(local).valid())
+        out_.setMinimalInterval(local, id);
     }
   }
 
@@ -155,46 +136,29 @@ class Builder {
 
   const db::Design& design_;
   const GenOptions& opts_;
-  Problem& out_;
-  std::map<std::tuple<Index, Coord, Coord, Coord>, Index> interned_;
+  PanelKernelBuilder& out_;
+  std::map<std::tuple<Index, Coord, Coord, Coord>, CandIdx> interned_;
+  std::vector<PinIdx> covered_;
+  long shared_ = 0;
+  long blocked_ = 0;
 };
 
 }  // namespace
 
-Problem buildProblem(const db::Design& design, const db::Panel& panel,
-                     const GenOptions& opts, obs::Collector* obs) {
-  return buildProblem(design, std::span<const db::Panel>{&panel, 1}, opts,
-                      obs);
-}
-
-Problem buildProblem(const db::Design& design,
-                     std::span<const db::Panel> panels,
-                     const GenOptions& opts, obs::Collector* obs) {
-  Problem out;
-  Builder builder(design, opts, out);
-  for (const db::Panel& panel : panels) builder.addPanel(panel);
-  assignProfits(out);
-  if (obs) {
-    obs->add(obs::names::kGenIntervals,
-             static_cast<long>(out.intervals.size()));
-    long shared = 0;
-    for (const AccessInterval& iv : out.intervals)
-      shared += iv.pins.size() > 1 ? 1 : 0;
-    obs->add(obs::names::kGenShared, shared);
-    long blocked = 0;
-    for (const ProblemPin& pin : out.pins)
-      blocked += pin.minimalInterval == geom::kInvalidIndex ? 1 : 0;
-    obs->add(obs::names::kGenBlockedPins, blocked);
+PanelKernel buildPanelKernel(const db::Design& design,
+                             std::span<const db::Panel> panels,
+                             const GenOptions& opts, obs::Collector* obs) {
+  PanelKernelBuilder builder(opts.profitModel, opts.spacingGuard);
+  {
+    obs::ScopedTimer t(obs, obs::names::kPaoGenSpan);
+    Generator gen(design, opts, builder);
+    for (const db::Panel& panel : panels) gen.addPanel(panel);
+    obs::add(obs, obs::names::kGenIntervals,
+             static_cast<long>(builder.numIntervals()));
+    obs::add(obs, obs::names::kGenShared, gen.shared());
+    obs::add(obs, obs::names::kGenBlockedPins, gen.blocked());
   }
-  return out;
-}
-
-void assignProfits(Problem& p, ProfitModel model) {
-  p.profit.resize(p.intervals.size());
-  for (std::size_t i = 0; i < p.intervals.size(); ++i) {
-    const double span = static_cast<double>(p.intervals[i].span.span());
-    p.profit[i] = model == ProfitModel::SqrtSpan ? std::sqrt(span) : span;
-  }
+  return std::move(builder).finish(obs);
 }
 
 }  // namespace cpr::core

@@ -14,7 +14,7 @@
 
 #include <span>
 
-#include "core/problem.h"
+#include "core/panel_kernel.h"
 #include "db/design.h"
 #include "db/panel.h"
 #include "obs/collector.h"
@@ -27,9 +27,6 @@ struct GenOptions {
   /// net bounding box is intersected with pin.x expanded by this many
   /// columns on each side.
   geom::Coord maxExtent = 0;
-  /// Emit a minimum interval on every accessible track (more candidates)
-  /// instead of only the first one.
-  bool minimalPerTrack = true;
   /// Line-end spacing guard: every interval is inflated by this many columns
   /// per side when conflicts are detected, so selected diff-net intervals
   /// keep a gap of >= 2*guard — room for the router's line-end extensions
@@ -37,33 +34,23 @@ struct GenOptions {
   /// diff-net pins to be more than 2*guard columns apart, which real cell
   /// layouts (and our generator) guarantee. 0 disables the guard.
   geom::Coord spacingGuard = 1;
+  /// Base profit f(Ii) (Section 3.3; default sqrt(span)).
+  ProfitModel profitModel = ProfitModel::SqrtSpan;
 };
 
-/// Builds the interval-assignment instance for one panel. Pins whose every
-/// track is blocked get an empty candidate set (`minimalInterval ==
-/// kInvalidIndex`); callers can detect them via `Problem::pins`.
-/// Conflict sets are NOT filled here — run `detectConflicts` afterwards.
+/// Builds the interval-assignment instance over `panels`: candidates per
+/// pin (Section 3.1), then conflict sets (3.2), in one kernel. Several
+/// panels make one merged instance ("handle multiple panels simultaneously",
+/// Section 3); panels never share tracks, so their candidates interact only
+/// through solver-side accounting, which is what the Fig. 6 sweep measures.
+/// Pins whose every track is blocked get an empty candidate set and an
+/// invalid `minimalIntervalOf`.
 /// A non-null `obs` receives the `gen.*` counters (emitted / shared
-/// intervals, blocked pins).
-[[nodiscard]] Problem buildProblem(const db::Design& design,
-                                   const db::Panel& panel,
-                                   const GenOptions& opts = {},
-                                   obs::Collector* obs = nullptr);
-
-/// Multi-panel variant: one merged instance over several panels ("handle
-/// multiple panels simultaneously", Section 3). Panels never share tracks,
-/// so candidates from different panels can only interact through solver-side
-/// accounting, which is exactly what the Fig. 6 scalability sweep measures.
-[[nodiscard]] Problem buildProblem(const db::Design& design,
-                                   std::span<const db::Panel> panels,
-                                   const GenOptions& opts = {},
-                                   obs::Collector* obs = nullptr);
-
-/// Recomputes f(Ii) for every interval of `p` (default: sqrt of span).
-enum class ProfitModel {
-  SqrtSpan,   ///< f(I) = sqrt(span)  — the paper's balanced objective
-  LinearSpan, ///< f(I) = span        — ablation: unbalanced maximization
-};
-void assignProfits(Problem& p, ProfitModel model = ProfitModel::SqrtSpan);
+/// intervals, blocked pins), `conflict.sets`, and the `pao.gen`,
+/// `pao.conflict` and `pao.compile` spans.
+[[nodiscard]] PanelKernel buildPanelKernel(const db::Design& design,
+                                           std::span<const db::Panel> panels,
+                                           const GenOptions& opts = {},
+                                           obs::Collector* obs = nullptr);
 
 }  // namespace cpr::core

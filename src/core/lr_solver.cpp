@@ -81,9 +81,8 @@ std::size_t LrScratch::footprintBytes() const {
          bytes(freedWithin) + bytes(members);
 }
 
-std::vector<Index> maxGains(const Problem& p,
+std::vector<Index> maxGains(const PanelKernel& k,
                             const std::vector<double>& gains) {
-  const PanelKernel k = PanelKernel::compile(Problem(p));
   std::vector<LrSortKey> keys(k.numIntervals());
   for (std::size_t i = 0; i < keys.size(); ++i)
     keys[i] = LrSortKey{gains[i], k.degreeOf(CandIdx{i}), CandIdx{i}};
@@ -96,12 +95,7 @@ std::vector<Index> maxGains(const Problem& p,
   return out;
 }
 
-Assignment solveLr(const Problem& p, const LrOptions& opts, LrStats* stats,
-                   obs::Collector* obs) {
-  return solveLr(PanelKernel::compile(Problem(p)), opts, stats, obs, nullptr);
-}
-
-Assignment solveLr(const PanelKernel& k, const LrOptions& opts, LrStats* stats,
+Assignment solveLr(const PanelKernel& k, const LrOptions& opts,
                    obs::Collector* obs, LrScratch* scratch,
                    support::Deadline deadline) {
   LrScratch local;
@@ -269,12 +263,6 @@ Assignment solveLr(const PanelKernel& k, const LrOptions& opts, LrStats* stats,
   }
   obs::add(obs, obs::names::kLrIterations, iterations);
 
-  if (stats) {
-    stats->iterations = iterations;
-    stats->bestViolations =
-        bestVio == std::numeric_limits<int>::max() ? 0 : bestVio;
-    stats->removalRounds = 0;
-  }
   if (!haveBest) {
     s.bestSel.clear();
     s.bestAssign.assign(nPins, CandIdx::invalid());
@@ -346,10 +334,7 @@ Assignment solveLr(const PanelKernel& k, const LrOptions& opts, LrStats* stats,
           }
         }
       }
-      if (changed) {
-        if (stats) ++stats->removalRounds;
-        obs::add(obs, obs::names::kLrRemovalRounds);
-      }
+      if (changed) obs::add(obs, obs::names::kLrRemovalRounds);
     }
   }
 

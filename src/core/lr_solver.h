@@ -9,15 +9,13 @@
 /// violated conflict sets) is kept, and remaining conflicts are removed by
 /// shrinking intervals to their pins' minimum intervals.
 ///
-/// The hot path consumes a compiled `PanelKernel` (flat CSR arrays) and an
-/// optional `LrScratch` arena of reusable buffers; the `Problem` overload is
-/// a convenience that compiles a kernel internally.
+/// The hot path consumes a `PanelKernel` (flat CSR arrays) and an optional
+/// `LrScratch` arena of reusable buffers.
 #pragma once
 
 #include <vector>
 
 #include "core/panel_kernel.h"
-#include "core/problem.h"
 #include "obs/collector.h"
 #include "support/deadline.h"
 #include "support/hot_annotations.h"
@@ -55,12 +53,6 @@ struct LrOptions {
   int reexpandRounds = 2;
 };
 
-struct LrStats {
-  int iterations = 0;        ///< subgradient iterations executed
-  int bestViolations = 0;    ///< violations of the best pre-removal solution
-  int removalRounds = 0;     ///< greedy conflict removal sweeps
-};
-
 /// Sort key of the maxGains greedy: non-increasing gain, ties toward
 /// intervals covering more same-net pins, then by index for determinism.
 struct LrSortKey {
@@ -93,31 +85,25 @@ struct LrScratch {
   [[nodiscard]] std::size_t footprintBytes() const CPR_NOALLOC;
 };
 
-/// Solves the compiled instance `k` with Lagrangian relaxation. Requires
-/// profits and conflicts to have been filled before compilation. The
-/// returned assignment is conflict-free (violations == 0) unless conflict
-/// removal was skipped. `scratch` may be null (a local arena is used) or a
+/// Solves the instance `k` with Lagrangian relaxation. The returned
+/// assignment is conflict-free (violations == 0) unless conflict removal was
+/// skipped. `scratch` may be null (a local arena is used) or a
 /// reused per-worker arena.
 ///
-/// When `obs` is non-null the solver reports `lr.*` counters plus the
+/// When `obs` is non-null the solver reports `lr.*` counters (iterations,
+/// removal rounds, re-expansion upgrades, timeouts) plus the
 /// per-iteration trace series `lr.iter` (violations, best violations, λ L1
 /// norm, and the current selection's objective per subgradient step).
 [[nodiscard]] Assignment solveLr(const PanelKernel& k,
                                  const LrOptions& opts = {},
-                                 LrStats* stats = nullptr,
                                  obs::Collector* obs = nullptr,
                                  LrScratch* scratch = nullptr,
                                  support::Deadline deadline = {}) CPR_HOT;
 
-/// Convenience overload: compiles `p` into a temporary kernel and solves.
-[[nodiscard]] Assignment solveLr(const Problem& p, const LrOptions& opts = {},
-                                 LrStats* stats = nullptr,
-                                 obs::Collector* obs = nullptr);
-
 /// One invocation of Algorithm 1's maxGains greedy: selects one interval per
 /// pin maximizing total gain (profit minus penalty), ignoring conflicts.
 /// Exposed for tests.
-[[nodiscard]] std::vector<Index> maxGains(const Problem& p,
+[[nodiscard]] std::vector<Index> maxGains(const PanelKernel& k,
                                           const std::vector<double>& gains);
 
 }  // namespace cpr::core

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "core/conflict.h"
 #include "db/panel.h"
 #include "support/status.h"
 #include "support/thread_pool.h"
@@ -12,12 +11,10 @@ namespace cpr::core {
 
 namespace {
 
-/// Per-panel outcome, merged into the plan after the parallel phase. Holds
-/// the compiled kernel (which owns the moved-in `Problem`) so the merge loop
-/// can read tracks/spans without keeping a second copy of the instance.
+/// Per-panel outcome, merged into the plan in panel order after the
+/// parallel phase. The panel's routes are already written by its worker.
 struct PanelOutcome {
-  PanelKernel kernel;
-  Assignment assignment;
+  double objective = 0.0;
   obs::Collector stats;
 };
 
@@ -101,37 +98,34 @@ Assignment minimalIntervalAssignment(const PanelKernel& k) {
 /// Which rung of the degradation ladder produced the shipped assignment.
 enum class Rung { Primary, Lr, Greedy, Minimal };
 
+/// Solves one panel and writes its pins' routes into `routes`. Every design
+/// pin belongs to exactly one panel, so concurrent workers write disjoint
+/// entries.
 PanelOutcome solvePanel(const db::Design& design, const db::Panel& panel,
                         const OptimizerOptions& opts, const Solver& solver,
-                        int panelIndex, PanelScratch& scratch) {
+                        int panelIndex, PanelScratch& scratch,
+                        std::vector<PinRoute>& routes) {
   PanelOutcome out;
   out.stats = obs::Collector(panelIndex);
   obs::Collector* obs = &out.stats;
   // Panel boundary: nothing may escape into the worker thread. `trySolve`
   // isolates solver faults below; this outer net catches instance
-  // generation / compilation faults and ships an all-unassigned panel.
+  // construction faults and ships an all-unassigned panel.
+  auto fail = [&](const char* what) {
+    out.stats.add(obs::names::kPaoPanelFailed);
+    out.stats.note(obs::names::kPaoPanelErrorNote, what);
+    out.stats.add(obs::names::kPaoUnassigned,
+                  static_cast<long>(panel.pins.size()));
+  };
   try {
-    Problem problem;
-    {
-      obs::ScopedTimer t(obs, obs::names::kPaoGenSpan);
-      problem = buildProblem(design, panel, opts.gen, obs);
-      if (opts.profitModel != ProfitModel::SqrtSpan)
-        assignProfits(problem, opts.profitModel);
-    }
-    {
-      obs::ScopedTimer t(obs, obs::names::kPaoConflictSpan);
-      detectConflicts(problem, obs);
-    }
+    const PanelKernel kernel =
+        buildPanelKernel(design, {&panel, 1}, opts.gen, obs);
     obs->add(obs::names::kPaoIntervals,
-             static_cast<long>(problem.intervals.size()));
+             static_cast<long>(kernel.numIntervals()));
     obs->add(obs::names::kPaoConflicts,
-             static_cast<long>(problem.conflicts.size()));
-    {
-      obs::ScopedTimer t(obs, obs::names::kPaoCompileSpan);
-      out.kernel = PanelKernel::compile(std::move(problem));
-    }
+             static_cast<long>(kernel.numConflicts()));
     obs->add(obs::names::kPaoKernelBytes,
-             static_cast<long>(out.kernel.footprintBytes()));
+             static_cast<long>(kernel.footprintBytes()));
 
     // Per-panel budget: a slice of the run deadline, never outliving it.
     const support::Deadline panelDeadline =
@@ -147,13 +141,14 @@ PanelOutcome solvePanel(const db::Design& design, const db::Panel& panel,
         Assignment{}};
     if (!runExpired) {
       obs::ScopedTimer t(obs, obs::names::kPaoSolveSpan);
-      primary = solver.trySolve(out.kernel, &scratch, obs, panelDeadline);
+      primary = solver.trySolve(kernel, &scratch, obs, panelDeadline);
     }
 
+    Assignment assignment;
     Rung rung = Rung::Primary;
     bool chosen = false;
-    if (usable(out.kernel, primary.value())) {
-      out.assignment = primary.take();
+    if (usable(kernel, primary.value())) {
+      assignment = primary.take();
       chosen = true;
     } else {
       // Walk the degradation ladder. Every rung below the primary solver is
@@ -163,23 +158,23 @@ PanelOutcome solvePanel(const db::Design& design, const db::Panel& panel,
       obs->add(obs::names::kPaoFallbacks);
       if (!runExpired && solver.name() != "lr") {
         support::Outcome<Assignment> lr = LrSolver(opts.solve.lr)
-            .trySolve(out.kernel, &scratch, obs, panelDeadline);
-        if (usable(out.kernel, lr.value())) {
-          out.assignment = lr.take();
+            .trySolve(kernel, &scratch, obs, panelDeadline);
+        if (usable(kernel, lr.value())) {
+          assignment = lr.take();
           rung = Rung::Lr;
           chosen = true;
         }
       }
       if (!chosen) {
-        Assignment g = greedyProfitOrder(out.kernel);
-        if (usable(out.kernel, g)) {
-          out.assignment = std::move(g);
+        Assignment g = greedyProfitOrder(kernel);
+        if (usable(kernel, g)) {
+          assignment = std::move(g);
           rung = Rung::Greedy;
           chosen = true;
         }
       }
       if (!chosen) {
-        out.assignment = minimalIntervalAssignment(out.kernel);
+        assignment = minimalIntervalAssignment(kernel);
         rung = Rung::Minimal;
       }
     }
@@ -200,18 +195,23 @@ PanelOutcome solvePanel(const db::Design& design, const db::Panel& panel,
         obs->add(obs::names::kPaoPanelDegraded);
       obs->note(obs::names::kPaoPanelStatusNote, primary.status().toString());
     }
+
+    long unassigned = 0;
+    for (std::size_t j = 0; j < kernel.numPins(); ++j) {
+      const Index i = assignment.intervalOfPin[j];
+      if (i == geom::kInvalidIndex) {
+        ++unassigned;
+        continue;
+      }
+      routes[std::size_t(kernel.designPinOf(PinIdx{j}))] =
+          PinRoute{kernel.trackOf(CandIdx{i}), kernel.spanOf(CandIdx{i})};
+    }
+    if (unassigned > 0) obs->add(obs::names::kPaoUnassigned, unassigned);
+    out.objective = assignment.objective;
   } catch (const std::exception& e) {
-    out.stats.add(obs::names::kPaoPanelFailed);
-    out.stats.note(obs::names::kPaoPanelErrorNote, e.what());
-    out.assignment = Assignment{};
-    out.assignment.intervalOfPin.assign(out.kernel.numPins(),
-                                        geom::kInvalidIndex);
+    fail(e.what());
   } catch (...) {
-    out.stats.add(obs::names::kPaoPanelFailed);
-    out.stats.note(obs::names::kPaoPanelErrorNote, "non-standard exception");
-    out.assignment = Assignment{};
-    out.assignment.intervalOfPin.assign(out.kernel.numPins(),
-                                        geom::kInvalidIndex);
+    fail("non-standard exception");
   }
   return out;
 }
@@ -248,7 +248,7 @@ PinAccessPlan optimizePinAccess(const db::Design& design,
     pool.parallelFor(work.size(), [&](int worker, std::size_t k) {
       outcomes[k] = solvePanel(design, *work[k], opts, *solver,
                                static_cast<int>(k),
-                               arenas[std::size_t(worker)]);
+                               arenas[std::size_t(worker)], plan.routes);
     });
   }
   // Arena high-water mark. A gauge, not a counter: the value depends on how
@@ -263,21 +263,8 @@ PinAccessPlan optimizePinAccess(const db::Design& design,
   // Merge in panel order: counters and series come out identical for any
   // thread count (only span wall-times differ run to run).
   for (const PanelOutcome& out : outcomes) {
-    const PanelKernel& kernel = out.kernel;
-    const Assignment& a = out.assignment;
     plan.stats.merge(out.stats);
-    plan.objective += a.objective;
-
-    for (std::size_t j = 0; j < kernel.numPins(); ++j) {
-      const Index designPin = kernel.designPinOf(PinIdx{j});
-      const Index i = a.intervalOfPin[j];
-      if (i == geom::kInvalidIndex) {
-        plan.stats.add(obs::names::kPaoUnassigned);
-        continue;
-      }
-      plan.routes[std::size_t(designPin)] =
-          PinRoute{kernel.trackOf(CandIdx{i}), kernel.spanOf(CandIdx{i})};
-    }
+    plan.objective += out.objective;
   }
   return plan;
 }

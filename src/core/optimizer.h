@@ -7,7 +7,8 @@
 /// interval assignment through the unified `Solver` interface (LR or the
 /// exact ILP — solver.h). The result maps every accessible design pin to one
 /// conflict-free M2 interval — the "partial routes" handed to the router
-/// (Section 4).
+/// (Section 4). Each panel's kernel lives only while its worker solves it,
+/// so pin access memory is O(workers × panel), not O(design).
 ///
 /// Every run is instrumented: `PinAccessPlan::stats` carries the merged
 /// per-panel counters, trace series, and phase timers. Each panel is
@@ -34,7 +35,6 @@ struct OptimizerOptions {
   /// One nested bundle instead of flat method/lr/ilp fields, so every
   /// layer from the CLI down spells solver configuration the same way.
   SolverOptions solve;
-  ProfitModel profitModel = ProfitModel::SqrtSpan;
   /// Run-level wall-clock budget (unset = none). Panels that start after it
   /// fires skip their solver and take the fast degradation rungs, so the
   /// optimizer always terminates promptly with a legal (if modest) plan.
@@ -81,12 +81,6 @@ struct PinAccessPlan {
   }
   [[nodiscard]] int unassignedPins() const {
     return static_cast<int>(stats.counter(obs::names::kPaoUnassigned));
-  }
-  /// Solver work summed across panels: LR iterations and ILP branch &
-  /// bound nodes both count.
-  [[nodiscard]] long solverIterations() const {
-    return stats.counter(obs::names::kLrIterations) +
-           stats.counter(obs::names::kIlpNodes);
   }
   /// True when no panel's solver gave up on proving optimality and no panel
   /// fell back to the LR heuristic. Trivially true for Method::Lr.

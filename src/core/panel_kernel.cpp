@@ -1,75 +1,157 @@
 #include "core/panel_kernel.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <map>
+
+#include "obs/names.h"
 
 namespace cpr::core {
 
 namespace {
 
-/// Builds `off`/`data` from `n` rows whose contents `rowOf(r)` yields. The
-/// rows carry raw `Index` ids (the `Problem` boundary); `T` is the strong
-/// id type of the destination space, wrapped element-by-element.
-template <typename T, typename RowOf>
-void flatten(std::size_t n, RowOf rowOf, std::vector<Index>& off,
-             std::vector<T>& data) {
-  off.assign(n + 1, 0);
-  std::size_t total = 0;
-  for (std::size_t r = 0; r < n; ++r) {
-    total += rowOf(r).size();
-    // Offsets are stored as Index; a panel whose flat adjacency no longer
-    // fits would silently wrap and corrupt every span handed out later.
-    CPR_CHECK(total <= std::size_t{std::numeric_limits<Index>::max()});
-    off[r + 1] = static_cast<Index>(total);
+/// Appends the end offset of a just-filled CSR row. Offsets are stored as
+/// Index; a panel whose flat adjacency no longer fits would silently wrap
+/// and corrupt every span handed out later.
+void closeRow(std::vector<Index>& off, std::size_t total) {
+  CPR_CHECK(total <= std::size_t{std::numeric_limits<Index>::max()});
+  off.push_back(static_cast<Index>(total));
+}
+
+/// Counting-sort transpose: from rows `off`/`data` (row ids of type `Row`,
+/// entries of type `Col` below `nCols`) builds `offT`/`dataT` with one row
+/// per column id. Filling in ascending row order leaves every transposed
+/// row ascending.
+template <typename Row, typename Col>
+void transpose(const std::vector<Index>& off, const std::vector<Col>& data,
+               std::size_t nCols, std::vector<Index>& offT,
+               std::vector<Row>& dataT) {
+  offT.assign(nCols + 1, 0);
+  for (const Col c : data) {
+    // An entry outside the column space would turn the histogram below
+    // into an out-of-bounds write.
+    CPR_DCHECK(c.idx() < nCols);
+    ++offT[c.idx() + 1];
   }
-  data.clear();
-  data.reserve(total);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (const Index v : rowOf(r)) data.push_back(T{v});
+  for (std::size_t c = 0; c < nCols; ++c) offT[c + 1] += offT[c];
+  dataT.assign(data.size(), Row{});
+  std::vector<Index> cursor(offT.begin(), offT.end() - 1);
+  for (std::size_t r = 0; r + 1 < off.size(); ++r) {
+    for (Index e = off[r]; e < off[r + 1]; ++e)
+      dataT[std::size_t(cursor[data[std::size_t(e)].idx()]++)] = Row{r};
   }
 }
 
 }  // namespace
 
-PanelKernel PanelKernel::compile(Problem&& p) {
-  PanelKernel k;
-  k.problem_ = std::move(p);
-  const Problem& q = k.problem_;
-  const std::size_t nPins = q.pins.size();
-  const std::size_t nIv = q.intervals.size();
-  const std::size_t nCs = q.conflicts.size();
+PinIdx PanelKernelBuilder::addPin(Index designPin) {
+  const PinIdx j{k_.designPin_.size()};
+  k_.designPin_.push_back(designPin);
+  k_.minimalOf_.push_back(CandIdx::invalid());
+  return j;
+}
 
-  flatten(nPins, [&](std::size_t j) -> const std::vector<Index>& {
-    return q.pins[j].intervals;
-  }, k.pinCandOff_, k.pinCand_);
-  flatten(nIv, [&](std::size_t i) -> const std::vector<Index>& {
-    return q.intervals[i].pins;
-  }, k.ivPinOff_, k.ivPin_);
-  flatten(nCs, [&](std::size_t m) -> const std::vector<Index>& {
-    return q.conflicts[m].intervals;
-  }, k.confMemOff_, k.confMem_);
+CandIdx PanelKernelBuilder::addInterval(Coord track, geom::Interval span,
+                                        Index net,
+                                        std::span<const PinIdx> pins,
+                                        bool minimal) {
+  const CandIdx i{k_.track_.size()};
+  k_.track_.push_back(track);
+  k_.span_.push_back(span);
+  k_.net_.push_back(net);
+  k_.minimalBit_.push_back(minimal ? 1 : 0);
+  for (const PinIdx q : pins) {
+    CPR_DCHECK(q.idx() < k_.numPins());
+    k_.ivPin_.push_back(q);
+  }
+  closeRow(k_.ivPinOff_, k_.ivPin_.size());
+  return i;
+}
 
-  // Cross-index interval -> conflict sets by counting sort over the member
-  // lists; filling in ascending `m` keeps each interval's conflict list in
-  // the same order the nested `csOf` construction produced.
-  k.ivConfOff_.assign(nIv + 1, 0);
-  for (std::size_t m = 0; m < nCs; ++m) {
-    for (const Index i : q.conflicts[m].intervals) {
-      // A conflict member outside the interval table would turn the
-      // counting sort below into an out-of-bounds histogram write.
-      CPR_DCHECK(CandIdx{i}.idx() < nIv);
-      ++k.ivConfOff_[CandIdx{i}.idx() + 1];
+PanelKernel PanelKernelBuilder::finish(obs::Collector* obs) && {
+  PanelKernel& k = k_;
+  const std::size_t nPins = k.numPins();
+  const std::size_t nIv = k.numIntervals();
+  auto guarded = [&](CandIdx i) {
+    const geom::Interval& s = k.span_[i.idx()];
+    return geom::Interval{s.lo - guard_, s.hi + guard_};
+  };
+
+  {
+    obs::ScopedTimer t(obs, obs::names::kPaoConflictSpan);
+    // Conflict sets (Section 3.2): the maximal cliques of each track's
+    // interval graph over guarded spans. Bucket ids by track (ascending ids
+    // within a track), then order each bucket by guarded (lo, hi).
+    std::vector<CandIdx> byTrack(nIv);
+    std::vector<Index> trackOff;
+    Coord lowTrack = 0;
+    if (nIv > 0) {
+      const auto [lo, hi] = std::minmax_element(k.track_.begin(), k.track_.end());
+      lowTrack = *lo;
+      trackOff.assign(std::size_t(*hi - *lo) + 2, 0);
+      for (const Coord t : k.track_) ++trackOff[std::size_t(t - lowTrack) + 1];
+      for (std::size_t t = 1; t < trackOff.size(); ++t)
+        trackOff[t] += trackOff[t - 1];
+      std::vector<Index> cursor(trackOff.begin(), trackOff.end() - 1);
+      for (std::size_t i = 0; i < nIv; ++i)
+        byTrack[std::size_t(cursor[std::size_t(k.track_[i] - lowTrack)]++)] =
+            CandIdx{i};
+    }
+    std::vector<CandIdx> active;
+    auto emit = [&](Coord track) {
+      geom::Interval common = guarded(active.front());
+      for (const CandIdx i : active) {
+        common = geom::intersect(common, guarded(i));
+        k.confMem_.push_back(i);
+      }
+      closeRow(k.confMemOff_, k.confMem_.size());
+      k.confTrack_.push_back(track);
+      k.confLm_.push_back(common.span());
+    };
+    for (std::size_t t = 0; t + 1 < trackOff.size(); ++t) {
+      const auto first = byTrack.begin() + trackOff[t];
+      const auto last = byTrack.begin() + trackOff[t + 1];
+      std::sort(first, last, [&](CandIdx a, CandIdx b) {
+        const geom::Interval& ia = k.span_[a.idx()];
+        const geom::Interval& ib = k.span_[b.idx()];
+        return ia.lo != ib.lo ? ia.lo < ib.lo : ia.hi < ib.hi;
+      });
+      // Scanline: `active` holds intervals containing the lo of the last
+      // inserted interval. A maximal clique is emitted whenever an
+      // insertion is about to expire members, and once at the end.
+      const Coord track = lowTrack + static_cast<Coord>(t);
+      active.clear();
+      bool insertedSinceEmit = false;
+      for (auto it = first; it != last; ++it) {
+        const Coord lo = guarded(*it).lo;
+        auto expired = [&](CandIdx a) { return guarded(a).hi < lo; };
+        if (std::any_of(active.begin(), active.end(), expired)) {
+          if (insertedSinceEmit && active.size() >= 2) emit(track);
+          std::erase_if(active, expired);
+          insertedSinceEmit = false;
+        }
+        active.push_back(*it);
+        insertedSinceEmit = true;
+      }
+      if (insertedSinceEmit && active.size() >= 2) emit(track);
     }
   }
-  for (std::size_t i = 1; i <= nIv; ++i) k.ivConfOff_[i] += k.ivConfOff_[i - 1];
-  k.ivConf_.assign(std::size_t(k.ivConfOff_[nIv]), ConflictIdx{});
-  {
-    std::vector<Index> cursor(k.ivConfOff_.begin(), k.ivConfOff_.end() - 1);
-    for (std::size_t m = 0; m < nCs; ++m) {
-      for (const Index i : q.conflicts[m].intervals)
-        k.ivConf_[std::size_t(cursor[CandIdx{i}.idx()]++)] = ConflictIdx{m};
-    }
+  obs::add(obs, obs::names::kConflictSets,
+           static_cast<long>(k.numConflicts()));
+
+  obs::ScopedTimer t(obs, obs::names::kPaoCompileSpan);
+  transpose(k.ivPinOff_, k.ivPin_, nPins, k.pinCandOff_, k.pinCand_);
+  transpose(k.confMemOff_, k.confMem_, nIv, k.ivConfOff_, k.ivConf_);
+
+  k.profit_.resize(nIv);
+  k.weight_.resize(nIv);
+  k.degree_.resize(nIv);
+  for (std::size_t i = 0; i < nIv; ++i) {
+    const double span = static_cast<double>(k.span_[i].span());
+    k.profit_[i] = model_ == ProfitModel::SqrtSpan ? std::sqrt(span) : span;
+    k.degree_[i] = k.ivPinOff_[i + 1] - k.ivPinOff_[i];
+    k.weight_[i] = k.degree_[i] * k.profit_[i];
   }
 
   // Per-pin candidate order for LR re-expansion: profit desc, id asc.
@@ -78,44 +160,12 @@ PanelKernel PanelKernel::compile(Problem&& p) {
     std::sort(k.sortedCand_.begin() + k.pinCandOff_[j],
               k.sortedCand_.begin() + k.pinCandOff_[j + 1],
               [&](CandIdx a, CandIdx b) {
-                const double pa = q.profit[a.idx()];
-                const double pb = q.profit[b.idx()];
+                const double pa = k.profit_[a.idx()];
+                const double pb = k.profit_[b.idx()];
                 return pa != pb ? pa > pb : a < b;
               });
   }
-
-  k.track_.resize(nIv);
-  k.span_.resize(nIv);
-  k.net_.resize(nIv);
-  k.profit_.resize(nIv);
-  k.weight_.resize(nIv);
-  k.degree_.resize(nIv);
-  k.minimalBit_.resize(nIv);
-  for (std::size_t i = 0; i < nIv; ++i) {
-    const AccessInterval& iv = q.intervals[i];
-    k.track_[i] = iv.track;
-    k.span_[i] = iv.span;
-    k.net_[i] = iv.net;
-    k.profit_[i] = q.profit[i];
-    k.weight_[i] = q.weight(static_cast<Index>(i));
-    k.degree_[i] = static_cast<Index>(iv.pins.size());
-    k.minimalBit_[i] = iv.minimal ? 1 : 0;
-  }
-
-  k.minimalOf_.resize(nPins);
-  k.designPin_.resize(nPins);
-  for (std::size_t j = 0; j < nPins; ++j) {
-    k.minimalOf_[j] = CandIdx{q.pins[j].minimalInterval};
-    k.designPin_[j] = q.pins[j].designPin;
-  }
-
-  k.confTrack_.resize(nCs);
-  k.confLm_.resize(nCs);
-  for (std::size_t m = 0; m < nCs; ++m) {
-    k.confTrack_[m] = q.conflicts[m].track;
-    k.confLm_[m] = q.conflicts[m].common.span();
-  }
-  return k;
+  return std::move(k_);
 }
 
 std::size_t PanelKernel::footprintBytes() const {
@@ -131,6 +181,8 @@ std::size_t PanelKernel::footprintBytes() const {
 
 AssignmentAudit audit(const PanelKernel& k, const Assignment& a) {
   AssignmentAudit out;
+  // Distinct selected intervals (a shared interval assigned to several pins
+  // counts once for overlap checking, once per pin for the objective).
   std::vector<CandIdx> selected;
   const std::size_t nPins = k.numPins();
   CPR_CHECK(a.intervalOfPin.size() == nPins);
@@ -145,6 +197,7 @@ AssignmentAudit audit(const PanelKernel& k, const Assignment& a) {
     const CandIdx i{raw};
     out.objective += k.profitOf(i);
     selected.push_back(i);
+    // The assigned interval must be a candidate of this pin.
     const std::span<const CandIdx> cand = k.candidatesOf(PinIdx{j});
     if (std::find(cand.begin(), cand.end(), i) == cand.end())
       out.eachPinCovered = false;
@@ -153,6 +206,7 @@ AssignmentAudit audit(const PanelKernel& k, const Assignment& a) {
   selected.erase(std::unique(selected.begin(), selected.end()),
                  selected.end());
 
+  // Group by track and count pairwise diff-net overlaps.
   std::map<Coord, std::vector<CandIdx>> byTrack;
   for (const CandIdx i : selected) byTrack[k.trackOf(i)].push_back(i);
   for (const auto& [track, ids] : byTrack) {

@@ -14,10 +14,6 @@ std::optional<Method> methodFromName(std::string_view name) {
   return std::nullopt;
 }
 
-Assignment Solver::solve(const Problem& p, obs::Collector* obs) const {
-  return solve(PanelKernel::compile(Problem(p)), nullptr, obs);
-}
-
 support::Outcome<Assignment> Solver::trySolve(const PanelKernel& k,
                                               PanelScratch* scratch,
                                               obs::Collector* obs,
@@ -52,8 +48,7 @@ support::Outcome<Assignment> Solver::trySolve(const PanelKernel& k,
 Assignment LrSolver::solve(const PanelKernel& k, PanelScratch* scratch,
                            obs::Collector* obs,
                            support::Deadline deadline) const {
-  return solveLr(k, opts_, nullptr, obs, scratch ? &scratch->lr : nullptr,
-                 deadline);
+  return solveLr(k, opts_, obs, scratch ? &scratch->lr : nullptr, deadline);
 }
 
 Assignment IlpSolver::solve(const PanelKernel& k, PanelScratch* /*scratch*/,

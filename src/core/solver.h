@@ -11,9 +11,8 @@
 /// across panel-solving threads; all mutable per-solve state lives in the
 /// caller-owned `PanelScratch` arena or in locals of the solve.
 ///
-/// The primary entry point consumes a compiled `PanelKernel` (see
-/// panel_kernel.h) plus an optional scratch arena; the `Problem` overload is
-/// a convenience that compiles a kernel internally.
+/// The one entry point consumes a `PanelKernel` (see panel_kernel.h) plus
+/// an optional scratch arena.
 ///
 /// Every `solve` accepts an optional `obs::Collector` into which the solver
 /// reports its canonical counters and per-iteration trace series (see
@@ -26,7 +25,6 @@
 
 #include "core/lr_solver.h"
 #include "core/panel_kernel.h"
-#include "core/problem.h"
 #include "ilp/branch_and_bound.h"
 #include "obs/collector.h"
 #include "support/deadline.h"
@@ -65,8 +63,7 @@ class Solver {
  public:
   virtual ~Solver() = default;
   [[nodiscard]] virtual std::string_view name() const = 0;
-  /// Solves the compiled instance `k` (profits and conflicts filled before
-  /// compilation). `scratch` may be null (solvers fall back to local
+  /// Solves the instance `k`. `scratch` may be null (solvers fall back to local
   /// buffers) or a reused per-worker arena. Reports counters and traces
   /// into `obs` when non-null. `deadline` is a per-call wall-clock budget
   /// (unset = none); built-in solvers compose it with any deadline carried
@@ -76,9 +73,6 @@ class Solver {
                                          obs::Collector* obs = nullptr,
                                          support::Deadline deadline = {})
       const = 0;
-  /// Convenience: compiles `p` into a temporary kernel and solves.
-  [[nodiscard]] Assignment solve(const Problem& p,
-                                 obs::Collector* obs = nullptr) const;
 
   /// Fault-isolating entry point used at the panel boundary: never throws.
   /// Catches every exception out of `solve` (mapped to StatusCode::Failed)
@@ -99,7 +93,6 @@ class Solver {
 /// Algorithm 2 behind the interface; thin wrapper over `solveLr`.
 class LrSolver final : public Solver {
  public:
-  using Solver::solve;
   explicit LrSolver(LrOptions opts = {}) : opts_(opts) {}
   [[nodiscard]] std::string_view name() const override { return "lr"; }
   [[nodiscard]] Assignment solve(const PanelKernel& k,
@@ -119,7 +112,6 @@ class LrSolver final : public Solver {
 /// no incumbent by then every pin is left unassigned.
 class IlpSolver final : public Solver {
  public:
-  using Solver::solve;
   explicit IlpSolver(ilp::IlpOptions opts = {}) : opts_(opts) {}
   [[nodiscard]] std::string_view name() const override { return "ilp"; }
   // CPR_COLD_OK: the exact path is the optimality reference, not the

@@ -14,7 +14,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/conflict.h"
+#include "core/interval_gen.h"
 #include "core/optimizer.h"
 #include "gen/generator.h"
 #include "obs/names.h"
@@ -45,7 +45,6 @@ int faultOf(int panel) {
 /// panels delegate to the real LR solver.
 class ChaosSolver : public Solver {
  public:
-  using Solver::solve;
   [[nodiscard]] std::string_view name() const override { return "chaos"; }
   [[nodiscard]] Assignment solve(const PanelKernel& k, PanelScratch* scratch,
                                  obs::Collector* obs,
@@ -204,13 +203,10 @@ TEST(Chaos, TrySolveClassifiesFaults) {
   const db::Design d = chaosDesign();
   const std::vector<db::Panel> panels = db::extractPanels(d);
   ASSERT_FALSE(panels.empty());
-  Problem p = buildProblem(d, panels[0], {});
-  detectConflicts(p);
-  const PanelKernel k = PanelKernel::compile(std::move(p));
+  const PanelKernel k = buildPanelKernel(d, {&panels[0], 1});
   ASSERT_GT(k.numPins(), 0u);
 
   struct Throwing final : Solver {
-    using Solver::solve;
     [[nodiscard]] std::string_view name() const override { return "boom"; }
     [[nodiscard]] Assignment solve(const PanelKernel&, PanelScratch*,
                                    obs::Collector*,
@@ -224,7 +220,6 @@ TEST(Chaos, TrySolveClassifiesFaults) {
   EXPECT_TRUE(failed.status().isFailure());
 
   struct Empty final : Solver {
-    using Solver::solve;
     [[nodiscard]] std::string_view name() const override { return "empty"; }
     [[nodiscard]] Assignment solve(const PanelKernel& kk, PanelScratch*,
                                    obs::Collector*,

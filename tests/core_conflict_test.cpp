@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <set>
 
@@ -11,69 +12,73 @@ namespace {
 
 using geom::Interval;
 
-Problem problemWith(std::vector<std::pair<geom::Coord, Interval>> items) {
-  Problem p;
+/// One diff-net interval per item; no spacing guard in these tests.
+PanelKernel kernelWith(std::vector<std::pair<geom::Coord, Interval>> items) {
+  PanelKernelBuilder b(ProfitModel::SqrtSpan, 0);
   for (std::size_t k = 0; k < items.size(); ++k) {
-    AccessInterval iv;
-    iv.track = items[k].first;
-    iv.span = items[k].second;
-    iv.conflictSpan = items[k].second;  // no spacing guard in these tests
-    iv.net = static_cast<Index>(k);     // all diff-net
-    p.intervals.push_back(iv);
+    (void)b.addInterval(items[k].first, items[k].second,
+                        static_cast<Index>(k), {}, false);
   }
-  p.profit.assign(p.intervals.size(), 1.0);
-  return p;
+  return std::move(b).finish();
 }
 
-std::set<std::set<Index>> asSets(const std::vector<ConflictSet>& cs) {
+std::set<std::set<Index>> asSets(const std::vector<std::vector<CandIdx>>& cs) {
   std::set<std::set<Index>> out;
-  for (const ConflictSet& c : cs)
-    out.insert(std::set<Index>(c.intervals.begin(), c.intervals.end()));
+  for (const std::vector<CandIdx>& c : cs) {
+    std::set<Index> members;
+    for (const CandIdx i : c) members.insert(i.value());
+    out.insert(members);
+  }
+  return out;
+}
+
+/// The kernel's conflict rows, as member lists.
+std::vector<std::vector<CandIdx>> rows(const PanelKernel& k) {
+  std::vector<std::vector<CandIdx>> out;
+  for (std::size_t m = 0; m < k.numConflicts(); ++m) {
+    const std::span<const CandIdx> members = k.membersOf(ConflictIdx{m});
+    out.emplace_back(members.begin(), members.end());
+  }
   return out;
 }
 
 TEST(Conflict, DisjointIntervalsNoConflicts) {
-  Problem p = problemWith({{0, {0, 3}}, {0, {5, 8}}, {0, {10, 12}}});
-  detectConflicts(p);
-  EXPECT_TRUE(p.conflicts.empty());
+  const PanelKernel k = kernelWith({{0, {0, 3}}, {0, {5, 8}}, {0, {10, 12}}});
+  EXPECT_EQ(k.numConflicts(), 0u);
 }
 
 TEST(Conflict, SingleOverlapPair) {
-  Problem p = problemWith({{0, {0, 5}}, {0, {4, 9}}});
-  detectConflicts(p);
-  ASSERT_EQ(p.conflicts.size(), 1u);
-  EXPECT_EQ(p.conflicts[0].intervals.size(), 2u);
-  EXPECT_EQ(p.conflicts[0].common, Interval(4, 5));
+  const PanelKernel k = kernelWith({{0, {0, 5}}, {0, {4, 9}}});
+  ASSERT_EQ(k.numConflicts(), 1u);
+  EXPECT_EQ(k.membersOf(ConflictIdx{0}).size(), 2u);
+  EXPECT_EQ(k.conflictSpanOf(ConflictIdx{0}), 2);  // common [4,5]
 }
 
 TEST(Conflict, ChainYieldsTwoMaximalCliques) {
   // a-[0,5], b-[4,9], c-[8,12]: cliques {a,b} and {b,c}, not {a,b,c}.
-  Problem p = problemWith({{0, {0, 5}}, {0, {4, 9}}, {0, {8, 12}}});
-  detectConflicts(p);
-  const auto sets = asSets(p.conflicts);
+  const PanelKernel k = kernelWith({{0, {0, 5}}, {0, {4, 9}}, {0, {8, 12}}});
+  const auto sets = asSets(rows(k));
   EXPECT_EQ(sets.size(), 2u);
   EXPECT_TRUE(sets.count({0, 1}));
   EXPECT_TRUE(sets.count({1, 2}));
 }
 
 TEST(Conflict, TracksAreIndependent) {
-  Problem p = problemWith({{0, {0, 5}}, {1, {0, 5}}, {0, {3, 8}}});
-  detectConflicts(p);
-  ASSERT_EQ(p.conflicts.size(), 1u);
-  EXPECT_EQ(p.conflicts[0].track, 0);
+  const PanelKernel k = kernelWith({{0, {0, 5}}, {1, {0, 5}}, {0, {3, 8}}});
+  ASSERT_EQ(k.numConflicts(), 1u);
+  EXPECT_EQ(k.conflictTrackOf(ConflictIdx{0}), 0);
 }
 
 TEST(Conflict, Figure4LikeStack) {
   // Five nested intervals sharing a common core plus one off to the right:
   // the scanline must emit the big clique and the right pair.
-  Problem p = problemWith({{0, {0, 20}},
-                           {0, {2, 18}},
-                           {0, {4, 16}},
-                           {0, {6, 14}},
-                           {0, {8, 12}},
-                           {0, {15, 30}}});
-  detectConflicts(p);
-  const auto sets = asSets(p.conflicts);
+  const PanelKernel k = kernelWith({{0, {0, 20}},
+                                    {0, {2, 18}},
+                                    {0, {4, 16}},
+                                    {0, {6, 14}},
+                                    {0, {8, 12}},
+                                    {0, {15, 30}}});
+  const auto sets = asSets(rows(k));
   EXPECT_TRUE(sets.count({0, 1, 2, 3, 4}));
   // Intervals with hi >= 15: ids 0(20),1(18),2(16),5.
   EXPECT_TRUE(sets.count({0, 1, 2, 5}));
@@ -81,18 +86,15 @@ TEST(Conflict, Figure4LikeStack) {
 }
 
 TEST(Conflict, CommonIntersectionIsTight) {
-  Problem p = problemWith({{0, {0, 10}}, {0, {5, 15}}, {0, {7, 9}}});
-  detectConflicts(p);
-  ASSERT_EQ(p.conflicts.size(), 1u);
-  EXPECT_EQ(p.conflicts[0].common, Interval(7, 9));  // L_m = 3
-  EXPECT_EQ(p.conflicts[0].common.span(), 3);
+  const PanelKernel k = kernelWith({{0, {0, 10}}, {0, {5, 15}}, {0, {7, 9}}});
+  ASSERT_EQ(k.numConflicts(), 1u);
+  EXPECT_EQ(k.conflictSpanOf(ConflictIdx{0}), 3);  // common [7,9]: L_m = 3
 }
 
 TEST(Conflict, IdenticalIntervalsFormOneClique) {
-  Problem p = problemWith({{0, {3, 7}}, {0, {3, 7}}, {0, {3, 7}}});
-  detectConflicts(p);
-  ASSERT_EQ(p.conflicts.size(), 1u);
-  EXPECT_EQ(p.conflicts[0].intervals.size(), 3u);
+  const PanelKernel k = kernelWith({{0, {3, 7}}, {0, {3, 7}}, {0, {3, 7}}});
+  ASSERT_EQ(k.numConflicts(), 1u);
+  EXPECT_EQ(k.membersOf(ConflictIdx{0}).size(), 3u);
 }
 
 /// Property: the scanline agrees with the brute-force maximal-clique
@@ -115,19 +117,19 @@ TEST_P(ConflictProperty, MatchesBruteForce) {
       if (a > b) std::swap(a, b);
       items.push_back({trackDist(rng), {a, b}});
     }
-    Problem p = problemWith(items);
-    detectConflicts(p);
-    const auto scan = asSets(p.conflicts);
-    const auto ref = asSets(detectConflictsBruteForce(p));
+    const PanelKernel k = kernelWith(items);
+    const auto scan = asSets(rows(k));
+    const auto ref = asSets(detectConflictsBruteForce(k, 0));
     EXPECT_EQ(scan, ref) << "round " << round;
-    EXPECT_LE(p.conflicts.size(), items.size());  // linear bound
-    // Every clique's members truly share the recorded common range.
-    for (const ConflictSet& cs : p.conflicts) {
-      ASSERT_FALSE(cs.common.empty());
-      for (Index i : cs.intervals) {
-        EXPECT_TRUE(
-            p.intervals[static_cast<std::size_t>(i)].span.contains(cs.common));
-      }
+    EXPECT_LE(k.numConflicts(), items.size());  // linear bound
+    // Every clique's members truly share a common range of span L_m.
+    for (std::size_t m = 0; m < k.numConflicts(); ++m) {
+      Interval common{std::numeric_limits<geom::Coord>::min(),
+                      std::numeric_limits<geom::Coord>::max()};
+      for (const CandIdx i : k.membersOf(ConflictIdx{m}))
+        common = geom::intersect(common, k.spanOf(i));
+      ASSERT_FALSE(common.empty());
+      EXPECT_EQ(k.conflictSpanOf(ConflictIdx{m}), common.span());
     }
   }
 }

@@ -22,11 +22,11 @@ TEST(ExactIlp, MatchesBruteForceOnTinyInstances) {
     const db::Design d = tu::tinyDesign(seed, 20, 0.3);
     GenOptions g;
     g.maxExtent = 4;  // keep candidate counts enumerable
-    const Problem p = tu::panelProblem(d, g);
-    const std::optional<double> ref = tu::bruteForceOptimum(p);
+    const PanelKernel k = tu::panelKernel(d, g);
+    const std::optional<double> ref = tu::bruteForceOptimum(k);
     if (!ref) continue;
     ++checked;
-    const Assignment a = IlpSolver{}.solve(p);
+    const Assignment a = IlpSolver{}.solve(k);
     EXPECT_TRUE(a.provedOptimal) << "seed " << seed;
     EXPECT_NEAR(a.objective, *ref, 1e-6) << "seed " << seed;
     EXPECT_EQ(a.violations, 0) << "seed " << seed;
@@ -41,14 +41,14 @@ TEST(ExactIlp, MatchesDirectBranchAndBound) {
     const db::Design d = tu::tinyDesign(seed, 28, 0.35);
     GenOptions g;
     g.maxExtent = 6;
-    const Problem p = tu::panelProblem(d, g);
-    const Assignment a = IlpSolver{}.solve(p);
+    const PanelKernel k = tu::panelKernel(d, g);
+    const Assignment a = IlpSolver{}.solve(k);
     ASSERT_TRUE(a.provedOptimal);
 
-    const IlpBuild build = buildIlpModel(p);
+    const IlpBuild build = buildIlpModel(k);
     const ilp::IlpResult r = ilp::solveBinaryIlp(build.model);
     ASSERT_EQ(r.status, ilp::IlpStatus::Optimal) << "seed " << seed;
-    const Assignment viaIlp = decodeIlpSolution(p, build, r.x);
+    const Assignment viaIlp = decodeIlpSolution(k, build, r.x);
     EXPECT_NEAR(a.objective, viaIlp.objective, 1e-6) << "seed " << seed;
   }
 }
@@ -57,9 +57,9 @@ TEST(ExactIlp, PairwiseEncodingGivesSameOptimum) {
   const db::Design d = tu::tinyDesign(3, 24, 0.35);
   GenOptions g;
   g.maxExtent = 5;
-  const Problem p = tu::panelProblem(d, g);
-  const IlpBuild cliqueEnc = buildIlpModel(p, /*pairwiseConflicts=*/false);
-  const IlpBuild pairEnc = buildIlpModel(p, /*pairwiseConflicts=*/true);
+  const PanelKernel k = tu::panelKernel(d, g);
+  const IlpBuild cliqueEnc = buildIlpModel(k, /*pairwiseConflicts=*/false);
+  const IlpBuild pairEnc = buildIlpModel(k, /*pairwiseConflicts=*/true);
   const ilp::IlpResult a = ilp::solveBinaryIlp(cliqueEnc.model);
   const ilp::IlpResult b = ilp::solveBinaryIlp(pairEnc.model);
   ASSERT_EQ(a.status, ilp::IlpStatus::Optimal);
@@ -72,14 +72,14 @@ TEST(ExactIlp, PairwiseEncodingGivesSameOptimum) {
 TEST(ExactIlp, DominatesLr) {
   for (std::uint64_t seed = 50; seed < 60; ++seed) {
     const db::Design d = tu::tinyDesign(seed, 48, 0.45);
-    const Problem p = tu::panelProblem(d);
-    const Assignment lr = solveLr(p);
-    const Assignment exact = IlpSolver{}.solve(p);
+    const PanelKernel k = tu::panelKernel(d);
+    const Assignment lr = solveLr(k);
+    const Assignment exact = IlpSolver{}.solve(k);
     // Only a proved optimum bounds LR: the search does not start from an
     // LR solution, so an unproven incumbent may fall below it.
     ASSERT_TRUE(exact.provedOptimal) << "seed " << seed;
     EXPECT_LE(lr.objective, exact.objective + 1e-6) << "seed " << seed;
-    EXPECT_EQ(audit(p, exact).overlapsBetweenNets, 0);
+    EXPECT_EQ(audit(k, exact).overlapsBetweenNets, 0);
   }
 }
 
@@ -93,37 +93,36 @@ TEST(ExactIlp, NodeLimitReturnsUnprovenLegalResult) {
   g.pinDensity = 0.3;
   g.maxNetSpan = 48;
   const db::Design d = gen::generate(g);
-  Problem p = buildProblem(d, db::extractPanels(d));
-  detectConflicts(p);
+  const PanelKernel k = buildPanelKernel(d, db::extractPanels(d));
   ilp::IlpOptions opts;
   opts.maxNodes = 1;
-  const Assignment a = IlpSolver{opts}.solve(p);
+  const Assignment a = IlpSolver{opts}.solve(k);
   EXPECT_FALSE(a.provedOptimal);
   // Without an LR seed the truncated search may hold no incumbent; the
   // result is then all-unassigned. Either way it violates no conflict row,
   // and an incumbent, when there is one, covers every pin.
   EXPECT_EQ(a.violations, 0);
-  EXPECT_EQ(audit(p, a).overlapsBetweenNets, 0);
+  EXPECT_EQ(audit(k, a).overlapsBetweenNets, 0);
   const bool any = std::any_of(
       a.intervalOfPin.begin(), a.intervalOfPin.end(),
       [](Index i) { return i != geom::kInvalidIndex; });
   if (any) {
-    EXPECT_EQ(audit(p, a).unassignedPins, 0);
+    EXPECT_EQ(audit(k, a).unassignedPins, 0);
   }
 }
 
 TEST(ExactIlp, AssignmentIsAlwaysLegal) {
   for (std::uint64_t seed = 70; seed < 80; ++seed) {
     const db::Design d = tu::tinyDesign(seed, 40, 0.5);
-    const Problem p = tu::panelProblem(d);
-    const Assignment a = IlpSolver{}.solve(p);
+    const PanelKernel k = tu::panelKernel(d);
+    const Assignment a = IlpSolver{}.solve(k);
     ASSERT_TRUE(a.provedOptimal) << "seed " << seed;
-    const AssignmentAudit audit_ = audit(p, a);
+    const AssignmentAudit audit_ = audit(k, a);
     EXPECT_EQ(a.violations, 0);
     EXPECT_EQ(audit_.overlapsBetweenNets, 0);
     EXPECT_EQ(audit_.unassignedPins, 0);
     EXPECT_TRUE(audit_.eachPinCovered);
-    EXPECT_GE(a.objective, tu::minimalProfitBound(p) - 1e-9);
+    EXPECT_GE(a.objective, tu::minimalProfitBound(k) - 1e-9);
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "core/interval_gen.h"
 #include "db/panel.h"
+#include "obs/names.h"
 
 namespace cpr::core {
 namespace {
@@ -30,55 +31,58 @@ Design fig3Design() {
   return d;
 }
 
-Index localPin(const Problem& p, const Design& d, const std::string& name) {
-  for (std::size_t j = 0; j < p.pins.size(); ++j) {
-    if (d.pin(p.pins[j].designPin).name == name) return static_cast<Index>(j);
+PanelKernel rowKernel(const Design& d, const GenOptions& opts = {}) {
+  const db::Panel panel = db::extractPanel(d, 0);
+  return buildPanelKernel(d, {&panel, 1}, opts);
+}
+
+PinIdx localPin(const PanelKernel& k, const Design& d,
+                const std::string& name) {
+  for (std::size_t j = 0; j < k.numPins(); ++j) {
+    if (d.pin(k.designPinOf(PinIdx{j})).name == name) return PinIdx{j};
   }
-  return geom::kInvalidIndex;
+  return PinIdx::invalid();
 }
 
 TEST(IntervalGen, EveryPinGetsAMinimalInterval) {
   const Design d = fig3Design();
-  const Problem p = buildProblem(d, db::extractPanel(d, 0));
-  ASSERT_EQ(p.pins.size(), 5u);
-  for (const ProblemPin& pin : p.pins) {
-    ASSERT_NE(pin.minimalInterval, geom::kInvalidIndex);
-    const AccessInterval& mi =
-        p.intervals[static_cast<std::size_t>(pin.minimalInterval)];
-    EXPECT_TRUE(mi.minimal);
-    EXPECT_EQ(mi.span, d.pin(pin.designPin).shape.x);
-    ASSERT_EQ(mi.pins.size(), 1u);  // minimum interval covers only its pin
+  const PanelKernel k = rowKernel(d);
+  ASSERT_EQ(k.numPins(), 5u);
+  for (std::size_t j = 0; j < k.numPins(); ++j) {
+    const CandIdx mi = k.minimalIntervalOf(PinIdx{j});
+    ASSERT_TRUE(mi.valid());
+    EXPECT_TRUE(k.isMinimal(mi));
+    EXPECT_EQ(k.spanOf(mi), d.pin(k.designPinOf(PinIdx{j})).shape.x);
+    ASSERT_EQ(k.pinsOf(mi).size(), 1u);  // minimum interval covers only its pin
   }
 }
 
 TEST(IntervalGen, CandidatesCoverTheirPinAndStayInBox) {
   const Design d = fig3Design();
-  const Problem p = buildProblem(d, db::extractPanel(d, 0));
-  for (std::size_t j = 0; j < p.pins.size(); ++j) {
-    const db::Pin& pin = d.pin(p.pins[j].designPin);
+  const PanelKernel k = rowKernel(d);
+  for (std::size_t j = 0; j < k.numPins(); ++j) {
+    const db::Pin& pin = d.pin(k.designPinOf(PinIdx{j}));
     const Interval box = d.netBox(pin.net).x;
-    for (Index i : p.pins[j].intervals) {
-      const AccessInterval& iv = p.intervals[static_cast<std::size_t>(i)];
-      EXPECT_TRUE(iv.span.contains(pin.shape.x))
-          << "interval " << iv.span << " misses pin " << pin.name;
-      EXPECT_TRUE(box.contains(iv.span))
-          << "interval " << iv.span << " outside box " << box;
-      EXPECT_TRUE(pin.shape.y.contains(iv.track));
-      EXPECT_EQ(iv.net, pin.net);
+    for (const CandIdx i : k.candidatesOf(PinIdx{j})) {
+      EXPECT_TRUE(k.spanOf(i).contains(pin.shape.x))
+          << "interval " << k.spanOf(i) << " misses pin " << pin.name;
+      EXPECT_TRUE(box.contains(k.spanOf(i)))
+          << "interval " << k.spanOf(i) << " outside box " << box;
+      EXPECT_TRUE(pin.shape.y.contains(k.trackOf(i)));
+      EXPECT_EQ(k.netOf(i), pin.net);
     }
   }
 }
 
 TEST(IntervalGen, DiffNetCutLinesAreEnumerated) {
   const Design d = fig3Design();
-  const Problem p = buildProblem(d, db::extractPanel(d, 0));
-  const Index a1 = localPin(p, d, "a1");
+  const PanelKernel k = rowKernel(d);
+  const PinIdx a1 = localPin(k, d, "a1");
   // On track 3, b1(15) and d1(22) sit right of a1(10) inside box [2,30]:
   // right edges {14, 21, 30}, left edge {2}; plus minimum [10,10].
   std::set<std::pair<geom::Coord, geom::Coord>> spans;
-  for (Index i : p.pins[static_cast<std::size_t>(a1)].intervals) {
-    const AccessInterval& iv = p.intervals[static_cast<std::size_t>(i)];
-    if (iv.track == 3) spans.insert({iv.span.lo, iv.span.hi});
+  for (const CandIdx i : k.candidatesOf(a1)) {
+    if (k.trackOf(i) == 3) spans.insert({k.spanOf(i).lo, k.spanOf(i).hi});
   }
   EXPECT_TRUE(spans.count({2, 14}));   // stop before b1 (paper's I^a1_1)
   EXPECT_TRUE(spans.count({2, 21}));   // stop before d1 (paper's I^a1_2)
@@ -89,14 +93,13 @@ TEST(IntervalGen, DiffNetCutLinesAreEnumerated) {
 
 TEST(IntervalGen, TracksWithoutDiffNetPinsGetMaximumInterval) {
   const Design d = fig3Design();
-  const Problem p = buildProblem(d, db::extractPanel(d, 0));
-  const Index a1 = localPin(p, d, "a1");
+  const PanelKernel k = rowKernel(d);
+  const PinIdx a1 = localPin(k, d, "a1");
   // Track 2: no diff-net pins (b1/d1 start at track 3) → only the maximum
   // [2,30] and minimum [10,10].
   std::set<std::pair<geom::Coord, geom::Coord>> spans;
-  for (Index i : p.pins[static_cast<std::size_t>(a1)].intervals) {
-    const AccessInterval& iv = p.intervals[static_cast<std::size_t>(i)];
-    if (iv.track == 2) spans.insert({iv.span.lo, iv.span.hi});
+  for (const CandIdx i : k.candidatesOf(a1)) {
+    if (k.trackOf(i) == 2) spans.insert({k.spanOf(i).lo, k.spanOf(i).hi});
   }
   EXPECT_TRUE(spans.count({2, 30}));
   EXPECT_TRUE(spans.count({10, 10}));
@@ -105,13 +108,14 @@ TEST(IntervalGen, TracksWithoutDiffNetPinsGetMaximumInterval) {
 
 TEST(IntervalGen, SharedIntervalCoversMultipleSameNetPins) {
   const Design d = fig3Design();
-  const Problem p = buildProblem(d, db::extractPanel(d, 0));
+  const PanelKernel k = rowKernel(d);
   // The maximum interval [2,30] on track 2 covers a2(2), a1(10) and a3(30):
   // one candidate shared by three pins (an intra-panel connection).
   bool found = false;
-  for (const AccessInterval& iv : p.intervals) {
-    if (iv.track == 2 && iv.span == Interval(2, 30)) {
-      EXPECT_EQ(iv.pins.size(), 3u);
+  for (std::size_t i = 0; i < k.numIntervals(); ++i) {
+    if (k.trackOf(CandIdx{i}) == 2 && k.spanOf(CandIdx{i}) == Interval(2, 30)) {
+      EXPECT_EQ(k.pinsOf(CandIdx{i}).size(), 3u);
+      EXPECT_EQ(k.degreeOf(CandIdx{i}), 3);
       found = true;
     }
   }
@@ -121,12 +125,11 @@ TEST(IntervalGen, SharedIntervalCoversMultipleSameNetPins) {
 TEST(IntervalGen, BlockageClipsAvailableRange) {
   Design d = fig3Design();
   d.addBlockage(Layer::M2, Rect{Interval{18, 25}, Interval{2, 2}});
-  const Problem p = buildProblem(d, db::extractPanel(d, 0));
-  const Index a1 = localPin(p, d, "a1");
-  for (Index i : p.pins[static_cast<std::size_t>(a1)].intervals) {
-    const AccessInterval& iv = p.intervals[static_cast<std::size_t>(i)];
-    if (iv.track == 2) {
-      EXPECT_LE(iv.span.hi, 17);
+  const PanelKernel k = rowKernel(d);
+  const PinIdx a1 = localPin(k, d, "a1");
+  for (const CandIdx i : k.candidatesOf(a1)) {
+    if (k.trackOf(i) == 2) {
+      EXPECT_LE(k.spanOf(i).hi, 17);
     }
   }
 }
@@ -135,12 +138,12 @@ TEST(IntervalGen, FullyBlockedTrackSkipped) {
   Design d = fig3Design();
   // Block a1's column on tracks 2 and 3; only track 4 stays accessible.
   d.addBlockage(Layer::M2, Rect{Interval{9, 11}, Interval{2, 3}});
-  const Problem p = buildProblem(d, db::extractPanel(d, 0));
-  const Index a1 = localPin(p, d, "a1");
-  ASSERT_NE(a1, geom::kInvalidIndex);
-  EXPECT_FALSE(p.pins[static_cast<std::size_t>(a1)].intervals.empty());
-  for (Index i : p.pins[static_cast<std::size_t>(a1)].intervals) {
-    EXPECT_EQ(p.intervals[static_cast<std::size_t>(i)].track, 4);
+  const PanelKernel k = rowKernel(d);
+  const PinIdx a1 = localPin(k, d, "a1");
+  ASSERT_TRUE(a1.valid());
+  EXPECT_FALSE(k.candidatesOf(a1).empty());
+  for (const CandIdx i : k.candidatesOf(a1)) {
+    EXPECT_EQ(k.trackOf(i), 4);
   }
 }
 
@@ -150,35 +153,40 @@ TEST(IntervalGen, InaccessiblePinReported) {
   d.addPin("p", n, Rect{Interval::point(5), Interval{2, 3}});
   d.addPin("q", n, Rect{Interval::point(12), Interval{2, 3}});
   d.addBlockage(Layer::M2, Rect{Interval{4, 6}, Interval{2, 3}});  // buries p
-  const Problem p = buildProblem(d, db::extractPanel(d, 0));
-  const Index lp = localPin(p, d, "p");
-  EXPECT_TRUE(p.pins[static_cast<std::size_t>(lp)].intervals.empty());
-  EXPECT_EQ(p.pins[static_cast<std::size_t>(lp)].minimalInterval,
-            geom::kInvalidIndex);
+  obs::Collector stats;
+  const db::Panel panel = db::extractPanel(d, 0);
+  const PanelKernel k = buildPanelKernel(d, {&panel, 1}, {}, &stats);
+  const PinIdx lp = localPin(k, d, "p");
+  EXPECT_TRUE(k.candidatesOf(lp).empty());
+  EXPECT_FALSE(k.minimalIntervalOf(lp).valid());
+  EXPECT_EQ(stats.counter(obs::names::kGenBlockedPins), 1);
 }
 
 TEST(IntervalGen, MaxExtentCapsLongNets) {
   const Design d = fig3Design();
   GenOptions opts;
   opts.maxExtent = 3;  // paper footnote 1: estimated M2 routing box
-  const Problem p = buildProblem(d, db::extractPanel(d, 0), opts);
-  const Index a1 = localPin(p, d, "a1");
-  for (Index i : p.pins[static_cast<std::size_t>(a1)].intervals) {
-    const AccessInterval& iv = p.intervals[static_cast<std::size_t>(i)];
-    EXPECT_GE(iv.span.lo, 7);
-    EXPECT_LE(iv.span.hi, 13);
+  const PanelKernel k = rowKernel(d, opts);
+  const PinIdx a1 = localPin(k, d, "a1");
+  for (const CandIdx i : k.candidatesOf(a1)) {
+    EXPECT_GE(k.spanOf(i).lo, 7);
+    EXPECT_LE(k.spanOf(i).hi, 13);
   }
 }
 
 TEST(IntervalGen, ProfitModelsDifferOnLongIntervals) {
   const Design d = fig3Design();
-  Problem p = buildProblem(d, db::extractPanel(d, 0));
-  std::vector<double> sqrtProfit = p.profit;
-  assignProfits(p, ProfitModel::LinearSpan);
-  for (std::size_t i = 0; i < p.intervals.size(); ++i) {
-    const double span = static_cast<double>(p.intervals[i].span.span());
-    EXPECT_NEAR(sqrtProfit[i], std::sqrt(span), 1e-12);
-    EXPECT_NEAR(p.profit[i], span, 1e-12);
+  const PanelKernel sq = rowKernel(d);
+  GenOptions linear;
+  linear.profitModel = ProfitModel::LinearSpan;
+  const PanelKernel lin = rowKernel(d, linear);
+  ASSERT_EQ(sq.numIntervals(), lin.numIntervals());
+  for (std::size_t i = 0; i < sq.numIntervals(); ++i) {
+    const CandIdx ii{i};
+    const double span = static_cast<double>(sq.spanOf(ii).span());
+    EXPECT_NEAR(sq.profitOf(ii), std::sqrt(span), 1e-12);
+    EXPECT_NEAR(lin.profitOf(ii), span, 1e-12);
+    EXPECT_EQ(lin.weightOf(ii), lin.degreeOf(ii) * span);
   }
 }
 
@@ -191,15 +199,16 @@ TEST(IntervalGen, MultiPanelMergeKeepsPerPanelPins) {
   d.addPin("b1", nB, Rect{Interval::point(5), Interval{12, 14}});
   d.addPin("b2", nB, Rect{Interval::point(15), Interval{12, 14}});
   const std::vector<db::Panel> panels = db::extractPanels(d);
-  const Problem merged = buildProblem(d, panels);
-  EXPECT_EQ(merged.pins.size(), 4u);
+  const PanelKernel merged = buildPanelKernel(d, panels);
+  EXPECT_EQ(merged.numPins(), 4u);
   // Intervals from different panels must sit on that panel's tracks.
-  for (const AccessInterval& iv : merged.intervals) {
-    if (iv.net == nA) {
-      EXPECT_LE(iv.track, 9);
+  for (std::size_t i = 0; i < merged.numIntervals(); ++i) {
+    const CandIdx ii{i};
+    if (merged.netOf(ii) == nA) {
+      EXPECT_LE(merged.trackOf(ii), 9);
     }
-    if (iv.net == nB) {
-      EXPECT_GE(iv.track, 10);
+    if (merged.netOf(ii) == nB) {
+      EXPECT_GE(merged.trackOf(ii), 10);
     }
   }
 }

@@ -98,7 +98,7 @@ TEST(Optimizer, LinearProfitGrowsMeanSpan) {
   const db::Design d = makeDesign(12);
   OptimizerOptions sq;
   OptimizerOptions lin;
-  lin.profitModel = ProfitModel::LinearSpan;
+  lin.gen.profitModel = ProfitModel::LinearSpan;
   auto meanSpan = [](const PinAccessPlan& plan) {
     double sum = 0.0;
     long count = 0;

@@ -4,7 +4,6 @@
 /// (no pin covered by two selected intervals), and respect conflict sets.
 #include <gtest/gtest.h>
 
-#include "core/conflict.h"
 #include "core/lr_solver.h"
 #include "test_util.h"
 
@@ -17,47 +16,32 @@ namespace tu = testutil;
 /// length that re-expansion can win back: two diff-net pins on one track
 /// whose long intervals conflict, but a second track offers pin 0 a long
 /// conflict-free interval.
-Problem twoTrackEscape() {
-  Problem p;
-  p.pins.resize(2);
-  // Pin 0 (net 0): long on track 0 (id 0), minimal (id 1), long on track 1
-  // (id 2).
-  // Pin 1 (net 1): long on track 0 (id 3), minimal (id 4).
-  p.intervals.resize(5);
-  auto set = [&](Index i, Coord track, geom::Interval span, Index net,
-                 std::vector<Index> pins, bool minimal) {
-    AccessInterval& iv = p.intervals[static_cast<std::size_t>(i)];
-    iv.track = track;
-    iv.span = span;
-    iv.conflictSpan = span;
-    iv.net = net;
-    iv.pins = std::move(pins);
-    iv.minimal = minimal;
-  };
-  set(0, 0, {0, 15}, 0, {0}, false);
-  set(1, 0, {4, 4}, 0, {0}, true);
-  set(2, 1, {0, 15}, 0, {0}, false);
-  set(3, 0, {6, 20}, 1, {1}, false);
-  set(4, 0, {12, 12}, 1, {1}, true);
-  p.pins[0].net = 0;
-  p.pins[0].intervals = {0, 1, 2};
-  p.pins[0].minimalInterval = 1;
-  p.pins[1].net = 1;
-  p.pins[1].intervals = {3, 4};
-  p.pins[1].minimalInterval = 4;
-  assignProfits(p);
-  detectConflicts(p);
-  return p;
+PanelKernel twoTrackEscape() {
+  PanelKernelBuilder b(ProfitModel::SqrtSpan, 0);
+  const PinIdx p0 = b.addPin(0);  // net 0
+  const PinIdx p1 = b.addPin(1);  // net 1
+  // Pin 0: long on track 0 (id 0), minimal (id 1), long on track 1 (id 2).
+  // Pin 1: long on track 0 (id 3), minimal (id 4).
+  const std::vector<PinIdx> only0{p0};
+  const std::vector<PinIdx> only1{p1};
+  (void)b.addInterval(0, {0, 15}, 0, only0, false);
+  const CandIdx min0 = b.addInterval(0, {4, 4}, 0, only0, true);
+  (void)b.addInterval(1, {0, 15}, 0, only0, false);
+  (void)b.addInterval(0, {6, 20}, 1, only1, false);
+  const CandIdx min1 = b.addInterval(0, {12, 12}, 1, only1, true);
+  b.setMinimalInterval(p0, min0);
+  b.setMinimalInterval(p1, min1);
+  return std::move(b).finish();
 }
 
 TEST(Reexpand, RecoversLengthOnAlternateTrack) {
-  const Problem p = twoTrackEscape();
+  const PanelKernel k = twoTrackEscape();
   LrOptions with;
   with.reexpandRounds = 2;
   LrOptions without;
   without.reexpandRounds = 0;
-  const Assignment base = solveLr(p, without);
-  const Assignment refined = solveLr(p, with);
+  const Assignment base = solveLr(k, without);
+  const Assignment refined = solveLr(k, with);
   EXPECT_GE(refined.objective, base.objective);
   // The refined solution must give both pins long intervals: pin 0 escapes
   // to track 1 (id 2), pin 1 keeps its long interval (id 3).
@@ -69,16 +53,16 @@ TEST(Reexpand, RecoversLengthOnAlternateTrack) {
 TEST(Reexpand, NeverWorsensAndStaysLegal) {
   for (std::uint64_t seed = 300; seed < 312; ++seed) {
     const db::Design d = tu::tinyDesign(seed, 56, 0.5);
-    const Problem p = tu::panelProblem(d);
+    const PanelKernel k = tu::panelKernel(d);
     LrOptions with;
     with.reexpandRounds = 3;
     LrOptions without;
     without.reexpandRounds = 0;
-    const Assignment base = solveLr(p, without);
-    const Assignment refined = solveLr(p, with);
+    const Assignment base = solveLr(k, without);
+    const Assignment refined = solveLr(k, with);
     EXPECT_GE(refined.objective, base.objective - 1e-9) << "seed " << seed;
     EXPECT_EQ(refined.violations, 0) << "seed " << seed;
-    const AssignmentAudit audit_ = audit(p, refined);
+    const AssignmentAudit audit_ = audit(k, refined);
     EXPECT_EQ(audit_.overlapsBetweenNets, 0) << "seed " << seed;
     EXPECT_EQ(audit_.unassignedPins, 0) << "seed " << seed;
     EXPECT_TRUE(audit_.eachPinCovered) << "seed " << seed;
@@ -91,18 +75,17 @@ TEST(Reexpand, PreservesIlpEqualitySemantics) {
   // objective beyond the true ILP optimum.
   for (std::uint64_t seed = 320; seed < 330; ++seed) {
     const db::Design d = tu::tinyDesign(seed, 48, 0.45);
-    const Problem p = tu::panelProblem(d);
-    const Assignment a = solveLr(p);
-    std::vector<char> selected(p.intervals.size(), 0);
-    for (Index i : a.intervalOfPin) {
-      if (i != geom::kInvalidIndex) selected[static_cast<std::size_t>(i)] = 1;
+    const PanelKernel k = tu::panelKernel(d);
+    const Assignment a = solveLr(k);
+    std::vector<char> selected(k.numIntervals(), 0);
+    for (const Index i : a.intervalOfPin) {
+      if (i != geom::kInvalidIndex) selected[CandIdx{i}.idx()] = 1;
     }
-    for (std::size_t i = 0; i < p.intervals.size(); ++i) {
+    for (std::size_t i = 0; i < k.numIntervals(); ++i) {
       if (!selected[i]) continue;
-      for (Index q : p.intervals[i].pins) {
-        EXPECT_EQ(a.intervalOfPin[static_cast<std::size_t>(q)],
-                  static_cast<Index>(i))
-            << "pin " << q << " covered by selected interval " << i
+      for (const PinIdx q : k.pinsOf(CandIdx{i})) {
+        EXPECT_EQ(a.intervalOfPin[q.idx()], static_cast<Index>(i))
+            << "pin " << q.value() << " covered by selected interval " << i
             << " but assigned elsewhere (seed " << seed << ")";
       }
     }
@@ -114,10 +97,10 @@ TEST(Reexpand, StaysAtOrBelowExactOptimum) {
     const db::Design d = tu::tinyDesign(seed, 24, 0.3);
     GenOptions g;
     g.maxExtent = 4;
-    const Problem p = tu::panelProblem(d, g);
-    const std::optional<double> ref = tu::bruteForceOptimum(p);
+    const PanelKernel k = tu::panelKernel(d, g);
+    const std::optional<double> ref = tu::bruteForceOptimum(k);
     if (!ref) continue;
-    const Assignment lr = solveLr(p);
+    const Assignment lr = solveLr(k);
     EXPECT_LE(lr.objective, *ref + 1e-6) << "seed " << seed;
   }
 }

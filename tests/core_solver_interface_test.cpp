@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "core/conflict.h"
 #include "core/ilp_builder.h"
 #include "core/interval_gen.h"
 #include "core/lr_solver.h"
@@ -14,7 +13,7 @@
 namespace cpr::core {
 namespace {
 
-Problem makeProblem(std::uint64_t seed = 17) {
+PanelKernel makeKernel(std::uint64_t seed = 17) {
   gen::GenOptions o;
   o.seed = seed;
   o.width = 100;
@@ -22,10 +21,21 @@ Problem makeProblem(std::uint64_t seed = 17) {
   o.pinDensity = 0.2;
   o.maxNetSpan = 30;
   const db::Design d = gen::generate(o);
-  Problem p =
-      buildProblem(d, std::vector<db::Panel>(db::extractPanels(d)), {});
-  detectConflicts(p);
-  return p;
+  return buildPanelKernel(d, db::extractPanels(d));
+}
+
+/// Row 0 of the tiny single-panel fixture where both solvers agree exactly.
+PanelKernel tinyKernel() {
+  gen::GenOptions o;
+  o.seed = 23;
+  o.width = 48;
+  o.numRows = 1;
+  o.pinDensity = 0.15;
+  o.maxNetSpan = 20;
+  o.maxNetRowSpread = 0;
+  const db::Design d = gen::generate(o);
+  const db::Panel panel = db::extractPanel(d, 0);
+  return buildPanelKernel(d, {&panel, 1});
 }
 
 void expectSameAssignment(const Assignment& a, const Assignment& b) {
@@ -37,22 +47,22 @@ void expectSameAssignment(const Assignment& a, const Assignment& b) {
 }
 
 TEST(SolverInterface, LrMatchesFreeFunction) {
-  const Problem p = makeProblem();
-  const Assignment direct = solveLr(p);
-  const Assignment viaIface = LrSolver{{}}.solve(p);
+  const PanelKernel k = makeKernel();
+  const Assignment direct = solveLr(k);
+  const Assignment viaIface = LrSolver{{}}.solve(k);
   expectSameAssignment(direct, viaIface);
 }
 
 TEST(SolverInterface, IlpMatchesFreeFunction) {
-  const Problem p = makeProblem(19);
+  const PanelKernel k = makeKernel(19);
   ilp::IlpOptions io;
   io.deadline = support::Deadline::after(10.0);
-  const IlpBuild build = buildIlpModel(p);
+  const IlpBuild build = buildIlpModel(k);
   const ilp::IlpResult res = ilp::solveBinaryIlp(build.model, io);
   ASSERT_EQ(res.status, ilp::IlpStatus::Optimal);
-  Assignment direct = decodeIlpSolution(p, build, res.x);
+  Assignment direct = decodeIlpSolution(k, build, res.x);
   direct.provedOptimal = true;
-  const Assignment viaIface = IlpSolver{io}.solve(p);
+  const Assignment viaIface = IlpSolver{io}.solve(k);
   expectSameAssignment(direct, viaIface);
   EXPECT_TRUE(viaIface.provedOptimal);
 }
@@ -77,43 +87,23 @@ TEST(SolverInterface, MethodNameTable) {
 TEST(SolverInterface, BothSolversAgreeOnObjective) {
   // Small instance so the ILP path stays fast: it proves optimality, and LR
   // is a lower bound on the proved optimum.
-  gen::GenOptions o;
-  o.seed = 23;
-  o.width = 48;
-  o.numRows = 1;
-  o.pinDensity = 0.15;
-  o.maxNetSpan = 20;
-  o.maxNetRowSpread = 0;
-  const db::Design d = gen::generate(o);
-  Problem p = buildProblem(d, db::extractPanel(d, 0), {});
-  detectConflicts(p);
-
-  const Assignment lr = LrSolver{{}}.solve(p);
-  const Assignment ilp = IlpSolver{{}}.solve(p);
+  const PanelKernel k = tinyKernel();
+  const Assignment lr = LrSolver{{}}.solve(k);
+  const Assignment ilp = IlpSolver{{}}.solve(k);
   ASSERT_TRUE(ilp.provedOptimal);
   EXPECT_EQ(ilp.violations, 0);
   EXPECT_LE(lr.objective, ilp.objective + 1e-6);
 }
 
 TEST(SolverInterface, SolversEmitCanonicalCounters) {
-  const Problem p = makeProblem(29);
+  const PanelKernel k = makeKernel(29);
   obs::Collector lrObs;
-  (void)LrSolver{{}}.solve(p, &lrObs);
+  (void)LrSolver{{}}.solve(k, nullptr, &lrObs);
   EXPECT_GT(lrObs.counter(obs::names::kLrIterations), 0);
   EXPECT_FALSE(lrObs.series().empty());
 
   obs::Collector ilpObs;
-  gen::GenOptions small;
-  small.seed = 23;
-  small.width = 48;
-  small.numRows = 1;
-  small.pinDensity = 0.15;
-  small.maxNetSpan = 20;
-  small.maxNetRowSpread = 0;
-  const db::Design d = gen::generate(small);
-  Problem tiny = buildProblem(d, db::extractPanel(d, 0), {});
-  detectConflicts(tiny);
-  (void)IlpSolver{{}}.solve(tiny, &ilpObs);
+  (void)IlpSolver{{}}.solve(tinyKernel(), nullptr, &ilpObs);
   EXPECT_GT(ilpObs.counter(obs::names::kIlpNodes), 0);
   EXPECT_GT(ilpObs.counter(obs::names::kIlpPivots), 0);
 }
@@ -148,33 +138,9 @@ TEST(SolverInterface, OptimizerHonorsCustomSolverOverride) {
             "ilp");
 }
 
-TEST(SolverInterface, KernelOverloadMatchesProblemOverload) {
-  // The kernel-first entry point and the Problem convenience overload must
-  // produce identical assignments for every solver behind the interface.
-  gen::GenOptions o;
-  o.seed = 23;
-  o.width = 48;
-  o.numRows = 1;
-  o.pinDensity = 0.15;
-  o.maxNetSpan = 20;
-  o.maxNetRowSpread = 0;
-  const db::Design d = gen::generate(o);
-  Problem p = buildProblem(d, db::extractPanel(d, 0), {});
-  detectConflicts(p);
-  const PanelKernel k = PanelKernel::compile(Problem(p));
-
-  const std::unique_ptr<Solver> solvers[] = {
-      makeSolver({.method = Method::Lr}), makeSolver({.method = Method::Ilp})};
-  for (const auto& s : solvers) {
-    const Assignment viaProblem = s->solve(p);
-    const Assignment viaKernel = s->solve(k);
-    expectSameAssignment(viaProblem, viaKernel);
-  }
-}
-
 // Golden objectives captured from the nested (pre-CSR) solver paths at
-// %.17g precision. The CSR kernel preserves iteration and floating-point
-// order exactly, so these must keep matching to the last bit.
+// %.17g precision. The kernel preserves iteration and floating-point order
+// exactly, so these must keep matching to the last bit.
 TEST(SolverInterface, GoldenObjectivesPinned) {
   struct Golden {
     std::uint64_t seed;
@@ -186,25 +152,16 @@ TEST(SolverInterface, GoldenObjectivesPinned) {
   ilp::IlpOptions io;
   io.deadline = support::Deadline::after(10.0);
   for (const Golden& g : goldens) {
-    const Problem p = makeProblem(g.seed);
-    const Assignment lr = solveLr(p);
+    const PanelKernel k = makeKernel(g.seed);
+    const Assignment lr = solveLr(k);
     EXPECT_DOUBLE_EQ(lr.objective, g.objective) << "lr seed " << g.seed;
     EXPECT_EQ(lr.violations, 0);
-    const Assignment exact = IlpSolver{io}.solve(p);
+    const Assignment exact = IlpSolver{io}.solve(k);
     EXPECT_DOUBLE_EQ(exact.objective, g.objective) << "ilp seed " << g.seed;
     EXPECT_TRUE(exact.provedOptimal);
   }
   // Tiny single-panel fixture where both solvers agree exactly.
-  gen::GenOptions o;
-  o.seed = 23;
-  o.width = 48;
-  o.numRows = 1;
-  o.pinDensity = 0.15;
-  o.maxNetSpan = 20;
-  o.maxNetRowSpread = 0;
-  const db::Design d = gen::generate(o);
-  Problem tiny = buildProblem(d, db::extractPanel(d, 0), {});
-  detectConflicts(tiny);
+  const PanelKernel tiny = tinyKernel();
   constexpr double kTinyGolden = 18.481436464210109;
   EXPECT_DOUBLE_EQ(LrSolver{{}}.solve(tiny).objective, kTinyGolden);
   EXPECT_DOUBLE_EQ(IlpSolver{io}.solve(tiny).objective, kTinyGolden);
@@ -212,8 +169,8 @@ TEST(SolverInterface, GoldenObjectivesPinned) {
 
 // Design-level plan goldens (LR method, pinned objective + FNV-1a route
 // digest): the full optimizer pipeline — generation, conflict detection,
-// kernel compile, solve, merge — must reproduce the pre-CSR plans bit for
-// bit, for every thread count.
+// kernel finish, solve, route write-back — must reproduce the pre-CSR plans
+// bit for bit, for every thread count.
 TEST(SolverInterface, GoldenPlansPinnedAcrossThreadCounts) {
   struct Golden {
     std::uint64_t seed;

@@ -96,11 +96,11 @@ TEST(Generator, EveryPinKeepsAFreeTrack) {
   o.numRows = 5;
   o.blockagesPerRow = 3.0;
   const db::Design d = generate(o);
-  const core::Problem p =
-      core::buildProblem(d, db::extractPanels(d));
-  for (const core::ProblemPin& pin : p.pins) {
-    EXPECT_NE(pin.minimalInterval, geom::kInvalidIndex)
-        << "pin " << d.pin(pin.designPin).name << " lost all access";
+  const core::PanelKernel k = core::buildPanelKernel(d, db::extractPanels(d));
+  for (std::size_t j = 0; j < k.numPins(); ++j) {
+    EXPECT_TRUE(k.minimalIntervalOf(core::PinIdx{j}).valid())
+        << "pin " << d.pin(k.designPinOf(core::PinIdx{j})).name
+        << " lost all access";
   }
 }
 

@@ -5,7 +5,6 @@
 
 #include <set>
 
-#include "core/conflict.h"
 #include "core/interval_gen.h"
 #include "core/lr_solver.h"
 #include "core/solver.h"
@@ -35,48 +34,45 @@ class DesignProperty : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(DesignProperty, IntervalGenerationInvariants) {
   const db::Design d = randomDesign(GetParam());
   for (const db::Panel& panel : db::extractPanels(d)) {
-    const core::Problem p = core::buildProblem(d, panel);
-    for (std::size_t j = 0; j < p.pins.size(); ++j) {
-      const db::Pin& pin = d.pin(p.pins[j].designPin);
-      for (core::Index i : p.pins[j].intervals) {
-        const core::AccessInterval& iv =
-            p.intervals[static_cast<std::size_t>(i)];
+    const core::PanelKernel k = core::buildPanelKernel(d, {&panel, 1});
+    for (std::size_t j = 0; j < k.numPins(); ++j) {
+      const db::Pin& pin = d.pin(k.designPinOf(core::PinIdx{j}));
+      for (const core::CandIdx i : k.candidatesOf(core::PinIdx{j})) {
+        const geom::Interval& span = k.spanOf(i);
         // Candidate covers the pin on one of the pin's tracks, on free space.
-        EXPECT_TRUE(iv.span.contains(pin.shape.x));
-        EXPECT_TRUE(pin.shape.y.contains(iv.track));
-        EXPECT_TRUE(panel.freeOn(iv.track).containsAll(iv.span));
-        // The conflict span is the inflated real span.
-        EXPECT_TRUE(iv.conflictSpan.contains(iv.span));
+        EXPECT_TRUE(span.contains(pin.shape.x));
+        EXPECT_TRUE(pin.shape.y.contains(k.trackOf(i)));
+        EXPECT_TRUE(panel.freeOn(k.trackOf(i)).containsAll(span));
         // Interval association is exactly the covered same-net pins.
-        for (core::Index q : iv.pins) {
-          const db::Pin& qp = d.pin(p.pins[static_cast<std::size_t>(q)].designPin);
-          EXPECT_EQ(qp.net, iv.net);
-          EXPECT_TRUE(iv.span.contains(qp.shape.x));
-          EXPECT_TRUE(qp.shape.y.contains(iv.track));
+        for (const core::PinIdx q : k.pinsOf(i)) {
+          const db::Pin& qp = d.pin(k.designPinOf(q));
+          EXPECT_EQ(qp.net, k.netOf(i));
+          EXPECT_TRUE(span.contains(qp.shape.x));
+          EXPECT_TRUE(qp.shape.y.contains(k.trackOf(i)));
         }
       }
       // Every pin has its guaranteed minimum interval (Theorem 1).
-      ASSERT_NE(p.pins[j].minimalInterval, geom::kInvalidIndex);
+      ASSERT_TRUE(k.minimalIntervalOf(core::PinIdx{j}).valid());
     }
   }
 }
 
 TEST_P(DesignProperty, SolversProduceLegalComparableSolutions) {
   const db::Design d = randomDesign(GetParam(), 64, 1);
-  core::Problem p = core::buildProblem(d, db::extractPanel(d, 0));
-  core::detectConflicts(p);
+  const db::Panel panel = db::extractPanel(d, 0);
+  const core::PanelKernel k = core::buildPanelKernel(d, {&panel, 1});
 
-  const core::Assignment lr = core::solveLr(p);
+  const core::Assignment lr = core::solveLr(k);
   ilp::IlpOptions io;
   io.deadline = support::Deadline::after(5.0);
-  const core::Assignment exact = core::IlpSolver{io}.solve(p);
+  const core::Assignment exact = core::IlpSolver{io}.solve(k);
   // Only a proved optimum bounds LR from above; the ILP search does not
   // start from the LR solution.
   ASSERT_TRUE(exact.provedOptimal);
 
   for (const core::Assignment* a : {&lr, &exact}) {
     EXPECT_EQ(a->violations, 0);
-    const core::AssignmentAudit audit_ = core::audit(p, *a);
+    const core::AssignmentAudit audit_ = core::audit(k, *a);
     EXPECT_EQ(audit_.overlapsBetweenNets, 0);
     EXPECT_EQ(audit_.unassignedPins, 0);
     EXPECT_TRUE(audit_.eachPinCovered);
@@ -111,26 +107,33 @@ TEST_P(DesignProperty, RoutedNetsTouchAllTheirPins) {
 
 TEST_P(DesignProperty, ConflictSetsCoverAllPairwiseOverlaps) {
   const db::Design d = randomDesign(GetParam(), 48, 1);
-  core::Problem p = core::buildProblem(d, db::extractPanel(d, 0));
-  core::detectConflicts(p);
-  // Any two intervals whose conflict spans overlap on one track must appear
+  const db::Panel panel = db::extractPanel(d, 0);
+  const core::GenOptions g;
+  const core::PanelKernel k = core::buildPanelKernel(d, {&panel, 1}, g);
+  // Any two intervals whose guarded spans overlap on one track must appear
   // together in at least one conflict set.
   std::set<std::pair<core::Index, core::Index>> covered;
-  for (const core::ConflictSet& cs : p.conflicts) {
-    for (std::size_t a = 0; a < cs.intervals.size(); ++a) {
-      for (std::size_t b = a + 1; b < cs.intervals.size(); ++b) {
-        covered.insert({std::min(cs.intervals[a], cs.intervals[b]),
-                        std::max(cs.intervals[a], cs.intervals[b])});
+  for (std::size_t m = 0; m < k.numConflicts(); ++m) {
+    const std::span<const core::CandIdx> members =
+        k.membersOf(core::ConflictIdx{m});
+    for (std::size_t a = 0; a < members.size(); ++a) {
+      for (std::size_t b = a + 1; b < members.size(); ++b) {
+        covered.insert({std::min(members[a], members[b]).value(),
+                        std::max(members[a], members[b]).value()});
       }
     }
   }
-  for (std::size_t a = 0; a < p.intervals.size(); ++a) {
-    for (std::size_t b = a + 1; b < p.intervals.size(); ++b) {
-      if (p.intervals[a].track != p.intervals[b].track) continue;
-      if (!p.intervals[a].conflictSpan.overlaps(p.intervals[b].conflictSpan))
-        continue;
-      EXPECT_TRUE(covered.count({static_cast<core::Index>(a),
-                                 static_cast<core::Index>(b)}))
+  auto guarded = [&](core::CandIdx i) {
+    return geom::Interval{k.spanOf(i).lo - g.spacingGuard,
+                          k.spanOf(i).hi + g.spacingGuard};
+  };
+  for (std::size_t a = 0; a < k.numIntervals(); ++a) {
+    for (std::size_t b = a + 1; b < k.numIntervals(); ++b) {
+      const core::CandIdx ia{a};
+      const core::CandIdx ib{b};
+      if (k.trackOf(ia) != k.trackOf(ib)) continue;
+      if (!guarded(ia).overlaps(guarded(ib))) continue;
+      EXPECT_TRUE(covered.count({ia.value(), ib.value()}))
           << "overlap of I" << a << " and I" << b << " uncovered";
     }
   }

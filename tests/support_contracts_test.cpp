@@ -15,7 +15,6 @@
 #include <utility>
 
 #include "core/panel_kernel.h"
-#include "core/problem.h"
 #include "core/solver.h"
 #include "obs/collector.h"
 #include "support/contracts.h"
@@ -76,11 +75,11 @@ TEST(ContractsDeathTest, KernelCsrIndexOutOfRangeIsCaughtInDebugBuilds) {
 #if defined(NDEBUG)
   GTEST_SKIP() << "CPR_DCHECK bounds guards are compiled out under NDEBUG";
 #else
-  // An empty problem compiles to a kernel with zero pins; any candidate
+  // An empty instance finishes to a kernel with zero pins; any candidate
   // lookup is out of range and must trip the CSR bounds contract.
-  cpr::core::Problem p;
   const cpr::core::PanelKernel k =
-      cpr::core::PanelKernel::compile(std::move(p));
+      cpr::core::PanelKernelBuilder(cpr::core::ProfitModel::SqrtSpan, 0)
+          .finish();
   ASSERT_EQ(k.numPins(), 0u);
   EXPECT_DEATH(static_cast<void>(k.candidatesOf(cpr::core::PinIdx{0})),
                "CPR_DCHECK failed");
@@ -91,7 +90,6 @@ TEST(ContractsDeathTest, KernelCsrIndexOutOfRangeIsCaughtInDebugBuilds) {
 /// corruption detected mid-solve in an NDEBUG build.
 class ViolatingSolver final : public cpr::core::Solver {
  public:
-  using Solver::solve;
   [[nodiscard]] std::string_view name() const override { return "violating"; }
   [[nodiscard]] cpr::core::Assignment solve(
       const cpr::core::PanelKernel& /*k*/,
@@ -104,9 +102,9 @@ class ViolatingSolver final : public cpr::core::Solver {
 };
 
 TEST(Contracts, ViolationIsStatusReturningAtTheTrySolveBoundary) {
-  cpr::core::Problem p;
   const cpr::core::PanelKernel k =
-      cpr::core::PanelKernel::compile(std::move(p));
+      cpr::core::PanelKernelBuilder(cpr::core::ProfitModel::SqrtSpan, 0)
+          .finish();
   const ViolatingSolver s;
   const cpr::support::Outcome<cpr::core::Assignment> out = s.trySolve(k);
   EXPECT_EQ(out.code(), cpr::support::StatusCode::Failed);

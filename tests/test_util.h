@@ -7,7 +7,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/conflict.h"
 #include "core/interval_gen.h"
 #include "db/panel.h"
 #include "gen/generator.h"
@@ -30,11 +29,10 @@ inline db::Design tinyDesign(std::uint64_t seed, geom::Coord width = 24,
   return gen::generate(o);
 }
 
-/// Problem for row 0 with conflicts detected.
-inline Problem panelProblem(const db::Design& d, const GenOptions& g = {}) {
-  Problem p = buildProblem(d, db::extractPanel(d, 0), g);
-  detectConflicts(p);
-  return p;
+/// Kernel for row 0 (candidates and conflict sets).
+inline PanelKernel panelKernel(const db::Design& d, const GenOptions& g = {}) {
+  const db::Panel panel = db::extractPanel(d, 0);
+  return buildPanelKernel(d, {&panel, 1}, g);
 }
 
 /// Exhaustive optimum of Formula (1) by enumerating every per-pin choice
@@ -43,61 +41,58 @@ inline Problem panelProblem(const db::Design& d, const GenOptions& g = {}) {
 /// chosen interval is chosen by *all* pins it covers (equality rows 1b) and
 /// no conflict set holds two distinct chosen intervals (1c).
 /// Returns nullopt when the search space exceeds `maxTuples`.
-inline std::optional<double> bruteForceOptimum(const Problem& p,
+inline std::optional<double> bruteForceOptimum(const PanelKernel& k,
                                                std::uint64_t maxTuples = 3'000'000) {
-  std::vector<const ProblemPin*> active;
+  std::vector<PinIdx> active;
   std::uint64_t tuples = 1;
-  for (const ProblemPin& pin : p.pins) {
-    if (pin.intervals.empty()) continue;
-    active.push_back(&pin);
-    if (tuples > maxTuples / std::max<std::size_t>(1, pin.intervals.size()))
-      return std::nullopt;
-    tuples *= pin.intervals.size();
+  for (std::size_t j = 0; j < k.numPins(); ++j) {
+    const std::size_t n = k.candidatesOf(PinIdx{j}).size();
+    if (n == 0) continue;
+    active.push_back(PinIdx{j});
+    if (tuples > maxTuples / n) return std::nullopt;
+    tuples *= n;
   }
 
   double best = -std::numeric_limits<double>::infinity();
   bool feasible = false;
-  std::vector<Index> choice(active.size(), geom::kInvalidIndex);
+  std::vector<CandIdx> choice(active.size());
 
   auto evaluate = [&]() {
-    // Map pin -> chosen interval for the consistency check.
-    std::vector<char> selected(p.intervals.size(), 0);
+    std::vector<char> selected(k.numIntervals(), 0);
     double obj = 0.0;
-    for (std::size_t k = 0; k < active.size(); ++k) {
-      selected[static_cast<std::size_t>(choice[k])] = 1;
-      obj += p.profit[static_cast<std::size_t>(choice[k])];
+    for (const CandIdx i : choice) {
+      selected[i.idx()] = 1;
+      obj += k.profitOf(i);
     }
     // (1b): a chosen interval must be chosen by every pin it covers.
-    std::vector<Index> choiceOfPin(p.pins.size(), geom::kInvalidIndex);
-    for (std::size_t k = 0; k < active.size(); ++k) {
-      const auto pinIdx = static_cast<std::size_t>(active[k] - p.pins.data());
-      choiceOfPin[pinIdx] = choice[k];
-    }
-    for (std::size_t i = 0; i < p.intervals.size(); ++i) {
+    std::vector<CandIdx> choiceOfPin(k.numPins());
+    for (std::size_t a = 0; a < active.size(); ++a)
+      choiceOfPin[active[a].idx()] = choice[a];
+    for (std::size_t i = 0; i < k.numIntervals(); ++i) {
       if (!selected[i]) continue;
-      for (Index q : p.intervals[i].pins) {
-        if (choiceOfPin[static_cast<std::size_t>(q)] != static_cast<Index>(i))
-          return;
+      for (const PinIdx q : k.pinsOf(CandIdx{i})) {
+        if (choiceOfPin[q.idx()] != CandIdx{i}) return;
       }
     }
     // (1c)
-    for (const ConflictSet& cs : p.conflicts) {
+    for (std::size_t m = 0; m < k.numConflicts(); ++m) {
       int count = 0;
-      for (Index i : cs.intervals) count += selected[static_cast<std::size_t>(i)];
+      for (const CandIdx i : k.membersOf(ConflictIdx{m}))
+        count += selected[i.idx()];
       if (count > 1) return;
     }
     feasible = true;
     if (obj > best) best = obj;
   };
 
-  auto rec = [&](auto&& self, std::size_t k) -> void {
-    if (k == active.size()) {
+  auto rec = [&](auto&& self, std::size_t a) -> void {
+    if (a == active.size()) {
       evaluate();
       return;
     }
-    for (Index i : active[k]->intervals) {
-      choice[k] = i;
-      self(self, k + 1);
+    for (const CandIdx i : k.candidatesOf(active[a])) {
+      choice[a] = i;
+      self(self, a + 1);
     }
   };
   rec(rec, 0);
@@ -107,11 +102,11 @@ inline std::optional<double> bruteForceOptimum(const Problem& p,
 
 /// Sum over pins of the minimum-interval profit — a lower bound every
 /// solver must meet (each assigned interval covers its pin).
-inline double minimalProfitBound(const Problem& p) {
+inline double minimalProfitBound(const PanelKernel& k) {
   double sum = 0.0;
-  for (const ProblemPin& pin : p.pins) {
-    if (pin.minimalInterval != geom::kInvalidIndex)
-      sum += p.profit[static_cast<std::size_t>(pin.minimalInterval)];
+  for (std::size_t j = 0; j < k.numPins(); ++j) {
+    const CandIdx mi = k.minimalIntervalOf(PinIdx{j});
+    if (mi.valid()) sum += k.profitOf(mi);
   }
   return sum;
 }
