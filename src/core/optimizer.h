@@ -82,6 +82,14 @@ struct PinAccessPlan {
   [[nodiscard]] int unassignedPins() const {
     return static_cast<int>(stats.counter(obs::names::kPaoUnassigned));
   }
+  /// Panels that fell below the primary solver: each faulted panel counts
+  /// once, as `pao.panel.failed` (the solver threw) or `pao.panel.degraded`
+  /// (it timed out or under-delivered). `pao.fallbacks` is not added — a
+  /// panel that walked the ladder is already one of the two.
+  [[nodiscard]] long panelsBelowPrimary() const {
+    return stats.counter(obs::names::kPaoPanelFailed) +
+           stats.counter(obs::names::kPaoPanelDegraded);
+  }
   /// True when no panel's solver gave up on proving optimality and no panel
   /// fell back to the LR heuristic. Trivially true for Method::Lr.
   [[nodiscard]] bool allProvedOptimal() const {

@@ -159,6 +159,12 @@ void addRailAndM3Blockages(const GenOptions& o, db::Design& d) {
 }
 
 void addBlockages(const GenOptions& o, db::Design& d, std::mt19937_64& rng) {
+  // Pin shapes per row: a blockage on a row's track can only hit that row's
+  // pins.
+  std::vector<std::vector<geom::Rect>> pinsOfRow(
+      static_cast<std::size_t>(o.numRows));
+  for (const db::Pin& p : d.pins())
+    pinsOfRow[static_cast<std::size_t>(p.row)].push_back(p.shape);
   std::uniform_real_distribution<double> uni(0.0, 1.0);
   std::uniform_int_distribution<Coord> lenDist(2, std::max<Coord>(2, o.maxBlockageLen));
   for (Coord r = 0; r < o.numRows; ++r) {
@@ -176,14 +182,12 @@ void addBlockages(const GenOptions& o, db::Design& d, std::mt19937_64& rng) {
       const geom::Rect shape{geom::Interval{c0, c0 + len - 1},
                              geom::Interval{t, t}};
       // Keep every pin fully accessible: never overlap a pin shape.
-      bool hitsPin = false;
-      for (const db::Pin& p : d.pins()) {
-        if (p.row == r && p.shape.overlaps(shape)) {
-          hitsPin = true;
-          break;
-        }
-      }
-      if (!hitsPin) d.addBlockage(db::Layer::M2, shape);
+      const std::vector<geom::Rect>& pins =
+          pinsOfRow[static_cast<std::size_t>(r)];
+      if (std::none_of(pins.begin(), pins.end(), [&](const geom::Rect& p) {
+            return p.overlaps(shape);
+          }))
+        d.addBlockage(db::Layer::M2, shape);
     }
   }
 }

@@ -37,7 +37,7 @@ void writeRoutedDef(const db::Design& design,
              << ' ' << s.lane << " )";
         }
       }
-      for (const NetGeometry::Via& v : geometry[n].vias) {
+      for (const ViaSite& v : geometry[n].vias) {
         os << "\n      NEW " << (v.level == 1 ? "M1" : "M2") << " ( " << v.x
            << ' ' << v.y << " ) VIA V" << static_cast<int>(v.level);
       }

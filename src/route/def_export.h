@@ -1,7 +1,7 @@
 /// \file def_export.h
 /// Routed-DEF writer: the DEF-subset design serialization of
 /// lefdef/def_io.h extended with per-net `+ ROUTED` regular wiring
-/// statements carrying the router's kept geometry.
+/// statements carrying the router's signed-off geometry.
 ///
 /// This lives in `route` (not `lefdef`) because it consumes
 /// `route::NetGeometry` — the lefdef layer sits below route in the
@@ -20,7 +20,7 @@ namespace cpr::route {
 /// Emits the design with per-net `+ ROUTED` statements (DEF 5.8 regular
 /// wiring syntax: one `LAYER ( x y ) ( x y )` polyline point pair per
 /// straight segment, plus `VIA` records). `geometry` is indexed like
-/// `Design::nets` (see `route::NegotiationOptions::keepGeometry`).
+/// `Design::nets` (`RoutingResult::geometry`).
 void writeRoutedDef(const db::Design& design,
                     const std::vector<NetGeometry>& geometry,
                     std::ostream& os);

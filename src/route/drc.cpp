@@ -1,7 +1,8 @@
 #include "route/drc.h"
 
 #include <algorithm>
-#include <map>
+#include <array>
+#include <compare>
 
 #include "obs/names.h"
 
@@ -9,111 +10,65 @@ namespace cpr::route {
 
 namespace {
 
-struct Segment {
-  Index net;
+/// One feature on a routing line: a metal segment, or a via as a one-grid
+/// segment on its track. Sorting orders features by lane, then position.
+struct Feature {
+  Coord lane;
   Coord lo;
-  Coord hi;  ///< extended range along the track/column
+  Coord hi;
+  Index net;
+
+  friend auto operator<=>(const Feature&, const Feature&) = default;
 };
 
-/// Extracts maximal same-net runs along each M2 track (layerOffset 0) or M3
-/// column and appends the extended segments into `lanes` keyed by track or
-/// column index.
-void collectSegments(const DrcInput& in, bool m3, Coord ext,
-                     std::map<Coord, std::vector<Segment>>& lanes) {
-  const int plane = static_cast<int>(in.width) * in.height;
-  for (std::size_t net = 0; net < in.netNodes.size(); ++net) {
-    // Per-lane sorted positions for this net.
-    std::map<Coord, std::vector<Coord>> pos;
-    for (int id : in.netNodes[net]) {
-      const bool isM3 = id >= plane;
-      if (isM3 != m3) continue;
-      const int rem = id % plane;
-      const Coord x = rem % in.width;
-      const Coord y = rem / in.width;
-      if (m3) {
-        pos[x].push_back(y);
-      } else {
-        pos[y].push_back(x);
-      }
-    }
-    const Coord limit = m3 ? in.height - 1 : in.width - 1;
-    for (auto& [lane, v] : pos) {
-      std::sort(v.begin(), v.end());
-      std::size_t k = 0;
-      while (k < v.size()) {
-        std::size_t e = k;
-        while (e + 1 < v.size() && v[e + 1] == v[e] + 1) ++e;
-        lanes[lane].push_back(Segment{static_cast<Index>(net),
-                                      std::max<Coord>(0, v[k] - ext),
-                                      std::min<Coord>(limit, v[e] + ext)});
-        k = e + 1;
-      }
+/// Sorts one layer's features and flags every diff-net pair on the same lane
+/// whose gap is at most `spacing` (overlapping features have a negative
+/// gap). Returns the number of violating pairs.
+long sweep(std::vector<Feature>& features, Coord spacing, DrcReport& report) {
+  std::sort(features.begin(), features.end());
+  long found = 0;
+  for (std::size_t i = 0; i < features.size(); ++i) {
+    const Feature& a = features[i];
+    for (std::size_t j = i + 1; j < features.size(); ++j) {
+      const Feature& b = features[j];
+      if (b.lane != a.lane || b.lo > a.hi + spacing) break;
+      if (a.net == b.net) continue;
+      ++found;
+      report.dirty[static_cast<std::size_t>(a.net)] = 1;
+      report.dirty[static_cast<std::size_t>(b.net)] = 1;
     }
   }
+  return found;
 }
 
 }  // namespace
 
-DrcReport checkDesignRules(const DrcInput& in, const DrcRules& rules,
-                           obs::Collector* obs) {
+DrcReport checkDesignRules(std::span<const NetGeometry> nets,
+                           const DrcRules& rules, obs::Collector* obs) {
   DrcReport report;
-  report.dirty.assign(in.netNodes.size(), 0);
-  long lineEndViolations = 0;
+  report.dirty.assign(nets.size(), 0);
 
-  auto flag = [&](Index a, Index b) {
-    ++report.violations;
-    report.dirty[static_cast<std::size_t>(a)] = 1;
-    report.dirty[static_cast<std::size_t>(b)] = 1;
-  };
-
-  // Line-end rules on M2 tracks and M3 columns.
-  for (const bool m3 : {false, true}) {
-    std::map<Coord, std::vector<Segment>> lanes;
-    collectSegments(in, m3, rules.lineEndExtension, lanes);
-    for (auto& [lane, segs] : lanes) {
-      std::sort(segs.begin(), segs.end(), [](const Segment& a, const Segment& b) {
-        return a.lo != b.lo ? a.lo < b.lo : a.hi < b.hi;
-      });
-      // Sweep: compare each segment with the previous ones still in range.
-      for (std::size_t i = 0; i + 1 < segs.size(); ++i) {
-        for (std::size_t j = i + 1; j < segs.size(); ++j) {
-          if (segs[j].lo > segs[i].hi + rules.minLineEndSpacing) break;
-          if (segs[i].net != segs[j].net) {
-            flag(segs[i].net, segs[j].net);
-            ++lineEndViolations;
-          }
-        }
-      }
-    }
+  // Line-end rules on M2 tracks and M3 columns; via spacing per via level on
+  // the via's track (two cuts too close on one line's cut mask).
+  enum Layer : std::size_t { kM2, kM3, kV1, kV2, kLayers };
+  std::array<std::vector<Feature>, kLayers> layers;
+  for (std::size_t n = 0; n < nets.size(); ++n) {
+    const auto net = static_cast<Index>(n);
+    for (const RouteSegment& s : nets[n].segments)
+      layers[s.m3 ? kM3 : kM2].push_back({s.lane, s.span.lo, s.span.hi, net});
+    for (const ViaSite& v : nets[n].vias)
+      layers[v.level == 1 ? kV1 : kV2].push_back({v.y, v.x, v.x, net});
   }
+  const long lineEnd = sweep(layers[kM2], rules.minLineEndSpacing, report) +
+                       sweep(layers[kM3], rules.minLineEndSpacing, report);
+  const long viaSpacing = sweep(layers[kV1], rules.minViaSpacing, report) +
+                          sweep(layers[kV2], rules.minViaSpacing, report);
+  report.violations = lineEnd + viaSpacing;
 
-  // Via spacing: same-track same-level diff-net vias with |dx| <=
-  // minViaSpacing violate (two cuts too close on one line's cut mask).
-  for (const std::uint8_t level : {std::uint8_t{1}, std::uint8_t{2}}) {
-    std::map<std::pair<Coord, Coord>, std::vector<Index>> viaAt;  // (y, x)
-    for (std::size_t net = 0; net < in.netVias.size(); ++net) {
-      for (const ViaSite& v : in.netVias[net]) {
-        if (v.level == level) viaAt[{v.y, v.x}].push_back(static_cast<Index>(net));
-      }
-    }
-    for (const auto& [site, nets] : viaAt) {
-      for (Coord dx = 0; dx <= rules.minViaSpacing; ++dx) {
-        auto other = viaAt.find({site.first, site.second + dx});
-        if (other == viaAt.end()) continue;
-        for (Index a : nets) {
-          for (Index b : other->second) {
-            if (dx == 0 && a >= b) continue;  // dedupe within one site
-            if (a != b) flag(a, b);
-          }
-        }
-      }
-    }
-  }
   if (obs) {
     obs->add(obs::names::kDrcViolations, report.violations);
-    obs->add(obs::names::kDrcLineEnd, lineEndViolations);
-    obs->add(obs::names::kDrcViaSpacing,
-             report.violations - lineEndViolations);
+    obs->add(obs::names::kDrcLineEnd, lineEnd);
+    obs->add(obs::names::kDrcViaSpacing, viaSpacing);
     long dirtyNets = 0;
     for (const char d : report.dirty) dirtyNets += d ? 1 : 0;
     obs->add(obs::names::kDrcDirtyNets, dirtyNets);

@@ -2,53 +2,30 @@
 /// Unidirectional / SADP manufacturing rule checking (paper Section 4).
 ///
 /// The paper performs line-end extensions and treats rule-violating nets as
-/// unrouted at evaluation time. The rule set here is the parameterized
-/// equivalent of the constraints "listed in [12]": every routed segment is
-/// extended by `lineEndExtension` grids at both ends (cut-mask friendliness),
-/// after which (a) extended segments of different nets on the same track
-/// must not overlap and must keep `minLineEndSpacing` grids between line
-/// ends, and (b) vias of different nets must be more than `minViaSpacing`
-/// grids apart (Chebyshev). Violations mark both offending nets dirty.
+/// unrouted at evaluation time. The router commits every extension as metal
+/// (`RouteEngine::commitPlan`), so the checker reads the shipped geometry as
+/// is and applies no extension of its own. The rule set is the parameterized
+/// equivalent of the constraints "listed in [12]": (a) segments of different
+/// nets on the same track or column must not overlap and must keep
+/// `minLineEndSpacing` grids between line ends, and (b) same-level vias of
+/// different nets on one track must be more than `minViaSpacing` grids
+/// apart. Violations mark both offending nets dirty.
 #pragma once
 
-#include <utility>
+#include <span>
 #include <vector>
 
-#include "db/design.h"
-#include "geom/types.h"
 #include "obs/collector.h"
+#include "route/result.h"
 
 namespace cpr::route {
-
-using geom::Coord;
-using geom::Index;
 
 /// Rules live per track/column: unidirectional SADP cut conflicts happen
 /// between features on the same routing line (each line's cuts share a
 /// mask), so both checks below are same-lane checks.
 struct DrcRules {
-  Coord lineEndExtension = 1;   ///< applied to both ends of every segment
-  Coord minLineEndSpacing = 0;  ///< required gap between *extended* segments
+  Coord minLineEndSpacing = 0;  ///< required gap between diff-net segments
   Coord minViaSpacing = 1;      ///< same-lane same-level diff-net vias need |dx| > this
-};
-
-/// One via of a routed net. Level 1 = V1 (M1 pin hookup), level 2 = V2
-/// (M2-M3). The spacing rule applies between same-level vias of different
-/// nets (different cut masks are independent).
-struct ViaSite {
-  Coord x = 0;
-  Coord y = 0;
-  std::uint8_t level = 2;
-};
-
-struct DrcInput {
-  /// Committed node ids per net (packed as in RoutingGrid), only for nets
-  /// that routed successfully; empty vectors otherwise.
-  const std::vector<std::vector<int>>& netNodes;
-  /// Via sites per net.
-  const std::vector<std::vector<ViaSite>>& netVias;
-  Coord width = 0;
-  Coord height = 0;
 };
 
 struct DrcReport {
@@ -56,12 +33,13 @@ struct DrcReport {
   std::vector<char> dirty;  ///< per net: 1 when any rule is violated
 };
 
-/// Checks the rule set against committed routes. A non-null `obs` receives
-/// the categorized `drc.*` counters (total, line-end, via-spacing, dirty
-/// nets); drivers pass it only on the signoff call so intermediate repair
-/// sweeps do not inflate the run report.
-[[nodiscard]] DrcReport checkDesignRules(const DrcInput& in,
-                                         const DrcRules& rules,
+/// Checks the rule set against committed geometry, indexed like
+/// `Design::nets` (unrouted nets have empty geometry). A non-null `obs`
+/// receives the categorized `drc.*` counters (total, line-end, via-spacing,
+/// dirty nets); drivers pass it only on the signoff call so intermediate
+/// repair sweeps do not inflate the run report.
+[[nodiscard]] DrcReport checkDesignRules(std::span<const NetGeometry> nets,
+                                         const DrcRules& rules = {},
                                          obs::Collector* obs = nullptr);
 
 }  // namespace cpr::route

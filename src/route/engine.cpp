@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "obs/names.h"
+#include "route/drc.h"
 #include "support/contracts.h"
 
 namespace cpr::route {
@@ -386,26 +387,30 @@ NetGeometry RouteEngine::geometryOf(Index net) const {
         true, start.x, geom::Interval{start.y, grid_.node(m3[e]).y}});
     i = e + 1;
   }
-  out.vias.reserve(st.vias.size());
-  for (const ViaSite& v : st.vias)
-    out.vias.push_back(NetGeometry::Via{v.x, v.y, v.level});
+  out.vias = st.vias;
   return out;
 }
 
-std::vector<std::vector<int>> RouteEngine::allNodes() const {
-  std::vector<std::vector<int>> out(states_.size());
-  for (std::size_t n = 0; n < states_.size(); ++n) {
-    if (states_[n].routed) out[n] = states_[n].nodes;
-  }
+std::vector<NetGeometry> RouteEngine::geometry() const {
+  std::vector<NetGeometry> out(states_.size());
+  for (std::size_t n = 0; n < states_.size(); ++n)
+    out[n] = geometryOf(static_cast<Index>(n));
   return out;
 }
 
-std::vector<std::vector<ViaSite>> RouteEngine::allVias() const {
-  std::vector<std::vector<ViaSite>> out(states_.size());
+void RouteEngine::signoff(RoutingResult& result) const {
+  obs::ScopedTimer t(obs_, obs::names::kRouteSignoffSpan);
+  result.geometry = geometry();
+  const DrcReport report = checkDesignRules(result.geometry, DrcRules{}, obs_);
+  result.nets.resize(states_.size());
   for (std::size_t n = 0; n < states_.size(); ++n) {
-    if (states_[n].routed) out[n] = states_[n].vias;
+    const NetState& st = states_[n];
+    NetResult& nr = result.nets[n];
+    nr.routed = st.routed;
+    nr.clean = st.routed && !report.dirty[n];
+    nr.wirelength = st.wirelength;
+    nr.vias = static_cast<int>(st.vias.size());
   }
-  return out;
 }
 
 }  // namespace cpr::route

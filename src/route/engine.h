@@ -25,7 +25,6 @@
 
 #include "core/optimizer.h"
 #include "db/design.h"
-#include "route/drc.h"
 #include "route/grid.h"
 #include "route/maze.h"
 #include "route/result.h"
@@ -48,6 +47,9 @@ struct NetPlan {
   std::vector<geom::Interval> recUsedXs;
 };
 
+/// Line-end extension (Section 4) committed at both ends of every run.
+inline constexpr Coord kLineEndExtension = 1;
+
 class RouteEngine {
  public:
   struct NetState {
@@ -60,10 +62,11 @@ class RouteEngine {
   /// A non-null `obs` receives the engine-level `route.*` counters (rip-ups,
   /// A* searches and pops); drivers layer their own stage counters on top.
   RouteEngine(const db::Design& design, const core::PinAccessPlan* plan,
-              Coord windowMargin, Coord lineEndExtension = 1,
+              Coord windowMargin, Coord lineEndExtension = kLineEndExtension,
               obs::Collector* obs = nullptr);
 
   [[nodiscard]] RoutingGrid& grid() { return grid_; }
+  [[nodiscard]] const RoutingGrid& grid() const { return grid_; }
   [[nodiscard]] const db::Design& design() const { return design_; }
   [[nodiscard]] const NetState& state(Index net) const {
     return states_[static_cast<std::size_t>(net)];
@@ -115,13 +118,16 @@ class RouteEngine {
   [[nodiscard]] std::optional<std::vector<int>> probePath(
       Index net, float present, MazeScratch& scratch);
 
-  /// Node-id views for DRC input.
-  [[nodiscard]] std::vector<std::vector<int>> allNodes() const;
-  [[nodiscard]] std::vector<std::vector<ViaSite>> allVias() const;
+  /// Committed geometry of every net as maximal straight segments plus
+  /// vias, indexed like `Design::nets` (empty for unrouted nets).
+  [[nodiscard]] std::vector<NetGeometry> geometry() const;
 
-  /// Committed geometry of one net as maximal straight segments plus vias
-  /// (empty geometry when the net is unrouted).
-  [[nodiscard]] NetGeometry geometryOf(Index net) const;
+  /// Signoff: builds every net's geometry once, straight into
+  /// `result.geometry`, checks that geometry with the DRC (recording the
+  /// `drc.*` counters under the `route.signoff` span), and fills
+  /// `result.nets`. A routed net that violates a rule is reported routed
+  /// but not clean.
+  void signoff(RoutingResult& result) const;
 
  private:
   /// One optimized access interval used by this net (deduplicated across
@@ -144,6 +150,8 @@ class RouteEngine {
   };
 
   void buildNetInfo(Index net, const core::PinAccessPlan* plan);
+  /// One net's entry of `geometry()`.
+  [[nodiscard]] NetGeometry geometryOf(Index net) const;
   /// Index of the interval record a path endpoint landed on (-1 if none).
   [[nodiscard]] int recOf(const NetInfo& info, int nodeId) const;
 

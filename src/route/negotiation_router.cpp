@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "obs/names.h"
+#include "route/drc.h"
 #include "route/engine.h"
 #include "route/wave_scheduler.h"
 #include "support/thread_pool.h"
@@ -14,6 +15,38 @@ namespace cpr::route {
 
 namespace {
 using Clock = std::chrono::steady_clock;
+
+/// Search window margin around a net's pin/interval hull.
+constexpr Coord kWindowMargin = 12;
+/// RRR iterations without material progress before the loop exits (see
+/// `RrrStallDetector`).
+constexpr int kCongestionStallIters = 4;
+/// Reroute sweeps over DRC-dirty nets after RRR.
+constexpr int kDrcRepairPasses = 2;
+/// Present-sharing penalty of RRR iteration i is kPresentFactor * i.
+constexpr float kPresentFactor = 3.0F;
+/// History cost added to every shared grid per RRR iteration.
+constexpr float kHistoryIncrement = 1.0F;
+
+/// True when some committed grid of `net` is shared with another net.
+bool sharesGrid(const RouteEngine& engine, Index net) {
+  const RoutingGrid& grid = engine.grid();
+  for (int id : engine.state(net).nodes) {
+    if (grid.occupancy(id) > 1) return true;
+  }
+  return false;
+}
+
+/// Greedily drops routed nets until no grid is shared (the survivor on each
+/// contested grid keeps its route).
+void dropSharing(RouteEngine& engine, obs::Collector* obs) {
+  for (Index n = 0; n < static_cast<Index>(engine.numNets()); ++n) {
+    if (engine.state(n).routed && sharesGrid(engine, n)) {
+      engine.ripNet(n);
+      obs->add(obs::names::kRouteDroppedSharing);
+    }
+  }
+}
 
 /// Routes every net loop of the negotiation through disjoint waves: rip the
 /// wave, search its nets concurrently against the then-immutable grid,
@@ -121,16 +154,9 @@ RoutingResult routeNegotiated(const db::Design& design,
   const auto t0 = Clock::now();
   RoutingResult result;
   obs::Collector* obs = &result.stats;
-  RouteEngine engine(design, plan, opts.windowMargin,
-                     opts.drc.lineEndExtension, obs);
-  // Extensions are committed as metal by the engine; signoff checks the
-  // committed geometry directly.
-  DrcRules signoff = opts.drc;
-  signoff.lineEndExtension = 0;
+  RouteEngine engine(design, plan, kWindowMargin, kLineEndExtension, obs);
   RoutingGrid& grid = engine.grid();
   const auto numNets = static_cast<Index>(design.nets().size());
-
-  result.nets.resize(static_cast<std::size_t>(numNets));
 
   support::ThreadPool pool(
       std::min(support::ThreadPool::clampThreads(opts.threads),
@@ -141,9 +167,7 @@ RoutingResult routeNegotiated(const db::Design& design,
   todo.reserve(static_cast<std::size_t>(numNets));
 
   // ---- independent routing stage ----
-  MazeCosts costs = opts.costs;
-  costs.present = 0.0F;
-  costs.hardBlockOccupied = false;
+  MazeCosts costs;  // sharing is free here (present = 0)
   {
     obs::ScopedTimer t(obs, obs::names::kRouteIndependentSpan);
     for (Index n = 0; n < numNets; ++n) todo.push_back(n);
@@ -152,8 +176,7 @@ RoutingResult routeNegotiated(const db::Design& design,
   obs->add(obs::names::kRouteCongestedPreRrr, grid.congestedNodeCount());
 
   // ---- rip-up & reroute ----
-  RrrStallDetector stall(grid.congestedNodeCount(),
-                         opts.congestionStallIters);
+  RrrStallDetector stall(grid.congestedNodeCount(), kCongestionStallIters);
   {
     obs::ScopedTimer t(obs, obs::names::kRouteRrrSpan);
     for (int iter = 1; iter <= opts.maxRrrIterations; ++iter) {
@@ -170,9 +193,9 @@ RoutingResult routeNegotiated(const db::Design& design,
                {static_cast<double>(iter), static_cast<double>(congestion)});
       // History accrues on currently congested nodes.
       for (int id = 0; id < grid.numNodes(); ++id) {
-        if (grid.occupancy(id) > 1) grid.addHistory(id, opts.historyIncrement);
+        if (grid.occupancy(id) > 1) grid.addHistory(id, kHistoryIncrement);
       }
-      costs.present = opts.presentFactor * static_cast<float>(iter);
+      costs.present = kPresentFactor * static_cast<float>(iter);
       costs.adjacency = 0.5F * costs.present;
       // Snapshot this iteration's reroute set — unrouted nets plus nets
       // sharing a grid — then rip & reroute it as one batch. (The legacy
@@ -181,69 +204,32 @@ RoutingResult routeNegotiated(const db::Design& design,
       // determinism policy pins.)
       todo.clear();
       for (Index n = 0; n < numNets; ++n) {
-        if (!engine.state(n).routed) {
-          todo.push_back(n);  // keep retrying failed nets
-          continue;
-        }
-        for (int id : engine.state(n).nodes) {
-          if (grid.occupancy(id) > 1) {
-            todo.push_back(n);
-            break;
-          }
-        }
+        // Failed nets keep retrying.
+        if (!engine.state(n).routed || sharesGrid(engine, n)) todo.push_back(n);
       }
       batch.route(todo, costs, opts.deadline);
     }
   }
-
-  // Unresolved sharing: greedily drop nets until no grid is shared (the
-  // survivor on each contested grid keeps its route).
-  for (Index n = 0; n < numNets; ++n) {
-    if (!engine.state(n).routed) continue;
-    bool shares = false;
-    for (int id : engine.state(n).nodes) {
-      if (grid.occupancy(id) > 1) {
-        shares = true;
-        break;
-      }
-    }
-    if (shares) {
-      engine.ripNet(n);
-      obs->add(obs::names::kRouteDroppedSharing);
-    }
-  }
+  dropSharing(engine, obs);  // unresolved sharing
 
   // ---- DRC repair ----
-  costs.present = opts.presentFactor * static_cast<float>(opts.maxRrrIterations);
+  costs.present = kPresentFactor * static_cast<float>(opts.maxRrrIterations);
   costs.adjacency = 0.5F * costs.present;
   {
     obs::ScopedTimer t(obs, obs::names::kRouteDrcRepairSpan);
-    for (int pass = 0; pass < opts.drcRepairPasses; ++pass) {
+    for (int pass = 0; pass < kDrcRepairPasses; ++pass) {
       if (opts.deadline.expired()) {
         obs::add(obs, obs::names::kRouteTimeout);
         break;
       }
-      const auto nodes = engine.allNodes();
-      const auto vias = engine.allVias();
-      const DrcReport report = checkDesignRules(
-          DrcInput{nodes, vias, grid.width(), grid.height()}, signoff);
+      const DrcReport report = checkDesignRules(engine.geometry());
       todo.clear();
       for (Index n = 0; n < numNets; ++n) {
         if (report.dirty[static_cast<std::size_t>(n)]) todo.push_back(n);
       }
       if (todo.empty()) break;
       batch.route(todo, costs, opts.deadline);
-      // Rerouting may reintroduce sharing; drop offenders once more.
-      for (Index n = 0; n < numNets; ++n) {
-        if (!engine.state(n).routed) continue;
-        for (int id : engine.state(n).nodes) {
-          if (grid.occupancy(id) > 1) {
-            engine.ripNet(n);
-            obs->add(obs::names::kRouteDroppedSharing);
-            break;
-          }
-        }
-      }
+      dropSharing(engine, obs);  // rerouting may reintroduce sharing
     }
   }
 
@@ -252,29 +238,7 @@ RoutingResult routeNegotiated(const db::Design& design,
   obs->gauge(obs::names::kRouteScratchPeakBytes,
              static_cast<double>(batch.scratchPeakBytes()));
 
-  // ---- signoff ----
-  {
-    // Scoped so the span closes before `result` can be returned (a timer
-    // must never outlive the collector it points into).
-    obs::ScopedTimer t(obs, obs::names::kRouteSignoffSpan);
-    const auto nodes = engine.allNodes();
-    const auto vias = engine.allVias();
-    const DrcReport report = checkDesignRules(
-        DrcInput{nodes, vias, grid.width(), grid.height()}, signoff, obs);
-    for (Index n = 0; n < numNets; ++n) {
-      NetResult& nr = result.nets[static_cast<std::size_t>(n)];
-      const RouteEngine::NetState& st = engine.state(n);
-      nr.routed = st.routed;
-      nr.clean = st.routed && !report.dirty[static_cast<std::size_t>(n)];
-      nr.wirelength = st.wirelength;
-      nr.vias = static_cast<int>(st.vias.size());
-    }
-    if (opts.keepGeometry) {
-      result.geometry.resize(static_cast<std::size_t>(numNets));
-      for (Index n = 0; n < numNets; ++n)
-        result.geometry[static_cast<std::size_t>(n)] = engine.geometryOf(n);
-    }
-  }
+  engine.signoff(result);
   result.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
   return result;
 }

@@ -26,33 +26,21 @@
 
 #include "core/optimizer.h"
 #include "db/design.h"
-#include "route/drc.h"
-#include "route/maze.h"
 #include "route/result.h"
 #include "support/deadline.h"
 
 namespace cpr::route {
 
+/// The negotiation's fixed parameters (window margin, stall window, DRC
+/// repair passes, present/history schedule) are constants of the driver
+/// (negotiation_router.cpp); these are the knobs callers set.
 struct NegotiationOptions {
-  Coord windowMargin = 12;
   int maxRrrIterations = 20;
-  /// Stop rip-up & reroute early when the congested-grid count has not
-  /// improved materially for this many iterations (0 = always run to the
-  /// cap). See `RrrStallDetector` for what counts as material.
-  int congestionStallIters = 4;
-  int drcRepairPasses = 2;
-  MazeCosts costs;               ///< base costs; `present` is driven per stage
-  float presentFactor = 3.0F;    ///< present penalty = factor * iteration
-  float historyIncrement = 1.0F;
-  DrcRules drc;
   /// Worker threads for the wave-parallel net searches (0 = one per
   /// hardware thread, 1 = sequential). Pure throughput knob: the wave
   /// partition and commit order never depend on it, so route digests are
   /// identical for every value.
   int threads = 0;
-  /// Fill RoutingResult::geometry with each routed net's segments and vias
-  /// (visualization / export); costs memory on big designs, off by default.
-  bool keepGeometry = false;
   /// Wall-clock budget (unset = none). Checked between waves of the
   /// independent routing stage, between rip-up & reroute iterations, and
   /// between DRC repair passes — signoff always runs, so an expired

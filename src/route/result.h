@@ -31,17 +31,21 @@ struct RouteSegment {
   geom::Interval span;  ///< column range (M2) or track range (M3)
 };
 
-/// Full geometry of one routed net, for visualization, export, and external
-/// rule checking. Filled only when a driver is asked to keep geometry.
+/// One via of a routed net. Level 1 = V1 (M1 pin hookup), level 2 = V2
+/// (M2-M3). The DRC's spacing rule applies between same-level vias of
+/// different nets (different cut masks are independent).
+struct ViaSite {
+  Coord x = 0;
+  Coord y = 0;
+  std::uint8_t level = 2;
+};
+
+/// Full committed geometry of one net: its maximal M2/M3 segments, line-end
+/// extensions included, plus its vias. This is what signoff checks and what
+/// visualization and DEF export draw; empty when the net is unrouted.
 struct NetGeometry {
   std::vector<RouteSegment> segments;
-  /// (x, y, level) vias; level 1 = V1 (pin hookup), 2 = V2 (M2-M3).
-  struct Via {
-    Coord x = 0;
-    Coord y = 0;
-    std::uint8_t level = 2;
-  };
-  std::vector<Via> vias;
+  std::vector<ViaSite> vias;
 };
 
 /// Whole-design routing outcome. The paper's Table 2 metrics (Rout., Via#,
@@ -50,8 +54,8 @@ struct NetGeometry {
 /// violations as unrouted nets", Section 5.2).
 struct RoutingResult {
   std::vector<NetResult> nets;
-  /// Per-net committed geometry; empty unless the driver ran with
-  /// `keepGeometry` (indexing matches `nets` when present).
+  /// Per-net committed geometry, indexed like `nets`: the geometry the
+  /// signoff DRC checked.
   std::vector<NetGeometry> geometry;
   double seconds = 0.0;  ///< wall-clock routing time
   /// Run instrumentation: `route.*` / `drc.*` counters, stage timers, and
@@ -79,7 +83,7 @@ struct RoutingResult {
 /// FNV-1a over every net's routed/clean/wirelength/via outcome: the cheap
 /// determinism witness shared by the thread-sweep bench, the routing
 /// service, and the chaos tests. Two results digest equal iff every net
-/// reached the same outcome — geometry need not be kept.
+/// reached the same outcome; geometry is not hashed.
 [[nodiscard]] std::uint64_t resultDigest(const RoutingResult& r);
 
 }  // namespace cpr::route

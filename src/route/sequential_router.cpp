@@ -6,32 +6,40 @@
 #include <numeric>
 
 #include "obs/names.h"
+#include "route/drc.h"
 #include "route/engine.h"
 
 namespace cpr::route {
 
 namespace {
 using Clock = std::chrono::steady_clock;
-}
+
+/// Search window margin around a net's pin hull.
+constexpr Coord kWindowMargin = 12;
+/// Deferral passes before a net is given up.
+constexpr int kMaxPasses = 4;
+/// Times one net may be ripped by a blocked net.
+constexpr int kMaxRipsPerNet = 2;
+/// Reroute sweeps over DRC-dirty nets after the queue drains.
+constexpr int kLegalizationPasses = 2;
+}  // namespace
 
 RoutingResult routeSequential(const db::Design& design,
                               const SequentialOptions& opts) {
   const auto t0 = Clock::now();
   RoutingResult result;
   obs::Collector* obs = &result.stats;
-  RouteEngine engine(design, /*plan=*/nullptr, opts.windowMargin,
-                     opts.drc.lineEndExtension, obs);
-  DrcRules signoff = opts.drc;
-  signoff.lineEndExtension = 0;
+  RouteEngine engine(design, /*plan=*/nullptr, kWindowMargin,
+                     kLineEndExtension, obs);
   RoutingGrid& grid = engine.grid();
   const auto numNets = static_cast<Index>(design.nets().size());
 
-  MazeCosts costs = opts.costs;
+  MazeCosts costs;
   costs.hardBlockOccupied = true;
-  costs.present = 0.0F;
-  if (costs.adjacency == 0.0F) costs.adjacency = 25.0F;  // line-end awareness
-  const Coord retryMargin =
-      opts.globalRetry ? std::max(grid.width(), grid.height()) : 16;
+  costs.adjacency = 25.0F;  // line-end awareness
+  // Failed nets retry with a die-spanning window — PARR "depends on
+  // detours" to finish nets, which is where its runtime goes (Section 5.2).
+  const Coord retryMargin = std::max(grid.width(), grid.height());
   MazeScratch scratch;  // the one search arena of this single-threaded driver
 
   // Node owner map (occupancy never exceeds 1 in hard mode).
@@ -59,16 +67,13 @@ RoutingResult routeSequential(const db::Design& design,
   std::deque<Index> queue(order.begin(), order.end());
   std::vector<int> attempts(static_cast<std::size_t>(numNets), 0);
   std::vector<int> ripped(static_cast<std::size_t>(numNets), 0);
-  std::vector<char> failed(static_cast<std::size_t>(numNets), 0);
   int passes = 0;
 
   while (!queue.empty()) {
     if (opts.deadline.expired()) {
-      // Budget fired: stop routing, mark everything still queued as failed
+      // Budget fired: stop routing; everything still queued stays unrouted
       // (routed nets keep their geometry — nets are never half-routed).
       obs::add(obs, obs::names::kRouteTimeout);
-      for (const Index n : queue) failed[static_cast<std::size_t>(n)] = 1;
-      queue.clear();
       break;
     }
     const Index net = queue.front();
@@ -81,10 +86,8 @@ RoutingResult routeSequential(const db::Design& design,
       claim(net);
       continue;
     }
-    if (attempts[static_cast<std::size_t>(net)] >= opts.maxPasses) {
-      failed[static_cast<std::size_t>(net)] = 1;
-      continue;
-    }
+    if (attempts[static_cast<std::size_t>(net)] >= kMaxPasses)
+      continue;  // given up: the net stays unrouted
     if (attempts[static_cast<std::size_t>(net)] >= 2) {
       // Rip-up pass: evict the nets sitting on the cheapest probe path.
       if (auto probe = engine.probePath(net, /*present=*/50.0F, scratch)) {
@@ -97,7 +100,7 @@ RoutingResult routeSequential(const db::Design& design,
         }
         bool rippedAny = false;
         for (Index b : blockers) {
-          if (ripped[static_cast<std::size_t>(b)] >= opts.maxRipsPerNet)
+          if (ripped[static_cast<std::size_t>(b)] >= kMaxRipsPerNet)
             continue;
           ++ripped[static_cast<std::size_t>(b)];
           rip(b);
@@ -116,26 +119,20 @@ RoutingResult routeSequential(const db::Design& design,
   }
 
   // ---- legalization: reroute DRC-dirty nets ----
-  for (int pass = 0; pass < opts.legalizationPasses; ++pass) {
+  for (int pass = 0; pass < kLegalizationPasses; ++pass) {
     if (opts.deadline.expired()) {
       obs::add(obs, obs::names::kRouteTimeout);
       break;
     }
-    const auto nodes = engine.allNodes();
-    const auto vias = engine.allVias();
-    const DrcReport report = checkDesignRules(
-        DrcInput{nodes, vias, grid.width(), grid.height()}, signoff);
+    const DrcReport report = checkDesignRules(engine.geometry());
     bool any = false;
     for (Index n = 0; n < numNets; ++n) {
       if (!report.dirty[static_cast<std::size_t>(n)]) continue;
       any = true;
       rip(n);
       if (engine.routeNet(n, costs, scratch) ||
-          engine.routeNet(n, costs, scratch, retryMargin)) {
+          engine.routeNet(n, costs, scratch, retryMargin))
         claim(n);
-      } else {
-        failed[static_cast<std::size_t>(n)] = 1;
-      }
     }
     if (!any) break;
   }
@@ -143,26 +140,8 @@ RoutingResult routeSequential(const db::Design& design,
   obs->gauge(obs::names::kRouteScratchPeakBytes,
              static_cast<double>(scratch.footprintBytes()));
 
-  // ---- signoff ----
-  result.nets.resize(static_cast<std::size_t>(numNets));
   obs->add(obs::names::kRouteRrrIterations, passes);
-  const auto nodes = engine.allNodes();
-  const auto vias = engine.allVias();
-  const DrcReport report = checkDesignRules(
-      DrcInput{nodes, vias, grid.width(), grid.height()}, signoff, obs);
-  for (Index n = 0; n < numNets; ++n) {
-    NetResult& nr = result.nets[static_cast<std::size_t>(n)];
-    const RouteEngine::NetState& st = engine.state(n);
-    nr.routed = st.routed;
-    nr.clean = st.routed && !report.dirty[static_cast<std::size_t>(n)];
-    nr.wirelength = st.wirelength;
-    nr.vias = static_cast<int>(st.vias.size());
-  }
-  if (opts.keepGeometry) {
-    result.geometry.resize(static_cast<std::size_t>(numNets));
-    for (Index n = 0; n < numNets; ++n)
-      result.geometry[static_cast<std::size_t>(n)] = engine.geometryOf(n);
-  }
+  engine.signoff(result);
   result.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
   return result;
 }

@@ -12,28 +12,18 @@
 #pragma once
 
 #include "db/design.h"
-#include "route/drc.h"
-#include "route/maze.h"
 #include "route/result.h"
 #include "support/deadline.h"
 
 namespace cpr::route {
 
+/// The scheme's fixed parameters (window margin, deferral passes, rip
+/// budget, legalization passes, die-spanning retry) are constants of the
+/// driver (sequential_router.cpp).
 struct SequentialOptions {
-  Coord windowMargin = 12;
-  int maxPasses = 4;        ///< deferral passes
-  int maxRipsPerNet = 2;    ///< times one net may be ripped by a blocked net
-  int legalizationPasses = 2;
-  /// Failed nets retry with a die-spanning window — PARR "depends on
-  /// detours" to finish nets, which is where its runtime goes (Section 5.2).
-  bool globalRetry = true;
-  MazeCosts costs;          ///< hardBlockOccupied is forced on
-  DrcRules drc;
-  /// Fill RoutingResult::geometry (see NegotiationOptions::keepGeometry).
-  bool keepGeometry = false;
   /// Wall-clock budget (unset = none). Checked between queue pops and
-  /// between legalization passes; when it fires, still-queued nets are
-  /// marked failed (never half-routed) and `route.timeout` is counted.
+  /// between legalization passes; when it fires, still-queued nets stay
+  /// unrouted (never half-routed) and `route.timeout` is counted.
   support::Deadline deadline;
 };
 

@@ -519,10 +519,7 @@ JobResult Server::executeAttempt(const Job& job) {
           std::min(o.routing.maxRrrIterations, 6);
     }
     route::CprResult c = route::routeCpr(design, o);
-    degradedPanels =
-        c.plan.stats.counter(obs::names::kPaoPanelFailed) +
-        c.plan.stats.counter(obs::names::kPaoPanelDegraded) +
-        c.plan.stats.counter(obs::names::kPaoFallbacks);
+    degradedPanels = c.plan.panelsBelowPrimary();
     routed = std::move(c.routing);
     extraSeconds = c.pinAccessSeconds;
   }

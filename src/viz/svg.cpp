@@ -112,7 +112,7 @@ void renderSvg(const db::Design& design, const core::PinAccessPlan* plan,
                  : geom::Rect{s.span, geom::Interval::point(s.lane)};
         canvas.rect(r, color, s.m3 ? 0.45 : 0.8);
       }
-      for (const route::NetGeometry::Via& v : (*geometry)[n].vias) {
+      for (const route::ViaSite& v : (*geometry)[n].vias) {
         canvas.circle(v.x, v.y, opts.cellPx * (v.level == 1 ? 0.22 : 0.3),
                       v.level == 1 ? "#000000" : color);
       }

@@ -124,9 +124,7 @@ TEST(Chaos, FaultedPanelsDegradeToALegalPlan) {
   // Exactly one of failed/degraded per injected fault, nothing else.
   EXPECT_EQ(plan.stats.counter(obs::names::kPaoPanelFailed), throws);
   EXPECT_EQ(plan.stats.counter(obs::names::kPaoPanelDegraded), stalls);
-  EXPECT_EQ(plan.stats.counter(obs::names::kPaoPanelFailed) +
-                plan.stats.counter(obs::names::kPaoPanelDegraded),
-            throws + stalls);
+  EXPECT_EQ(plan.panelsBelowPrimary(), throws + stalls);
   // Faulted panels recovered through the LR rung; healthy ones stayed on
   // the primary.
   EXPECT_EQ(plan.stats.counter(obs::names::kPaoRungLr), throws + stalls);
@@ -143,9 +141,7 @@ TEST(Chaos, LadderReachesGreedyAndMinimalRungs) {
   const PinAccessPlan plan = optimizePinAccess(d, opts);
   expectLegal(d, plan);
   const long faults = expectedFaults(plan, 1) + expectedFaults(plan, 2);
-  EXPECT_EQ(plan.stats.counter(obs::names::kPaoPanelFailed) +
-                plan.stats.counter(obs::names::kPaoPanelDegraded),
-            faults);
+  EXPECT_EQ(plan.panelsBelowPrimary(), faults);
   EXPECT_EQ(plan.stats.counter(obs::names::kPaoRungLr), 0);
   EXPECT_EQ(plan.stats.counter(obs::names::kPaoRungGreedy) +
                 plan.stats.counter(obs::names::kPaoRungMinimal),

@@ -1,120 +1,135 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "obs/names.h"
 #include "route/drc.h"
-#include "route/grid.h"
 
 namespace cpr::route {
 namespace {
 
-/// Helper building node ids on a 40x20 grid without a design.
-constexpr Coord kW = 40;
-constexpr Coord kH = 20;
-int m2(Coord x, Coord y) { return y * kW + x; }
-int m3(Coord x, Coord y) { return kW * kH + y * kW + x; }
-
-DrcReport check(const std::vector<std::vector<int>>& nodes,
-                const std::vector<std::vector<ViaSite>>& vias,
-                const DrcRules& rules = {}) {
-  return checkDesignRules(DrcInput{nodes, vias, kW, kH}, rules);
+/// Committed geometry, as signoff sees it: line-end extensions are already
+/// part of every segment.
+RouteSegment m2(Coord track, Coord lo, Coord hi) {
+  return RouteSegment{false, track, geom::Interval{lo, hi}};
+}
+RouteSegment m3(Coord column, Coord lo, Coord hi) {
+  return RouteSegment{true, column, geom::Interval{lo, hi}};
+}
+NetGeometry wires(std::vector<RouteSegment> segments) {
+  return NetGeometry{std::move(segments), {}};
+}
+NetGeometry vias(std::vector<ViaSite> sites) {
+  return NetGeometry{{}, std::move(sites)};
 }
 
 TEST(Drc, CleanWhenFarApart) {
-  std::vector<std::vector<int>> nodes{{m2(0, 5), m2(1, 5), m2(2, 5)},
-                                      {m2(10, 5), m2(11, 5)}};
-  std::vector<std::vector<ViaSite>> vias{{}, {}};
-  const DrcReport r = check(nodes, vias);
+  const std::vector<NetGeometry> nets{wires({m2(5, 0, 2)}),
+                                      wires({m2(5, 10, 11)})};
+  const DrcReport r = checkDesignRules(nets);
   EXPECT_EQ(r.violations, 0);
   EXPECT_FALSE(r.dirty[0]);
   EXPECT_FALSE(r.dirty[1]);
 }
 
 TEST(Drc, SameTrackLineEndsTooClose) {
-  // Gap of 1 column between diff-net runs: extensions (1 each) overlap.
-  std::vector<std::vector<int>> nodes{{m2(0, 5), m2(1, 5)},
-                                      {m2(3, 5), m2(4, 5)}};
-  std::vector<std::vector<ViaSite>> vias{{}, {}};
-  const DrcReport r = check(nodes, vias);
+  // Extended runs sharing column 2: the line ends collide.
+  const std::vector<NetGeometry> nets{wires({m2(5, 0, 2)}),
+                                      wires({m2(5, 2, 5)})};
+  const DrcReport r = checkDesignRules(nets);
   EXPECT_GT(r.violations, 0);
   EXPECT_TRUE(r.dirty[0]);
   EXPECT_TRUE(r.dirty[1]);
 }
 
-TEST(Drc, GapOfTwoIsLegal) {
-  std::vector<std::vector<int>> nodes{{m2(0, 5), m2(1, 5)},
-                                      {m2(4, 5), m2(5, 5)}};
-  std::vector<std::vector<ViaSite>> vias{{}, {}};
-  EXPECT_EQ(check(nodes, vias).violations, 0);
+TEST(Drc, AbuttingExtendedRunsAreLegal) {
+  const std::vector<NetGeometry> nets{wires({m2(5, 0, 2)}),
+                                      wires({m2(5, 3, 6)})};
+  EXPECT_EQ(checkDesignRules(nets).violations, 0);
+}
+
+TEST(Drc, LineEndSpacingRespectsRuleParameter) {
+  const std::vector<NetGeometry> nets{wires({m2(5, 0, 2)}),
+                                      wires({m2(5, 3, 6)})};
+  DrcRules spaced;
+  spaced.minLineEndSpacing = 1;  // abutting ends now need a one-grid gap
+  EXPECT_GT(checkDesignRules(nets, spaced).violations, 0);
 }
 
 TEST(Drc, AdjacentTracksDoNotInteract) {
   // Same columns, neighbouring tracks: fine in unidirectional routing.
-  std::vector<std::vector<int>> nodes{{m2(0, 5), m2(1, 5)},
-                                      {m2(0, 6), m2(1, 6)}};
-  std::vector<std::vector<ViaSite>> vias{{}, {}};
-  EXPECT_EQ(check(nodes, vias).violations, 0);
+  const std::vector<NetGeometry> nets{wires({m2(5, 0, 2)}),
+                                      wires({m2(6, 0, 2)})};
+  EXPECT_EQ(checkDesignRules(nets).violations, 0);
 }
 
 TEST(Drc, M3ColumnsCheckedToo) {
-  std::vector<std::vector<int>> nodes{{m3(7, 0), m3(7, 1)},
-                                      {m3(7, 3), m3(7, 4)}};
-  std::vector<std::vector<ViaSite>> vias{{}, {}};
-  EXPECT_GT(check(nodes, vias).violations, 0);
+  const std::vector<NetGeometry> nets{wires({m3(7, 0, 2)}),
+                                      wires({m3(7, 2, 5)})};
+  EXPECT_GT(checkDesignRules(nets).violations, 0);
+}
+
+TEST(Drc, M2AndM3DoNotInteract) {
+  // Track 7 of M2 and column 7 of M3 are different routing lines.
+  const std::vector<NetGeometry> nets{wires({m2(7, 0, 2)}),
+                                      wires({m3(7, 0, 2)})};
+  EXPECT_EQ(checkDesignRules(nets).violations, 0);
 }
 
 TEST(Drc, SameNetRunsNeverViolate) {
-  std::vector<std::vector<int>> nodes{
-      {m2(0, 5), m2(1, 5), m2(3, 5), m2(4, 5)}};  // gap 1, same net
-  std::vector<std::vector<ViaSite>> vias{{}};
-  EXPECT_EQ(check(nodes, vias).violations, 0);
-}
-
-TEST(Drc, ExtensionRespectsRuleParameter) {
-  std::vector<std::vector<int>> nodes{{m2(0, 5), m2(1, 5)},
-                                      {m2(4, 5), m2(5, 5)}};
-  std::vector<std::vector<ViaSite>> vias{{}, {}};
-  DrcRules wide;
-  wide.lineEndExtension = 2;  // gap 2 now insufficient
-  EXPECT_GT(check(nodes, vias, wide).violations, 0);
-  DrcRules none;
-  none.lineEndExtension = 0;
-  EXPECT_EQ(check(nodes, vias, none).violations, 0);
+  const std::vector<NetGeometry> nets{wires({m2(5, 0, 2), m2(5, 2, 5)})};
+  EXPECT_EQ(checkDesignRules(nets).violations, 0);
 }
 
 TEST(Drc, ViaSpacingSameTrackSameLevel) {
-  std::vector<std::vector<int>> nodes{{}, {}};
-  std::vector<std::vector<ViaSite>> vias{{{10, 5, 2}}, {{11, 5, 2}}};
-  EXPECT_GT(check(nodes, vias).violations, 0);
-  vias = {{{10, 5, 2}}, {{12, 5, 2}}};  // two apart: legal
-  EXPECT_EQ(check(nodes, vias).violations, 0);
+  std::vector<NetGeometry> nets{vias({{10, 5, 2}}), vias({{11, 5, 2}})};
+  EXPECT_GT(checkDesignRules(nets).violations, 0);
+  nets = {vias({{10, 5, 2}}), vias({{12, 5, 2}})};  // two apart: legal
+  EXPECT_EQ(checkDesignRules(nets).violations, 0);
 }
 
 TEST(Drc, ViaLevelsAreIndependent) {
-  std::vector<std::vector<int>> nodes{{}, {}};
   // V1 next to V2: different cut masks, no violation.
-  std::vector<std::vector<ViaSite>> vias{{{10, 5, 1}}, {{11, 5, 2}}};
-  EXPECT_EQ(check(nodes, vias).violations, 0);
+  std::vector<NetGeometry> nets{vias({{10, 5, 1}}), vias({{11, 5, 2}})};
+  EXPECT_EQ(checkDesignRules(nets).violations, 0);
   // Same level, same site, different nets: violation.
-  vias = {{{10, 5, 1}}, {{10, 5, 1}}};
-  EXPECT_GT(check(nodes, vias).violations, 0);
+  nets = {vias({{10, 5, 1}}), vias({{10, 5, 1}})};
+  EXPECT_GT(checkDesignRules(nets).violations, 0);
 }
 
 TEST(Drc, ViaAdjacentTracksLegal) {
-  std::vector<std::vector<int>> nodes{{}, {}};
-  std::vector<std::vector<ViaSite>> vias{{{10, 5, 2}}, {{10, 6, 2}}};
-  EXPECT_EQ(check(nodes, vias).violations, 0);
+  const std::vector<NetGeometry> nets{vias({{10, 5, 2}}), vias({{10, 6, 2}})};
+  EXPECT_EQ(checkDesignRules(nets).violations, 0);
 }
 
 TEST(Drc, SameNetViasNeverViolate) {
-  std::vector<std::vector<int>> nodes{{}};
-  std::vector<std::vector<ViaSite>> vias{{{10, 5, 2}, {11, 5, 2}}};
-  EXPECT_EQ(check(nodes, vias).violations, 0);
+  const std::vector<NetGeometry> nets{vias({{10, 5, 2}, {11, 5, 2}})};
+  EXPECT_EQ(checkDesignRules(nets).violations, 0);
 }
 
-TEST(Drc, ExtensionClipsAtDieEdge) {
-  // Run touching column 0: the extension must clip, not wrap or crash.
-  std::vector<std::vector<int>> nodes{{m2(0, 5)}, {m2(39, 5)}};
-  std::vector<std::vector<ViaSite>> vias{{}, {}};
-  EXPECT_EQ(check(nodes, vias).violations, 0);
+TEST(Drc, UnroutedNetsAreEmptyAndNeverDirty) {
+  const std::vector<NetGeometry> nets{wires({m2(5, 0, 2)}), NetGeometry{},
+                                      wires({m2(5, 2, 5)})};
+  const DrcReport r = checkDesignRules(nets);
+  ASSERT_EQ(r.dirty.size(), 3U);
+  EXPECT_TRUE(r.dirty[0]);
+  EXPECT_FALSE(r.dirty[1]);
+  EXPECT_TRUE(r.dirty[2]);
+}
+
+TEST(Drc, CountersAreCategorized) {
+  // One line-end pair and one via pair; net 2 is clean.
+  const std::vector<NetGeometry> nets{
+      NetGeometry{{m2(5, 0, 2)}, {{20, 9, 2}}},
+      NetGeometry{{m2(5, 2, 5)}, {{21, 9, 2}}},
+      wires({m2(8, 0, 4)})};
+  obs::Collector obs;
+  const DrcReport r = checkDesignRules(nets, {}, &obs);
+  EXPECT_EQ(r.violations, 2);
+  EXPECT_EQ(obs.counter(obs::names::kDrcViolations), 2);
+  EXPECT_EQ(obs.counter(obs::names::kDrcLineEnd), 1);
+  EXPECT_EQ(obs.counter(obs::names::kDrcViaSpacing), 1);
+  EXPECT_EQ(obs.counter(obs::names::kDrcDirtyNets), 2);
 }
 
 }  // namespace

@@ -54,7 +54,7 @@ std::uint64_t routeDigest(const RoutingResult& r) {
       mix(static_cast<std::uint64_t>(s.span.lo));
       mix(static_cast<std::uint64_t>(s.span.hi));
     }
-    for (const NetGeometry::Via& v : g.vias) {
+    for (const ViaSite& v : g.vias) {
       mix(static_cast<std::uint64_t>(v.x));
       mix(static_cast<std::uint64_t>(v.y));
       mix(v.level);
@@ -66,7 +66,6 @@ std::uint64_t routeDigest(const RoutingResult& r) {
 std::uint64_t digestAt(const db::Design& d, const core::PinAccessPlan* plan,
                        int threads) {
   NegotiationOptions opts;
-  opts.keepGeometry = true;
   opts.threads = threads;
   return routeDigest(routeNegotiated(d, plan, opts));
 }

@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/optimizer.h"
 #include "core/solver.h"
 #include "gen/generator.h"
 #include "lefdef/def_io.h"
@@ -76,6 +77,18 @@ class ChaosSolver final : public core::Solver {
 
  private:
   core::LrSolver inner_;
+};
+
+/// Throws on every panel, so every panel is recovered by the LR rung.
+class AlwaysThrowingSolver final : public core::Solver {
+ public:
+  using Solver::solve;
+  [[nodiscard]] std::string_view name() const override { return "throwing"; }
+  [[nodiscard]] core::Assignment solve(const core::PanelKernel&,
+                                       core::PanelScratch*, obs::Collector*,
+                                       support::Deadline) const override {
+    throw std::runtime_error("injected panel fault");
+  }
 };
 
 // ---- harness helpers ------------------------------------------------------
@@ -320,6 +333,39 @@ TEST(ServeChaos, MalformedFrameGetsAnErrorAndTheConnectionSurvives) {
   ASSERT_TRUE(out.isOk()) << out.status().message();
   EXPECT_EQ(out.value().event, obs::names::kServeEvCompleted);
   EXPECT_EQ(out.value().status, "ok");
+  server.stop();
+}
+
+TEST(ServeChaos, DegradedDetailCountsEachFaultedPanelOnce) {
+  const std::string def = tinyDefText();
+  auto hook = std::make_shared<AlwaysThrowingSolver>();
+  // The design's panel count, from the pin access stage run directly.
+  std::istringstream is(def);
+  const db::Design d = lefdef::readDef(is);
+  core::OptimizerOptions oo;
+  oo.threads = 1;
+  oo.solver = hook;
+  const core::PinAccessPlan plan = core::optimizePinAccess(d, oo);
+  const long panels = plan.stats.counter(obs::names::kPaoPanels);
+  ASSERT_GT(panels, 0);
+  EXPECT_EQ(plan.panelsBelowPrimary(), panels);
+
+  ServerOptions so;
+  so.socketPath = uniqueSocketPath("degraded");
+  so.workers = 1;
+  so.jobThreads = 1;
+  so.solverHook = hook;
+  Server server(std::move(so));
+  ASSERT_TRUE(server.start().isOk());
+  Client c;
+  ASSERT_TRUE(c.connect(server.socketPath()).isOk());
+  const auto out = runJob(c, defJob("all-faulted", def));
+  ASSERT_TRUE(out.isOk()) << out.status().message();
+  EXPECT_EQ(out.value().status, "degraded");
+  // Each faulted panel is one failed panel, not also one fallback.
+  EXPECT_EQ(out.value().detail,
+            std::to_string(panels) +
+                " pin access panel(s) fell below the primary solver");
   server.stop();
 }
 

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "core/optimizer.h"
 #include "gen/generator.h"
 #include "lefdef/def_io.h"
+#include "route/cpr.h"
 #include "route/def_export.h"
 #include "route/negotiation_router.h"
+#include "route/sequential_router.h"
 #include "viz/ascii.h"
 #include "viz/svg.h"
 
@@ -55,9 +58,7 @@ TEST(Svg, PlanAddsIntervalStrips) {
 
 TEST(Svg, GeometryAddsSegmentsAndVias) {
   const db::Design d = smallDesign();
-  route::NegotiationOptions opts;
-  opts.keepGeometry = true;
-  const route::RoutingResult r = route::routeNegotiated(d, nullptr, opts);
+  const route::RoutingResult r = route::routeNegotiated(d, nullptr);
   ASSERT_EQ(r.geometry.size(), d.nets().size());
   std::ostringstream os;
   renderSvg(d, nullptr, &r.geometry, os);
@@ -95,9 +96,7 @@ TEST(Ascii, NoPlanMeansNoIntervalGlyphs) {
 
 TEST(RoutedDef, EmitsRoutedStatements) {
   const db::Design d = smallDesign();
-  route::NegotiationOptions opts;
-  opts.keepGeometry = true;
-  const route::RoutingResult r = route::routeNegotiated(d, nullptr, opts);
+  const route::RoutingResult r = route::routeNegotiated(d, nullptr);
   std::ostringstream os;
   route::writeRoutedDef(d, r.geometry, os);
   const std::string text = os.str();
@@ -106,11 +105,20 @@ TEST(RoutedDef, EmitsRoutedStatements) {
   EXPECT_NE(text.find("M2 ("), std::string::npos);
 }
 
-TEST(RoutedDef, GeometryMatchesNetResults) {
+/// Routes `d` under one of the three schemes with default options.
+route::RoutingResult routeScheme(const db::Design& d,
+                                 const std::string& scheme) {
+  if (scheme == "seq") return route::routeSequential(d);
+  if (scheme == "nopao") return route::routeNegotiated(d, nullptr);
+  return route::routeCpr(d).routing;
+}
+
+class RoutedDefScheme : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(RoutedDefScheme, GeometryMatchesNetResults) {
   const db::Design d = smallDesign();
-  route::NegotiationOptions opts;
-  opts.keepGeometry = true;
-  const route::RoutingResult r = route::routeNegotiated(d, nullptr, opts);
+  const route::RoutingResult r = routeScheme(d, GetParam());
+  ASSERT_EQ(r.geometry.size(), r.nets.size());
   for (std::size_t n = 0; n < r.nets.size(); ++n) {
     if (!r.nets[n].routed) continue;
     // Segment spans re-add to the wirelength (edges = span-1 per segment...
@@ -124,6 +132,9 @@ TEST(RoutedDef, GeometryMatchesNetResults) {
               static_cast<std::size_t>(r.nets[n].vias));
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Schemes, RoutedDefScheme,
+                         ::testing::Values("cpr", "nopao", "seq"));
 
 }  // namespace
 }  // namespace cpr::viz

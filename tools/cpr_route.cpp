@@ -154,25 +154,20 @@ int main(int argc, char** argv) {
     run.note("cli.scheme", args.scheme);
     run.gauge("cli.seed", static_cast<double>(args.seed));
 
-    const bool wantGeometry =
-        !args.svgPath.empty() || !args.routedDefPath.empty();
     route::RoutingResult result;
     core::PinAccessPlan plan;
     double extraSeconds = 0.0;
     if (args.scheme == "seq") {
       route::SequentialOptions opts;
-      opts.keepGeometry = wantGeometry;
       opts.deadline = runDeadline;
       result = route::routeSequential(d, opts);
     } else if (args.scheme == "nopao") {
       route::NegotiationOptions opts;
-      opts.keepGeometry = wantGeometry;
       opts.deadline = runDeadline;
       opts.threads = args.threads;
       result = route::routeNegotiated(d, nullptr, opts);
     } else if (args.scheme == "cpr") {
       route::CprOptions opts;
-      opts.routing.keepGeometry = wantGeometry;
       opts.routing.deadline = runDeadline;
       opts.routing.threads = args.threads;
       opts.pinAccess.threads = args.threads;
@@ -185,18 +180,13 @@ int main(int argc, char** argv) {
       plan = std::move(r.plan);
       extraSeconds = r.pinAccessSeconds;
       run.merge(plan.stats);
-      const long faulted =
-          plan.stats.counter(obs::names::kPaoPanelFailed) +
-          plan.stats.counter(obs::names::kPaoPanelDegraded) +
-          plan.stats.counter(obs::names::kPaoFallbacks);
-      if (faulted > 0) {
+      if (const long faulted = plan.panelsBelowPrimary(); faulted > 0) {
         std::fprintf(stderr,
                      "warning: %ld panel(s) degraded below the primary "
-                     "solver (failed=%ld degraded=%ld fallbacks=%ld)\n",
+                     "solver (failed=%ld degraded=%ld)\n",
                      faulted,
                      plan.stats.counter(obs::names::kPaoPanelFailed),
-                     plan.stats.counter(obs::names::kPaoPanelDegraded),
-                     plan.stats.counter(obs::names::kPaoFallbacks));
+                     plan.stats.counter(obs::names::kPaoPanelDegraded));
         exitCode = 4;  // completed, but degraded
       }
     } else {
@@ -229,8 +219,7 @@ int main(int argc, char** argv) {
       viz::SvgOptions svg;
       svg.labelPins = d.pins().size() <= 400;
       viz::saveSvg(d, args.scheme == "cpr" ? &plan : nullptr,
-                   result.geometry.empty() ? nullptr : &result.geometry,
-                   args.svgPath, svg);
+                   &result.geometry, args.svgPath, svg);
       std::printf("wrote %s\n", args.svgPath.c_str());
     }
     if (!args.routedDefPath.empty()) {
