@@ -103,6 +103,10 @@ inline constexpr std::string_view kRoutePops = "route.astar.pops";
 /// workers, so it may vary with the thread count.
 inline constexpr std::string_view kRouteScratchPeakBytes =
     "route.scratch.peak_bytes";
+/// Bytes of the routing grid's per-node state (`RoutingGrid::
+/// footprintBytes`): 8 per node. A gauge like the other byte footprints,
+/// though it depends only on the die, never on the thread count.
+inline constexpr std::string_view kRouteGridBytes = "route.grid_bytes";
 inline constexpr std::string_view kRouteDroppedSharing =
     "route.dropped.sharing";
 /// A router loop (RRR, sequential queue, DRC repair) stopped by a Deadline.
@@ -188,7 +192,7 @@ inline constexpr std::string_view kServeEvRejected = "serve.job.rejected";
 /// are unique and follow the `^[a-z]+(\.[a-z_]+)+$` grammar, which is what
 /// catches a typo'd or duplicated metric name at test time rather than in a
 /// dashboard.
-inline constexpr std::array<std::string_view, 80> kAll = {
+inline constexpr std::array<std::string_view, 81> kAll = {
     kGenIntervals,        kGenShared,           kGenBlockedPins,
     kConflictSets,        kLrIterations,        kLrRemovalRounds,
     kLrReexpandUpgrades,  kLrTimeout,           kIlpNodes,
@@ -215,7 +219,7 @@ inline constexpr std::array<std::string_view, 80> kAll = {
     kServeQueuePeakDepth, kServeJobSpan,        kServeEvAccepted,
     kServeEvStarted,      kServeEvRetrying,     kServeEvCompleted,
     kServeEvFailed,       kServeEvRejected,     kPaoHotPathAllocs,
-    kLintCallgraphEdges,  kRouteScratchPeakBytes,
+    kLintCallgraphEdges,  kRouteScratchPeakBytes, kRouteGridBytes,
 };
 
 }  // namespace cpr::obs::names

@@ -9,6 +9,26 @@
 
 namespace cpr::route {
 
+long wirelengthOf(std::span<const int> nodes, const RoutingGrid& grid) {
+  // Ids pack x consecutively, so an M2 pair is (a, a+1) in one row, which
+  // is the next entry when present, and an M3 pair is (a, a+W).
+  const int plane = grid.planeSize();
+  const Coord w = grid.width();
+  long wl = 0;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const int a = nodes[i];
+    if (a < plane) {
+      if (i + 1 < nodes.size() && nodes[i + 1] == a + 1 && (a + 1) % w != 0)
+        ++wl;
+    } else if (std::binary_search(
+                   nodes.begin() + static_cast<std::ptrdiff_t>(i + 1),
+                   nodes.end(), a + w)) {
+      ++wl;
+    }
+  }
+  return wl;
+}
+
 RouteEngine::RouteEngine(const db::Design& design,
                          const core::PinAccessPlan* plan, Coord windowMargin,
                          Coord lineEndExtension, obs::Collector* obs)
@@ -18,6 +38,8 @@ RouteEngine::RouteEngine(const db::Design& design,
       maze_(grid_),
       margin_(windowMargin),
       lineEndExtension_(lineEndExtension) {
+  obs::gauge(obs_, obs::names::kRouteGridBytes,
+             static_cast<double>(grid_.footprintBytes()));
   infos_.resize(design.nets().size());
   states_.resize(design.nets().size());
   for (std::size_t n = 0; n < design.nets().size(); ++n)
@@ -284,29 +306,9 @@ void RouteEngine::commitPlan(Index net, const NetPlan& plan) {
   for (int id : committed) grid_.addOcc(id);
   for (const ViaSite& v : plan.vias) grid_.addVia(v.x, v.y, net);
 
-  // Wirelength: same-layer adjacent committed pairs. Ids pack x
-  // consecutively, so M2 adjacency is id+1 (same y) and M3 adjacency id+W.
-  long wl = 0;
-  const int plane = grid_.planeSize();
-  for (std::size_t i = 0; i + 1 < committed.size(); ++i) {
-    const int a = committed[i];
-    for (std::size_t j = i + 1; j < committed.size(); ++j) {
-      const int b = committed[j];
-      if (b - a > grid_.width()) break;
-      const bool sameLayer = (a < plane) == (b < plane);
-      if (!sameLayer) continue;
-      if (a < plane) {  // M2: +1 within the same row
-        if (b == a + 1 && (a % plane) / grid_.width() == (b % plane) / grid_.width())
-          ++wl;
-      } else {  // M3: +W
-        if (b == a + grid_.width()) ++wl;
-      }
-    }
-  }
-
+  st.wirelength = wirelengthOf(committed, grid_);
   st.nodes = std::move(committed);
   st.vias = plan.vias;
-  st.wirelength = wl;
   st.routed = true;
 }
 

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/optimizer.h"
@@ -49,6 +50,12 @@ struct NetPlan {
 
 /// Line-end extension (Section 4) committed at both ends of every run.
 inline constexpr Coord kLineEndExtension = 1;
+
+/// Wirelength of a sorted, duplicate-free set of grid node ids: the number
+/// of same-layer adjacent pairs (M2 neighbours in one row, M3 neighbours in
+/// one column). Linear in the set size, plus a binary search per M3 node.
+[[nodiscard]] long wirelengthOf(std::span<const int> nodes,
+                                const RoutingGrid& grid);
 
 class RouteEngine {
  public:

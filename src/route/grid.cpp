@@ -1,51 +1,72 @@
 #include "route/grid.h"
 
+#include "support/contracts.h"
+
 namespace cpr::route {
 
 RoutingGrid::RoutingGrid(const db::Design& design,
                          const core::PinAccessPlan* plan)
     : w_(design.width()), h_(design.gridHeight()) {
   const std::size_t plane = static_cast<std::size_t>(planeSize());
-  blocked_.assign(2 * plane, 0);
-  pinNet_.assign(plane, geom::kInvalidIndex);
+  const auto at = [this](Coord x, Coord y) {
+    return static_cast<std::size_t>(y) * static_cast<std::size_t>(w_) +
+           static_cast<std::size_t>(x);
+  };
+  owner_.assign(plane, geom::kInvalidIndex);
+  m3Blocked_.assign(plane, 0);
   occ_.assign(2 * plane, 0);
-  hist_.assign(2 * plane, 0.0F);
+  hist_.assign(2 * plane, 0);
   viaNet_.assign(plane, geom::kInvalidIndex);
   viaCount_.assign(plane, 0);
 
-  for (const db::Blockage& b : design.blockages()) {
-    if (b.layer == db::Layer::M1) continue;
-    const std::size_t base =
-        b.layer == db::Layer::M2 ? 0 : plane;
-    for (Coord y = b.shape.y.lo; y <= b.shape.y.hi; ++y) {
-      for (Coord x = b.shape.x.lo; x <= b.shape.x.hi; ++x) {
-        blocked_[base + static_cast<std::size_t>(y) * static_cast<std::size_t>(w_) +
-                 static_cast<std::size_t>(x)] = 1;
-      }
-    }
-  }
-
-  for (std::size_t pid = 0; pid < design.pins().size(); ++pid) {
-    const db::Pin& p = design.pins()[pid];
+  // The owner is folded in place, with no plane-sized staging copy: pins
+  // first in pin order (the last pin wins), then intervals in reverse pin
+  // order so the first visit of a node is its last interval, then
+  // blockages over everything.
+  for (const db::Pin& p : design.pins()) {
     for (Coord y = p.shape.y.lo; y <= p.shape.y.hi; ++y) {
-      for (Coord x = p.shape.x.lo; x <= p.shape.x.hi; ++x) {
-        pinNet_[static_cast<std::size_t>(y) * static_cast<std::size_t>(w_) +
-                static_cast<std::size_t>(x)] = p.net;
-      }
+      for (Coord x = p.shape.x.lo; x <= p.shape.x.hi; ++x)
+        owner_[at(x, y)] = p.net;
     }
   }
 
   if (plan) {
-    intervalNet_.assign(plane, geom::kInvalidIndex);
-    for (std::size_t pid = 0; pid < plan->routes.size(); ++pid) {
+    std::vector<bool> seen(plane);
+    for (std::size_t pid = plan->routes.size(); pid-- > 0;) {
       const core::PinRoute& r = plan->routes[pid];
       if (!r.valid()) continue;
       const Index net = design.pins()[pid].net;
       for (Coord x = r.span.lo; x <= r.span.hi; ++x) {
-        intervalNet_[static_cast<std::size_t>(r.track) *
-                         static_cast<std::size_t>(w_) +
-                     static_cast<std::size_t>(x)] = net;
+        const std::size_t i = at(x, r.track);
+        if (seen[i]) continue;
+        seen[i] = true;
+        Index& owner = owner_[i];  // still the last pin's net here
+        if (owner == geom::kInvalidIndex)
+          owner = net;
+        else if (owner != net)
+          owner = kContestedOwner;
       }
+    }
+  }
+
+  for (const db::Blockage& b : design.blockages()) {
+    if (b.layer == db::Layer::M1) continue;
+    for (Coord y = b.shape.y.lo; y <= b.shape.y.hi; ++y) {
+      for (Coord x = b.shape.x.lo; x <= b.shape.x.hi; ++x) {
+        if (b.layer == db::Layer::M2)
+          owner_[at(x, y)] = kBlockedOwner;
+        else
+          m3Blocked_[at(x, y)] = 1;
+      }
+    }
+  }
+}
+
+void RoutingGrid::accrueHistory() {
+  for (std::size_t id = 0; id < occ_.size(); ++id) {
+    if (occ_[id] > 1) {
+      CPR_DCHECK(hist_[id] < 255);
+      ++hist_[id];
     }
   }
 }
@@ -74,6 +95,12 @@ void RoutingGrid::removeVia(Coord x, Coord y, Index net) {
   } else {
     viaNet_[at] = net;  // best effort; exact owner tracking not needed
   }
+}
+
+std::size_t RoutingGrid::footprintBytes() const {
+  return owner_.size() * sizeof(Index) + m3Blocked_.size() +
+         occ_.size() * sizeof(std::uint16_t) + hist_.size() +
+         viaNet_.size() * sizeof(Index) + viaCount_.size();
 }
 
 bool RoutingGrid::viaForbidden(Coord x, Coord y, Index net) const {

@@ -1,7 +1,9 @@
 /// \file grid.h
 /// The unidirectional routing grid: M2 (horizontal) and M3 (vertical) nodes
-/// over the die, with blockage, pin-projection, interval-blockage,
-/// occupancy, history-cost and via maps.
+/// over the die, with an owner map (blockages, pin projections and access
+/// intervals folded into one word per M2 node), M3 blockages, occupancy,
+/// history and via maps. DESIGN.md "Routing grid layout" has the byte
+/// budget.
 ///
 /// Node addressing: a routable node is (layer, x, y) with layer ∈ {M2, M3},
 /// x ∈ [0, width), y ∈ [0, height) (y is the global M2 track index; M3 uses
@@ -23,6 +25,13 @@ using geom::Index;
 
 enum class RLayer : std::uint8_t { M2 = 0, M3 = 1 };
 
+/// M2 owner code: the node's last pin projection and last access interval
+/// belong to different nets. No net may enter, yet it is not a blockage.
+/// Like kBlockedOwner it is negative, so it never equals a net id.
+inline constexpr Index kContestedOwner = -2;
+/// M2 owner code of a blockage.
+inline constexpr Index kBlockedOwner = -3;
+
 struct Node {
   RLayer layer = RLayer::M2;
   Coord x = 0;
@@ -37,6 +46,9 @@ class RoutingGrid {
   /// projection of every pin onto M2 (pin x-range × track-range). When
   /// `plan` is non-null, each assigned pin access interval is also recorded
   /// so routers can treat other nets' intervals as blockages (Section 4).
+  /// The M2 owner is the net of the last pin and of the last interval
+  /// covering the node (in pin order), kContestedOwner when those two
+  /// disagree, and kBlockedOwner under a blockage.
   RoutingGrid(const db::Design& design, const core::PinAccessPlan* plan);
 
   [[nodiscard]] Coord width() const { return w_; }
@@ -58,21 +70,28 @@ class RoutingGrid {
   }
 
   // ---- static obstacles ----
-  [[nodiscard]] bool blocked(int id) const { return blocked_[static_cast<std::size_t>(id)]; }
-  /// Net whose pin projects onto this M2 node (kInvalidIndex if none).
-  [[nodiscard]] Index pinNetAt(int m2id) const { return pinNet_[static_cast<std::size_t>(m2id)]; }
-  /// Net whose assigned access interval covers this M2 node.
-  [[nodiscard]] Index intervalNetAt(int m2id) const {
-    return intervalNet_.empty() ? geom::kInvalidIndex
-                                : intervalNet_[static_cast<std::size_t>(m2id)];
+  /// True under a blockage only; a contested M2 node is not blocked.
+  [[nodiscard]] bool blocked(int id) const {
+    const int plane = planeSize();
+    return id < plane ? owner_[static_cast<std::size_t>(id)] == kBlockedOwner
+                      : m3Blocked_[static_cast<std::size_t>(id - plane)] != 0;
+  }
+  /// Which nets may enter this M2 node: kInvalidIndex (any), a net id (only
+  /// that net), kContestedOwner or kBlockedOwner (none).
+  [[nodiscard]] Index owner(int m2id) const {
+    return owner_[static_cast<std::size_t>(m2id)];
   }
 
   // ---- congestion state ----
   [[nodiscard]] int occupancy(int id) const { return occ_[static_cast<std::size_t>(id)]; }
   void addOcc(int id) { ++occ_[static_cast<std::size_t>(id)]; }
   void removeOcc(int id) { --occ_[static_cast<std::size_t>(id)]; }
-  [[nodiscard]] float history(int id) const { return hist_[static_cast<std::size_t>(id)]; }
-  void addHistory(int id, float amount) { hist_[static_cast<std::size_t>(id)] += amount; }
+  /// Rip-up & reroute iterations in which this node was overused.
+  [[nodiscard]] int history(int id) const { return hist_[static_cast<std::size_t>(id)]; }
+  /// Adds one to the history of every node currently shared by more than
+  /// one net. A count is 8 bits: `routeNegotiated` calls this once per
+  /// rip-up & reroute iteration and allows at most 255 iterations.
+  void accrueHistory();
 
   /// Number of nodes currently shared by more than one net.
   [[nodiscard]] long congestedNodeCount() const;
@@ -81,18 +100,20 @@ class RoutingGrid {
   /// Registers/unregisters a V1 or V2 via of `net` at column x, track y.
   void addVia(Coord x, Coord y, Index net);
   void removeVia(Coord x, Coord y, Index net);
-  /// True when a different net owns a via within Chebyshev distance 1 —
-  /// the router charges the paper's forbidden grid cost (10) there.
+  /// True when a different net owns a via at (x-1..x+1, y) on the same
+  /// track — the router charges the paper's forbidden grid cost (10) there.
   [[nodiscard]] bool viaForbidden(Coord x, Coord y, Index net) const;
+
+  /// Bytes of per-node state (every array above), for `route.grid_bytes`.
+  [[nodiscard]] std::size_t footprintBytes() const;
 
  private:
   Coord w_ = 0;
   Coord h_ = 0;
-  std::vector<std::uint8_t> blocked_;   ///< per node
-  std::vector<Index> pinNet_;           ///< per M2 node
-  std::vector<Index> intervalNet_;      ///< per M2 node (empty w/o plan)
+  std::vector<Index> owner_;            ///< per M2 node
+  std::vector<std::uint8_t> m3Blocked_; ///< per M3 node
   std::vector<std::uint16_t> occ_;      ///< per node
-  std::vector<float> hist_;             ///< per node
+  std::vector<std::uint8_t> hist_;      ///< per node
   std::vector<Index> viaNet_;           ///< per (x,y): owning net or invalid
   std::vector<std::uint8_t> viaCount_;  ///< per (x,y)
 };

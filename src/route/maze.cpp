@@ -35,18 +35,19 @@ std::size_t MazeScratch::footprintBytes() const {
 }
 
 float MazeRouter::nodeCost(int id, Index net, const MazeCosts& c) const {
-  if (grid_.blocked(id)) return kInf;
   const Node n = grid_.node(id);
   if (n.layer == RLayer::M2) {
-    const int m2 = id;  // M2 ids occupy the first plane
-    const Index pinNet = grid_.pinNetAt(m2);
-    if (pinNet != geom::kInvalidIndex && pinNet != net) return kInf;
-    const Index ivNet = grid_.intervalNetAt(m2);
-    if (ivNet != geom::kInvalidIndex && ivNet != net) return kInf;
+    // One compare covers blockages, other nets' pins and intervals, and
+    // contested nodes: the blocked and contested codes match no net.
+    const Index owner = grid_.owner(id);  // M2 ids occupy the first plane
+    if (owner != geom::kInvalidIndex && owner != net) return kInf;
+  } else if (grid_.blocked(id)) {
+    return kInf;
   }
   const int occ = grid_.occupancy(id);
   if (c.hardBlockOccupied && occ > 0) return kInf;
-  float cost = c.metal + c.present * static_cast<float>(occ) + grid_.history(id);
+  float cost = c.metal + c.present * static_cast<float>(occ) +
+               static_cast<float>(grid_.history(id));
   if (c.adjacency > 0.0F) {
     // Same-lane neighbors: previous/next column on M2, previous/next track
     // on M3 (parallel wires on adjacent lanes are fine in unidirectional

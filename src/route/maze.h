@@ -112,9 +112,13 @@ class MazeRouter {
       const geom::Rect& window, Index net, const MazeCosts& costs,
       MazeScratch& scratch) const CPR_HOT;
 
- private:
+  /// Cost of entering node `id` for `net` (via costs excluded), or +inf when
+  /// the net may not enter: a blockage, a foreign or contested M2 owner, or
+  /// (under `hardBlockOccupied`) an occupied node.
   [[nodiscard]] float nodeCost(int id, Index net,
                                const MazeCosts& c) const CPR_HOT;
+
+ private:
 
   const RoutingGrid& grid_;
 };

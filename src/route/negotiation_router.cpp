@@ -9,6 +9,7 @@
 #include "route/drc.h"
 #include "route/engine.h"
 #include "route/wave_scheduler.h"
+#include "support/contracts.h"
 #include "support/thread_pool.h"
 
 namespace cpr::route {
@@ -25,8 +26,6 @@ constexpr int kCongestionStallIters = 4;
 constexpr int kDrcRepairPasses = 2;
 /// Present-sharing penalty of RRR iteration i is kPresentFactor * i.
 constexpr float kPresentFactor = 3.0F;
-/// History cost added to every shared grid per RRR iteration.
-constexpr float kHistoryIncrement = 1.0F;
 
 /// True when some committed grid of `net` is shared with another net.
 bool sharesGrid(const RouteEngine& engine, Index net) {
@@ -151,6 +150,8 @@ class BatchRouter {
 RoutingResult routeNegotiated(const db::Design& design,
                               const core::PinAccessPlan* plan,
                               const NegotiationOptions& opts) {
+  // History is an 8-bit count that grows at most once per RRR iteration.
+  CPR_CHECK(opts.maxRrrIterations <= 255);
   const auto t0 = Clock::now();
   RoutingResult result;
   obs::Collector* obs = &result.stats;
@@ -191,10 +192,7 @@ RoutingResult routeNegotiated(const db::Design& design,
       obs->add(obs::names::kRouteRrrIterations);
       obs->row("rrr.iter", {"iter", "congested"},
                {static_cast<double>(iter), static_cast<double>(congestion)});
-      // History accrues on currently congested nodes.
-      for (int id = 0; id < grid.numNodes(); ++id) {
-        if (grid.occupancy(id) > 1) grid.addHistory(id, kHistoryIncrement);
-      }
+      grid.accrueHistory();  // +1 on every node shared right now
       costs.present = kPresentFactor * static_cast<float>(iter);
       costs.adjacency = 0.5F * costs.present;
       // Snapshot this iteration's reroute set — unrouted nets plus nets

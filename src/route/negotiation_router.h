@@ -35,6 +35,9 @@ namespace cpr::route {
 /// repair passes, present/history schedule) are constants of the driver
 /// (negotiation_router.cpp); these are the knobs callers set.
 struct NegotiationOptions {
+  /// Rip-up & reroute iteration cap, at most 255: a node's history counts
+  /// the iterations in which it was shared, in 8 bits (the DRC repair passes
+  /// add none). `routeNegotiated` checks the bound (CPR_CHECK).
   int maxRrrIterations = 20;
   /// Worker threads for the wave-parallel net searches (0 = one per
   /// hardware thread, 1 = sequential). Pure throughput knob: the wave

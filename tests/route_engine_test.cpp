@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "core/optimizer.h"
 #include "route/engine.h"
 
@@ -149,6 +152,46 @@ TEST(RouteEngine, WirelengthCountsAdjacentPairs) {
   ASSERT_TRUE(eng.routeNet(0, {}, scratch));
   // Straight run 5..10 on track 4: 6 nodes, 5 edges.
   EXPECT_EQ(eng.state(0).wirelength, 5);
+}
+
+/// The pairwise scan `commitPlan` used before the linear pass, kept as the
+/// reference: for every node, every later node within `width()` ids.
+long pairwiseWirelength(const std::vector<int>& nodes, const RoutingGrid& g) {
+  long wl = 0;
+  const int plane = g.planeSize();
+  for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
+    const int a = nodes[i];
+    for (std::size_t j = i + 1; j < nodes.size(); ++j) {
+      const int b = nodes[j];
+      if (b - a > g.width()) break;
+      if ((a < plane) != (b < plane)) continue;
+      if (a < plane) {
+        if (b == a + 1 && (a % plane) / g.width() == (b % plane) / g.width())
+          ++wl;
+      } else if (b == a + g.width()) {
+        ++wl;
+      }
+    }
+  }
+  return wl;
+}
+
+TEST(RouteEngine, LinearWirelengthMatchesPairwiseScan) {
+  std::mt19937 rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    const geom::Coord w = std::uniform_int_distribution<geom::Coord>(1, 12)(rng);
+    Design d("wl", w, std::uniform_int_distribution<geom::Coord>(1, 2)(rng), 3);
+    const RoutingGrid g(d, nullptr);
+    // Dense sets hit row and plane boundaries (a+1 starting the next row,
+    // the last M2 node followed by the first M3 node).
+    const double density = std::uniform_real_distribution<double>(0.05, 0.95)(rng);
+    std::bernoulli_distribution keep(density);
+    std::vector<int> nodes;
+    for (int id = 0; id < g.numNodes(); ++id)
+      if (keep(rng)) nodes.push_back(id);
+    EXPECT_EQ(wirelengthOf(nodes, g), pairwiseWirelength(nodes, g))
+        << "trial " << trial << " w " << w << " nodes " << nodes.size();
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@ namespace {
 
 using db::Design;
 using db::Layer;
+using geom::Coord;
 using geom::Interval;
 using geom::Rect;
 
@@ -47,10 +48,10 @@ TEST(RoutingGrid, BlockagesPerLayer) {
 TEST(RoutingGrid, PinProjectionRecordsOwningNet) {
   const Design d = makeDesign();
   RoutingGrid g(d, nullptr);
-  EXPECT_EQ(g.pinNetAt(g.id(Node{RLayer::M2, 3, 2})), 0);
-  EXPECT_EQ(g.pinNetAt(g.id(Node{RLayer::M2, 3, 4})), 0);
-  EXPECT_EQ(g.pinNetAt(g.id(Node{RLayer::M2, 7, 14})), 1);
-  EXPECT_EQ(g.pinNetAt(g.id(Node{RLayer::M2, 5, 2})), geom::kInvalidIndex);
+  EXPECT_EQ(g.owner(g.id(Node{RLayer::M2, 3, 2})), 0);
+  EXPECT_EQ(g.owner(g.id(Node{RLayer::M2, 3, 4})), 0);
+  EXPECT_EQ(g.owner(g.id(Node{RLayer::M2, 7, 14})), 1);
+  EXPECT_EQ(g.owner(g.id(Node{RLayer::M2, 5, 2})), geom::kInvalidIndex);
 }
 
 TEST(RoutingGrid, IntervalMapFollowsPlan) {
@@ -59,12 +60,97 @@ TEST(RoutingGrid, IntervalMapFollowsPlan) {
   plan.routes.assign(d.pins().size(), core::PinRoute{});
   plan.routes[0] = core::PinRoute{3, Interval{1, 8}};  // pin a1 on track 3
   RoutingGrid g(d, &plan);
-  EXPECT_EQ(g.intervalNetAt(g.id(Node{RLayer::M2, 1, 3})), 0);
-  EXPECT_EQ(g.intervalNetAt(g.id(Node{RLayer::M2, 8, 3})), 0);
-  EXPECT_EQ(g.intervalNetAt(g.id(Node{RLayer::M2, 9, 3})), geom::kInvalidIndex);
-  // Without a plan the map reports no interval anywhere.
+  EXPECT_EQ(g.owner(g.id(Node{RLayer::M2, 1, 3})), 0);
+  EXPECT_EQ(g.owner(g.id(Node{RLayer::M2, 8, 3})), 0);
+  EXPECT_EQ(g.owner(g.id(Node{RLayer::M2, 9, 3})), geom::kInvalidIndex);
+  // Without a plan only the pin projections own nodes.
   RoutingGrid g2(d, nullptr);
-  EXPECT_EQ(g2.intervalNetAt(g2.id(Node{RLayer::M2, 1, 3})), geom::kInvalidIndex);
+  EXPECT_EQ(g2.owner(g2.id(Node{RLayer::M2, 1, 3})), geom::kInvalidIndex);
+}
+
+// ---- owner fold: which net a node admits when sources overlap ----
+
+/// Three nets on a 20 x 20 die whose pins and intervals overlap on purpose.
+Design overlapDesign() {
+  Design d("fold", 20, 2, 10);
+  const db::Index a = d.addNet("A");
+  const db::Index b = d.addNet("B");
+  const db::Index c = d.addNet("C");
+  // Pins a1 and b1 both project onto column 4, tracks 3..5.
+  d.addPin("a1", a, Rect{Interval::point(4), Interval{2, 5}});
+  d.addPin("b1", b, Rect{Interval::point(4), Interval{3, 6}});
+  d.addPin("c1", c, Rect{Interval::point(15), Interval{12, 14}});
+  // An M2 blockage over part of pin c1, and an M3 blockage.
+  d.addBlockage(Layer::M2, Rect{Interval::point(15), Interval::point(13)});
+  d.addBlockage(Layer::M3, Rect{Interval{6, 7}, Interval{10, 11}});
+  return d;
+}
+
+TEST(RoutingGridOwner, LastOverlappingPinWins) {
+  const Design d = overlapDesign();
+  RoutingGrid g(d, nullptr);
+  EXPECT_EQ(g.owner(g.id(Node{RLayer::M2, 4, 2})), 0);  // only a1
+  EXPECT_EQ(g.owner(g.id(Node{RLayer::M2, 4, 3})), 1);  // a1 then b1
+  EXPECT_EQ(g.owner(g.id(Node{RLayer::M2, 4, 5})), 1);
+  EXPECT_EQ(g.owner(g.id(Node{RLayer::M2, 4, 6})), 1);  // only b1
+  EXPECT_FALSE(g.blocked(g.id(Node{RLayer::M2, 4, 3})));
+}
+
+TEST(RoutingGridOwner, LastOverlappingIntervalWins) {
+  const Design d = overlapDesign();
+  core::PinAccessPlan plan;
+  plan.routes.assign(d.pins().size(), core::PinRoute{});
+  plan.routes[0] = core::PinRoute{8, Interval{2, 10}};  // net A
+  plan.routes[2] = core::PinRoute{8, Interval{8, 16}};  // net C, later pin
+  RoutingGrid g(d, &plan);
+  EXPECT_EQ(g.owner(g.id(Node{RLayer::M2, 7, 8})), 0);
+  EXPECT_EQ(g.owner(g.id(Node{RLayer::M2, 8, 8})), 2);
+  EXPECT_EQ(g.owner(g.id(Node{RLayer::M2, 10, 8})), 2);
+  EXPECT_EQ(g.owner(g.id(Node{RLayer::M2, 16, 8})), 2);
+  EXPECT_EQ(g.owner(g.id(Node{RLayer::M2, 17, 8})), geom::kInvalidIndex);
+}
+
+TEST(RoutingGridOwner, PinAndIntervalOfDifferentNetsAreContested) {
+  const Design d = overlapDesign();
+  core::PinAccessPlan plan;
+  plan.routes.assign(d.pins().size(), core::PinRoute{});
+  // Net C's interval crosses column 4 on track 5, where b1 (net B) projects.
+  plan.routes[2] = core::PinRoute{5, Interval{3, 15}};
+  // Net A's interval on track 2 agrees with its own pin there.
+  plan.routes[0] = core::PinRoute{2, Interval{1, 6}};
+  RoutingGrid g(d, &plan);
+  const int contested = g.id(Node{RLayer::M2, 4, 5});
+  EXPECT_EQ(g.owner(contested), kContestedOwner);
+  EXPECT_FALSE(g.blocked(contested));  // line-end extensions may enter
+  EXPECT_EQ(g.owner(g.id(Node{RLayer::M2, 5, 5})), 2);
+  EXPECT_EQ(g.owner(g.id(Node{RLayer::M2, 4, 2})), 0);  // same net: no conflict
+}
+
+TEST(RoutingGridOwner, BlockageOverridesPinAndInterval) {
+  const Design d = overlapDesign();
+  core::PinAccessPlan plan;
+  plan.routes.assign(d.pins().size(), core::PinRoute{});
+  plan.routes[2] = core::PinRoute{13, Interval{14, 16}};
+  RoutingGrid g(d, &plan);
+  const int under = g.id(Node{RLayer::M2, 15, 13});
+  EXPECT_EQ(g.owner(under), kBlockedOwner);
+  EXPECT_TRUE(g.blocked(under));
+  EXPECT_EQ(g.owner(g.id(Node{RLayer::M2, 15, 12})), 2);  // rest of c1
+  EXPECT_FALSE(g.blocked(g.id(Node{RLayer::M3, 15, 13})));
+}
+
+TEST(RoutingGridOwner, M3BlockagesAreSeparateFromM2Owners) {
+  const Design d = overlapDesign();
+  RoutingGrid g(d, nullptr);
+  for (const Coord x : {6, 7}) {
+    for (const Coord y : {10, 11}) {
+      EXPECT_TRUE(g.blocked(g.id(Node{RLayer::M3, x, y})));
+      EXPECT_FALSE(g.blocked(g.id(Node{RLayer::M2, x, y})));
+      EXPECT_EQ(g.owner(g.id(Node{RLayer::M2, x, y})), geom::kInvalidIndex);
+    }
+  }
+  EXPECT_FALSE(g.blocked(g.id(Node{RLayer::M3, 8, 10})));
+  EXPECT_FALSE(g.blocked(g.id(Node{RLayer::M3, 6, 12})));
 }
 
 TEST(RoutingGrid, OccupancyAndCongestion) {
@@ -80,13 +166,21 @@ TEST(RoutingGrid, OccupancyAndCongestion) {
   EXPECT_EQ(g.congestedNodeCount(), 0);
 }
 
-TEST(RoutingGrid, HistoryAccumulates) {
+TEST(RoutingGrid, HistoryCountsOverusedAccruals) {
   const Design d = makeDesign();
   RoutingGrid g(d, nullptr);
-  const int id = g.id(Node{RLayer::M3, 4, 4});
-  g.addHistory(id, 1.5F);
-  g.addHistory(id, 0.5F);
-  EXPECT_FLOAT_EQ(g.history(id), 2.0F);
+  const int shared = g.id(Node{RLayer::M3, 4, 4});
+  const int single = g.id(Node{RLayer::M2, 4, 4});
+  g.addOcc(shared);
+  g.addOcc(shared);
+  g.addOcc(single);
+  g.accrueHistory();
+  g.accrueHistory();
+  EXPECT_EQ(g.history(shared), 2);
+  EXPECT_EQ(g.history(single), 0);  // used by one net: not overused
+  g.removeOcc(shared);
+  g.accrueHistory();
+  EXPECT_EQ(g.history(shared), 2);  // history never decays
 }
 
 TEST(RoutingGrid, ViaForbiddenIsSameTrackOnly) {

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "route/maze.h"
 
 namespace cpr::route {
@@ -114,7 +121,7 @@ TEST(Maze, OtherNetPinProjectionIsHardWall) {
   const auto path = maze.findPath({s}, {t}, fullWindow(g), a, {}, scratch);
   ASSERT_TRUE(path.has_value());
   for (int id : *path) {
-    const db::Index owner = id < g.planeSize() ? g.pinNetAt(id) : geom::kInvalidIndex;
+    const db::Index owner = id < g.planeSize() ? g.owner(id) : geom::kInvalidIndex;
     EXPECT_TRUE(owner == geom::kInvalidIndex || owner == a);
   }
   // Net B itself may use its own projection.
@@ -220,6 +227,151 @@ TEST(Maze, ForbiddenViaCostSteersViaPlacement) {
       // The chosen via sites must not be adjacent to net 1's via.
       EXPECT_FALSE(g.viaForbidden(u.x, u.y, 0))
           << "via at " << u.x << "," << u.y;
+    }
+  }
+}
+
+// ---- nodeCost against the owner fold ----
+
+TEST(MazeNodeCost, ContestedNodeAdmitsNoNetButIsNotBlocked) {
+  Design d = openField();
+  // Net B's interval on track 2 crosses net A's pin a1 (column 0, tracks
+  // 1..3): the last pin and the last interval there disagree.
+  core::PinAccessPlan plan;
+  plan.routes.assign(d.pins().size(), core::PinRoute{});
+  plan.routes[2] = core::PinRoute{2, Interval{0, 5}};
+  RoutingGrid g(d, &plan);
+  MazeRouter maze(g);
+  const int contested = g.id(Node{RLayer::M2, 0, 2});
+  EXPECT_FALSE(g.blocked(contested));
+  for (const db::Index net : {0, 1, 7})
+    EXPECT_TRUE(std::isinf(maze.nodeCost(contested, net, {}))) << net;
+  // Beyond the pin the interval is net B's alone.
+  const int ownB = g.id(Node{RLayer::M2, 3, 2});
+  EXPECT_TRUE(std::isinf(maze.nodeCost(ownB, 0, {})));
+  EXPECT_EQ(maze.nodeCost(ownB, 1, {}), 1.0F);
+}
+
+TEST(MazeNodeCost, BlockageOverAPinAdmitsNoNet) {
+  Design d = openField();
+  d.addBlockage(Layer::M2, Rect{Interval::point(0), Interval::point(2)});
+  d.addBlockage(Layer::M3, Rect{Interval::point(4), Interval{0, 9}});
+  RoutingGrid g(d, nullptr);
+  MazeRouter maze(g);
+  const int pinNode = g.id(Node{RLayer::M2, 0, 2});
+  EXPECT_TRUE(g.blocked(pinNode));
+  EXPECT_TRUE(std::isinf(maze.nodeCost(pinNode, 0, {})));  // its own pin
+  EXPECT_TRUE(std::isinf(maze.nodeCost(g.id(Node{RLayer::M3, 4, 5}), 0, {})));
+  EXPECT_EQ(maze.nodeCost(g.id(Node{RLayer::M2, 4, 5}), 0, {}), 1.0F);
+}
+
+/// The decision before the owner fold, kept here as the reference: three
+/// static arrays (blockages per node, last pin net and last interval net
+/// per M2 node) and a float history summed in steps of 1.
+struct ReferenceGrid {
+  std::vector<std::uint8_t> blocked;
+  std::vector<db::Index> pinNet;
+  std::vector<db::Index> intervalNet;
+  std::vector<float> hist;
+
+  ReferenceGrid(const Design& d, const core::PinAccessPlan& plan,
+                const RoutingGrid& g)
+      : blocked(std::size_t(g.numNodes()), 0),
+        pinNet(std::size_t(g.planeSize()), geom::kInvalidIndex),
+        intervalNet(std::size_t(g.planeSize()), geom::kInvalidIndex),
+        hist(std::size_t(g.numNodes()), 0.0F) {
+    for (const db::Blockage& b : d.blockages()) {
+      if (b.layer == Layer::M1) continue;
+      const RLayer layer = b.layer == Layer::M2 ? RLayer::M2 : RLayer::M3;
+      for (geom::Coord y = b.shape.y.lo; y <= b.shape.y.hi; ++y)
+        for (geom::Coord x = b.shape.x.lo; x <= b.shape.x.hi; ++x)
+          blocked[std::size_t(g.id(Node{layer, x, y}))] = 1;
+    }
+    for (const db::Pin& p : d.pins())
+      for (geom::Coord y = p.shape.y.lo; y <= p.shape.y.hi; ++y)
+        for (geom::Coord x = p.shape.x.lo; x <= p.shape.x.hi; ++x)
+          pinNet[std::size_t(g.id(Node{RLayer::M2, x, y}))] = p.net;
+    for (std::size_t pid = 0; pid < plan.routes.size(); ++pid) {
+      const core::PinRoute& r = plan.routes[pid];
+      if (!r.valid()) continue;
+      for (geom::Coord x = r.span.lo; x <= r.span.hi; ++x)
+        intervalNet[std::size_t(g.id(Node{RLayer::M2, x, r.track}))] =
+            d.pins()[pid].net;
+    }
+  }
+
+  [[nodiscard]] float cost(const RoutingGrid& g, int id, db::Index net,
+                           const MazeCosts& c) const {
+    const float inf = std::numeric_limits<float>::infinity();
+    if (blocked[std::size_t(id)]) return inf;
+    if (id < g.planeSize()) {
+      const db::Index pin = pinNet[std::size_t(id)];
+      if (pin != geom::kInvalidIndex && pin != net) return inf;
+      const db::Index iv = intervalNet[std::size_t(id)];
+      if (iv != geom::kInvalidIndex && iv != net) return inf;
+    }
+    const int occ = g.occupancy(id);
+    if (c.hardBlockOccupied && occ > 0) return inf;
+    return c.metal + c.present * static_cast<float>(occ) +
+           hist[std::size_t(id)];
+  }
+};
+
+TEST(MazeNodeCost, MatchesThreeArrayReferenceOnRandomDesigns) {
+  std::mt19937 rng(20261017);
+  const auto pick = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  for (int trial = 0; trial < 40; ++trial) {
+    const geom::Coord w = pick(6, 24);
+    Design d("rand", w, pick(1, 3), 5);
+    const geom::Coord h = d.gridHeight();
+    const int nets = pick(1, 5);
+    for (int n = 0; n < nets; ++n) d.addNet("n" + std::to_string(n));
+    // Dense, overlapping pins, intervals and blockages.
+    const int pins = pick(1, 3 * nets);
+    for (int p = 0; p < pins; ++p) {
+      const geom::Coord x = pick(0, w - 2);
+      const geom::Coord y = pick(0, h - 3);
+      d.addPin("p" + std::to_string(p), pick(0, nets - 1),
+               Rect{Interval{x, x + pick(0, 1)}, Interval{y, y + pick(0, 2)}});
+    }
+    for (int b = pick(0, 4); b > 0; --b) {
+      const geom::Coord x = pick(0, w - 3);
+      const geom::Coord y = pick(0, h - 2);
+      d.addBlockage(pick(0, 1) ? Layer::M2 : Layer::M3,
+                    Rect{Interval{x, x + pick(0, 2)}, Interval{y, y + pick(0, 1)}});
+    }
+    core::PinAccessPlan plan;
+    plan.routes.assign(d.pins().size(), core::PinRoute{});
+    for (core::PinRoute& r : plan.routes) {
+      if (pick(0, 3) == 0) continue;  // unassigned pin
+      const geom::Coord lo = pick(0, w - 1);
+      r = core::PinRoute{pick(0, h - 1), Interval{lo, std::min(w - 1, lo + pick(0, 6))}};
+    }
+
+    RoutingGrid g(d, &plan);
+    ReferenceGrid ref(d, plan, g);
+    // Random occupancy, and history accrued over a few iterations.
+    for (int iter = pick(0, 4); iter > 0; --iter) {
+      for (int k = pick(0, g.numNodes()); k > 0; --k) g.addOcc(pick(0, g.numNodes() - 1));
+      g.accrueHistory();
+      for (int id = 0; id < g.numNodes(); ++id)
+        if (g.occupancy(id) > 1) ref.hist[std::size_t(id)] += 1.0F;
+    }
+    MazeRouter maze(g);
+    MazeCosts costs;
+    costs.present = 3.0F * static_cast<float>(pick(0, 20));
+    costs.hardBlockOccupied = pick(0, 4) == 0;
+    for (int id = 0; id < g.numNodes(); ++id) {
+      ASSERT_EQ(g.blocked(id), ref.blocked[std::size_t(id)] != 0) << id;
+      for (db::Index net = 0; net < nets; ++net) {
+        const float want = ref.cost(g, id, net, costs);
+        const float got = maze.nodeCost(id, net, costs);
+        ASSERT_EQ(std::isinf(got), std::isinf(want))
+            << "trial " << trial << " node " << id << " net " << net;
+        if (!std::isinf(want)) ASSERT_EQ(got, want);
+      }
     }
   }
 }

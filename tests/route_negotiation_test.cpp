@@ -10,6 +10,7 @@
 #include "obs/names.h"
 #include "route/cpr.h"
 #include "route/negotiation_router.h"
+#include "support/contracts.h"
 #include "support/deadline.h"
 
 namespace cpr::route {
@@ -114,6 +115,34 @@ TEST(Negotiation, ExpiredDeadlineCutsStagesButNeverHalfRoutesNets) {
       EXPECT_EQ(nr.wirelength, 0);
     }
   }
+}
+
+TEST(Negotiation, GridBytesGaugeIsThreadCountInvariant) {
+  const db::Design d = mediumDesign(5);
+  CprOptions copts;
+  const core::PinAccessPlan plan = core::optimizePinAccess(d, copts.pinAccess);
+  NegotiationOptions opts;
+  opts.threads = 1;
+  const RoutingResult r1 = routeNegotiated(d, &plan, opts);
+  opts.threads = 4;
+  const RoutingResult r4 = routeNegotiated(d, &plan, opts);
+  const double bytes = r1.stats.gaugeOr(obs::names::kRouteGridBytes, 0.0);
+  EXPECT_EQ(bytes, r4.stats.gaugeOr(obs::names::kRouteGridBytes, 0.0));
+  // 8 bytes per node over both layers.
+  EXPECT_EQ(bytes, 8.0 * 2.0 * d.width() * d.gridHeight());
+}
+
+TEST(NegotiationDeathTest, HistoryCountCapsIterationsAt255) {
+  const db::Design d = mediumDesign();
+  NegotiationOptions opts;
+  opts.maxRrrIterations = 256;
+#if defined(NDEBUG)
+  EXPECT_THROW(static_cast<void>(routeNegotiated(d, nullptr, opts)),
+               support::ContractViolation);
+#else
+  EXPECT_DEATH(static_cast<void>(routeNegotiated(d, nullptr, opts)),
+               "maxRrrIterations <= 255");
+#endif
 }
 
 // ---- RrrStallDetector (the PR-7 stall-measurement fix) ----
