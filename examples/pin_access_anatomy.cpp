@@ -7,8 +7,10 @@
 /// `obs::Collector` gathering the work counters.
 ///
 ///   $ ./pin_access_anatomy [seed]
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <span>
 #include <string>
 
@@ -21,7 +23,16 @@
 int main(int argc, char** argv) {
   using namespace cpr;
   gen::GenOptions o;
-  o.seed = argc > 1 ? static_cast<std::uint64_t>(std::atol(argv[1])) : 42;
+  o.seed = 42;
+  if (argc > 1) {
+    const char* end = argv[1] + std::strlen(argv[1]);
+    const auto [ptr, ec] = std::from_chars(argv[1], end, o.seed);
+    if (argc > 2 || ec != std::errc() || ptr != end) {
+      std::fprintf(stderr, "usage: %s [seed]  (seed: a non-negative integer)\n",
+                   argv[0]);
+      return 2;
+    }
+  }
   o.width = 48;
   o.numRows = 1;
   o.pinDensity = 0.2;

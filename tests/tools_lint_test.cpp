@@ -188,25 +188,34 @@ TEST(ToolsLint, CorpusFixturesProduceExactlyTheExpectedDiagnostics) {
   }
 }
 
-TEST(ToolsLint, CorpusCoversEveryRuleWithABadAndAGoodFixture) {
-  const std::vector<Fixture> corpus = loadCorpus();
+// The rule table and the fixture corpus name the same rules: every rule has
+// a bad fixture that expects it, and no fixture expects a rule the table no
+// longer lists — retiring a rule retires its row and its fixtures together.
+TEST(ToolsLint, RuleTableAndFixtureCorpusNameTheSameRules) {
   std::set<std::string> expectedRules;
-  std::size_t cleanFixtures = 0;
-  for (const Fixture& fx : corpus) {
-    if (fx.expected.empty()) ++cleanFixtures;
+  for (const Fixture& fx : loadCorpus())
     for (const auto& e : fx.expected) expectedRules.insert(e.first);
-  }
-  for (const cpr::lint::RuleInfo& info : cpr::lint::ruleTable()) {
-    EXPECT_TRUE(expectedRules.count(std::string(info.id)))
-        << "no bad fixture exercises rule " << info.id;
-  }
+  std::set<std::string> tableRules;
+  for (const cpr::lint::RuleInfo& info : cpr::lint::ruleTable())
+    tableRules.insert(std::string(info.id));
+  for (const std::string& id : tableRules)
+    EXPECT_TRUE(expectedRules.count(id)) << "no bad fixture expects " << id;
+  for (const std::string& id : expectedRules)
+    EXPECT_TRUE(tableRules.count(id))
+        << "a fixture expects " << id << ", which ruleTable() does not list";
+}
+
+TEST(ToolsLint, CorpusHasAtLeastOneCleanFixturePerRule) {
+  std::size_t cleanFixtures = 0;
+  for (const Fixture& fx : loadCorpus())
+    if (fx.expected.empty()) ++cleanFixtures;
   EXPECT_GE(cleanFixtures, cpr::lint::ruleTable().size())
       << "expected at least one clean (good) fixture per rule";
 }
 
 TEST(ToolsLint, RuleTableIsSortedAndDocumented) {
   const auto& table = cpr::lint::ruleTable();
-  ASSERT_EQ(table.size(), 21u);
+  ASSERT_EQ(table.size(), 20u);
   for (std::size_t i = 0; i < table.size(); ++i) {
     EXPECT_FALSE(table[i].id.empty());
     EXPECT_FALSE(table[i].summary.empty()) << table[i].id;
@@ -713,35 +722,16 @@ TEST(ToolsLintConc, LockOrderGraphSpansFiles) {
   EXPECT_EQ(got, expected);
 }
 
-TEST(ToolsLintConc, BlockingManifestParsesAndRejectsBadInput) {
-  cpr::lint::BlockingManifest m;
-  std::string error;
-  ASSERT_TRUE(cpr::lint::parseBlockingManifest(
-      "# socket calls\nsend recv\njoin\n", m, error))
-      << error;
-  const std::set<std::string> idents(m.idents.begin(), m.idents.end());
-  EXPECT_TRUE(idents.count("send"));
-  EXPECT_TRUE(idents.count("recv"));
-  EXPECT_TRUE(idents.count("join"));
-
-  EXPECT_FALSE(cpr::lint::parseBlockingManifest("send\nsend\n", m, error));
-  EXPECT_NE(error.find("send"), std::string::npos) << error;
-  EXPECT_FALSE(cpr::lint::parseBlockingManifest("not-an-ident\n", m, error));
-  EXPECT_FALSE(cpr::lint::parseBlockingManifest("# only comments\n", m, error));
-}
-
-TEST(ToolsLintConc, RepoBlockingManifestLoadsAndCoversTheProjectSeams) {
-  cpr::lint::BlockingManifest m;
-  std::string error;
-  ASSERT_TRUE(cpr::lint::loadBlockingManifest(CPR_LINT_BLOCKING_FILE, m, error))
-      << error;
-  const std::set<std::string> idents(m.idents.begin(), m.idents.end());
+TEST(ToolsLintConc, BlockingManifestCoversTheProjectSeams) {
+  const std::set<std::string>& idents = cpr::lint::builtinBlockingManifest();
   for (const char* seam :
        {"send", "recv", "accept", "join", "drain", "parallelFor",
         "sendToConn", "sendLocked", "pop"}) {
     EXPECT_TRUE(idents.count(seam))
-        << "tools/lint/blocking.txt lost '" << seam << "'";
+        << "the blocking manifest lost '" << seam << "'";
   }
+  // Condition-variable waits release the lock while blocked.
+  EXPECT_FALSE(idents.count("wait") || idents.count("wait_for"));
 }
 
 // ------------------------------------------------------ hot-path pass --
@@ -880,47 +870,22 @@ TEST(ToolsLintHot, LambdaBodiesAreScannedInlineButTheirNamesStayUnresolved) {
   EXPECT_EQ(actual, expected) << describe(actual);
 }
 
-TEST(ToolsLintHot, AllocManifestParsesAndRejectsBadInput) {
-  cpr::lint::AllocManifest m;
-  std::string error;
-  ASSERT_TRUE(cpr::lint::parseAllocManifest(
-      "# raw heap\nmalloc calloc\ngrow: push_back resize\nto_string\n", m,
-      error))
-      << error;
-  const std::set<std::string> always(m.always.begin(), m.always.end());
-  const std::set<std::string> growth(m.growth.begin(), m.growth.end());
-  EXPECT_TRUE(always.count("malloc"));
-  EXPECT_TRUE(always.count("to_string"));
-  EXPECT_TRUE(growth.count("push_back"));
-  EXPECT_TRUE(growth.count("resize"));
-  EXPECT_FALSE(growth.count("malloc"));
-
-  EXPECT_FALSE(cpr::lint::parseAllocManifest("malloc\nmalloc\n", m, error));
-  EXPECT_NE(error.find("malloc"), std::string::npos) << error;
-  EXPECT_FALSE(
-      cpr::lint::parseAllocManifest("malloc\ngrow: push_back\npush_back\n", m,
-                                    error))
-      << "a word cannot be both always-alloc and growth";
-  EXPECT_FALSE(cpr::lint::parseAllocManifest("not-an-ident\n", m, error));
-  EXPECT_FALSE(cpr::lint::parseAllocManifest("# only comments\n", m, error));
-}
-
-TEST(ToolsLintHot, RepoAllocManifestLoadsAndCoversTheSeams) {
-  cpr::lint::AllocManifest m;
-  std::string error;
-  ASSERT_TRUE(cpr::lint::loadAllocManifest(CPR_LINT_ALLOCATING_FILE, m, error))
-      << error;
-  const std::set<std::string> always(m.always.begin(), m.always.end());
-  const std::set<std::string> growth(m.growth.begin(), m.growth.end());
+TEST(ToolsLintHot, AllocManifestCoversTheSeams) {
+  const std::set<std::string>& always =
+      cpr::lint::builtinAllocManifest().always;
+  const std::set<std::string>& growth =
+      cpr::lint::builtinAllocManifest().growth;
   for (const char* seam : {"malloc", "make_unique", "make_shared",
                            "to_string", "aligned_alloc"}) {
     EXPECT_TRUE(always.count(seam))
-        << "tools/lint/allocating.txt lost '" << seam << "'";
+        << "the allocation manifest lost '" << seam << "'";
   }
   for (const char* seam : {"push_back", "emplace_back", "insert", "resize"}) {
     EXPECT_TRUE(growth.count(seam))
-        << "tools/lint/allocating.txt lost growth word '" << seam << "'";
+        << "the allocation manifest lost growth word '" << seam << "'";
   }
+  for (const std::string& word : growth)
+    EXPECT_FALSE(always.count(word)) << word << " is both kinds";
   // The sanctioned warm-reset idiom: assign and reserve are deliberately
   // not manifest words (DESIGN.md "Hot-path discipline").
   EXPECT_FALSE(always.count("assign") || growth.count("assign"));

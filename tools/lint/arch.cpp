@@ -11,15 +11,6 @@ namespace cpr::lint {
 
 namespace {
 
-bool startsWith(std::string_view s, std::string_view prefix) {
-  return s.substr(0, prefix.size()) == prefix;
-}
-
-bool endsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
 /// Module of a src file: the path segment after "src/" ("" when the file is
 /// not under src/ or sits directly in it).
 std::string moduleOf(std::string_view relPath) {

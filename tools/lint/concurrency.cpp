@@ -1,29 +1,13 @@
 #include "lint/concurrency.h"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 #include <utility>
 
 namespace cpr::lint {
 
 namespace {
-
-bool isPunct(const Token& t, std::string_view text) {
-  return t.kind == TokKind::Punct && t.text == text;
-}
-
-bool startsWith(std::string_view s, std::string_view prefix) {
-  return s.substr(0, prefix.size()) == prefix;
-}
-
-/// Last `::`-separated segment of a (possibly qualified) name.
-std::string_view lastSegment(std::string_view name) {
-  const std::size_t pos = name.rfind("::");
-  return pos == std::string_view::npos ? name : name.substr(pos + 2);
-}
 
 bool isMutexType(std::string_view text) {
   return text == "mutex" || text == "shared_mutex" ||
@@ -114,18 +98,6 @@ std::vector<std::pair<std::size_t, std::size_t>> nestedRanges(
   return holes;
 }
 
-/// Innermost class declaration whose body contains token index `i`.
-const EntityDecl* enclosingClass(const FileIr& ir, std::size_t i) {
-  const EntityDecl* best = nullptr;
-  for (const EntityDecl& d : ir.decls) {
-    if (d.kind != DeclKind::Class) continue;
-    if (d.tokBegin < i && i < d.tokEnd &&
-        (!best || d.tokBegin > best->tokBegin))
-      best = &d;
-  }
-  return best;
-}
-
 /// Joins the argument tokens of an annotation macro whose `(` sits at
 /// `open`; returns one expression per comma-separated argument and the
 /// index of the closing `)` (toks.size() when unbalanced).
@@ -150,60 +122,6 @@ std::vector<std::string> macroArgs(const std::vector<Token>& toks,
   if (!cur.empty()) args.push_back(std::move(cur));
   *closeOut = i;
   return args;
-}
-
-/// Finds the function name a declarator-trailer annotation at token `m`
-/// belongs to: walks back over cv/noexcept/override trailers, other CPR_*
-/// macros (with their argument parens), and the parameter list, to the
-/// identifier before the `(`. Returns toks.size() when no name is found.
-std::size_t annotatedFunctionName(const std::vector<Token>& toks,
-                                  std::size_t m) {
-  std::size_t j = m;
-  while (j > 0) {
-    const Token& t = toks[j - 1];
-    if (t.kind == TokKind::Identifier) {
-      if (t.text == "const" || t.text == "noexcept" || t.text == "override" ||
-          t.text == "final" || startsWith(t.text, "CPR_")) {
-        --j;
-        continue;
-      }
-      return toks.size();  // e.g. macro after a field, not a function
-    }
-    if (isPunct(t, ")")) {
-      int depth = 0;
-      std::size_t k = j - 1;
-      for (;; --k) {
-        if (isPunct(toks[k], ")")) ++depth;
-        if (isPunct(toks[k], "(") && --depth == 0) break;
-        if (k == 0) return toks.size();
-      }
-      if (k == 0) return toks.size();
-      const Token& before = toks[k - 1];
-      if (before.kind != TokKind::Identifier) return toks.size();
-      if (before.text == "noexcept" || startsWith(before.text, "CPR_")) {
-        j = k - 1;
-        continue;
-      }
-      return k - 1;
-    }
-    return toks.size();
-  }
-  return toks.size();
-}
-
-/// Class a function belongs to: the innermost class containing its body,
-/// else the `Cls::` qualifier before the name (out-of-line definitions).
-/// Returns "" for free functions.
-std::string memberClassOf(const FileIr& ir, const std::vector<Token>& toks,
-                          const EntityDecl& fn) {
-  if (const EntityDecl* cls = enclosingClass(ir, fn.tokBegin))
-    return std::string(lastSegment(cls->name));
-  std::size_t j = fn.nameTok;
-  if (j >= 1 && isPunct(toks[j - 1], "~")) --j;  // destructor
-  if (j >= 3 && isPunct(toks[j - 1], ":") && isPunct(toks[j - 2], ":") &&
-      toks[j - 3].kind == TokKind::Identifier)
-    return toks[j - 3].text;
-  return {};
 }
 
 struct FnKey {
@@ -375,15 +293,8 @@ void collectFile(const ConcFile& f, Registry& reg,
       i = close;
       continue;
     }
-    std::string className;
-    if (const EntityDecl* cls = enclosingClass(ir, nameTok))
-      className = std::string(lastSegment(cls->name));
-    if (className.empty() && nameTok >= 3 && isPunct(toks[nameTok - 1], ":") &&
-        isPunct(toks[nameTok - 2], ":") &&
-        toks[nameTok - 3].kind == TokKind::Identifier)
-      className = toks[nameTok - 3].text;
     FnAnnotation ann;
-    ann.className = std::move(className);
+    ann.className = memberClassOf(ir, toks, nameTok);
     ann.name = toks[nameTok].text;
     ann.kind = kind;
     ann.mutexes = std::move(args);  // raw; resolved in phase 2
@@ -414,15 +325,15 @@ struct HeldRegion {
 
 /// Phase 3: per-function-body checks for one file.
 void checkFile(const ConcFile& f, Registry& reg,
-               const std::set<std::string>& blocking,
                std::vector<Diagnostic>& out) {
+  const std::set<std::string>& blocking = builtinBlockingManifest();
   const std::vector<Token>& toks = *f.toks;
   const FileIr& ir = *f.ir;
 
   for (const EntityDecl& fn : ir.decls) {
     if (fn.kind != DeclKind::Function) continue;
     if (fn.tokEnd >= toks.size()) continue;  // unbalanced body
-    const std::string cls = memberClassOf(ir, toks, fn);
+    const std::string cls = memberClassOf(ir, toks, fn.nameTok);
     const bool ctorOrDtor = !cls.empty() && fn.name == cls;
 
     std::vector<HeldRegion> held;
@@ -465,27 +376,20 @@ void checkFile(const ConcFile& f, Registry& reg,
     for (std::size_t i = fn.tokBegin + 1; i < fn.tokEnd; ++i) {
       const Token& t = toks[i];
       if (t.kind != TokKind::Identifier) continue;
-      const bool dotAccess =
-          (i >= 1 && isPunct(toks[i - 1], ".")) ||
-          (i >= 2 && isPunct(toks[i - 1], ">") && isPunct(toks[i - 2], "-"));
-      const bool thisAccess =
-          i >= 3 && isPunct(toks[i - 1], ">") && isPunct(toks[i - 2], "-") &&
-          toks[i - 3].kind == TokKind::Identifier &&
-          toks[i - 3].text == "this";
-      const bool scopeQualified = i >= 1 && isPunct(toks[i - 1], ":");
+      const AccessShape access = accessShapeAt(toks, i);
       const bool calls = i + 1 < fn.tokEnd && isPunct(toks[i + 1], "(");
 
       // GUARDED-BY.
       if (!ctorOrDtor) {
         const ClassInfo* owner = nullptr;
         std::string ownerName;
-        if ((!dotAccess || thisAccess) && !scopeQualified && !cls.empty()) {
+        if (!access.onOtherObject() && !access.qualified && !cls.empty()) {
           const auto it = reg.classes.find(cls);
           if (it != reg.classes.end() && it->second.guarded.count(t.text)) {
             owner = &it->second;
             ownerName = cls;
           }
-        } else if (dotAccess && !thisAccess) {
+        } else if (access.onOtherObject()) {
           // Object-qualified: unique declaring class wins.
           const ClassInfo* only = nullptr;
           std::string onlyName;
@@ -542,11 +446,11 @@ void checkFile(const ConcFile& f, Registry& reg,
       }
 
       // Lock-order edges from calls into annotated functions.
-      if (!scopeQualified) {
+      if (!access.qualified) {
         const auto open = heldAt(i);
         if (!open.empty()) {
           for (const FnAnnotation* a :
-               annotationsForCall(reg, cls, t.text, dotAccess)) {
+               annotationsForCall(reg, cls, t.text, access.member)) {
             if (a->kind == FnAnnKind::Requires ||
                 a->kind == FnAnnKind::Release)
               continue;
@@ -710,78 +614,34 @@ void findLockCycles(const Registry& reg, std::vector<Diagnostic>& out) {
 
 }  // namespace
 
-const BlockingManifest& builtinBlockingManifest() {
-  static const BlockingManifest kBuiltin = {{
-      // socket / fd I/O
+const std::set<std::string>& builtinBlockingManifest() {
+  // Deliberately absent: condition-variable wait/wait_for (they release
+  // the lock while blocked), close/shutdown (non-blocking on local
+  // sockets), and read/write (too many false positives on stream APIs; the
+  // socket wrappers below cover the serve path).
+  static const std::set<std::string> kBuiltin = {
+      // Socket and fd multiplexing syscalls.
       "send", "sendto", "sendmsg", "recv", "recvfrom", "recvmsg", "accept",
       "connect", "poll", "select", "epoll_wait",
-      // sleeps
+      // Sleeps.
       "sleep", "usleep", "nanosleep", "sleep_for", "sleep_until",
-      // joins and the project's own blocking seams
-      "join", "drain", "parallelFor", "sendToConn", "sendLocked", "pop",
-  }};
+      // Joins and this project's own blocking seams.
+      "join",         // std::thread::join
+      "drain",        // ThreadPool::drain blocks until every queued task ran
+      "parallelFor",  // ThreadPool::parallelFor blocks for the whole sweep
+      "sendToConn",   // serve: full-frame socket write
+      "sendLocked",   // serve: socket write, caller already holds writeMu
+      "pop",          // BoundedJobQueue::pop blocks on the not-empty cv
+  };
   return kBuiltin;
 }
 
-bool parseBlockingManifest(std::string_view text, BlockingManifest& out,
-                           std::string& error) {
-  out = BlockingManifest{};
-  std::set<std::string> seen;
-  std::istringstream is{std::string(text)};
-  std::string line;
-  int lineNo = 0;
-  while (std::getline(is, line)) {
-    ++lineNo;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream words(line);
-    std::string word;
-    while (words >> word) {
-      for (const char c : word) {
-        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '_';
-        if (!ok) {
-          error = "blocking.txt:" + std::to_string(lineNo) + ": '" + word +
-                  "' is not an identifier";
-          return false;
-        }
-      }
-      if (!seen.insert(word).second) {
-        error = "blocking.txt:" + std::to_string(lineNo) + ": '" + word +
-                "' named twice";
-        return false;
-      }
-      out.idents.push_back(word);
-    }
-  }
-  if (out.idents.empty()) {
-    error = "blocking.txt names no identifiers";
-    return false;
-  }
-  return true;
-}
-
-bool loadBlockingManifest(const std::string& path, BlockingManifest& out,
-                          std::string& error) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    error = "cannot read blocking manifest: " + path;
-    return false;
-  }
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return parseBlockingManifest(buf.str(), out, error);
-}
-
-std::vector<Diagnostic> checkConcurrency(const std::vector<ConcFile>& files,
-                                         const BlockingManifest& blocking) {
+std::vector<Diagnostic> checkConcurrency(const std::vector<ConcFile>& files) {
   Registry reg;
   std::vector<Diagnostic> out;
   for (const ConcFile& f : files) collectFile(f, reg, out);
   resolveRegistry(reg);
-  const std::set<std::string> blockingSet(blocking.idents.begin(),
-                                          blocking.idents.end());
-  for (const ConcFile& f : files) checkFile(f, reg, blockingSet, out);
+  for (const ConcFile& f : files) checkFile(f, reg, out);
   findLockCycles(reg, out);
   std::sort(out.begin(), out.end(),
             [](const Diagnostic& a, const Diagnostic& b) {

@@ -7,8 +7,8 @@
 ///                       written outside a region holding `mu` (and outside
 ///                       a function annotated CPR_REQUIRES(mu))
 ///   LOCK-BLOCKING-CALL  a call from the blocking manifest
-///                       (tools/lint/blocking.txt; builtin defaults cover
-///                       socket I/O, sleeps, join/drain) happens while a
+///                       (builtinBlockingManifest: socket I/O, sleeps,
+///                       join/drain) happens while a
 ///                       lock region is open — unless every held mutex is
 ///                       annotated CPR_MAY_BLOCK (a lock that exists to
 ///                       serialize I/O, like a per-connection write lock)
@@ -35,8 +35,8 @@
 /// object expression a call site spells.
 #pragma once
 
+#include <set>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "lint/ir.h"
@@ -44,30 +44,14 @@
 
 namespace cpr::lint {
 
-/// Parsed form of tools/lint/blocking.txt: identifiers that name calls
-/// which can block the calling thread (syscalls and project wrappers).
-/// Grammar: one or more identifiers per line, '#' comments, blanks ignored.
-struct BlockingManifest {
-  std::vector<std::string> idents;
-};
-
-/// The compiled-in default manifest, used when no blocking.txt is given:
-/// socket I/O (send/recv/accept/connect/poll/select), sleeps
+/// The blocking-call manifest LOCK-BLOCKING-CALL and HOT-BLOCKING share:
+/// identifiers naming calls that can block the calling thread — socket I/O
+/// (send/recv/accept/connect/poll/select), sleeps
 /// (sleep/usleep/nanosleep/sleep_for/sleep_until), thread join, and the
 /// project's own blocking seams (drain, parallelFor, sendToConn,
-/// sendLocked, pop).
-[[nodiscard]] const BlockingManifest& builtinBlockingManifest();
-
-/// Parses manifest text. On failure returns false and describes the
-/// problem in `error`.
-[[nodiscard]] bool parseBlockingManifest(std::string_view text,
-                                         BlockingManifest& out,
-                                         std::string& error);
-
-/// Reads and parses a manifest file; false on I/O or parse failure.
-[[nodiscard]] bool loadBlockingManifest(const std::string& path,
-                                        BlockingManifest& out,
-                                        std::string& error);
+/// sendLocked, pop). Teaching the linter a new blocking seam is an edit to
+/// this list (concurrency.cpp); the rules never change.
+[[nodiscard]] const std::set<std::string>& builtinBlockingManifest();
 
 /// One scanned file as the concurrency pass sees it: the token stream and
 /// the declaration IR built from it (both borrowed, not owned).
@@ -83,6 +67,6 @@ struct ConcFile {
 /// checked and the lock graph is searched for cycles. Diagnostics come
 /// back sorted by file, line, then rule.
 [[nodiscard]] std::vector<Diagnostic> checkConcurrency(
-    const std::vector<ConcFile>& files, const BlockingManifest& blocking);
+    const std::vector<ConcFile>& files);
 
 }  // namespace cpr::lint

@@ -2,95 +2,13 @@
 
 #include <algorithm>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 #include <utility>
 
 namespace cpr::lint {
 
 namespace {
-
-bool isPunct(const Token& t, std::string_view text) {
-  return t.kind == TokKind::Punct && t.text == text;
-}
-
-bool startsWith(std::string_view s, std::string_view prefix) {
-  return s.substr(0, prefix.size()) == prefix;
-}
-
-/// Last `::`-separated segment of a (possibly qualified) name.
-std::string_view lastSegment(std::string_view name) {
-  const std::size_t pos = name.rfind("::");
-  return pos == std::string_view::npos ? name : name.substr(pos + 2);
-}
-
-/// Innermost class declaration whose body contains token index `i`.
-const EntityDecl* enclosingClass(const FileIr& ir, std::size_t i) {
-  const EntityDecl* best = nullptr;
-  for (const EntityDecl& d : ir.decls) {
-    if (d.kind != DeclKind::Class) continue;
-    if (d.tokBegin < i && i < d.tokEnd &&
-        (!best || d.tokBegin > best->tokBegin))
-      best = &d;
-  }
-  return best;
-}
-
-/// Finds the function name a declarator-trailer annotation at token `m`
-/// belongs to: walks back over cv/noexcept/override trailers, other CPR_*
-/// macros (with their argument parens), and the parameter list, to the
-/// identifier before the `(`. Returns toks.size() when no name is found.
-std::size_t annotatedFunctionName(const std::vector<Token>& toks,
-                                  std::size_t m) {
-  std::size_t j = m;
-  while (j > 0) {
-    const Token& t = toks[j - 1];
-    if (t.kind == TokKind::Identifier) {
-      if (t.text == "const" || t.text == "noexcept" || t.text == "override" ||
-          t.text == "final" || startsWith(t.text, "CPR_")) {
-        --j;
-        continue;
-      }
-      return toks.size();  // e.g. macro after a field, not a function
-    }
-    if (isPunct(t, ")")) {
-      int depth = 0;
-      std::size_t k = j - 1;
-      for (;; --k) {
-        if (isPunct(toks[k], ")")) ++depth;
-        if (isPunct(toks[k], "(") && --depth == 0) break;
-        if (k == 0) return toks.size();
-      }
-      if (k == 0) return toks.size();
-      const Token& before = toks[k - 1];
-      if (before.kind != TokKind::Identifier) return toks.size();
-      if (before.text == "noexcept" || startsWith(before.text, "CPR_")) {
-        j = k - 1;
-        continue;
-      }
-      return k - 1;
-    }
-    return toks.size();
-  }
-  return toks.size();
-}
-
-/// Class a function belongs to: the innermost class containing its body,
-/// else the `Cls::` qualifier before the name (out-of-line definitions).
-/// Returns "" for free functions.
-std::string memberClassOf(const FileIr& ir, const std::vector<Token>& toks,
-                          const EntityDecl& fn) {
-  if (const EntityDecl* cls = enclosingClass(ir, fn.tokBegin))
-    return std::string(lastSegment(cls->name));
-  std::size_t j = fn.nameTok;
-  if (j >= 1 && isPunct(toks[j - 1], "~")) --j;  // destructor
-  if (j >= 3 && isPunct(toks[j - 1], ":") && isPunct(toks[j - 2], ":") &&
-      toks[j - 3].kind == TokKind::Identifier)
-    return toks[j - 3].text;
-  return {};
-}
 
 /// Graph node identity: (class name or "" for free functions, name).
 /// Overloads deliberately share a node — the pass checks the union of
@@ -115,8 +33,6 @@ struct Registry {
   /// name -> classes (excluding "") with a definition of that name.
   std::map<std::string, std::set<std::string>> ownersOf;
   std::set<FnKey> hot, noalloc, coldok;
-  /// Functions whose definition returns Status or Outcome<T> by value.
-  std::set<FnKey> statusReturners;
   /// Resolved call edges and their first recorded site (for stats and the
   /// closure walk; sites make the chain diagnostics concrete).
   std::map<FnKey, std::set<FnKey>> adj;
@@ -133,15 +49,15 @@ bool isCallKeyword(const std::string& s) {
   return kKeywords.count(s) > 0 || startsWith(s, "CPR_");
 }
 
-/// Walks back from the name token of a call at `i` over its postfix chain
-/// (`a.b[k]->c()` style receivers and `Ns::Cls::` qualifiers). Returns the
-/// index of the chain's first token. `spelling` gets the normalized
-/// receiver spelling — identifiers joined by their separators with
-/// subscript groups dropped (`xs[i].push_back` normalizes to "xs") and a
-/// leading `this->` stripped — or "" when the receiver contains a call or
-/// other non-addressable element (then no reserve can match it).
-std::size_t chainBegin(const std::vector<Token>& toks, std::size_t lo,
-                       std::size_t i, std::string* spelling) {
+/// Normalized receiver spelling of the call whose name token is at `i`:
+/// walks back over its postfix chain (`a.b[k]->c()` style receivers and
+/// `Ns::Cls::` qualifiers, never below token `lo`) and joins the
+/// identifiers by their separators, with subscript groups dropped
+/// (`xs[i].push_back` normalizes to "xs") and a leading `this->` stripped.
+/// Returns "" when the receiver contains a call or other non-addressable
+/// element (then no reserve can match it) or the chain is unbalanced.
+std::string receiverSpelling(const std::vector<Token>& toks, std::size_t lo,
+                             std::size_t i) {
   std::vector<std::string> parts;  // receiver elements, innermost first
   bool opaque = false;
   std::size_t j = i;  // first token of the element walked so far
@@ -173,29 +89,24 @@ std::size_t chainBegin(const std::vector<Token>& toks, std::size_t lo,
       for (;; --k) {
         if (isPunct(toks[k], closeCh)) ++depth;
         if (isPunct(toks[k], openCh) && --depth == 0) break;
-        if (k == lo) return j;  // unbalanced; stop where we are
+        if (k == lo) return {};  // unbalanced
       }
       if (!bracket) opaque = true;  // call/paren result: not reservable
-      if (k == lo) return j;
+      if (k == lo) return {};
       --k;
     }
     if (toks[k].kind != TokKind::Identifier) break;
     parts.push_back(toks[k].text + sep);
     j = k;
   }
-  if (spelling) {
-    spelling->clear();
-    if (!opaque) {
-      if (!parts.empty() && parts.back() == "this->") parts.pop_back();
-      for (auto it = parts.rbegin(); it != parts.rend(); ++it) *spelling += *it;
-      // Drop the trailing separator that joined the receiver to the call.
-      if (!spelling->empty()) {
-        const std::size_t cut = spelling->find_last_not_of(":->.");
-        spelling->resize(cut == std::string::npos ? 0 : cut + 1);
-      }
-    }
-  }
-  return j;
+  if (opaque) return {};
+  if (!parts.empty() && parts.back() == "this->") parts.pop_back();
+  std::string spelling;
+  for (auto it = parts.rbegin(); it != parts.rend(); ++it) spelling += *it;
+  // Drop the trailing separator that joined the receiver to the call.
+  const std::size_t cut = spelling.find_last_not_of(":->.");
+  spelling.resize(cut == std::string::npos ? 0 : cut + 1);
+  return spelling;
 }
 
 /// Resolves a call site to a defined function's key. `recvQualified` is a
@@ -234,8 +145,7 @@ bool resolveCall(const Registry& reg, const std::string& callerCls,
   return false;
 }
 
-/// Phase 1 (per file): function definitions, hot annotations, and
-/// Status/Outcome return types.
+/// Phase 1 (per file): function definitions and hot annotations.
 void collectFile(const ConcFile& f, Registry& reg) {
   const std::vector<Token>& toks = *f.toks;
   const FileIr& ir = *f.ir;
@@ -243,36 +153,9 @@ void collectFile(const ConcFile& f, Registry& reg) {
   for (const EntityDecl& fn : ir.decls) {
     if (fn.kind != DeclKind::Function) continue;
     if (fn.tokEnd >= toks.size()) continue;  // unbalanced body
-    const std::string cls = memberClassOf(ir, toks, fn);
-    const FnKey key{cls, fn.name};
-    reg.defs[key].push_back(FnDef{&f, &fn, cls});
+    const std::string cls = memberClassOf(ir, toks, fn.nameTok);
+    reg.defs[FnKey{cls, fn.name}].push_back(FnDef{&f, &fn, cls});
     if (!cls.empty()) reg.ownersOf[fn.name].insert(cls);
-
-    // Status/Outcome returners: read the return type's last token before
-    // the (possibly qualified) name. Constructors, destructors, and
-    // operators have no return type to read.
-    if (cls == fn.name || startsWith(fn.name, "~") || fn.name == "operator")
-      continue;
-    std::size_t j = fn.nameTok;
-    while (j >= 3 && isPunct(toks[j - 1], ":") && isPunct(toks[j - 2], ":") &&
-           toks[j - 3].kind == TokKind::Identifier)
-      j -= 3;
-    if (j == 0) continue;
-    const Token& ret = toks[j - 1];
-    if (ret.kind == TokKind::Identifier && ret.text == "Status") {
-      reg.statusReturners.insert(key);
-    } else if (isPunct(ret, ">")) {
-      int depth = 0;
-      std::size_t k = j - 1;
-      for (;; --k) {
-        if (isPunct(toks[k], ">")) ++depth;
-        if (isPunct(toks[k], "<") && --depth == 0) break;
-        if (k == 0) break;
-      }
-      if (k >= 1 && toks[k - 1].kind == TokKind::Identifier &&
-          toks[k - 1].text == "Outcome")
-        reg.statusReturners.insert(key);
-    }
   }
 
   // Hot annotations anywhere in the file — in-class declarations, header
@@ -292,14 +175,7 @@ void collectFile(const ConcFile& f, Registry& reg) {
       continue;
     const std::size_t nameTok = annotatedFunctionName(toks, i);
     if (nameTok >= toks.size()) continue;
-    std::string cls;
-    if (const EntityDecl* c = enclosingClass(ir, nameTok))
-      cls = std::string(lastSegment(c->name));
-    if (cls.empty() && nameTok >= 3 && isPunct(toks[nameTok - 1], ":") &&
-        isPunct(toks[nameTok - 2], ":") &&
-        toks[nameTok - 3].kind == TokKind::Identifier)
-      cls = toks[nameTok - 3].text;
-    const FnKey key{cls, toks[nameTok].text};
+    const FnKey key{memberClassOf(ir, toks, nameTok), toks[nameTok].text};
     switch (ann) {
       case HotAnn::Hot:
         reg.hot.insert(key);
@@ -321,24 +197,15 @@ void collectEdges(const ConcFile& f, Registry& reg) {
   for (const EntityDecl& fn : ir.decls) {
     if (fn.kind != DeclKind::Function) continue;
     if (fn.tokEnd >= toks.size()) continue;
-    const std::string cls = memberClassOf(ir, toks, fn);
+    const std::string cls = memberClassOf(ir, toks, fn.nameTok);
     const FnKey caller{cls, fn.name};
     for (std::size_t i = fn.tokBegin + 1; i < fn.tokEnd; ++i) {
       const Token& t = toks[i];
       if (t.kind != TokKind::Identifier || isCallKeyword(t.text)) continue;
       if (i + 1 >= fn.tokEnd || !isPunct(toks[i + 1], "(")) continue;
-      const bool dotAccess =
-          (i >= 1 && isPunct(toks[i - 1], ".")) ||
-          (i >= 2 && isPunct(toks[i - 1], ">") && isPunct(toks[i - 2], "-"));
-      const bool thisAccess =
-          i >= 3 && isPunct(toks[i - 1], ">") && isPunct(toks[i - 2], "-") &&
-          toks[i - 3].text == "this";
-      std::string scopeCls;
-      if (i >= 3 && isPunct(toks[i - 1], ":") && isPunct(toks[i - 2], ":") &&
-          toks[i - 3].kind == TokKind::Identifier)
-        scopeCls = toks[i - 3].text;
+      const AccessShape access = accessShapeAt(toks, i);
       FnKey callee;
-      if (!resolveCall(reg, cls, t.text, dotAccess && !thisAccess, scopeCls,
+      if (!resolveCall(reg, cls, t.text, access.onOtherObject(), access.scope,
                        &callee))
         continue;
       if (callee == caller) continue;  // recursion adds nothing to check
@@ -358,8 +225,7 @@ struct BodyFinding {
 /// Scans one function body for direct HOT-ALLOC / HOT-THROW / HOT-BLOCKING
 /// evidence. `allocOnly` restricts to HOT-ALLOC (CPR_NOALLOC standalone
 /// checks).
-void scanBody(const FnDef& def, const std::set<std::string>& alwaysAlloc,
-              const std::set<std::string>& growth,
+void scanBody(const FnDef& def, const AllocManifest& allocating,
               const std::set<std::string>& blocking, bool allocOnly,
               std::vector<BodyFinding>& out) {
   const std::vector<Token>& toks = *def.file->toks;
@@ -385,8 +251,7 @@ void scanBody(const FnDef& def, const std::set<std::string>& alwaysAlloc,
     if (toks[i].kind != TokKind::Identifier || toks[i].text != "reserve")
       continue;
     if (i + 1 >= fn.tokEnd || !isPunct(toks[i + 1], "(")) continue;
-    std::string recv;
-    chainBegin(toks, fn.tokBegin, i, &recv);
+    const std::string recv = receiverSpelling(toks, fn.tokBegin, i);
     if (!recv.empty() && !reservedAt.count(recv)) reservedAt[recv] = i;
   }
 
@@ -411,14 +276,13 @@ void scanBody(const FnDef& def, const std::set<std::string>& alwaysAlloc,
     }
     const bool calls = i + 1 < fn.tokEnd && isPunct(toks[i + 1], "(");
     if (!calls) continue;
-    if (alwaysAlloc.count(t.text)) {
+    if (allocating.always.count(t.text)) {
       out.push_back(BodyFinding{"HOT-ALLOC", def.file->relPath, t.line,
                                 "allocating call '" + t.text + "'"});
       continue;
     }
-    if (growth.count(t.text)) {
-      std::string recv;
-      chainBegin(toks, fn.tokBegin, i, &recv);
+    if (allocating.growth.count(t.text)) {
+      const std::string recv = receiverSpelling(toks, fn.tokBegin, i);
       const auto it = recv.empty() ? reservedAt.end() : reservedAt.find(recv);
       if (it == reservedAt.end() || it->second > i) {
         out.push_back(BodyFinding{
@@ -438,153 +302,33 @@ void scanBody(const FnDef& def, const std::set<std::string>& alwaysAlloc,
   }
 }
 
-/// STATUS-DISCARD over every function body of one file.
-void checkStatusDiscard(const ConcFile& f, const Registry& reg,
-                        std::vector<Diagnostic>& out) {
-  const std::vector<Token>& toks = *f.toks;
-  const FileIr& ir = *f.ir;
-  for (const EntityDecl& fn : ir.decls) {
-    if (fn.kind != DeclKind::Function) continue;
-    if (fn.tokEnd >= toks.size()) continue;
-    const std::string cls = memberClassOf(ir, toks, fn);
-    for (std::size_t i = fn.tokBegin + 1; i < fn.tokEnd; ++i) {
-      const Token& t = toks[i];
-      if (t.kind != TokKind::Identifier || isCallKeyword(t.text)) continue;
-      if (i + 1 >= fn.tokEnd || !isPunct(toks[i + 1], "(")) continue;
-
-      // Resolve against the returner registry with the same precedence as
-      // call edges; a name any class defines as non-Status stays silent.
-      const bool dotAccess =
-          (i >= 1 && isPunct(toks[i - 1], ".")) ||
-          (i >= 2 && isPunct(toks[i - 1], ">") && isPunct(toks[i - 2], "-"));
-      const bool thisAccess =
-          i >= 3 && isPunct(toks[i - 1], ">") && isPunct(toks[i - 2], "-") &&
-          toks[i - 3].text == "this";
-      std::string scopeCls;
-      if (i >= 3 && isPunct(toks[i - 1], ":") && isPunct(toks[i - 2], ":") &&
-          toks[i - 3].kind == TokKind::Identifier)
-        scopeCls = toks[i - 3].text;
-      FnKey callee;
-      if (!resolveCall(reg, cls, t.text, dotAccess && !thisAccess, scopeCls,
-                       &callee))
-        continue;
-      if (!reg.statusReturners.count(callee)) continue;
-
-      // Expression-statement test: the full postfix chain starts right
-      // after a statement boundary and the call's `)` is followed by `;`.
-      const std::size_t begin = chainBegin(toks, fn.tokBegin, i, nullptr);
-      bool atStart = false;
-      if (begin == fn.tokBegin + 1) {
-        atStart = true;
-      } else {
-        const Token& prev = toks[begin - 1];
-        if (isPunct(prev, ";") || isPunct(prev, "{") || isPunct(prev, "}")) {
-          atStart = true;
-        } else if (prev.kind == TokKind::Identifier &&
-                   (prev.text == "else" || prev.text == "do")) {
-          atStart = true;
-        } else if (isPunct(prev, ")")) {
-          // `if (...) call();` — but `(void)call()` is an explicit discard.
-          const bool voidCast = begin >= 3 &&
-                                toks[begin - 2].text == "void" &&
-                                isPunct(toks[begin - 3], "(");
-          atStart = !voidCast;
-        }
-      }
-      if (!atStart) continue;
-      int depth = 0;
-      std::size_t close = i + 1;
-      for (; close < fn.tokEnd; ++close) {
-        if (isPunct(toks[close], "(")) ++depth;
-        if (isPunct(toks[close], ")") && --depth == 0) break;
-      }
-      if (close + 1 >= toks.size() || !isPunct(toks[close + 1], ";")) continue;
-      out.push_back(Diagnostic{
-          "STATUS-DISCARD", f.relPath, t.line,
-          "result of '" + displayName(callee) +
-              "' (returns Status/Outcome) is discarded; check it, or make "
-              "the discard explicit with (void) and a comment saying why "
-              "failure is ignorable here"});
-    }
-  }
-}
-
 }  // namespace
 
 const AllocManifest& builtinAllocManifest() {
+  // Deliberately absent: `assign` — the sanctioned scratch-arena warm reset
+  // (capacity is retained across calls) — and `reserve` itself: the whole
+  // point of the discipline is that reservations happen in bind/setup code,
+  // which stays reachable from hot roots. `new` is a keyword, not a call;
+  // scanBody handles it directly.
   static const AllocManifest kBuiltin = {
-      // always-allocating calls
-      {"malloc", "calloc", "realloc", "strdup", "strndup", "aligned_alloc",
-       "posix_memalign", "make_unique", "make_shared",
-       "make_shared_for_overwrite", "to_string"},
-      // container growth, exempt after <receiver>.reserve(...)
+      // Always-allocating calls.
+      {
+          // libc / raw heap.
+          "malloc", "calloc", "realloc", "strdup", "strndup", "aligned_alloc",
+          "posix_memalign",
+          // C++ smart-pointer factories and string builders.
+          "make_unique", "make_shared", "make_shared_for_overwrite",
+          "to_string",
+      },
+      // Container growth: exempt when `<receiver>.reserve(` precedes the
+      // call in the same body.
       {"push_back", "emplace_back", "push_front", "emplace_front", "insert",
        "emplace", "emplace_hint", "resize"},
   };
   return kBuiltin;
 }
 
-bool parseAllocManifest(std::string_view text, AllocManifest& out,
-                        std::string& error) {
-  out = AllocManifest{};
-  std::set<std::string> seen;
-  std::istringstream is{std::string(text)};
-  std::string line;
-  int lineNo = 0;
-  while (std::getline(is, line)) {
-    ++lineNo;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream words(line);
-    std::string word;
-    bool grow = false;
-    bool first = true;
-    while (words >> word) {
-      if (first && word == "grow:") {
-        grow = true;
-        first = false;
-        continue;
-      }
-      first = false;
-      for (const char c : word) {
-        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '_';
-        if (!ok) {
-          error = "allocating.txt:" + std::to_string(lineNo) + ": '" + word +
-                  "' is not an identifier (a growth line starts `grow: `)";
-          return false;
-        }
-      }
-      if (!seen.insert(word).second) {
-        error = "allocating.txt:" + std::to_string(lineNo) + ": '" + word +
-                "' named twice";
-        return false;
-      }
-      (grow ? out.growth : out.always).push_back(word);
-    }
-  }
-  if (out.always.empty() && out.growth.empty()) {
-    error = "allocating.txt names no identifiers";
-    return false;
-  }
-  return true;
-}
-
-bool loadAllocManifest(const std::string& path, AllocManifest& out,
-                       std::string& error) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    error = "cannot read allocation manifest: " + path;
-    return false;
-  }
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return parseAllocManifest(buf.str(), out, error);
-}
-
 std::vector<Diagnostic> checkHotPaths(const std::vector<ConcFile>& files,
-                                      const BlockingManifest& blocking,
-                                      const AllocManifest& allocating,
                                       HotPathStats* stats) {
   Registry reg;
   for (const ConcFile& f : files) collectFile(f, reg);
@@ -596,12 +340,8 @@ std::vector<Diagnostic> checkHotPaths(const std::vector<ConcFile>& files,
     stats->callGraphEdges = edges;
   }
 
-  const std::set<std::string> alwaysAlloc(allocating.always.begin(),
-                                          allocating.always.end());
-  const std::set<std::string> growth(allocating.growth.begin(),
-                                     allocating.growth.end());
-  const std::set<std::string> blockingSet(blocking.idents.begin(),
-                                          blocking.idents.end());
+  const AllocManifest& allocating = builtinAllocManifest();
+  const std::set<std::string>& blocking = builtinBlockingManifest();
 
   // Hot closure: BFS from every CPR_HOT root (sorted, so the chain a
   // shared callee is reported under is deterministic). CPR_COLD_OK nodes
@@ -650,8 +390,7 @@ std::vector<Diagnostic> checkHotPaths(const std::vector<ConcFile>& files,
     if (defsIt == reg.defs.end()) continue;  // annotated but header-only decl
     std::vector<BodyFinding> findings;
     for (const FnDef& def : defsIt->second)
-      scanBody(def, alwaysAlloc, growth, blockingSet, /*allocOnly=*/false,
-               findings);
+      scanBody(def, allocating, blocking, /*allocOnly=*/false, findings);
     const std::string chain = chainFor(node);
     for (const BodyFinding& bf : findings) {
       std::string hint;
@@ -679,8 +418,7 @@ std::vector<Diagnostic> checkHotPaths(const std::vector<ConcFile>& files,
     if (defsIt == reg.defs.end()) continue;
     std::vector<BodyFinding> findings;
     for (const FnDef& def : defsIt->second)
-      scanBody(def, alwaysAlloc, growth, blockingSet, /*allocOnly=*/true,
-               findings);
+      scanBody(def, allocating, blocking, /*allocOnly=*/true, findings);
     for (const BodyFinding& bf : findings)
       out.push_back(Diagnostic{
           bf.rule, bf.file, bf.line,
@@ -688,8 +426,6 @@ std::vector<Diagnostic> checkHotPaths(const std::vector<ConcFile>& files,
               "'; reserve the receiver in this body, hoist into a scratch "
               "arena, or drop the annotation"});
   }
-
-  for (const ConcFile& f : files) checkStatusDiscard(f, reg, out);
 
   std::sort(out.begin(), out.end(),
             [](const Diagnostic& a, const Diagnostic& b) {

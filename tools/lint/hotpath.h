@@ -1,10 +1,10 @@
 /// \file hotpath.h
 /// Hot-path analysis for cpr_lint: the whole-tree call-graph pass that
 /// turns the annotation vocabulary of src/support/hot_annotations.h into
-/// four rules:
+/// three rules:
 ///
 ///   HOT-ALLOC       heap allocation — `new`, a call from the allocation
-///                   manifest (tools/lint/allocating.txt), or container
+///                   manifest (builtinAllocManifest), or container
 ///                   growth whose receiver was never `reserve()`d earlier
 ///                   in the same body — inside a CPR_HOT function or
 ///                   anything transitively reachable from one through
@@ -18,22 +18,18 @@
 ///                   by construction: CPR_CHECK's throw lives behind the
 ///                   macro name, and its NDEBUG semantics are the
 ///                   documented escape (DESIGN.md §16).
-///   HOT-BLOCKING    a call from the blocking manifest (blocking.txt, the
-///                   same one LOCK-BLOCKING-CALL uses) reachable from hot
+///   HOT-BLOCKING    a call from the blocking manifest
+///                   (builtinBlockingManifest, the same one
+///                   LOCK-BLOCKING-CALL uses) reachable from hot
 ///                   code — thread-pool drains, socket I/O, and sleeps
 ///                   belong in the drivers *around* the hot kernels, never
 ///                   inside them.
-///   STATUS-DISCARD  a call to a function returning `Status` or
-///                   `Outcome<T>` used as a bare expression statement, in
-///                   any function (hot or not). Backs up the
-///                   [[nodiscard]] sweep at the token level, where it also
-///                   fires for discards the compiler forgives.
 ///
 /// Like LOCK-ORDER, the HOT-* rules are NOT suppressible with per-line
 /// allow directives: the escape hatches are the annotations themselves
 /// (CPR_COLD_OK excludes a function from the closure, CPR_NOALLOC stops
 /// the descent at a checked boundary), visible in the signature and in
-/// review. STATUS-DISCARD accepts allows like the per-file rules.
+/// review.
 ///
 /// Call edges are resolved structurally, mirroring the concurrency pass:
 /// a receiver-qualified call (`x.f()` / `x->f()`) binds to the unique
@@ -44,8 +40,8 @@
 /// misses a diagnostic.
 #pragma once
 
+#include <set>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "lint/concurrency.h"
@@ -54,29 +50,19 @@
 
 namespace cpr::lint {
 
-/// Parsed form of tools/lint/allocating.txt. `always` names calls that
-/// heap-allocate unconditionally (malloc, make_unique, to_string, ...);
-/// `growth` names container-growth calls (push_back, insert, resize, ...)
-/// that are exempt when the same receiver was `reserve()`d earlier in the
-/// same function body. Grammar: one or more identifiers per line, a
-/// `grow:` line prefix marks growth entries, '#' comments, blanks ignored.
+/// `always` names calls that heap-allocate unconditionally (malloc,
+/// make_unique, to_string, ...); `growth` names container-growth calls
+/// (push_back, insert, resize, ...) that are exempt when the same receiver
+/// was `reserve()`d earlier in the same function body.
 struct AllocManifest {
-  std::vector<std::string> always;
-  std::vector<std::string> growth;
+  std::set<std::string> always;
+  std::set<std::string> growth;
 };
 
-/// The compiled-in default manifest, used when no allocating.txt is given;
-/// mirrors the file shipped in tools/lint/.
+/// The allocation manifest HOT-ALLOC checks against. Teaching the linter a
+/// new allocation seam is an edit to this list (hotpath.cpp); the rule
+/// never changes.
 [[nodiscard]] const AllocManifest& builtinAllocManifest();
-
-/// Parses manifest text. On failure returns false and describes the
-/// problem in `error`.
-[[nodiscard]] bool parseAllocManifest(std::string_view text,
-                                      AllocManifest& out, std::string& error);
-
-/// Reads and parses a manifest file; false on I/O or parse failure.
-[[nodiscard]] bool loadAllocManifest(const std::string& path,
-                                     AllocManifest& out, std::string& error);
 
 /// Aggregate numbers the pass exposes for the lint report
 /// (`lint.callgraph.edges`).
@@ -84,13 +70,12 @@ struct HotPathStats {
   long callGraphEdges = 0;  ///< unique resolved (caller, callee) pairs
 };
 
-/// Runs the four hot-path rules over the whole file set (the same borrowed
+/// Runs the three hot-path rules over the whole file set (the same borrowed
 /// token/IR views the concurrency pass uses). Annotations and function
 /// definitions are collected globally first, the call graph is built, then
 /// every hot closure and CPR_NOALLOC body is checked. Diagnostics come
 /// back sorted by file, line, then rule.
 [[nodiscard]] std::vector<Diagnostic> checkHotPaths(
-    const std::vector<ConcFile>& files, const BlockingManifest& blocking,
-    const AllocManifest& allocating, HotPathStats* stats = nullptr);
+    const std::vector<ConcFile>& files, HotPathStats* stats = nullptr);
 
 }  // namespace cpr::lint

@@ -6,11 +6,25 @@
 
 namespace cpr::lint {
 
-namespace {
-
 bool isPunct(const Token& t, std::string_view text) {
   return t.kind == TokKind::Punct && t.text == text;
 }
+
+bool startsWith(std::string_view s, std::string_view prefix) {
+  return s.substr(0, prefix.size()) == prefix;
+}
+
+bool endsWith(std::string_view s, std::string_view suffix) {
+  return s.size() >= suffix.size() &&
+         s.substr(s.size() - suffix.size()) == suffix;
+}
+
+std::string_view lastSegment(std::string_view name) {
+  const std::size_t pos = name.rfind("::");
+  return pos == std::string_view::npos ? name : name.substr(pos + 2);
+}
+
+namespace {
 
 bool isIdent(const Token& t, std::string_view text) {
   return t.kind == TokKind::Identifier && t.text == text;
@@ -247,6 +261,86 @@ std::size_t matchBrace(const std::vector<Token>& toks, std::size_t open) {
 }
 
 FileIr buildIr(const std::vector<Token>& toks) { return IrBuilder(toks).run(); }
+
+namespace {
+
+/// Innermost class declaration whose body contains token index `i`.
+const EntityDecl* enclosingClass(const FileIr& ir, std::size_t i) {
+  const EntityDecl* best = nullptr;
+  for (const EntityDecl& d : ir.decls) {
+    if (d.kind != DeclKind::Class) continue;
+    if (d.tokBegin < i && i < d.tokEnd &&
+        (!best || d.tokBegin > best->tokBegin))
+      best = &d;
+  }
+  return best;
+}
+
+/// `Q` of a `Q::name` spelling whose name token sits at `i`; "" when the
+/// name is not qualified by an identifier.
+std::string scopeQualifier(const std::vector<Token>& toks, std::size_t i) {
+  if (i >= 3 && isPunct(toks[i - 1], ":") && isPunct(toks[i - 2], ":") &&
+      toks[i - 3].kind == TokKind::Identifier)
+    return toks[i - 3].text;
+  return {};
+}
+
+}  // namespace
+
+std::size_t annotatedFunctionName(const std::vector<Token>& toks,
+                                  std::size_t m) {
+  std::size_t j = m;
+  while (j > 0) {
+    const Token& t = toks[j - 1];
+    if (t.kind == TokKind::Identifier) {
+      if (t.text == "const" || t.text == "noexcept" || t.text == "override" ||
+          t.text == "final" || startsWith(t.text, "CPR_")) {
+        --j;
+        continue;
+      }
+      return toks.size();  // e.g. macro after a field, not a function
+    }
+    if (isPunct(t, ")")) {
+      int depth = 0;
+      std::size_t k = j - 1;
+      for (;; --k) {
+        if (isPunct(toks[k], ")")) ++depth;
+        if (isPunct(toks[k], "(") && --depth == 0) break;
+        if (k == 0) return toks.size();
+      }
+      if (k == 0) return toks.size();
+      const Token& before = toks[k - 1];
+      if (before.kind != TokKind::Identifier) return toks.size();
+      if (before.text == "noexcept" || startsWith(before.text, "CPR_")) {
+        j = k - 1;
+        continue;
+      }
+      return k - 1;
+    }
+    return toks.size();
+  }
+  return toks.size();
+}
+
+std::string memberClassOf(const FileIr& ir, const std::vector<Token>& toks,
+                          std::size_t nameTok) {
+  if (const EntityDecl* cls = enclosingClass(ir, nameTok))
+    return std::string(lastSegment(cls->name));
+  if (nameTok >= 1 && isPunct(toks[nameTok - 1], "~")) --nameTok;
+  return scopeQualifier(toks, nameTok);
+}
+
+AccessShape accessShapeAt(const std::vector<Token>& toks, std::size_t i) {
+  const bool arrow =
+      i >= 2 && isPunct(toks[i - 1], ">") && isPunct(toks[i - 2], "-");
+  AccessShape s;
+  s.member = arrow || (i >= 1 && isPunct(toks[i - 1], "."));
+  s.viaThis = arrow && i >= 3 && toks[i - 3].kind == TokKind::Identifier &&
+              toks[i - 3].text == "this";
+  s.qualified = i >= 1 && isPunct(toks[i - 1], ":");
+  s.scope = scopeQualifier(toks, i);
+  return s;
+}
 
 namespace {
 

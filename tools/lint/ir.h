@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lint/lexer.h"
@@ -75,6 +76,47 @@ struct FileIr {
 
 /// Builds the declaration-level IR for one translation unit's tokens.
 [[nodiscard]] FileIr buildIr(const std::vector<Token>& toks);
+
+// ---- Helpers shared by the rule passes (rules.cpp, arch.cpp,
+// concurrency.cpp, hotpath.cpp). ----
+
+[[nodiscard]] bool isPunct(const Token& t, std::string_view text);
+[[nodiscard]] bool startsWith(std::string_view s, std::string_view prefix);
+[[nodiscard]] bool endsWith(std::string_view s, std::string_view suffix);
+
+/// Last `::`-separated segment of a (possibly qualified) name.
+[[nodiscard]] std::string_view lastSegment(std::string_view name);
+
+/// Finds the function name a declarator-trailer annotation at token `m`
+/// belongs to: walks back over cv/noexcept/override trailers, other CPR_*
+/// macros (with their argument parens), and the parameter list, to the
+/// identifier before the `(`. Returns toks.size() when no name is found.
+[[nodiscard]] std::size_t annotatedFunctionName(const std::vector<Token>& toks,
+                                                std::size_t m);
+
+/// Class of the function whose name token sits at `nameTok`: the innermost
+/// class containing it, else the `Cls::` qualifier before the name
+/// (out-of-line definitions; a destructor's `~` is skipped). Returns "" for
+/// free functions.
+[[nodiscard]] std::string memberClassOf(const FileIr& ir,
+                                        const std::vector<Token>& toks,
+                                        std::size_t nameTok);
+
+/// How the identifier at token `i` is reached: through `.` / `->`
+/// (`member`), specifically `this->` (`viaThis`), or after a `:`
+/// (`qualified`, with `scope` holding `Q` when the spelling is `Q::name`).
+struct AccessShape {
+  bool member = false;
+  bool viaThis = false;
+  bool qualified = false;
+  std::string scope;
+
+  /// `.`/`->` through an object other than `this`: the receiver's class is
+  /// unknown at the token level.
+  [[nodiscard]] bool onOtherObject() const { return member && !viaThis; }
+};
+[[nodiscard]] AccessShape accessShapeAt(const std::vector<Token>& toks,
+                                        std::size_t i);
 
 /// One span of a function body during which a mutex is held. Produced by
 /// `findLockRegions` for the concurrency rules (tools/lint/concurrency.h).

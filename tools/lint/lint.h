@@ -17,7 +17,10 @@
 ///
 /// Scoping is path-based: `relPath` must be the repo-relative path with
 /// forward slashes (e.g. "src/core/panel_kernel.cpp"); several rules only
-/// apply under src/core, to panel_kernel translation units, or to headers.
+/// apply under src/core, to src/core/panel_kernel.{h,cpp}, or to headers.
+///
+/// A discarded `Status` / `Outcome<T>` is not a lint rule: both classes are
+/// `[[nodiscard]]` and every build compiles with -Werror=unused-result.
 #pragma once
 
 #include <filesystem>
@@ -27,9 +30,7 @@
 
 namespace cpr::lint {
 
-struct LayerManifest;     // arch.h
-struct BlockingManifest;  // concurrency.h
-struct AllocManifest;     // hotpath.h
+struct LayerManifest;  // arch.h
 
 struct Diagnostic {
   std::string rule;
@@ -70,23 +71,19 @@ struct LintStats {
 /// Lints a whole file set: per-file rules on every file, the concurrency
 /// pass (GUARDED-BY / LOCK-BLOCKING-CALL / LOCK-ORDER / THREAD-LIFECYCLE,
 /// see concurrency.h) and the hot-path call-graph pass (HOT-ALLOC /
-/// HOT-THROW / HOT-BLOCKING / STATUS-DISCARD, see hotpath.h) over the
-/// whole set, then — when a `manifest` is supplied — the
-/// architecture-graph pass (LAYER-VIOLATION / LAYER-FORBIDDEN /
-/// LAYER-CYCLE / DEAD-HEADER, see arch.h) over the include graph of the
-/// set. `blocking` names the blocking-call manifest for
-/// LOCK-BLOCKING-CALL and HOT-BLOCKING; null uses
-/// builtinBlockingManifest(). `allocating` names the allocation manifest
-/// for HOT-ALLOC; null uses builtinAllocManifest(). Architecture
-/// diagnostics, LOCK-ORDER / LOCK-BLOCKING-CALL, and the HOT-* rules
-/// ignore allow directives by design. Diagnostics come back grouped per
-/// file in input order, sorted by line then rule within a file. `stats`,
-/// when non-null, receives pass aggregates (call-graph edge count).
+/// HOT-THROW / HOT-BLOCKING, see hotpath.h) over the whole set, then —
+/// when a `manifest` is supplied — the architecture-graph pass
+/// (LAYER-VIOLATION / LAYER-FORBIDDEN / LAYER-CYCLE / DEAD-HEADER, see
+/// arch.h) over the include graph of the set. The blocking-call and
+/// allocation manifests are compiled in (builtinBlockingManifest(),
+/// builtinAllocManifest()). Architecture diagnostics, LOCK-ORDER /
+/// LOCK-BLOCKING-CALL, and the HOT-* rules ignore allow directives by
+/// design. Diagnostics come back grouped per file in input order, sorted by
+/// line then rule within a file. `stats`, when non-null, receives pass
+/// aggregates (call-graph edge count).
 [[nodiscard]] std::vector<Diagnostic> lintFiles(
     const std::vector<SourceFile>& files,
-    const LayerManifest* manifest = nullptr,
-    const BlockingManifest* blocking = nullptr,
-    const AllocManifest* allocating = nullptr, LintStats* stats = nullptr);
+    const LayerManifest* manifest = nullptr, LintStats* stats = nullptr);
 
 /// Walks `subdirs` under `rootDir`, lints every C++ source file
 /// (.h/.hpp/.cpp/.cc/.cxx), and concatenates the per-file diagnostics in
@@ -94,13 +91,11 @@ struct LintStats {
 /// starting with '.' are skipped. When `scannedFiles` is non-null it
 /// receives the repo-relative path of every file visited. When `manifest`
 /// is non-null the architecture-graph pass runs over the whole walked set.
-/// `blocking`, `allocating`, and `stats` are forwarded to lintFiles.
+/// `stats` is forwarded to lintFiles.
 [[nodiscard]] std::vector<Diagnostic> lintTree(
     const std::filesystem::path& rootDir, const std::vector<std::string>& subdirs,
     std::vector<std::string>* scannedFiles = nullptr,
-    const LayerManifest* manifest = nullptr,
-    const BlockingManifest* blocking = nullptr,
-    const AllocManifest* allocating = nullptr, LintStats* stats = nullptr);
+    const LayerManifest* manifest = nullptr, LintStats* stats = nullptr);
 
 /// Result of removing stale allow directives from one source text.
 struct StripAllowResult {

@@ -2,22 +2,19 @@
 /// cpr_lint CLI: lints the project trees and exits non-zero on any
 /// diagnostic. Run as a ctest target (repo_lint) and as the CI lint job.
 ///
-///   cpr_lint [--root DIR] [--layers FILE] [--blocking FILE]
-///            [--allocating FILE] [--sarif FILE] [--report FILE]
+///   cpr_lint [--root DIR] [--sarif FILE] [--report FILE]
 ///            [--fix-stale-allows] [--list-rules] [PATH...]
 ///
 /// PATHs are files or directories relative to --root (default: the current
-/// directory); with no PATH the standard project trees src tools tests
-/// bench are scanned. The architecture-graph pass runs whenever the layer
-/// manifest is readable (default: <root>/tools/lint/layers.txt; override
-/// with --layers). The LOCK-BLOCKING-CALL / HOT-BLOCKING manifest defaults
-/// to <root>/tools/lint/blocking.txt, and the HOT-ALLOC manifest to
-/// <root>/tools/lint/allocating.txt, each falling back to the compiled-in
-/// list when the file is absent; an explicit --blocking / --allocating
-/// that cannot be parsed is a hard error. `--sarif` writes the diagnostics
-/// as a SARIF 2.1.0 log for code-scanning upload; `--report` writes the
-/// run's own counters (lint.files / lint.diagnostics /
-/// lint.callgraph.edges and the lint.run span) as a `cpr.report.v1` JSON.
+/// directory); with no PATH the project trees src tools tests bench
+/// examples fuzz are scanned. The architecture-graph pass runs whenever
+/// <root>/tools/lint/layers.txt exists; a manifest that exists but does not
+/// parse is a hard error (exit 2), so a typo cannot silently switch the
+/// pass off. The blocking-call and allocation manifests are compiled into
+/// the rule engine. `--sarif` writes the diagnostics as a SARIF 2.1.0 log
+/// for code-scanning upload; `--report` writes the run's own counters
+/// (lint.files / lint.diagnostics / lint.callgraph.edges and the lint.run
+/// span) as a `cpr.report.v1` JSON.
 /// `--fix-stale-allows` rewrites the scanned files in place, deleting
 /// every allow directive flagged ALLOW-UNUSED, and drops those findings
 /// from the output. Exit codes: 0 clean, 1 diagnostics found, 2 usage or
@@ -33,8 +30,6 @@
 #include <vector>
 
 #include "lint/arch.h"
-#include "lint/concurrency.h"
-#include "lint/hotpath.h"
 #include "lint/lint.h"
 #include "obs/collector.h"
 #include "obs/names.h"
@@ -45,23 +40,17 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [--root DIR] [--layers FILE] [--blocking FILE]\n"
-      "       [--allocating FILE] [--sarif FILE] [--report FILE]\n"
+      "usage: %s [--root DIR] [--sarif FILE] [--report FILE]\n"
       "       [--fix-stale-allows] [--list-rules] [PATH...]\n"
-      "  --root DIR        repo root the PATHs are relative to\n"
-      "  --layers FILE     layer manifest for the architecture pass\n"
-      "                    (default: <root>/tools/lint/layers.txt)\n"
-      "  --blocking FILE   blocking-call manifest for LOCK-BLOCKING-CALL\n"
-      "                    and HOT-BLOCKING\n"
-      "                    (default: <root>/tools/lint/blocking.txt,\n"
-      "                    else the compiled-in list)\n"
-      "  --allocating FILE allocation manifest for HOT-ALLOC\n"
-      "                    (default: <root>/tools/lint/allocating.txt,\n"
-      "                    else the compiled-in list)\n"
+      "  --root DIR        repo root the PATHs are relative to; its\n"
+      "                    tools/lint/layers.txt, when present, drives the\n"
+      "                    architecture pass\n"
       "  --sarif FILE      write diagnostics as SARIF 2.1.0\n"
       "  --report FILE     write run counters as cpr.report.v1 JSON\n"
       "  --fix-stale-allows  delete ALLOW-UNUSED directives in place\n"
-      "  --list-rules      print the rule table and exit\n",
+      "  --list-rules      print the rule table and exit\n"
+      "  PATH...           files or directories under --root (default: src\n"
+      "                    tools tests bench examples fuzz)\n",
       argv0);
   return 2;
 }
@@ -116,9 +105,6 @@ bool saveSarif(const std::string& path,
 
 int main(int argc, char** argv) {
   std::string root = ".";
-  std::string layersPath;
-  std::string blockingPath;
-  std::string allocatingPath;
   std::string sarifPath;
   std::string reportPath;
   bool fixStaleAllows = false;
@@ -132,12 +118,6 @@ int main(int argc, char** argv) {
     };
     if (arg == "--root") {
       if (!flagValue(root)) return usage(argv[0]);
-    } else if (arg == "--layers") {
-      if (!flagValue(layersPath)) return usage(argv[0]);
-    } else if (arg == "--blocking") {
-      if (!flagValue(blockingPath)) return usage(argv[0]);
-    } else if (arg == "--allocating") {
-      if (!flagValue(allocatingPath)) return usage(argv[0]);
     } else if (arg == "--fix-stale-allows") {
       fixStaleAllows = true;
     } else if (arg == "--sarif") {
@@ -159,58 +139,23 @@ int main(int argc, char** argv) {
       paths.push_back(arg);
     }
   }
-  if (paths.empty()) paths = {"src", "tools", "tests", "bench"};
+  if (paths.empty())
+    paths = {"src", "tools", "tests", "bench", "examples", "fuzz"};
 
-  // The architecture pass is on by default when the in-repo manifest
-  // exists; an explicit --layers that cannot be parsed is a hard error.
+  // The architecture pass runs when the in-repo layer manifest exists. One
+  // that exists but does not parse is an error, never a skipped pass.
   cpr::lint::LayerManifest manifest;
   const cpr::lint::LayerManifest* manifestPtr = nullptr;
-  const bool layersExplicit = !layersPath.empty();
-  if (!layersExplicit)
-    layersPath = (std::filesystem::path(root) / "tools/lint/layers.txt")
-                     .generic_string();
-  std::string manifestError;
-  if (cpr::lint::loadLayerManifest(layersPath, manifest, manifestError)) {
+  const std::filesystem::path layersPath =
+      std::filesystem::path(root) / "tools/lint/layers.txt";
+  if (std::filesystem::exists(layersPath)) {
+    std::string error;
+    if (!cpr::lint::loadLayerManifest(layersPath.generic_string(), manifest,
+                                      error)) {
+      std::fprintf(stderr, "cpr_lint: %s\n", error.c_str());
+      return 2;
+    }
     manifestPtr = &manifest;
-  } else if (layersExplicit) {
-    std::fprintf(stderr, "cpr_lint: %s\n", manifestError.c_str());
-    return 2;
-  }
-
-  // Same policy for the blocking manifest, with the compiled-in list as
-  // the fallback when the in-repo file is absent.
-  cpr::lint::BlockingManifest blocking = cpr::lint::builtinBlockingManifest();
-  const bool blockingExplicit = !blockingPath.empty();
-  if (!blockingExplicit)
-    blockingPath = (std::filesystem::path(root) / "tools/lint/blocking.txt")
-                       .generic_string();
-  std::string blockingError;
-  if (!cpr::lint::loadBlockingManifest(blockingPath, blocking,
-                                       blockingError)) {
-    if (blockingExplicit ||
-        std::filesystem::exists(std::filesystem::path(blockingPath))) {
-      std::fprintf(stderr, "cpr_lint: %s\n", blockingError.c_str());
-      return 2;
-    }
-    blocking = cpr::lint::builtinBlockingManifest();
-  }
-
-  // Same policy again for the allocation manifest.
-  cpr::lint::AllocManifest allocating = cpr::lint::builtinAllocManifest();
-  const bool allocatingExplicit = !allocatingPath.empty();
-  if (!allocatingExplicit)
-    allocatingPath =
-        (std::filesystem::path(root) / "tools/lint/allocating.txt")
-            .generic_string();
-  std::string allocatingError;
-  if (!cpr::lint::loadAllocManifest(allocatingPath, allocating,
-                                    allocatingError)) {
-    if (allocatingExplicit ||
-        std::filesystem::exists(std::filesystem::path(allocatingPath))) {
-      std::fprintf(stderr, "cpr_lint: %s\n", allocatingError.c_str());
-      return 2;
-    }
-    allocating = cpr::lint::builtinAllocManifest();
   }
 
   cpr::obs::Collector collector;
@@ -220,8 +165,7 @@ int main(int argc, char** argv) {
   {
     const cpr::obs::ScopedTimer timer(&collector,
                                       cpr::obs::names::kLintRunSpan);
-    diags = cpr::lint::lintTree(root, paths, &scanned, manifestPtr,
-                                &blocking, &allocating, &stats);
+    diags = cpr::lint::lintTree(root, paths, &scanned, manifestPtr, &stats);
   }
 
   if (fixStaleAllows) {

@@ -20,23 +20,20 @@ namespace {
 
 namespace fs = std::filesystem;
 
-bool startsWith(std::string_view s, std::string_view prefix) {
-  return s.substr(0, prefix.size()) == prefix;
-}
-
-bool endsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
 bool isHeaderPath(std::string_view rel) {
   return endsWith(rel, ".h") || endsWith(rel, ".hpp");
+}
+
+/// The CSR panel kernel's own translation units: the CONTRACT-COVERAGE
+/// scope, and part of the THROW-BOUNDARY one.
+bool isPanelKernel(std::string_view rel) {
+  return rel == "src/core/panel_kernel.h" || rel == "src/core/panel_kernel.cpp";
 }
 
 /// Files implementing the `Solver::trySolve` panel boundary and its
 /// degradation-ladder rungs: the no-throw hot-path set of THROW-BOUNDARY.
 bool isTrySolveBoundary(std::string_view rel) {
-  if (rel.find("panel_kernel") != std::string_view::npos) return true;
+  if (isPanelKernel(rel)) return true;
   constexpr std::array<std::string_view, 6> kFiles = {
       "src/core/solver.cpp",    "src/core/solver.h",
       "src/core/optimizer.cpp", "src/core/optimizer.h",
@@ -124,12 +121,6 @@ struct FileLint {
     for (std::size_t i = 0; i < toks.size(); ++i) {
       const Token& t = toks[i];
       if (t.kind != TokKind::Identifier) continue;
-      if (t.text == "timeLimitSeconds") {
-        report("DEADLINE-RAW", t.line,
-               "raw wall-clock budget double; thread a support::Deadline "
-               "through the options instead");
-        continue;
-      }
       if (t.text == "now" && isSolverScope(rel) && i >= 2 &&
           tokIs(i - 1, ":") && tokIs(i - 2, ":") && tokIs(i + 1, "(") &&
           tokIs(i + 2, ")")) {
@@ -305,7 +296,7 @@ struct FileLint {
   }
 
   void contractCoverage() {
-    if (rel.find("panel_kernel") == std::string::npos) return;
+    if (!isPanelKernel(rel)) return;
     // Lines holding a contract macro; a raw access within the window below
     // one of these counts as guarded.
     std::vector<int> contractLines;
@@ -347,12 +338,11 @@ const std::vector<RuleInfo>& ruleTable() {
       {"BANNED-FN",
        "rand/srand/strtok/atoi/atol/atof/sprintf/vsprintf/gets/std::endl"},
       {"CONTRACT-COVERAGE",
-       "raw CSR pointer access in panel_kernel.* must sit under a contract"},
+       "raw CSR pointer access in src/core/panel_kernel.{h,cpp} must sit "
+       "under a contract"},
       {"DEAD-HEADER",
        "src/ header that no scanned file includes (architecture pass)"},
-      {"DEADLINE-RAW",
-       "timeLimitSeconds doubles anywhere; argless ::now() polling in "
-       "src/core|src/ilp"},
+      {"DEADLINE-RAW", "argless ::now() clock polling in src/core|src/ilp"},
       {"DETERMINISM",
        "range-for over an unordered container whose body emits "
        "metrics/output"},
@@ -361,12 +351,12 @@ const std::vector<RuleInfo>& ruleTable() {
       {"HEADER-HYGIENE",
        "headers need #pragma once and must not 'using namespace'"},
       {"HOT-ALLOC",
-       "heap allocation (new, tools/lint/allocating.txt call, or "
-       "unreserved container growth) reachable from CPR_HOT code or inside "
-       "a CPR_NOALLOC body; not allow-suppressible"},
+       "heap allocation (new, an allocation-manifest call, or unreserved "
+       "container growth) reachable from CPR_HOT code or inside a "
+       "CPR_NOALLOC body; not allow-suppressible"},
       {"HOT-BLOCKING",
-       "blocking call (tools/lint/blocking.txt) reachable from CPR_HOT "
-       "code; not allow-suppressible"},
+       "blocking-manifest call reachable from CPR_HOT code; not "
+       "allow-suppressible"},
       {"HOT-THROW",
        "throw reachable from CPR_HOT code outside a same-body try/catch; "
        "not allow-suppressible"},
@@ -381,22 +371,20 @@ const std::vector<RuleInfo>& ruleTable() {
       {"LAYER-VIOLATION",
        "include edge pointing up the layer manifest tools/lint/layers.txt"},
       {"LOCK-BLOCKING-CALL",
-       "blocking call (tools/lint/blocking.txt) while holding a lock not "
-       "annotated CPR_MAY_BLOCK; not allow-suppressible"},
+       "blocking-manifest call while holding a lock not annotated "
+       "CPR_MAY_BLOCK; not allow-suppressible"},
       {"LOCK-ORDER",
        "cycle in the whole-tree lock acquisition graph; not "
        "allow-suppressible"},
       {"OBS-LITERAL",
        "inline \"pao|route|drc|ilp|serve.*\" metric literals outside "
        "obs/names.h"},
-      {"STATUS-DISCARD",
-       "call to a Status/Outcome-returning function used as a bare "
-       "expression statement"},
       {"THREAD-LIFECYCLE",
        "std::thread neither joined/detached/moved; thread field without "
        "CPR_THREAD_REAPER"},
       {"THROW-BOUNDARY",
-       "throw/abort in panel_kernel.* or trySolve-boundary files"},
+       "throw/abort in src/core/panel_kernel.{h,cpp} or trySolve-boundary "
+       "files"},
   };
   return kTable;
 }
@@ -408,8 +396,6 @@ std::vector<Diagnostic> lintSource(const std::string& relPath,
 
 std::vector<Diagnostic> lintFiles(const std::vector<SourceFile>& files,
                                   const LayerManifest* manifest,
-                                  const BlockingManifest* blocking,
-                                  const AllocManifest* allocating,
                                   LintStats* stats) {
   // Lex and build the declaration IR once per file; every pass below
   // (file rules, concurrency, architecture) works off these.
@@ -446,14 +432,11 @@ std::vector<Diagnostic> lintFiles(const std::vector<SourceFile>& files,
     conc.reserve(files.size());
     for (std::size_t i = 0; i < files.size(); ++i)
       conc.push_back(ConcFile{files[i].relPath, &lexed[i].tokens, &irs[i]});
-    std::vector<Diagnostic> cd = checkConcurrency(
-        conc, blocking ? *blocking : builtinBlockingManifest());
+    std::vector<Diagnostic> cd = checkConcurrency(conc);
     out.insert(out.end(), std::make_move_iterator(cd.begin()),
                std::make_move_iterator(cd.end()));
     HotPathStats hotStats;
-    std::vector<Diagnostic> hd = checkHotPaths(
-        conc, blocking ? *blocking : builtinBlockingManifest(),
-        allocating ? *allocating : builtinAllocManifest(), &hotStats);
+    std::vector<Diagnostic> hd = checkHotPaths(conc, &hotStats);
     out.insert(out.end(), std::make_move_iterator(hd.begin()),
                std::make_move_iterator(hd.end()));
     if (stats) stats->callGraphEdges = hotStats.callGraphEdges;
@@ -532,8 +515,6 @@ std::vector<Diagnostic> lintTree(const fs::path& rootDir,
                                  const std::vector<std::string>& subdirs,
                                  std::vector<std::string>* scannedFiles,
                                  const LayerManifest* manifest,
-                                 const BlockingManifest* blocking,
-                                 const AllocManifest* allocating,
                                  LintStats* stats) {
   auto skipDir = [](const std::string& name) {
     return startsWith(name, "build") || startsWith(name, ".") ||
@@ -578,7 +559,7 @@ std::vector<Diagnostic> lintTree(const fs::path& rootDir,
     buf << is.rdbuf();
     sources.push_back(SourceFile{rel, buf.str()});
   }
-  return lintFiles(sources, manifest, blocking, allocating, stats);
+  return lintFiles(sources, manifest, stats);
 }
 
 StripAllowResult stripAllowDirectives(std::string_view source,
