@@ -100,8 +100,6 @@ Assignment solveLr(const PanelKernel& k, const LrOptions& opts,
                    support::Deadline deadline) {
   LrScratch local;
   LrScratch& s = scratch ? *scratch : local;
-  const support::Deadline budget =
-      support::Deadline::soonerOf(opts.deadline, deadline);
   const std::size_t n = k.numIntervals();
   const std::size_t nPins = k.numPins();
   const std::size_t nCs = k.numConflicts();
@@ -256,7 +254,7 @@ Assignment solveLr(const PanelKernel& k, const LrOptions& opts,
     if (bestVio == 0) break;
     // Deadline check last, so every solve completes at least one iteration
     // and the repair below always has a best-so-far selection to work on.
-    if (budget.expired()) {
+    if (deadline.expired()) {
       obs::add(obs, obs::names::kLrTimeout);
       break;
     }

@@ -25,12 +25,6 @@ namespace cpr::core {
 struct LrOptions {
   /// Iteration upper bound (the paper's experiments use UB = 200).
   int maxIterations = 200;
-  /// Wall-clock budget; unset (the default) never expires. Composes with the
-  /// per-call deadline passed to `solveLr`. The subgradient loop checks it
-  /// after each iteration (at least one iteration always runs), and the
-  /// conflict-removal repair runs regardless, so a timed-out solve still
-  /// returns a legal assignment.
-  support::Deadline deadline;
   /// Engineering addition: stop early when the best violation count has not
   /// improved for this many iterations (0 disables; the paper always runs to
   /// UB or zero violations, but stalled panels only waste time — the best
@@ -42,8 +36,9 @@ struct LrOptions {
   /// of Eq. 3 instead of Algorithm 1's increase-on-violation). Off by
   /// default to match the paper.
   bool bidirectionalMultipliers = false;
-  /// Skip the final greedy conflict removal (used when quantifying raw LR
-  /// convergence, e.g. the Fig. 6(b) objective comparison).
+  /// Skip the final greedy conflict removal. Test-only today (the raw
+  /// best-iterate objective); kept for the planned per-stage objective
+  /// series that splits LR's optimality gap across its stages.
   bool skipConflictRemoval = false;
   /// Greedy refinement rounds after conflict removal: every pin tries to
   /// upgrade to its most profitable candidate that stays conflict-free.
@@ -88,7 +83,10 @@ struct LrScratch {
 /// Solves the instance `k` with Lagrangian relaxation. The returned
 /// assignment is conflict-free (violations == 0) unless conflict removal was
 /// skipped. `scratch` may be null (a local arena is used) or a
-/// reused per-worker arena.
+/// reused per-worker arena. `deadline` (unset = never expires) is checked
+/// after each subgradient iteration (at least one always runs); conflict
+/// removal runs regardless, so a timed-out solve still returns a legal
+/// assignment.
 ///
 /// When `obs` is non-null the solver reports `lr.*` counters (iterations,
 /// removal rounds, re-expansion upgrades, timeouts) plus the

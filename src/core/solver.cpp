@@ -1,6 +1,7 @@
 #include "core/solver.h"
 
 #include <algorithm>
+#include <array>
 
 #include "core/ilp_builder.h"
 #include "obs/names.h"
@@ -8,10 +9,17 @@
 
 namespace cpr::core {
 
+/// Indexed by `Method`.
+constexpr std::array<std::string_view, 2> kMethodNames{"lr", "ilp"};
+
 std::optional<Method> methodFromName(std::string_view name) {
-  if (name == "lr") return Method::Lr;
-  if (name == "ilp") return Method::Ilp;
+  for (std::size_t i = 0; i < kMethodNames.size(); ++i)
+    if (kMethodNames[i] == name) return static_cast<Method>(i);
   return std::nullopt;
+}
+
+std::string_view methodName(Method method) {
+  return kMethodNames[std::size_t(method)];
 }
 
 support::Outcome<Assignment> Solver::trySolve(const PanelKernel& k,

@@ -44,6 +44,7 @@ enum class Method {
 /// `--pin-access` flags and the service protocol's `pin_access` field.
 /// Any other name yields nullopt.
 [[nodiscard]] std::optional<Method> methodFromName(std::string_view name);
+[[nodiscard]] std::string_view methodName(Method method);
 
 /// Per-worker arena for the solvers behind the interface. A worker thread
 /// owns one `PanelScratch` and reuses it across all panels it processes;

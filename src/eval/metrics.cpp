@@ -8,12 +8,11 @@ Metrics summarize(const db::Design& design,
                   const route::RoutingResult& result, double extraSeconds) {
   Metrics m;
   m.totalNets = static_cast<int>(design.nets().size());
-  for (std::size_t n = 0; n < result.nets.size(); ++n) {
-    const route::NetResult& nr = result.nets[n];
-    if (nr.clean) {
+  for (std::size_t n = 0; n < result.geometry.size(); ++n) {
+    if (result.clean(n)) {
       ++m.routedClean;
-      m.vias += nr.vias;
-      m.wirelength += nr.wirelength;
+      m.vias += static_cast<long>(result.geometry[n].vias.size());
+      m.wirelength += result.geometry[n].wirelength();
     } else {
       m.wirelength += design.netBox(static_cast<db::Index>(n)).halfPerimeter();
     }

@@ -63,7 +63,7 @@ struct Search {
 
     // Find the most fractional variable.
     Index branchVar = -1;
-    double bestFrac = opts.integralityEps;
+    double bestFrac = tol::kIntegralityEps;
     for (Index v = 0; v < model.numVars(); ++v) {
       if (fix[static_cast<std::size_t>(v)] >= 0) continue;
       const double xv = relax.x[static_cast<std::size_t>(v)];

@@ -44,7 +44,6 @@ struct IlpOptions {
   /// budget compose it in via `support::Deadline::soonerOf` before the call.
   /// Default-constructed = unset = never expires.
   support::Deadline deadline;
-  double integralityEps = tol::kIntegralityEps;
   LpOptions lp;
 };
 

@@ -45,8 +45,6 @@ struct LpResult {
 };
 
 struct LpOptions {
-  long maxIterations = tol::kDefaultLpIterationLimit;
-  double eps = tol::kPivotEps;
   /// Allow warm-started re-solves from a parent basis (branch & bound).
   /// Disabled only by the cold-vs-warm benches and equivalence tests.
   bool warmStart = true;

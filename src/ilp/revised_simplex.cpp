@@ -457,7 +457,7 @@ LpResult RevisedSimplexBackend::solve(const Fixing* fix, const LpBasis* warm,
       return res;
     }
 
-    if (res.pivots >= opts_.maxIterations) {
+    if (res.pivots >= tol::kDefaultLpIterationLimit) {
       res.status = LpStatus::IterationLimit;
       extract();
       return res;
@@ -482,14 +482,15 @@ LpResult RevisedSimplexBackend::solve(const Fixing* fix, const LpBasis* warm,
       const double alpha = columnDot(rho_, j);
       alpha_[j] = alpha;
       const double sa = sigma * alpha;
-      const bool eligible = state_[j] == VarState::AtLower ? sa < -opts_.eps
-                                                           : sa > opts_.eps;
+      const bool eligible = state_[j] == VarState::AtLower
+                                ? sa < -tol::kPivotEps
+                                : sa > tol::kPivotEps;
       if (!eligible) continue;
       const double ratio = std::max(d_[j] / sa, 0.0);
       const bool better =
           bland ? ratio < bestRatio
-                : (ratio < bestRatio - opts_.eps ||
-                   (ratio <= bestRatio + opts_.eps &&
+                : (ratio < bestRatio - tol::kPivotEps ||
+                   (ratio <= bestRatio + tol::kPivotEps &&
                     std::abs(alpha) > bestAlphaAbs));
       if (better) {
         q = j;
@@ -585,7 +586,7 @@ LpResult RevisedSimplexBackend::solve(const Fixing* fix, const LpBasis* warm,
     state_[q] = VarState::Basic;
     ++res.pivots;
     justRefactored = false;
-    degenerateRun = bestRatio <= opts_.eps ? degenerateRun + 1 : 0;
+    degenerateRun = bestRatio <= tol::kPivotEps ? degenerateRun + 1 : 0;
     if (++sinceRefactor >= tol::kRefactorInterval) {
       if (!refactorize()) return refactorFailed();
       computeBasicValues();

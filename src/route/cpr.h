@@ -8,11 +8,26 @@
 /// extension and DRC signoff follow.
 #pragma once
 
+#include <optional>
+#include <string_view>
+
 #include "core/optimizer.h"
 #include "db/design.h"
 #include "route/negotiation_router.h"
 
 namespace cpr::route {
+
+/// The three routing schemes Table 2 compares.
+enum class Scheme {
+  Cpr,    ///< pin access optimization, then negotiation routing (this paper)
+  NoPao,  ///< negotiation routing without pin access optimization [21]
+  Seq,    ///< sequential pin access planning (PARR [12])
+};
+
+/// The one name table for `Scheme` (cpr|nopao|seq), as spelled by the
+/// `--scheme` flags and the protocol's `scheme` field; others: nullopt.
+[[nodiscard]] std::optional<Scheme> schemeFromName(std::string_view name);
+[[nodiscard]] std::string_view schemeName(Scheme scheme);
 
 struct CprOptions {
   CprOptions() {
@@ -30,15 +45,16 @@ struct CprOptions {
 struct CprResult {
   core::PinAccessPlan plan;
   RoutingResult routing;
-  double pinAccessSeconds = 0.0;
-  /// Total runtime: pin access optimization + routing (the paper's "cpu"
-  /// column includes both, Section 5.2).
-  [[nodiscard]] double totalSeconds() const {
-    return pinAccessSeconds + routing.seconds;
-  }
+  double pinAccessSeconds = 0.0;  ///< "cpu" adds it to routing.seconds (5.2)
 };
 
 [[nodiscard]] CprResult routeCpr(const db::Design& design,
                                  const CprOptions& opts = {});
+
+/// The one scheme dispatch: Cpr is `routeCpr`, NoPao is `routeNegotiated`
+/// without a plan under `opts.routing`, Seq is `routeSequential` under
+/// `opts.routing.deadline`. The plan is empty for NoPao and Seq.
+[[nodiscard]] CprResult routeScheme(const db::Design& design, Scheme scheme,
+                                    const CprOptions& opts = {});
 
 }  // namespace cpr::route

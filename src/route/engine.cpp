@@ -9,26 +9,6 @@
 
 namespace cpr::route {
 
-long wirelengthOf(std::span<const int> nodes, const RoutingGrid& grid) {
-  // Ids pack x consecutively, so an M2 pair is (a, a+1) in one row, which
-  // is the next entry when present, and an M3 pair is (a, a+W).
-  const int plane = grid.planeSize();
-  const Coord w = grid.width();
-  long wl = 0;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const int a = nodes[i];
-    if (a < plane) {
-      if (i + 1 < nodes.size() && nodes[i + 1] == a + 1 && (a + 1) % w != 0)
-        ++wl;
-    } else if (std::binary_search(
-                   nodes.begin() + static_cast<std::ptrdiff_t>(i + 1),
-                   nodes.end(), a + w)) {
-      ++wl;
-    }
-  }
-  return wl;
-}
-
 RouteEngine::RouteEngine(const db::Design& design,
                          const core::PinAccessPlan* plan, Coord windowMargin,
                          Coord lineEndExtension, obs::Collector* obs)
@@ -116,7 +96,6 @@ void RouteEngine::ripNet(Index net) {
   st.nodes.clear();
   st.vias.clear();
   st.routed = false;
-  st.wirelength = 0;
 }
 
 NetPlan RouteEngine::searchNet(Index net, const MazeCosts& costs,
@@ -306,7 +285,6 @@ void RouteEngine::commitPlan(Index net, const NetPlan& plan) {
   for (int id : committed) grid_.addOcc(id);
   for (const ViaSite& v : plan.vias) grid_.addVia(v.x, v.y, net);
 
-  st.wirelength = wirelengthOf(committed, grid_);
   st.nodes = std::move(committed);
   st.vias = plan.vias;
   st.routed = true;
@@ -403,16 +381,10 @@ std::vector<NetGeometry> RouteEngine::geometry() const {
 void RouteEngine::signoff(RoutingResult& result) const {
   obs::ScopedTimer t(obs_, obs::names::kRouteSignoffSpan);
   result.geometry = geometry();
-  const DrcReport report = checkDesignRules(result.geometry, DrcRules{}, obs_);
-  result.nets.resize(states_.size());
-  for (std::size_t n = 0; n < states_.size(); ++n) {
-    const NetState& st = states_[n];
-    NetResult& nr = result.nets[n];
-    nr.routed = st.routed;
-    nr.clean = st.routed && !report.dirty[n];
-    nr.wirelength = st.wirelength;
-    nr.vias = static_cast<int>(st.vias.size());
-  }
+  for (std::size_t n = 0; n < states_.size(); ++n)  // routed iff it has metal
+    CPR_CHECK(states_[n].routed == result.geometry[n].routed());
+  DrcReport report = checkDesignRules(result.geometry, DrcRules{}, obs_);
+  result.dirty = std::move(report.dirty);
 }
 
 }  // namespace cpr::route

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "core/optimizer.h"
@@ -51,19 +50,12 @@ struct NetPlan {
 /// Line-end extension (Section 4) committed at both ends of every run.
 inline constexpr Coord kLineEndExtension = 1;
 
-/// Wirelength of a sorted, duplicate-free set of grid node ids: the number
-/// of same-layer adjacent pairs (M2 neighbours in one row, M3 neighbours in
-/// one column). Linear in the set size, plus a binary search per M3 node.
-[[nodiscard]] long wirelengthOf(std::span<const int> nodes,
-                                const RoutingGrid& grid);
-
 class RouteEngine {
  public:
   struct NetState {
     bool routed = false;
     std::vector<int> nodes;      ///< committed grid nodes (sorted, unique)
     std::vector<ViaSite> vias;   ///< V1 + V2 vias
-    long wirelength = 0;         ///< same-layer adjacent node pairs
   };
 
   /// A non-null `obs` receives the engine-level `route.*` counters (rip-ups,
@@ -131,9 +123,9 @@ class RouteEngine {
 
   /// Signoff: builds every net's geometry once, straight into
   /// `result.geometry`, checks that geometry with the DRC (recording the
-  /// `drc.*` counters under the `route.signoff` span), and fills
-  /// `result.nets`. A routed net that violates a rule is reported routed
-  /// but not clean.
+  /// `drc.*` counters under the `route.signoff` span), and moves the DRC's
+  /// per-net flags into `result.dirty`. A routed net that violates a rule
+  /// is reported routed but not clean.
   void signoff(RoutingResult& result) const;
 
  private:

@@ -10,11 +10,12 @@ std::uint64_t resultDigest(const RoutingResult& r) {
       h *= 1099511628211ULL;
     }
   };
-  for (const NetResult& nr : r.nets) {
-    mix(static_cast<std::uint64_t>(nr.routed) |
-        (static_cast<std::uint64_t>(nr.clean) << 1));
-    mix(static_cast<std::uint64_t>(nr.wirelength));
-    mix(static_cast<std::uint64_t>(nr.vias));
+  for (std::size_t n = 0; n < r.geometry.size(); ++n) {
+    const NetGeometry& g = r.geometry[n];
+    mix(static_cast<std::uint64_t>(g.routed()) |
+        (static_cast<std::uint64_t>(r.clean(n)) << 1));
+    mix(static_cast<std::uint64_t>(g.wirelength()));
+    mix(static_cast<std::uint64_t>(g.vias.size()));
   }
   return h;
 }

@@ -15,14 +15,6 @@ namespace cpr::route {
 using geom::Coord;
 using geom::Index;
 
-/// Outcome for one net.
-struct NetResult {
-  bool routed = false;  ///< all pins connected
-  bool clean = false;   ///< routed and free of design-rule violations
-  long wirelength = 0;  ///< grid edges of committed metal (M2+M3)
-  int vias = 0;         ///< V1 + V2 vias
-};
-
 /// One straight metal segment of a routed net (unidirectional: M2 segments
 /// run along a track, M3 segments along a column).
 struct RouteSegment {
@@ -41,11 +33,20 @@ struct ViaSite {
 };
 
 /// Full committed geometry of one net: its maximal M2/M3 segments, line-end
-/// extensions included, plus its vias. This is what signoff checks and what
-/// visualization and DEF export draw; empty when the net is unrouted.
+/// extensions included, plus its vias. This is the net's one routing
+/// outcome: what signoff checks, what metrics and digests are computed
+/// from, and what visualization and DEF export draw. Empty when unrouted.
 struct NetGeometry {
   std::vector<RouteSegment> segments;
   std::vector<ViaSite> vias;
+
+  [[nodiscard]] bool routed() const { return !segments.empty(); }
+  /// Grid edges of M2+M3 metal: maximal segments never overlap.
+  [[nodiscard]] long wirelength() const {
+    long wl = 0;
+    for (const RouteSegment& s : segments) wl += s.span.hi - s.span.lo;
+    return wl;
+  }
 };
 
 /// Whole-design routing outcome. The paper's Table 2 metrics (Rout., Via#,
@@ -53,14 +54,19 @@ struct NetGeometry {
 /// violate design rules count as unrouted ("we treat those nets introducing
 /// violations as unrouted nets", Section 5.2).
 struct RoutingResult {
-  std::vector<NetResult> nets;
-  /// Per-net committed geometry, indexed like `nets`: the geometry the
-  /// signoff DRC checked.
+  /// Indexed like `Design::nets`: the geometry the signoff DRC checked,
+  /// and per net 1 when it found a rule violation (`DrcReport::dirty`).
   std::vector<NetGeometry> geometry;
+  std::vector<char> dirty;
   double seconds = 0.0;  ///< wall-clock routing time
   /// Run instrumentation: `route.*` / `drc.*` counters, stage timers, and
   /// the per-iteration `rrr.iter` negotiation series.
   obs::Collector stats;
+
+  /// Routed and free of rule violations: the nets Table 2 counts routed.
+  [[nodiscard]] bool clean(std::size_t net) const {
+    return geometry[net].routed() && dirty[net] == 0;
+  }
 
   // Thin accessors over the canonical counters (kept for call sites that
   // predate the obs subsystem).
@@ -69,21 +75,16 @@ struct RoutingResult {
   [[nodiscard]] long congestedGridsBeforeRrr() const {
     return stats.counter(obs::names::kRouteCongestedPreRrr);
   }
-  /// Negotiation rip-up & reroute rounds used (routing passes for the
-  /// sequential driver).
-  [[nodiscard]] int rrrIterations() const {
-    return static_cast<int>(stats.counter(obs::names::kRouteRrrIterations));
-  }
   /// Total rule violations found at signoff.
   [[nodiscard]] long drcViolations() const {
     return stats.counter(obs::names::kDrcViolations);
   }
 };
 
-/// FNV-1a over every net's routed/clean/wirelength/via outcome: the cheap
-/// determinism witness shared by the thread-sweep bench, the routing
-/// service, and the chaos tests. Two results digest equal iff every net
-/// reached the same outcome; geometry is not hashed.
+/// FNV-1a over every net's routed/clean/wirelength/via-count outcome, read
+/// from the geometry and dirty flags: the cheap determinism witness shared
+/// by the thread-sweep bench, the routing service, and the chaos tests.
+/// Segment and via positions are not hashed.
 [[nodiscard]] std::uint64_t resultDigest(const RoutingResult& r);
 
 }  // namespace cpr::route

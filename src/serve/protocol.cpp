@@ -359,16 +359,17 @@ Request decodeRequest(std::string_view line) {
     req.error = "route request needs exactly one of \"design\" or \"def\"";
     return req;
   }
-  r.scheme = obj.strOr("scheme", "cpr");
-  if (r.scheme != "cpr" && r.scheme != "nopao" && r.scheme != "seq") {
-    req.error = "unknown scheme \"" + r.scheme + "\"";
+  const std::string scheme = obj.strOr("scheme", "cpr");
+  const std::string method = obj.strOr("pin_access", "lr");
+  const auto typedScheme = route::schemeFromName(scheme);
+  const auto typedMethod = core::methodFromName(method);
+  if (!typedScheme || !typedMethod) {
+    req.error = typedScheme ? "unknown pin_access \"" + method + "\""
+                            : "unknown scheme \"" + scheme + "\"";
     return req;
   }
-  r.pinAccess = obj.strOr("pin_access", "lr");
-  if (!core::methodFromName(r.pinAccess)) {
-    req.error = "unknown pin_access \"" + r.pinAccess + "\"";
-    return req;
-  }
+  r.scheme = *typedScheme;
+  r.pinAccess = *typedMethod;
   const std::string prio = obj.strOr("priority", "batch");
   if (prio == "interactive") {
     r.priority = Priority::Interactive;
@@ -443,8 +444,8 @@ std::string encodeRouteRequest(const RouteRequest& r) {
   appendField(out, "id", r.id);
   if (!r.design.empty()) appendField(out, "design", r.design);
   if (!r.defText.empty()) appendField(out, "def", r.defText);
-  appendField(out, "scheme", r.scheme);
-  appendField(out, "pin_access", r.pinAccess);
+  appendField(out, "scheme", route::schemeName(r.scheme));
+  appendField(out, "pin_access", core::methodName(r.pinAccess));
   appendField(out, "priority", priorityName(r.priority));
   if (r.budgetSeconds > 0.0)
     appendNumber(out, "budget_seconds", r.budgetSeconds);

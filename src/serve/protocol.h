@@ -22,6 +22,9 @@
 #include <string>
 #include <string_view>
 
+#include "core/solver.h"
+#include "route/cpr.h"
+
 namespace cpr::serve {
 
 inline constexpr std::string_view kProtocolVersion = "cpr.serve.v1";
@@ -40,8 +43,8 @@ struct RouteRequest {
   std::string id;               ///< client-chosen job id, echoed in replies
   std::string design;           ///< suite benchmark name (ecc|efc|...)
   std::string defText;          ///< inline DEF payload (alternative)
-  std::string scheme = "cpr";   ///< cpr | nopao | seq
-  std::string pinAccess = "lr"; ///< lr | ilp (cpr scheme only)
+  route::Scheme scheme = route::Scheme::Cpr;
+  core::Method pinAccess = core::Method::Lr;  ///< cpr scheme only
   Priority priority = Priority::Batch;
   double budgetSeconds = 0.0;   ///< job wall-clock budget; 0 = server default
   std::uint64_t seed = 7;       ///< generator seed for `design` jobs

@@ -19,7 +19,6 @@
 #include "obs/names.h"
 #include "route/cpr.h"
 #include "route/result.h"
-#include "route/sequential_router.h"
 #include "support/deadline.h"
 
 namespace cpr::serve {
@@ -437,7 +436,7 @@ void Server::runJob(Job job) {
     bump(obs::names::kServeJobsRetried);
     Job retry = std::move(job);
     retry.attempt += 1;
-    retry.request.pinAccess = "lr";  // drop to the cheap method
+    retry.request.pinAccess = core::Method::Lr;  // drop to the cheap method
     const double fresh =
         std::max(opts_.minRetryBudgetSeconds,
                  retry.request.budgetSeconds > 0.0
@@ -486,52 +485,33 @@ JobResult Server::executeAttempt(const Job& job) {
   if (const std::string report = design.validate(); !report.empty())
     throw std::invalid_argument("design fails validation: " + report);
 
-  route::RoutingResult routed;
-  double extraSeconds = 0.0;
-  long degradedPanels = 0;
-  if (req.scheme == "seq") {
-    route::SequentialOptions o;
-    o.deadline = job.deadline;
-    routed = route::routeSequential(design, o);
-  } else if (req.scheme == "nopao") {
-    route::NegotiationOptions o;
-    o.deadline = job.deadline;
-    o.threads = opts_.jobThreads;
-    routed = route::routeNegotiated(design, nullptr, o);
-  } else {
-    route::CprOptions o;
-    o.routing.deadline = job.deadline;
-    o.routing.threads = opts_.jobThreads;
-    o.pinAccess.threads = opts_.jobThreads;
-    o.pinAccess.deadline = job.deadline;
-    o.pinAccess.solver = opts_.solverHook;
-    // The codec admitted only known names, so the lookup cannot miss.
-    o.pinAccess.solve.method =
-        core::methodFromName(req.pinAccess).value_or(core::Method::Lr);
-    // Containment: an exact solve gets a 1 s slice per panel, so one hard
-    // panel degrades down the ladder instead of holding a worker.
-    if (o.pinAccess.solve.method == core::Method::Ilp)
-      o.pinAccess.panelBudgetSeconds = 1.0;
-    if (job.attempt > 1) {
-      // Lower-fidelity retry: fewer negotiation rounds, faster convergence
-      // to *a* result inside the fresh (smaller) budget.
-      o.routing.maxRrrIterations =
-          std::min(o.routing.maxRrrIterations, 6);
-    }
-    route::CprResult c = route::routeCpr(design, o);
-    degradedPanels = c.plan.panelsBelowPrimary();
-    routed = std::move(c.routing);
-    extraSeconds = c.pinAccessSeconds;
+  route::CprOptions o;
+  o.routing.deadline = job.deadline;
+  o.routing.threads = opts_.jobThreads;
+  o.pinAccess.threads = opts_.jobThreads;
+  o.pinAccess.deadline = job.deadline;
+  o.pinAccess.solver = opts_.solverHook;
+  o.pinAccess.solve.method = req.pinAccess;
+  // Containment: an exact solve gets a 1 s slice per panel, so one hard
+  // panel degrades down the ladder instead of holding a worker.
+  if (req.pinAccess == core::Method::Ilp) o.pinAccess.panelBudgetSeconds = 1.0;
+  if (job.attempt > 1) {
+    // Lower-fidelity retry: fewer negotiation rounds, faster convergence
+    // to *a* result inside the fresh (smaller) budget.
+    o.routing.maxRrrIterations = std::min(o.routing.maxRrrIterations, 6);
   }
+  const route::CprResult c = route::routeScheme(design, req.scheme, o);
+  const long degradedPanels = c.plan.panelsBelowPrimary();
 
-  const eval::Metrics m = eval::summarize(design, routed, extraSeconds);
+  const eval::Metrics m =
+      eval::summarize(design, c.routing, c.pinAccessSeconds);
   JobResult out;
   out.event = obs::names::kServeEvCompleted;
   out.routability = m.routability;
   out.vias = m.vias;
   out.wirelength = m.wirelength;
   out.seconds = m.seconds;
-  out.digest = hex16(route::resultDigest(routed));
+  out.digest = hex16(route::resultDigest(c.routing));
   // The deadline is checked between pipeline stages, never mid-net, so an
   // expired budget still produced a complete (if modest) result — report it
   // as the incumbent with TimedOut rather than discarding work.

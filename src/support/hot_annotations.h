@@ -14,8 +14,9 @@
 ///                  transitively reachable from it through intra-project
 ///                  call edges for heap allocation (HOT-ALLOC), throws
 ///                  outside a same-function try/catch (HOT-THROW), and
-///                  blocking calls from tools/lint/blocking.txt
-///                  (HOT-BLOCKING).
+///                  blocking calls from the compiled-in manifest,
+///                  `builtinBlockingManifest()` in
+///                  tools/lint/concurrency.cpp (HOT-BLOCKING).
 ///   CPR_NOALLOC    standalone allocation boundary: the body is checked
 ///                  for HOT-ALLOC even when no CPR_HOT root reaches it,
 ///                  and the hot-closure walk stops here — the callee has

@@ -10,6 +10,8 @@ namespace {
 
 using geom::Coord;
 
+constexpr double kCellPx = 8.0;  ///< pixels per grid unit
+
 /// Deterministic per-net color from a small qualitative palette.
 std::string netColor(db::Index net) {
   static constexpr std::array<const char*, 10> kPalette{
@@ -20,17 +22,16 @@ std::string netColor(db::Index net) {
 
 class Canvas {
  public:
-  Canvas(std::ostream& os, const SvgOptions& opts, const geom::Rect& window,
-         Coord gridHeight)
-      : os_(os), opts_(opts), window_(window), gridHeight_(gridHeight) {}
+  Canvas(std::ostream& os, const geom::Rect& window)
+      : os_(os), window_(window) {}
 
   /// Grid coordinates -> pixel coordinates; y flips so track 0 is at the
   /// bottom, like a layout viewer.
   [[nodiscard]] double px(Coord x) const {
-    return (x - window_.x.lo) * opts_.cellPx;
+    return (x - window_.x.lo) * kCellPx;
   }
   [[nodiscard]] double py(Coord y) const {
-    return (window_.y.hi - y) * opts_.cellPx;
+    return (window_.y.hi - y) * kCellPx;
   }
 
   void rect(const geom::Rect& r, const std::string& fill, double opacity,
@@ -38,8 +39,8 @@ class Canvas {
     const geom::Rect c = geom::intersect(r, window_);
     if (c.empty()) return;
     os_ << "<rect x=\"" << px(c.x.lo) << "\" y=\"" << py(c.y.hi) << "\" width=\""
-        << c.width() * opts_.cellPx << "\" height=\""
-        << c.height() * opts_.cellPx << "\" fill=\"" << fill
+        << c.width() * kCellPx << "\" height=\""
+        << c.height() * kCellPx << "\" fill=\"" << fill
         << "\" fill-opacity=\"" << opacity << "\" stroke=\"" << stroke
         << "\"/>\n";
   }
@@ -47,22 +48,20 @@ class Canvas {
   void text(Coord x, Coord y, const std::string& s) {
     if (!window_.contains(geom::Point{x, y})) return;
     os_ << "<text x=\"" << px(x) << "\" y=\"" << py(y) - 2 << "\" font-size=\""
-        << opts_.cellPx * 0.9 << "\" font-family=\"monospace\">" << s
+        << kCellPx * 0.9 << "\" font-family=\"monospace\">" << s
         << "</text>\n";
   }
 
   void circle(Coord x, Coord y, double r, const std::string& fill) {
     if (!window_.contains(geom::Point{x, y})) return;
-    os_ << "<circle cx=\"" << px(x) + opts_.cellPx / 2 << "\" cy=\""
-        << py(y) + opts_.cellPx / 2 << "\" r=\"" << r << "\" fill=\"" << fill
+    os_ << "<circle cx=\"" << px(x) + kCellPx / 2 << "\" cy=\""
+        << py(y) + kCellPx / 2 << "\" r=\"" << r << "\" fill=\"" << fill
         << "\"/>\n";
   }
 
  private:
   std::ostream& os_;
-  const SvgOptions& opts_;
   geom::Rect window_;
-  Coord gridHeight_;
 };
 
 }  // namespace
@@ -72,15 +71,15 @@ void renderSvg(const db::Design& design, const core::PinAccessPlan* plan,
                std::ostream& os, const SvgOptions& opts) {
   const geom::Rect die{0, 0, design.width() - 1, design.gridHeight() - 1};
   const geom::Rect window = opts.window.empty() ? die : opts.window;
-  const double w = window.width() * opts.cellPx;
-  const double h = window.height() * opts.cellPx;
+  const double w = window.width() * kCellPx;
+  const double h = window.height() * kCellPx;
 
   os << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << w
      << "\" height=\"" << h << "\" viewBox=\"0 0 " << w << ' ' << h
      << "\">\n";
   os << "<!-- design " << design.name() << ": " << design.nets().size()
      << " nets, " << design.pins().size() << " pins -->\n";
-  Canvas canvas(os, opts, window, design.gridHeight());
+  Canvas canvas(os, window);
 
   // Die background and row shading.
   canvas.rect(die, "#fafafa", 1.0, "#404040");
@@ -88,12 +87,6 @@ void renderSvg(const db::Design& design, const core::PinAccessPlan* plan,
     canvas.rect(geom::Rect{geom::Interval{0, design.width() - 1},
                            design.rowTracks(r)},
                 "#eef2f7", 1.0);
-  }
-  if (opts.drawGridLines) {
-    for (Coord y = window.y.lo; y <= window.y.hi; ++y) {
-      canvas.rect(geom::Rect{window.x, geom::Interval::point(y)}, "#dddddd",
-                  0.4);
-    }
   }
 
   // Blockages: M2 dark grey, M3 hatched-ish light grey.
@@ -113,7 +106,7 @@ void renderSvg(const db::Design& design, const core::PinAccessPlan* plan,
         canvas.rect(r, color, s.m3 ? 0.45 : 0.8);
       }
       for (const route::ViaSite& v : (*geometry)[n].vias) {
-        canvas.circle(v.x, v.y, opts.cellPx * (v.level == 1 ? 0.22 : 0.3),
+        canvas.circle(v.x, v.y, kCellPx * (v.level == 1 ? 0.22 : 0.3),
                       v.level == 1 ? "#000000" : color);
       }
     }

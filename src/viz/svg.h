@@ -18,9 +18,7 @@
 namespace cpr::viz {
 
 struct SvgOptions {
-  double cellPx = 8.0;    ///< pixels per grid unit
   bool labelPins = true;  ///< draw pin names (disable for large designs)
-  bool drawGridLines = false;
   /// Clip to a window of the die (full die when empty).
   geom::Rect window;
 };

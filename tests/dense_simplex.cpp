@@ -130,7 +130,6 @@ PivotOutcome iterate(Tableau& t, long maxIters, double eps, long& pivots,
 
 LpResult solveLp(const Model& m, const DenseLpOptions& dense,
                  const Fixing* fix, support::Deadline deadline) {
-  const LpOptions& opts = dense.lp;
   const std::size_t n = static_cast<std::size_t>(m.numVars());
   LpResult res;
   res.x.assign(n, 0.0);
@@ -164,9 +163,9 @@ LpResult solveLp(const Model& m, const DenseLpOptions& dense,
     }
     if (r.a.empty()) {
       // Fully substituted row: check consistency directly.
-      const bool ok = (r.sense == Sense::LessEqual && 0.0 <= r.rhs + opts.eps) ||
-                      (r.sense == Sense::GreaterEqual && 0.0 >= r.rhs - opts.eps) ||
-                      (r.sense == Sense::Equal && std::abs(r.rhs) <= opts.eps);
+      const bool ok = (r.sense == Sense::LessEqual && 0.0 <= r.rhs + tol::kPivotEps) ||
+                      (r.sense == Sense::GreaterEqual && 0.0 >= r.rhs - tol::kPivotEps) ||
+                      (r.sense == Sense::Equal && std::abs(r.rhs) <= tol::kPivotEps);
       if (!ok) {
         res.status = LpStatus::Infeasible;
         return res;
@@ -242,7 +241,7 @@ LpResult solveLp(const Model& m, const DenseLpOptions& dense,
     for (std::size_t j = artifBegin; j < nCols; ++j) phase1[j] = -1.0;
     t.priceObjective(phase1);
     const PivotOutcome out =
-        iterate(t, opts.maxIterations, opts.eps, res.pivots, deadline);
+        iterate(t, tol::kDefaultLpIterationLimit, tol::kPivotEps, res.pivots, deadline);
     if (out == PivotOutcome::IterationLimit ||
         out == PivotOutcome::TimeLimit) {
       res.status = out == PivotOutcome::TimeLimit ? LpStatus::TimeLimit
@@ -260,7 +259,7 @@ LpResult solveLp(const Model& m, const DenseLpOptions& dense,
       if (static_cast<std::size_t>(t.basis()[i]) < artifBegin) continue;
       std::size_t j = 0;
       for (; j < artifBegin; ++j) {
-        if (!t.banned()[j] && std::abs(t.at(i, j)) > opts.eps) break;
+        if (!t.banned()[j] && std::abs(t.at(i, j)) > tol::kPivotEps) break;
       }
       if (j < artifBegin) {
         t.pivot(i, j);
@@ -276,7 +275,7 @@ LpResult solveLp(const Model& m, const DenseLpOptions& dense,
     if (colOf[v] >= 0) phase2[static_cast<std::size_t>(colOf[v])] = m.objective()[v];
   }
   t.priceObjective(phase2);
-  switch (iterate(t, opts.maxIterations, opts.eps, res.pivots, deadline)) {
+  switch (iterate(t, tol::kDefaultLpIterationLimit, tol::kPivotEps, res.pivots, deadline)) {
     case PivotOutcome::Optimal: res.status = LpStatus::Optimal; break;
     case PivotOutcome::Unbounded: res.status = LpStatus::Unbounded; return res;
     case PivotOutcome::IterationLimit:
@@ -311,7 +310,7 @@ LpResult DenseSimplexBackend::solve(const Fixing* fix,
                                     support::Deadline deadline) {
   assert(model_ != nullptr && "bind() must precede solve()");
   if (basisOut) *basisOut = LpBasis{};  // dense cannot hand out a basis
-  return solveLp(*model_, opts_, fix, deadline);
+  return solveLp(*model_, {}, fix, deadline);
 }
 
 }  // namespace cpr::ilp

@@ -19,7 +19,6 @@
 namespace cpr::ilp {
 
 struct DenseLpOptions {
-  LpOptions lp;
   /// Skip the automatic `x_i <= 1` rows (valid when every variable is
   /// covered by an equality row with unit coefficients, as in the pin
   /// access set-partitioning model).
@@ -38,17 +37,13 @@ struct DenseLpOptions {
 class DenseSimplexBackend final : public LpBackend {
  public:
   [[nodiscard]] std::string_view name() const override { return "dense"; }
-  void bind(const Model& m, const LpOptions& opts) override {
-    model_ = &m;
-    opts_.lp = opts;
-  }
+  void bind(const Model& m, const LpOptions&) override { model_ = &m; }
   [[nodiscard]] LpResult solve(const Fixing* fix, const LpBasis* warm,
                                LpBasis* basisOut,
                                support::Deadline deadline) override;
 
  private:
   const Model* model_ = nullptr;
-  DenseLpOptions opts_;
 };
 
 }  // namespace cpr::ilp

@@ -16,11 +16,21 @@ db::Design twoNetDesign() {
   return d;
 }
 
+/// A routed net's shipped geometry: one M2 run of `wirelength` grid edges
+/// and `vias` vias.
+route::NetGeometry routed(long wirelength, int vias) {
+  route::NetGeometry g;
+  g.segments.push_back(route::RouteSegment{
+      false, 3, geom::Interval{0, static_cast<geom::Coord>(wirelength)}});
+  g.vias.assign(static_cast<std::size_t>(vias), route::ViaSite{});
+  return g;
+}
+
 TEST(Metrics, AllCleanSumsRoutedQuantities) {
   const db::Design d = twoNetDesign();
   route::RoutingResult r;
-  r.nets = {route::NetResult{true, true, 11, 3},
-            route::NetResult{true, true, 21, 4}};
+  r.geometry = {routed(11, 3), routed(21, 4)};
+  r.dirty = {0, 0};
   r.seconds = 1.5;
   const Metrics m = summarize(d, r, 0.5);
   EXPECT_EQ(m.totalNets, 2);
@@ -35,8 +45,8 @@ TEST(Metrics, DirtyNetCountsAsUnroutedWithHpwl) {
   const db::Design d = twoNetDesign();
   route::RoutingResult r;
   // Net A routed+clean; net B routed but dirty.
-  r.nets = {route::NetResult{true, true, 11, 3},
-            route::NetResult{true, false, 21, 4}};
+  r.geometry = {routed(11, 3), routed(21, 4)};
+  r.dirty = {0, 1};
   const Metrics m = summarize(d, r);
   EXPECT_EQ(m.routedClean, 1);
   EXPECT_DOUBLE_EQ(m.routability, 50.0);
@@ -48,8 +58,8 @@ TEST(Metrics, DirtyNetCountsAsUnroutedWithHpwl) {
 TEST(Metrics, UnroutedNetUsesHpwl) {
   const db::Design d = twoNetDesign();
   route::RoutingResult r;
-  r.nets = {route::NetResult{false, false, 0, 0},
-            route::NetResult{true, true, 21, 4}};
+  r.geometry = {route::NetGeometry{}, routed(21, 4)};
+  r.dirty = {0, 0};
   const Metrics m = summarize(d, r);
   // Net A HPWL = |12-2| + |4-2| = 12.
   EXPECT_EQ(m.wirelength, 21 + 12);

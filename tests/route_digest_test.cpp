@@ -7,48 +7,49 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "gen/generator.h"
 #include "route/cpr.h"
 #include "route/result.h"
-#include "route/sequential_router.h"
 
 namespace cpr::route {
 namespace {
-
-constexpr std::uint64_t kCprDigest = 0xd87945cf309620e9ULL;
-constexpr std::uint64_t kNoPaoDigest = 0x8190778261b814adULL;
-constexpr std::uint64_t kSeqDigest = 0x79a25cf425e9b34cULL;
 
 const db::Design& ecc() {
   static const db::Design d = gen::makeSuiteDesign(gen::suiteSpec("ecc"), 7);
   return d;
 }
 
-class PinnedDigest : public ::testing::TestWithParam<int> {};
+struct Pinned {
+  Scheme scheme;
+  int threads;
+  std::uint64_t digest;
+};
 
-TEST_P(PinnedDigest, Cpr) {
+class PinnedDigest : public ::testing::TestWithParam<Pinned> {};
+
+TEST_P(PinnedDigest, MatchesTheCliDigest) {
   CprOptions opts;
-  opts.pinAccess.threads = GetParam();
-  opts.routing.threads = GetParam();
-  EXPECT_EQ(resultDigest(routeCpr(ecc(), opts).routing), kCprDigest);
+  opts.pinAccess.threads = GetParam().threads;
+  opts.routing.threads = GetParam().threads;
+  EXPECT_EQ(resultDigest(routeScheme(ecc(), GetParam().scheme, opts).routing),
+            GetParam().digest);
 }
-
-TEST_P(PinnedDigest, NoPao) {
-  NegotiationOptions opts;
-  opts.threads = GetParam();
-  EXPECT_EQ(resultDigest(routeNegotiated(ecc(), nullptr, opts)),
-            kNoPaoDigest);
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, PinnedDigest, ::testing::Values(1, 4));
 
 // The sequential router has no thread knob (`--threads` does not reach it),
 // so one run covers it.
-TEST(PinnedDigest, Sequential) {
-  EXPECT_EQ(resultDigest(routeSequential(ecc(), SequentialOptions{})),
-            kSeqDigest);
-}
+INSTANTIATE_TEST_SUITE_P(
+    Ecc, PinnedDigest,
+    ::testing::Values(Pinned{Scheme::Cpr, 1, 0xd87945cf309620e9ULL},
+                      Pinned{Scheme::Cpr, 4, 0xd87945cf309620e9ULL},
+                      Pinned{Scheme::NoPao, 1, 0x8190778261b814adULL},
+                      Pinned{Scheme::NoPao, 4, 0x8190778261b814adULL},
+                      Pinned{Scheme::Seq, 1, 0x79a25cf425e9b34cULL}),
+    [](const ::testing::TestParamInfo<Pinned>& info) {
+      return std::string(schemeName(info.param.scheme)) + "_threads" +
+             std::to_string(info.param.threads);
+    });
 
 }  // namespace
 }  // namespace cpr::route

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/optimizer.h"
+#include "gen/generator.h"
 #include "route/engine.h"
 
 namespace cpr::route {
@@ -32,7 +33,8 @@ TEST(RouteEngine, RoutesSimpleNet) {
   const auto& st = eng.state(0);
   EXPECT_TRUE(st.routed);
   EXPECT_FALSE(st.nodes.empty());
-  EXPECT_GE(st.wirelength, 16);  // at least the pin-to-pin distance
+  // At least the pin-to-pin distance.
+  EXPECT_GE(eng.geometry()[0].wirelength(), 16);
   // Both pins hooked up: at least 2 V1 vias.
   int v1 = 0;
   for (const ViaSite& v : st.vias) v1 += v.level == 1 ? 1 : 0;
@@ -151,11 +153,11 @@ TEST(RouteEngine, WirelengthCountsAdjacentPairs) {
   RouteEngine eng(d, nullptr, 8, /*lineEndExtension=*/0);
   ASSERT_TRUE(eng.routeNet(0, {}, scratch));
   // Straight run 5..10 on track 4: 6 nodes, 5 edges.
-  EXPECT_EQ(eng.state(0).wirelength, 5);
+  EXPECT_EQ(eng.geometry()[0].wirelength(), 5);
 }
 
-/// The pairwise scan `commitPlan` used before the linear pass, kept as the
-/// reference: for every node, every later node within `width()` ids.
+/// Reference wirelength of a committed node set: for every node, every
+/// later node within `width()` ids that is its same-layer neighbour.
 long pairwiseWirelength(const std::vector<int>& nodes, const RoutingGrid& g) {
   long wl = 0;
   const int plane = g.planeSize();
@@ -176,22 +178,35 @@ long pairwiseWirelength(const std::vector<int>& nodes, const RoutingGrid& g) {
   return wl;
 }
 
-TEST(RouteEngine, LinearWirelengthMatchesPairwiseScan) {
+TEST(RouteEngine, GeometryWirelengthMatchesPairwiseScanOfCommittedNodes) {
   std::mt19937 rng(7);
-  for (int trial = 0; trial < 200; ++trial) {
-    const geom::Coord w = std::uniform_int_distribution<geom::Coord>(1, 12)(rng);
-    Design d("wl", w, std::uniform_int_distribution<geom::Coord>(1, 2)(rng), 3);
-    const RoutingGrid g(d, nullptr);
-    // Dense sets hit row and plane boundaries (a+1 starting the next row,
-    // the last M2 node followed by the first M3 node).
-    const double density = std::uniform_real_distribution<double>(0.05, 0.95)(rng);
-    std::bernoulli_distribution keep(density);
-    std::vector<int> nodes;
-    for (int id = 0; id < g.numNodes(); ++id)
-      if (keep(rng)) nodes.push_back(id);
-    EXPECT_EQ(wirelengthOf(nodes, g), pairwiseWirelength(nodes, g))
-        << "trial " << trial << " w " << w << " nodes " << nodes.size();
+  MazeScratch scratch;
+  long routedNets = 0;
+  for (int trial = 0; trial < 16; ++trial) {
+    // Random small designs, every net committed in turn with sharing
+    // allowed: runs cross rows, stack M2 over M3 and stop at the die edge,
+    // with and without line-end extensions.
+    gen::GenOptions o;
+    o.seed = rng();
+    o.width = std::uniform_int_distribution<geom::Coord>(24, 64)(rng);
+    o.numRows = 2;
+    o.pinDensity = 0.2;
+    o.maxNetSpan = 16;
+    const Design d = gen::generate(o);
+    RouteEngine eng(d, nullptr, 8, trial % 2);
+    for (std::size_t n = 0; n < d.nets().size(); ++n)
+      static_cast<void>(eng.routeNet(static_cast<db::Index>(n), {}, scratch));
+    const std::vector<NetGeometry> geometry = eng.geometry();
+    for (std::size_t n = 0; n < d.nets().size(); ++n) {
+      const RouteEngine::NetState& st = eng.state(static_cast<db::Index>(n));
+      EXPECT_EQ(geometry[n].routed(), st.routed);
+      EXPECT_EQ(geometry[n].wirelength(),
+                pairwiseWirelength(st.nodes, eng.grid()))
+          << "trial " << trial << " net " << n;
+      routedNets += st.routed ? 1 : 0;
+    }
   }
+  EXPECT_GT(routedNets, 16);
 }
 
 }  // namespace

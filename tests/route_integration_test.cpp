@@ -25,17 +25,14 @@ db::Design mediumDesign(std::uint64_t seed = 3) {
 }
 
 void checkInvariants(const db::Design& d, const RoutingResult& r) {
-  ASSERT_EQ(r.nets.size(), d.nets().size());
-  for (const NetResult& nr : r.nets) {
-    if (nr.clean) {
-      EXPECT_TRUE(nr.routed);  // clean implies routed
-    }
-    if (nr.routed) {
-      EXPECT_GE(nr.vias, 2);  // at least one V1 per pin of a 2+-pin net
-      EXPECT_GE(nr.wirelength, 0);
+  ASSERT_EQ(r.geometry.size(), d.nets().size());
+  ASSERT_EQ(r.dirty.size(), d.nets().size());
+  for (std::size_t n = 0; n < r.geometry.size(); ++n) {
+    if (r.geometry[n].routed()) {
+      // At least one V1 per pin of a 2+-pin net.
+      EXPECT_GE(r.geometry[n].vias.size(), 2U);
     } else {
-      EXPECT_EQ(nr.vias, 0);
-      EXPECT_EQ(nr.wirelength, 0);
+      EXPECT_EQ(r.dirty[n], 0);  // no metal, nothing to violate
     }
   }
   EXPECT_GE(r.seconds, 0.0);
@@ -117,9 +114,11 @@ TEST(Integration, MetricsCountDirtyNetsAsUnrouted) {
   const RoutingResult r = routeNegotiated(d, nullptr);
   const eval::Metrics m = eval::summarize(d, r);
   int clean = 0;
-  for (const NetResult& nr : r.nets) clean += nr.clean ? 1 : 0;
+  for (std::size_t n = 0; n < r.geometry.size(); ++n)
+    clean += r.clean(n) ? 1 : 0;
   EXPECT_EQ(m.routedClean, clean);
-  EXPECT_DOUBLE_EQ(m.routability, 100.0 * clean / static_cast<int>(r.nets.size()));
+  EXPECT_DOUBLE_EQ(m.routability,
+                   100.0 * clean / static_cast<int>(r.geometry.size()));
   // WL mixes grid length for clean nets and HPWL for the rest: positive.
   EXPECT_GT(m.wirelength, 0);
 }

@@ -32,8 +32,8 @@ db::Design mediumDesign(std::uint64_t seed = 3) {
   return gen::generate(o);
 }
 
-/// FNV-1a over every net's outcome and full committed geometry. Any
-/// divergence in what was routed or where it landed moves this digest.
+/// FNV-1a over every net's full committed geometry and signoff dirty flag.
+/// Any divergence in what was routed or where it landed moves this digest.
 std::uint64_t routeDigest(const RoutingResult& r) {
   std::uint64_t h = 1469598103934665603ULL;
   auto mix = [&h](std::uint64_t v) {
@@ -42,12 +42,7 @@ std::uint64_t routeDigest(const RoutingResult& r) {
       h *= 1099511628211ULL;
     }
   };
-  for (const NetResult& nr : r.nets) {
-    mix(static_cast<std::uint64_t>(nr.routed) |
-        (static_cast<std::uint64_t>(nr.clean) << 1));
-    mix(static_cast<std::uint64_t>(nr.wirelength));
-    mix(static_cast<std::uint64_t>(nr.vias));
-  }
+  for (const char dirty : r.dirty) mix(static_cast<std::uint64_t>(dirty));
   for (const NetGeometry& g : r.geometry) {
     for (const RouteSegment& s : g.segments) {
       mix(static_cast<std::uint64_t>(s.m3));
@@ -106,13 +101,10 @@ TEST(Negotiation, ExpiredDeadlineCutsStagesButNeverHalfRoutesNets) {
   const RoutingResult r = routeNegotiated(d, nullptr, opts);
   // Every stage (independent waves, RRR, DRC repair) was cut short.
   EXPECT_GE(r.stats.counter(obs::names::kRouteTimeout), 1);
-  ASSERT_EQ(r.nets.size(), d.nets().size());
-  for (const NetResult& nr : r.nets) {
-    if (nr.routed) {
-      EXPECT_GE(nr.vias, 2);  // fully hooked up, never half-routed
-    } else {
-      EXPECT_EQ(nr.vias, 0);
-      EXPECT_EQ(nr.wirelength, 0);
+  ASSERT_EQ(r.geometry.size(), d.nets().size());
+  for (const NetGeometry& g : r.geometry) {
+    if (g.routed()) {
+      EXPECT_GE(g.vias.size(), 2U);  // fully hooked up, never half-routed
     }
   }
 }

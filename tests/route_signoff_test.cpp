@@ -1,8 +1,8 @@
 /// Signoff checks the geometry the router ships. On the ecc suite design,
 /// for every scheme at default options: the result carries one geometry
-/// entry per net, a net's geometry is empty exactly when the net is
-/// unrouted, and an independent re-run of the DRC over `result.geometry`
-/// reproduces the `drc.*` counters and every net's `clean` flag.
+/// entry and one dirty flag per net, some nets are routed, and an
+/// independent re-run of the DRC over `result.geometry` reproduces the
+/// `drc.*` counters and every net's dirty flag.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,8 +11,6 @@
 #include "obs/names.h"
 #include "route/cpr.h"
 #include "route/drc.h"
-#include "route/negotiation_router.h"
-#include "route/sequential_router.h"
 
 namespace cpr::route {
 namespace {
@@ -22,25 +20,14 @@ const db::Design& ecc() {
   return d;
 }
 
-RoutingResult routeScheme(const std::string& scheme) {
-  if (scheme == "seq") return routeSequential(ecc());
-  if (scheme == "nopao") return routeNegotiated(ecc(), nullptr);
-  return routeCpr(ecc()).routing;
-}
-
-class Signoff : public ::testing::TestWithParam<std::string> {};
+class Signoff : public ::testing::TestWithParam<Scheme> {};
 
 TEST_P(Signoff, ResultGeometryIsWhatTheDrcChecked) {
-  const RoutingResult r = routeScheme(GetParam());
-  ASSERT_EQ(r.nets.size(), ecc().nets().size());
-  ASSERT_EQ(r.geometry.size(), r.nets.size());
+  const RoutingResult r = routeScheme(ecc(), GetParam()).routing;
+  ASSERT_EQ(r.geometry.size(), ecc().nets().size());
+  ASSERT_EQ(r.dirty.size(), r.geometry.size());
   long routed = 0;
-  for (std::size_t n = 0; n < r.nets.size(); ++n) {
-    const bool empty =
-        r.geometry[n].segments.empty() && r.geometry[n].vias.empty();
-    EXPECT_EQ(empty, !r.nets[n].routed) << "net " << n;
-    routed += r.nets[n].routed ? 1 : 0;
-  }
+  for (const NetGeometry& g : r.geometry) routed += g.routed() ? 1 : 0;
   EXPECT_GT(routed, 0);
 
   obs::Collector recheck;
@@ -51,14 +38,15 @@ TEST_P(Signoff, ResultGeometryIsWhatTheDrcChecked) {
         obs::names::kDrcViaSpacing, obs::names::kDrcDirtyNets}) {
     EXPECT_EQ(recheck.counter(name), r.stats.counter(name)) << name;
   }
-  for (std::size_t n = 0; n < r.nets.size(); ++n) {
-    EXPECT_EQ(r.nets[n].clean, r.nets[n].routed && !report.dirty[n])
-        << "net " << n;
-  }
+  EXPECT_EQ(report.dirty, r.dirty);
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, Signoff,
-                         ::testing::Values("cpr", "nopao", "seq"));
+                         ::testing::Values(Scheme::Cpr, Scheme::NoPao,
+                                           Scheme::Seq),
+                         [](const ::testing::TestParamInfo<Scheme>& info) {
+                           return std::string(schemeName(info.param));
+                         });
 
 }  // namespace
 }  // namespace cpr::route

@@ -579,7 +579,7 @@ TEST(ServeChaos, RequestShutdownWakesTheOwningThread) {
 
 TEST(ServeChaos, TimedOutJobRetriesOnceAtLowerFidelity) {
   std::mutex mu;
-  std::vector<std::pair<int, std::string>> attempts;
+  std::vector<std::pair<int, core::Method>> attempts;
   ServerOptions so;
   so.socketPath = uniqueSocketPath("retry");
   so.workers = 1;
@@ -595,7 +595,7 @@ TEST(ServeChaos, TimedOutJobRetriesOnceAtLowerFidelity) {
   Client c;
   ASSERT_TRUE(c.connect(server.socketPath()).isOk());
   RouteRequest r = defJob("rushed", tinyDefText());
-  r.pinAccess = "ilp";
+  r.pinAccess = core::Method::Ilp;
   r.budgetSeconds = 1e-4;  // expired before the worker even starts
 
   std::vector<Reply> events;
@@ -614,9 +614,41 @@ TEST(ServeChaos, TimedOutJobRetriesOnceAtLowerFidelity) {
   // The second attempt dropped the expensive pin access method.
   const std::unique_lock<std::mutex> lock(mu);
   ASSERT_EQ(attempts.size(), 2U);
-  EXPECT_EQ(attempts[0], (std::pair<int, std::string>{1, "ilp"}));
-  EXPECT_EQ(attempts[1], (std::pair<int, std::string>{2, "lr"}));
+  EXPECT_EQ(attempts[0], (std::pair<int, core::Method>{1, core::Method::Ilp}));
+  EXPECT_EQ(attempts[1], (std::pair<int, core::Method>{2, core::Method::Lr}));
   server.stop();
+}
+
+TEST(ServeChaos, TimedOutNoPaoJobRetriesWithClampedNegotiation) {
+  ServerOptions so;
+  so.socketPath = uniqueSocketPath("retry-nopao");
+  so.workers = 1;
+  so.maxRetries = 1;
+  so.minRetryBudgetSeconds = 20.0;  // the retry must not time out again
+  Server server(std::move(so));
+  ASSERT_TRUE(server.start().isOk());
+
+  Client c;
+  ASSERT_TRUE(c.connect(server.socketPath()).isOk());
+  RouteRequest r;
+  r.id = "rushed-nopao";
+  r.design = "ecc";
+  r.scheme = route::Scheme::NoPao;
+  r.budgetSeconds = 1e-4;  // expired before the worker even starts
+  const auto out = runJob(c, r);
+  ASSERT_TRUE(out.isOk()) << out.status().message();
+  EXPECT_EQ(out.value().event, obs::names::kServeEvCompleted);
+  EXPECT_EQ(out.value().attempts, 2);
+  EXPECT_EQ(out.value().status, "ok");
+  server.stop();
+
+  // The retry ran the same negotiation a direct call with the round cap
+  // clamped to 6 runs (ecc runs all 20 rounds unclamped, another digest).
+  const db::Design d = gen::makeSuiteDesign(gen::suiteSpec("ecc"), 7);
+  route::NegotiationOptions o;
+  o.maxRrrIterations = 6;
+  EXPECT_EQ(out.value().digest,
+            hex16(route::resultDigest(route::routeNegotiated(d, nullptr, o))));
 }
 
 }  // namespace

@@ -25,22 +25,26 @@ namespace {
 // ---------------------------------------------------------------- codec --
 
 TEST(ServeCodec, RouteRequestRoundTripsThroughEncodeDecode) {
-  RouteRequest r;
-  r.id = "job-42";
-  r.design = "ecc";
-  r.scheme = "cpr";
-  r.pinAccess = "ilp";
-  r.priority = Priority::Interactive;
-  r.budgetSeconds = 2.5;
-  r.seed = 99;
-  const Request back = decodeRequest(encodeRouteRequest(r));
-  ASSERT_EQ(back.kind, Request::Kind::Route) << back.error;
-  EXPECT_EQ(back.route.id, "job-42");
-  EXPECT_EQ(back.route.design, "ecc");
-  EXPECT_EQ(back.route.pinAccess, "ilp");
-  EXPECT_EQ(back.route.priority, Priority::Interactive);
-  EXPECT_DOUBLE_EQ(back.route.budgetSeconds, 2.5);
-  EXPECT_EQ(back.route.seed, 99U);
+  for (const route::Scheme scheme :
+       {route::Scheme::Cpr, route::Scheme::NoPao, route::Scheme::Seq}) {
+    RouteRequest r;
+    r.id = "job-42";
+    r.design = "ecc";
+    r.scheme = scheme;
+    r.pinAccess = core::Method::Ilp;
+    r.priority = Priority::Interactive;
+    r.budgetSeconds = 2.5;
+    r.seed = 99;
+    const Request back = decodeRequest(encodeRouteRequest(r));
+    ASSERT_EQ(back.kind, Request::Kind::Route) << back.error;
+    EXPECT_EQ(back.route.id, "job-42");
+    EXPECT_EQ(back.route.design, "ecc");
+    EXPECT_EQ(back.route.scheme, scheme);
+    EXPECT_EQ(back.route.pinAccess, core::Method::Ilp);
+    EXPECT_EQ(back.route.priority, Priority::Interactive);
+    EXPECT_DOUBLE_EQ(back.route.budgetSeconds, 2.5);
+    EXPECT_EQ(back.route.seed, 99U);
+  }
 }
 
 TEST(ServeCodec, InlineDefPayloadSurvivesEscaping) {
@@ -150,7 +154,7 @@ TEST(ServeCodec, PinAccessNamesComeFromTheMethodTable) {
   for (const char* ok : {"lr", "ilp"}) {
     const Request req = decodeRequest(head + "\"" + ok + "\"}");
     ASSERT_EQ(req.kind, Request::Kind::Route) << ok << ": " << req.error;
-    EXPECT_EQ(req.route.pinAccess, ok);
+    EXPECT_EQ(core::methodName(req.route.pinAccess), ok);
   }
   // A name outside the table, the retired "generic" included, is rejected
   // with a diagnostic.

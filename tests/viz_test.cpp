@@ -9,7 +9,6 @@
 #include "route/cpr.h"
 #include "route/def_export.h"
 #include "route/negotiation_router.h"
-#include "route/sequential_router.h"
 #include "viz/ascii.h"
 #include "viz/svg.h"
 
@@ -94,9 +93,12 @@ TEST(Ascii, NoPlanMeansNoIntervalGlyphs) {
   EXPECT_EQ(art.find('='), std::string::npos);
 }
 
-TEST(RoutedDef, EmitsRoutedStatements) {
+/// Routed DEF export draws the shipped geometry of every scheme.
+class RoutedDefScheme : public ::testing::TestWithParam<route::Scheme> {};
+
+TEST_P(RoutedDefScheme, EmitsRoutedStatements) {
   const db::Design d = smallDesign();
-  const route::RoutingResult r = route::routeNegotiated(d, nullptr);
+  const route::RoutingResult r = route::routeScheme(d, GetParam()).routing;
   std::ostringstream os;
   route::writeRoutedDef(d, r.geometry, os);
   const std::string text = os.str();
@@ -105,36 +107,13 @@ TEST(RoutedDef, EmitsRoutedStatements) {
   EXPECT_NE(text.find("M2 ("), std::string::npos);
 }
 
-/// Routes `d` under one of the three schemes with default options.
-route::RoutingResult routeScheme(const db::Design& d,
-                                 const std::string& scheme) {
-  if (scheme == "seq") return route::routeSequential(d);
-  if (scheme == "nopao") return route::routeNegotiated(d, nullptr);
-  return route::routeCpr(d).routing;
-}
-
-class RoutedDefScheme : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(RoutedDefScheme, GeometryMatchesNetResults) {
-  const db::Design d = smallDesign();
-  const route::RoutingResult r = routeScheme(d, GetParam());
-  ASSERT_EQ(r.geometry.size(), r.nets.size());
-  for (std::size_t n = 0; n < r.nets.size(); ++n) {
-    if (!r.nets[n].routed) continue;
-    // Segment spans re-add to the wirelength (edges = span-1 per segment...
-    // runs never overlap, so summing (span-1) over segments equals the
-    // committed adjacency count).
-    long wl = 0;
-    for (const route::RouteSegment& s : r.geometry[n].segments)
-      wl += s.span.span() - 1;
-    EXPECT_EQ(wl, r.nets[n].wirelength) << "net " << n;
-    EXPECT_EQ(r.geometry[n].vias.size(),
-              static_cast<std::size_t>(r.nets[n].vias));
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Schemes, RoutedDefScheme,
-                         ::testing::Values("cpr", "nopao", "seq"));
+                         ::testing::Values(route::Scheme::Cpr,
+                                           route::Scheme::NoPao,
+                                           route::Scheme::Seq),
+                         [](const ::testing::TestParamInfo<route::Scheme>& i) {
+                           return std::string(route::schemeName(i.param));
+                         });
 
 }  // namespace
 }  // namespace cpr::viz

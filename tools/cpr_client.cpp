@@ -20,6 +20,7 @@
 
 #include "cli.h"
 #include "core/solver.h"
+#include "route/cpr.h"
 #include "serve/client.h"
 #include "support/status.h"
 
@@ -42,6 +43,8 @@ int main(int argc, char** argv) {
   std::string socketPath;
   std::string defPath;
   std::string priority = "batch";
+  std::string scheme = "cpr";
+  std::string pinAccess = "lr";
   bool ping = false;
   bool stats = false;
   bool shutdown = false;
@@ -58,9 +61,9 @@ int main(int argc, char** argv) {
   parser.option("--id", "name", "job id echoed in every reply (default job1)",
                 &req.id);
   parser.option("--scheme", "cpr|nopao|seq", "routing scheme (default cpr)",
-                &req.scheme);
+                &scheme);
   parser.option("--pin-access", "lr|ilp",
-                "pin access optimizer for the cpr scheme", &req.pinAccess);
+                "pin access optimizer for the cpr scheme", &pinAccess);
   parser.option("--priority", "interactive|batch",
                 "admission lane (default batch)", &priority);
   parser.option("--budget", "seconds",
@@ -86,11 +89,20 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown --priority %s\n", priority.c_str());
     return 2;
   }
-  if (!core::methodFromName(req.pinAccess)) {
-    std::fprintf(stderr, "unknown --pin-access %s (want lr|ilp)\n",
-                 req.pinAccess.c_str());
+  const auto typedScheme = route::schemeFromName(scheme);
+  if (!typedScheme) {
+    std::fprintf(stderr, "unknown --scheme %s (want cpr|nopao|seq)\n",
+                 scheme.c_str());
     return 2;
   }
+  req.scheme = *typedScheme;
+  const auto method = core::methodFromName(pinAccess);
+  if (!method) {
+    std::fprintf(stderr, "unknown --pin-access %s (want lr|ilp)\n",
+                 pinAccess.c_str());
+    return 2;
+  }
+  req.pinAccess = *method;
 
   serve::Client client;
   if (const support::Status st = client.connect(socketPath); !st.isOk()) {

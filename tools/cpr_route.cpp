@@ -27,7 +27,6 @@
 #include "obs/names.h"
 #include "obs/report.h"
 #include "route/cpr.h"
-#include "route/sequential_router.h"
 #include "support/deadline.h"
 #include "viz/svg.h"
 
@@ -113,6 +112,12 @@ int main(int argc, char** argv) {
     parser.printUsage(parser.helpRequested() ? stdout : stderr);
     return parser.helpRequested() ? 0 : 2;
   }
+  const auto scheme = route::schemeFromName(args.scheme);
+  if (!scheme) {
+    std::fprintf(stderr, "unknown --scheme %s (want cpr|nopao|seq)\n",
+                 args.scheme.c_str());
+    return 2;
+  }
   const std::optional<core::Method> method =
       core::methodFromName(args.pinAccess);
   if (!method) {
@@ -154,48 +159,29 @@ int main(int argc, char** argv) {
     run.note("cli.scheme", args.scheme);
     run.gauge("cli.seed", static_cast<double>(args.seed));
 
-    route::RoutingResult result;
-    core::PinAccessPlan plan;
-    double extraSeconds = 0.0;
-    if (args.scheme == "seq") {
-      route::SequentialOptions opts;
-      opts.deadline = runDeadline;
-      result = route::routeSequential(d, opts);
-    } else if (args.scheme == "nopao") {
-      route::NegotiationOptions opts;
-      opts.deadline = runDeadline;
-      opts.threads = args.threads;
-      result = route::routeNegotiated(d, nullptr, opts);
-    } else if (args.scheme == "cpr") {
-      route::CprOptions opts;
-      opts.routing.deadline = runDeadline;
-      opts.routing.threads = args.threads;
-      opts.pinAccess.threads = args.threads;
-      opts.pinAccess.deadline = runDeadline;
-      opts.pinAccess.panelBudgetSeconds = args.panelBudget;
-      opts.pinAccess.solve.method = *method;
+    route::CprOptions opts;
+    opts.routing.deadline = runDeadline;
+    opts.routing.threads = args.threads;
+    opts.pinAccess.threads = args.threads;
+    opts.pinAccess.deadline = runDeadline;
+    opts.pinAccess.panelBudgetSeconds = args.panelBudget;
+    opts.pinAccess.solve.method = *method;
+    if (*scheme == route::Scheme::Cpr)
       run.note("cli.pin_access", args.pinAccess);
-      route::CprResult r = route::routeCpr(d, opts);
-      result = std::move(r.routing);
-      plan = std::move(r.plan);
-      extraSeconds = r.pinAccessSeconds;
-      run.merge(plan.stats);
-      if (const long faulted = plan.panelsBelowPrimary(); faulted > 0) {
-        std::fprintf(stderr,
-                     "warning: %ld panel(s) degraded below the primary "
-                     "solver (failed=%ld degraded=%ld)\n",
-                     faulted,
-                     plan.stats.counter(obs::names::kPaoPanelFailed),
-                     plan.stats.counter(obs::names::kPaoPanelDegraded));
-        exitCode = 4;  // completed, but degraded
-      }
-    } else {
-      std::fprintf(stderr, "unknown --scheme %s\n", args.scheme.c_str());
-      return 2;
+    const route::CprResult r = route::routeScheme(d, *scheme, opts);
+    const route::RoutingResult& result = r.routing;
+    run.merge(r.plan.stats);
+    if (const long faulted = r.plan.panelsBelowPrimary(); faulted > 0) {
+      std::fprintf(stderr,
+                   "warning: %ld panel(s) degraded below the primary "
+                   "solver (failed=%ld degraded=%ld)\n",
+                   faulted, r.plan.stats.counter(obs::names::kPaoPanelFailed),
+                   r.plan.stats.counter(obs::names::kPaoPanelDegraded));
+      exitCode = 4;  // completed, but degraded
     }
     run.merge(result.stats);
 
-    const eval::Metrics m = eval::summarize(d, result, extraSeconds);
+    const eval::Metrics m = eval::summarize(d, result, r.pinAccessSeconds);
     std::printf("%s\n", eval::tableHeader().c_str());
     std::printf("%s\n", eval::tableRow(args.scheme, m).c_str());
     std::printf("congested grids before RRR: %ld, DRC violations at signoff: "
@@ -218,8 +204,7 @@ int main(int argc, char** argv) {
     if (!args.svgPath.empty()) {
       viz::SvgOptions svg;
       svg.labelPins = d.pins().size() <= 400;
-      viz::saveSvg(d, args.scheme == "cpr" ? &plan : nullptr,
-                   &result.geometry, args.svgPath, svg);
+      viz::saveSvg(d, &r.plan, &result.geometry, args.svgPath, svg);
       std::printf("wrote %s\n", args.svgPath.c_str());
     }
     if (!args.routedDefPath.empty()) {
