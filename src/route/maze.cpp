@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 
 #include "support/alloc_hook.h"
@@ -11,6 +10,39 @@ namespace cpr::route {
 
 namespace {
 constexpr float kInf = std::numeric_limits<float>::infinity();
+/// Children per open-list node: a 4-ary heap is half as deep as a binary
+/// one, and a node's four children are 32 contiguous bytes.
+constexpr std::size_t kArity = 4;
+}  // namespace
+
+void openSiftUp(std::uint64_t* heap, std::size_t n) {
+  std::size_t hole = n - 1;
+  const std::uint64_t key = heap[hole];
+  while (hole > 0) {
+    const std::size_t up = (hole - 1) / kArity;
+    if (heap[up] <= key) break;
+    heap[hole] = heap[up];
+    hole = up;
+  }
+  heap[hole] = key;
+}
+
+void openSiftDown(std::uint64_t* heap, std::size_t n) {
+  const std::size_t size = n - 1;  // entries left after the pop
+  const std::uint64_t key = heap[size];
+  std::size_t hole = 0;
+  for (;;) {
+    const std::size_t first = hole * kArity + 1;
+    if (first >= size) break;
+    const std::size_t last = std::min(first + kArity, size);
+    std::size_t least = first;
+    for (std::size_t c = first + 1; c < last; ++c)
+      if (heap[c] < heap[least]) least = c;
+    if (heap[least] >= key) break;
+    heap[hole] = heap[least];
+    hole = least;
+  }
+  heap[hole] = key;
 }
 
 void MazeScratch::bind(const geom::Rect& b) {
@@ -31,11 +63,11 @@ std::size_t MazeScratch::footprintBytes() const {
          (stamp.capacity() + targetStamp.capacity() + treeStamp.capacity()) *
              sizeof(long) +
          tree.capacity() * sizeof(int) +
-         heap.capacity() * sizeof(std::pair<float, int>);
+         heap.capacity() * sizeof(std::uint64_t);
 }
 
-float MazeRouter::nodeCost(int id, Index net, const MazeCosts& c) const {
-  const Node n = grid_.node(id);
+inline float MazeRouter::nodeCostAt(const Node& n, int id, Index net,
+                                    const MazeCosts& c) const {
   if (n.layer == RLayer::M2) {
     // One compare covers blockages, other nets' pins and intervals, and
     // contested nodes: the blocked and contested codes match no net.
@@ -62,6 +94,10 @@ float MazeRouter::nodeCost(int id, Index net, const MazeCosts& c) const {
     cost += c.adjacency * static_cast<float>(near);
   }
   return cost;
+}
+
+float MazeRouter::nodeCost(int id, Index net, const MazeCosts& c) const {
+  return nodeCostAt(grid_.node(id), id, net, c);
 }
 
 std::optional<std::vector<int>> MazeRouter::findPath(
@@ -119,8 +155,8 @@ std::optional<std::vector<int>> MazeRouter::findPath(
     scratch.stamp[i] = epoch;
     scratch.dist[i] = g;
     scratch.parent[i] = from;
-    scratch.heap.push_back({g + heuristic(n), id});
-    std::push_heap(scratch.heap.begin(), scratch.heap.end(), std::greater<>{});
+    scratch.heap.push_back(openKey(g + heuristic(n), id));
+    openSiftUp(scratch.heap.data(), scratch.heap.size());
   };
 
   int goal = -1;
@@ -129,10 +165,11 @@ std::optional<std::vector<int>> MazeRouter::findPath(
     for (int s : sources) relax(s, grid_.node(s), 0.0F, -1);
 
     while (!scratch.heap.empty()) {
-      const auto [f, u] = scratch.heap.front();
-      std::pop_heap(scratch.heap.begin(), scratch.heap.end(),
-                    std::greater<>{});
+      const std::uint64_t top = scratch.heap.front();
+      openSiftDown(scratch.heap.data(), scratch.heap.size());
       scratch.heap.pop_back();
+      const float f = openKeyF(top);
+      const int u = openKeyId(top);
       ++pops;
       const Node n = grid_.node(u);
       const std::size_t ui = scratch.local(n);
@@ -149,7 +186,7 @@ std::optional<std::vector<int>> MazeRouter::findPath(
         if (!grid_.inside(x, y) || !window.contains(geom::Point{x, y})) return;
         const Node v{layer, x, y};
         const int vid = grid_.id(v);
-        float step = nodeCost(vid, net, costs);
+        float step = nodeCostAt(v, vid, net, costs);
         if (step == kInf) return;
         if (viaMove) {
           step += costs.via;

@@ -16,12 +16,16 @@
 /// against one shared grid and serialize only the commits.
 #pragma once
 
+#include <bit>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "geom/rect.h"
 #include "route/grid.h"
+#include "support/contracts.h"
 #include "support/hot_annotations.h"
 
 namespace cpr::route {
@@ -38,6 +42,33 @@ struct MazeCosts {
   float adjacency = 0.0F;
   bool hardBlockOccupied = false;  ///< sequential mode: occupied nodes are walls
 };
+
+/// Open-list key of an entry with priority `f` and global node id `id`:
+/// f's IEEE-754 bits in the high word, the id in the low word. For f ≥ 0
+/// (never NaN, never −0) the bits of f order like its value, so comparing
+/// two keys as unsigned integers is the (f, id) lexicographic comparison in
+/// one instruction, ties broken by the smaller id.
+[[nodiscard]] inline std::uint64_t openKey(float f, int id) {
+  CPR_DCHECK(f >= 0.0F && !std::signbit(f) && id >= 0);
+  return (std::uint64_t{std::bit_cast<std::uint32_t>(f)} << 32) |
+         static_cast<std::uint32_t>(id);
+}
+[[nodiscard]] inline float openKeyF(std::uint64_t key) {
+  return std::bit_cast<float>(static_cast<std::uint32_t>(key >> 32));
+}
+[[nodiscard]] inline int openKeyId(std::uint64_t key) {
+  return static_cast<int>(static_cast<std::uint32_t>(key));
+}
+
+/// 4-ary min-heap over `heap[0, n)` whose last entry `heap[n-1]` was just
+/// appended: moves it up to its place. The sifts move a hole, not swapped
+/// pairs, and never grow anything — the caller owns the storage (push_back,
+/// then sift up; sift down, then pop_back).
+void openSiftUp(std::uint64_t* heap, std::size_t n) CPR_NOALLOC;
+/// Removes the minimum of the 4-ary min-heap `heap[0, n)` (n ≥ 1): the last
+/// entry refills the root and sinks, leaving the heap in `heap[0, n-1)`.
+/// Read `heap[0]` first; drop the stale last slot afterwards.
+void openSiftDown(std::uint64_t* heap, std::size_t n) CPR_NOALLOC;
 
 /// Per-worker arena for everything one net search mutates: the A* distance/
 /// parent/stamp arrays, the engine's Steiner-tree membership stamps, and the
@@ -67,13 +98,15 @@ struct MazeScratch {
   std::vector<int> tree;
   long searches = 0;  ///< route.astar.searches since the last flush
   long pops = 0;      ///< route.astar.pops since the last flush
-  /// Binary-heap storage for the A* open list ((f, node) min-heap via
-  /// std::push_heap/pop_heap with std::greater<>, which is exactly the
-  /// std::priority_queue protocol — pop order, and therefore route
-  /// digests, are bit-identical to a fresh priority_queue). Scratch-
-  /// resident so warm searches never touch the heap allocator; findPath
-  /// reserves the worst-case entry count before entering the hot loop.
-  std::vector<std::pair<float, int>> heap;
+  /// The A* open list: a 4-ary min-heap of `openKey(f, id)` words (see
+  /// there), kept by `openSiftUp`/`openSiftDown`. The unsigned order of a
+  /// key is the (f, id) lexicographic order, so entries pop in exactly the
+  /// sequence a `std::priority_queue<std::pair<float, int>>` under
+  /// `std::greater<>` pops them, and route digests do not depend on the
+  /// heap's shape. Scratch-resident so warm searches never touch the heap
+  /// allocator; findPath reserves the worst-case entry count before
+  /// entering the hot loop.
+  std::vector<std::uint64_t> heap;
   geom::Rect box;     ///< bound box (grid columns × tracks)
   int boxWidth = 0;   ///< box.width(), the local row stride
   int boxPlane = 0;   ///< nodes per layer inside the box
@@ -119,6 +152,9 @@ class MazeRouter {
                                const MazeCosts& c) const CPR_HOT;
 
  private:
+  /// nodeCost for a node the caller has already decoded: `n` is node `id`.
+  [[nodiscard]] float nodeCostAt(const Node& n, int id, Index net,
+                                 const MazeCosts& c) const CPR_HOT;
 
   const RoutingGrid& grid_;
 };

@@ -174,10 +174,13 @@ RoutingResult routeNegotiated(const db::Design& design,
     for (Index n = 0; n < numNets; ++n) todo.push_back(n);
     batch.route(todo, costs, opts.deadline);
   }
-  obs->add(obs::names::kRouteCongestedPreRrr, grid.congestedNodeCount());
+  // Only batch.route changes occupancy, so the whole-grid scan runs once
+  // per grid state: here, and in each RRR iteration after the first.
+  long congestion = grid.congestedNodeCount();
+  obs->add(obs::names::kRouteCongestedPreRrr, congestion);
 
   // ---- rip-up & reroute ----
-  RrrStallDetector stall(grid.congestedNodeCount(), kCongestionStallIters);
+  RrrStallDetector stall(congestion, kCongestionStallIters);
   {
     obs::ScopedTimer t(obs, obs::names::kRouteRrrSpan);
     for (int iter = 1; iter <= opts.maxRrrIterations; ++iter) {
@@ -185,7 +188,7 @@ RoutingResult routeNegotiated(const db::Design& design,
         obs::add(obs, obs::names::kRouteTimeout);
         break;
       }
-      const long congestion = grid.congestedNodeCount();
+      if (iter > 1) congestion = grid.congestedNodeCount();
       if (congestion == 0) break;
       if (stall.shouldStop(congestion))
         break;  // negotiation has stopped making material progress

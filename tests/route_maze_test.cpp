@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <optional>
+#include <queue>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "route/maze.h"
@@ -370,10 +376,249 @@ TEST(MazeNodeCost, MatchesThreeArrayReferenceOnRandomDesigns) {
         const float got = maze.nodeCost(id, net, costs);
         ASSERT_EQ(std::isinf(got), std::isinf(want))
             << "trial " << trial << " node " << id << " net " << net;
-        if (!std::isinf(want)) ASSERT_EQ(got, want);
+        if (!std::isinf(want)) {
+          ASSERT_EQ(got, want);
+        }
       }
     }
   }
+}
+
+// ---- the open list against std::priority_queue ----
+
+using RefOpenList =
+    std::priority_queue<std::pair<float, int>,
+                        std::vector<std::pair<float, int>>, std::greater<>>;
+
+TEST(OpenList, KeyRoundTripsPriorityAndId) {
+  for (const float f : {0.0F, 0.5F, 1.0F, 63.5F, 1e30F,
+                        std::numeric_limits<float>::infinity()}) {
+    for (const int id : {0, 1, 12345, INT_MAX - 1, INT_MAX}) {
+      const std::uint64_t key = openKey(f, id);
+      EXPECT_EQ(openKeyF(key), f);
+      EXPECT_EQ(openKeyId(key), id);
+    }
+  }
+  // Unsigned key order is (f, id) order: f first, then the smaller id.
+  EXPECT_LT(openKey(0.5F, INT_MAX), openKey(1.0F, 0));
+  EXPECT_LT(openKey(2.0F, 3), openKey(2.0F, 4));
+  EXPECT_LT(openKey(0.0F, 7), openKey(1e-30F, 0));
+}
+
+// Random push/pop streams with heavy ties: f is a multiple of 0.5 in
+// [0, 64] (often exactly 0), ids come from a small range or sit next to
+// INT_MAX, so most pops are decided by the id half of the key. The heap must
+// pop exactly the sequence the std::priority_queue protocol pops.
+TEST(OpenList, PopsLikePriorityQueueOnTiedKeys) {
+  std::mt19937 rng(20261018);
+  const auto pick = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  std::vector<std::uint64_t> heap;
+  for (int stream = 0; stream < 200; ++stream) {
+    heap.clear();
+    RefOpenList ref;
+    const int ops = pick(1, 600);
+    const int pushBias = pick(1, 3);  // 1: balanced, 3: mostly pushes
+    for (int op = 0; op < ops; ++op) {
+      if (ref.empty() || pick(0, pushBias) != 0) {
+        const float f =
+            pick(0, 3) == 0 ? 0.0F : 0.5F * static_cast<float>(pick(0, 128));
+        const int id = pick(0, 1) == 0 ? pick(0, 15) : INT_MAX - pick(0, 15);
+        ref.emplace(f, id);
+        heap.push_back(openKey(f, id));
+        openSiftUp(heap.data(), heap.size());
+      } else {
+        const std::uint64_t top = heap.front();
+        openSiftDown(heap.data(), heap.size());
+        heap.pop_back();
+        ASSERT_EQ(openKeyF(top), ref.top().first) << "stream " << stream;
+        ASSERT_EQ(openKeyId(top), ref.top().second) << "stream " << stream;
+        ref.pop();
+      }
+      ASSERT_EQ(heap.size(), ref.size());
+    }
+    while (!ref.empty()) {  // drain
+      const std::uint64_t top = heap.front();
+      openSiftDown(heap.data(), heap.size());
+      heap.pop_back();
+      ASSERT_EQ(std::make_pair(openKeyF(top), openKeyId(top)), ref.top());
+      ref.pop();
+    }
+    ASSERT_TRUE(heap.empty());
+  }
+}
+
+// The sifts order plain unsigned words: keys with every combination of the
+// top three bits, the sign bit of a signed view included, pop in ascending
+// unsigned order.
+TEST(OpenList, SiftsOrderRawKeysAsUnsigned) {
+  std::mt19937_64 rng(7);
+  std::vector<std::uint64_t> heap;
+  for (int stream = 0; stream < 50; ++stream) {
+    heap.clear();
+    std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
+                        std::greater<>>
+        ref;
+    for (int op = 0; op < 500; ++op) {
+      if (ref.empty() || rng() % 3 != 0) {
+        // A few distinct high words, so equal-high-word runs occur too.
+        const std::uint64_t key = (rng() % 8) << 61 | (rng() % 64);
+        ref.push(key);
+        heap.push_back(key);
+        openSiftUp(heap.data(), heap.size());
+      } else {
+        ASSERT_EQ(heap.front(), ref.top()) << "stream " << stream;
+        openSiftDown(heap.data(), heap.size());
+        heap.pop_back();
+        ref.pop();
+      }
+    }
+  }
+}
+
+// ---- findPath against a textbook A* ----
+
+struct ReferenceSearch {
+  std::optional<std::vector<int>> path;
+  long pops = 0;
+};
+
+/// Textbook A* over the same moves, costs and heuristic as
+/// MazeRouter::findPath, on die-sized arrays and a std::priority_queue of
+/// (f, id) pairs.
+ReferenceSearch referenceAStar(const RoutingGrid& g, const MazeRouter& maze,
+                               const std::vector<int>& sources,
+                               const std::vector<int>& targets,
+                               const Rect& window, db::Index net,
+                               const MazeCosts& costs) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const auto n = static_cast<std::size_t>(g.numNodes());
+  std::vector<float> dist(n, inf);
+  std::vector<int> parent(n, -1);
+  std::vector<bool> isTarget(n, false);
+  Rect tbox;
+  for (int t : targets) {
+    isTarget[std::size_t(t)] = true;
+    tbox.expand(geom::Point{g.node(t).x, g.node(t).y});
+  }
+  const auto h = [&](int id) {
+    const Node v = g.node(id);
+    const geom::Coord dx = std::max({tbox.x.lo - v.x, v.x - tbox.x.hi, 0});
+    const geom::Coord dy = std::max({tbox.y.lo - v.y, v.y - tbox.y.hi, 0});
+    return costs.metal * static_cast<float>(dx + dy);
+  };
+  RefOpenList open;
+  const auto relax = [&](int id, float dg, int from) {
+    if (dist[std::size_t(id)] <= dg) return;
+    dist[std::size_t(id)] = dg;
+    parent[std::size_t(id)] = from;
+    open.emplace(dg + h(id), id);
+  };
+  ReferenceSearch out;
+  for (int s : sources) relax(s, 0.0F, -1);
+  int goal = -1;
+  while (!open.empty()) {
+    const auto [f, u] = open.top();
+    open.pop();
+    ++out.pops;
+    if (f > dist[std::size_t(u)] + h(u) + 1e-5F) continue;  // stale
+    if (isTarget[std::size_t(u)]) {
+      goal = u;
+      break;
+    }
+    const Node c = g.node(u);
+    const auto move = [&](geom::Coord x, geom::Coord y, RLayer layer,
+                          bool via) {
+      if (!g.inside(x, y) || !window.contains(geom::Point{x, y})) return;
+      const int v = g.id(Node{layer, x, y});
+      float step = maze.nodeCost(v, net, costs);
+      if (std::isinf(step)) return;
+      if (via) {
+        step += costs.via;
+        if (g.viaForbidden(x, y, net)) step += costs.forbiddenVia;
+      }
+      relax(v, dist[std::size_t(u)] + step, u);
+    };
+    if (c.layer == RLayer::M2) {
+      move(c.x - 1, c.y, RLayer::M2, false);
+      move(c.x + 1, c.y, RLayer::M2, false);
+      move(c.x, c.y, RLayer::M3, true);
+    } else {
+      move(c.x, c.y - 1, RLayer::M3, false);
+      move(c.x, c.y + 1, RLayer::M3, false);
+      move(c.x, c.y, RLayer::M2, true);
+    }
+  }
+  if (goal != -1) {
+    std::vector<int> path;
+    for (int v = goal; v != -1; v = parent[std::size_t(v)]) path.push_back(v);
+    std::reverse(path.begin(), path.end());
+    out.path = std::move(path);
+  }
+  return out;
+}
+
+// Random small designs under non-zero present, adjacency, history and
+// forbidden-via costs. Costs are multiples of 0.5, so equal-f frontiers are
+// common and the (f, id) tie-break decides both the path and the pop count.
+TEST(Maze, MatchesTextbookAStarOnRandomDesigns) {
+  std::mt19937 rng(20261018);
+  const auto pick = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  MazeScratch scratch;  // shared across searches, as in a worker
+  int found = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const geom::Coord w = pick(8, 28);
+    Design d("astar", w, pick(1, 3), 5);
+    const geom::Coord ht = d.gridHeight();
+    const int nets = pick(2, 5);
+    for (int n = 0; n < nets; ++n) d.addNet("n" + std::to_string(n));
+    for (int p = pick(0, 2 * nets); p > 0; --p) {
+      const geom::Coord x = pick(0, w - 2);
+      const geom::Coord y = pick(0, ht - 2);
+      d.addPin("p" + std::to_string(p), pick(0, nets - 1),
+               Rect{Interval{x, x + pick(0, 1)}, Interval{y, y + pick(0, 1)}});
+    }
+    for (int b = pick(0, 3); b > 0; --b) {
+      const geom::Coord x = pick(0, w - 3);
+      const geom::Coord y = pick(0, ht - 2);
+      d.addBlockage(pick(0, 1) ? Layer::M2 : Layer::M3,
+                    Rect{Interval{x, x + pick(0, 2)},
+                         Interval{y, y + pick(0, 1)}});
+    }
+    RoutingGrid g(d, nullptr);
+    for (int iter = pick(1, 3); iter > 0; --iter) {
+      for (int k = pick(0, g.numNodes() / 2); k > 0; --k)
+        g.addOcc(pick(0, g.numNodes() - 1));
+      g.accrueHistory();
+    }
+    for (int v = pick(0, w / 2); v > 0; --v)
+      g.addVia(pick(0, w - 1), pick(0, ht - 1), pick(0, nets - 1));
+
+    MazeRouter maze(g);
+    MazeCosts costs;
+    costs.present = 3.0F * static_cast<float>(pick(1, 4));
+    costs.adjacency = 0.5F * costs.present;
+    const db::Index net = pick(0, nets - 1);
+    const Rect window{pick(0, w / 3), pick(0, ht / 3), pick(2 * w / 3, w - 1),
+                      pick(2 * ht / 3, ht - 1)};
+    std::vector<int> sources(static_cast<std::size_t>(pick(1, 3)));
+    std::vector<int> targets(static_cast<std::size_t>(pick(1, 3)));
+    for (int& s : sources) s = pick(0, g.numNodes() - 1);
+    for (int& t : targets) t = pick(0, g.numNodes() - 1);
+
+    const ReferenceSearch want =
+        referenceAStar(g, maze, sources, targets, window, net, costs);
+    scratch.pops = 0;
+    const auto got =
+        maze.findPath(sources, targets, window, net, costs, scratch);
+    ASSERT_EQ(got, want.path) << "trial " << trial;
+    ASSERT_EQ(scratch.pops, want.pops) << "trial " << trial;
+    found += got.has_value() ? 1 : 0;
+  }
+  EXPECT_GT(found, 30);  // most trials connect, so paths are compared
 }
 
 }  // namespace
