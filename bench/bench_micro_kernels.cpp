@@ -69,7 +69,7 @@ BENCHMARK(BM_LrSolvePanel);
 
 void BM_MazeRouteNet(benchmark::State& state) {
   const db::Design d = benchDesign();
-  route::RouteEngine engine(d, nullptr, 12);
+  route::RouteEngine engine(d, nullptr);
   route::MazeScratch scratch;  // reused, as in the router's worker loop
   const auto net = static_cast<db::Index>(d.nets().size() / 2);
   for (auto _ : state) {

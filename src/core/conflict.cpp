@@ -6,10 +6,9 @@
 namespace cpr::core {
 
 std::vector<std::vector<CandIdx>> detectConflictsBruteForce(
-    const PanelKernel& k, Coord spacingGuard) {
+    const PanelKernel& k, Coord guard) {
   auto guarded = [&](CandIdx i) {
-    return geom::Interval{k.spanOf(i).lo - spacingGuard,
-                          k.spanOf(i).hi + spacingGuard};
+    return geom::Interval{k.spanOf(i).lo - guard, k.spanOf(i).hi + guard};
   };
   std::map<Coord, std::vector<CandIdx>> byTrack;
   for (std::size_t i = 0; i < k.numIntervals(); ++i)

@@ -18,9 +18,10 @@ namespace cpr::core {
 
 /// Reference O(n^2)-per-track implementation used by tests to validate the
 /// scanline: returns the maximal cliques (members ascending) computed by
-/// pairwise overlap closure over spans inflated by `spacingGuard` columns
-/// per side. Cliques with fewer than two members are not conflicts.
+/// pairwise overlap closure over spans inflated by `guard` columns per side
+/// (the kernel's scanline inflates by `db::kLineEndExtension`). Cliques with
+/// fewer than two members are not conflicts.
 [[nodiscard]] std::vector<std::vector<CandIdx>> detectConflictsBruteForce(
-    const PanelKernel& k, Coord spacingGuard);
+    const PanelKernel& k, Coord guard);
 
 }  // namespace cpr::core

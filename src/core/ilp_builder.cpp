@@ -1,7 +1,6 @@
 #include "core/ilp_builder.h"
 
 #include <cmath>
-#include <string>
 
 #include "support/contracts.h"
 
@@ -12,8 +11,7 @@ IlpBuild buildIlpModel(const PanelKernel& k, bool pairwiseConflicts) {
   const std::size_t nIv = k.numIntervals();
   out.varOfInterval.reserve(nIv);
   for (std::size_t i = 0; i < nIv; ++i) {
-    out.varOfInterval.push_back(out.model.addBinary(
-        k.weightOf(CandIdx{i}), "x" + std::to_string(i)));
+    out.varOfInterval.push_back(out.model.addBinary(k.weightOf(CandIdx{i})));
   }
   // (1b): sum_{Ii in Sj} x_i = 1 for every accessible pin.
   for (std::size_t j = 0; j < k.numPins(); ++j) {

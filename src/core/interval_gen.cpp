@@ -148,7 +148,7 @@ class Generator {
 PanelKernel buildPanelKernel(const db::Design& design,
                              std::span<const db::Panel> panels,
                              const GenOptions& opts, obs::Collector* obs) {
-  PanelKernelBuilder builder(opts.profitModel, opts.spacingGuard);
+  PanelKernelBuilder builder(opts.profitModel);
   {
     obs::ScopedTimer t(obs, obs::names::kPaoGenSpan);
     Generator gen(design, opts, builder);

@@ -10,6 +10,13 @@
 /// blockages) and to the net bounding box; identical same-net intervals
 /// generated from several pins (intra-panel connections, Fig. 3(b)) are
 /// deduplicated into one candidate associated with every covered pin.
+///
+/// Conflict detection inflates every candidate by `db::kLineEndExtension`
+/// columns per side, so selected diff-net intervals keep room for the
+/// router's line-end extensions (Section 4). Theorem 1's feasibility
+/// argument then requires same-track diff-net pins to be more than twice
+/// that many columns apart, which real cell layouts (and the generator's
+/// `pinSeparation`) guarantee.
 #pragma once
 
 #include <span>
@@ -27,13 +34,6 @@ struct GenOptions {
   /// net bounding box is intersected with pin.x expanded by this many
   /// columns on each side.
   geom::Coord maxExtent = 0;
-  /// Line-end spacing guard: every interval is inflated by this many columns
-  /// per side when conflicts are detected, so selected diff-net intervals
-  /// keep a gap of >= 2*guard — room for the router's line-end extensions
-  /// (Section 4). Theorem 1's feasibility argument then requires same-track
-  /// diff-net pins to be more than 2*guard columns apart, which real cell
-  /// layouts (and our generator) guarantee. 0 disables the guard.
-  geom::Coord spacingGuard = 1;
   /// Base profit f(Ii) (Section 3.3; default sqrt(span)).
   ProfitModel profitModel = ProfitModel::SqrtSpan;
 };

@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 
+#include "db/layer.h"
 #include "obs/names.h"
 
 namespace cpr::core {
@@ -75,7 +76,8 @@ PanelKernel PanelKernelBuilder::finish(obs::Collector* obs) && {
   const std::size_t nIv = k.numIntervals();
   auto guarded = [&](CandIdx i) {
     const geom::Interval& s = k.span_[i.idx()];
-    return geom::Interval{s.lo - guard_, s.hi + guard_};
+    return geom::Interval{s.lo - db::kLineEndExtension,
+                          s.hi + db::kLineEndExtension};
   };
 
   {

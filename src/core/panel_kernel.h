@@ -193,9 +193,9 @@ class PanelKernel {
 class PanelKernelBuilder {
  public:
   /// `model` sets f(I). Two diff-net intervals conflict when their spans,
-  /// each inflated by `spacingGuard` columns per side, overlap on one track.
-  PanelKernelBuilder(ProfitModel model, Coord spacingGuard)
-      : model_(model), guard_(spacingGuard) {}
+  /// each inflated by `db::kLineEndExtension` columns per side, overlap on
+  /// one track.
+  explicit PanelKernelBuilder(ProfitModel model) : model_(model) {}
 
   [[nodiscard]] PinIdx addPin(Index designPin);
   /// Appends an interval covering `pins` (its pin row, written now).
@@ -223,7 +223,6 @@ class PanelKernelBuilder {
  private:
   PanelKernel k_;
   ProfitModel model_;
-  Coord guard_;
 };
 
 /// Recomputes the objective and legality of `a` against `k`, independent of

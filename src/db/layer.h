@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <string_view>
 
+#include "geom/types.h"
+
 namespace cpr::db {
 
 enum class Layer : std::uint8_t {
@@ -38,5 +40,21 @@ constexpr std::string_view name(Layer l) {
 }
 
 constexpr int index(Layer l) { return static_cast<int>(l); }
+
+// ---- design rules of the unidirectional stack (paper Section 4) ----
+// Every metal run gets `kLineEndExtension` grids of extra metal at both
+// ends, and the router commits that extension as metal. Pin access
+// conflict detection inflates every interval by the same amount per side,
+// so selected diff-net intervals keep room for both extensions. The SADP
+// checker therefore reads the shipped runs as they are: two diff-net runs
+// on one lane violate it only when they share a grid (a line-end gap of 0).
+// Two same-level diff-net vias on one track violate it when they are at
+// most `kViaSpacing` grids apart; the router prices exactly those sites
+// with the forbidden-via cost.
+
+/// Line-end extension committed at both ends of every run, in grids.
+inline constexpr geom::Coord kLineEndExtension = 1;
+/// Same-track, same-level diff-net vias need |dx| > kViaSpacing.
+inline constexpr geom::Coord kViaSpacing = 1;
 
 }  // namespace cpr::db

@@ -216,10 +216,17 @@ db::Design generateImpl(const GenOptions& o, std::size_t targetNets) {
 
   db::Design d(o.name, o.width, o.numRows, o.tracksPerRow);
   for (std::size_t n = 0; n < nets.size(); ++n) {
-    const db::Index netId = d.addNet("n" + std::to_string(n));
+    // Names are appended with += because GCC 12 flags `"n" + to_string(n)`
+    // with a -Wrestrict false positive in Release builds.
+    std::string netName = "n";
+    netName += std::to_string(n);
+    const db::Index netId = d.addNet(netName);
     for (std::size_t k = 0; k < nets[n].size(); ++k) {
       const RawPin& rp = raw[nets[n][k]];
-      d.addPin("n" + std::to_string(n) + "_p" + std::to_string(k), netId,
+      std::string pinName = netName;
+      pinName += "_p";
+      pinName += std::to_string(k);
+      d.addPin(std::move(pinName), netId,
                geom::Rect{geom::Interval::point(rp.col), rp.tracks});
     }
   }

@@ -29,8 +29,9 @@ struct GenOptions {
   /// Fraction of columns per row carrying a pin (routing competition knob).
   double pinDensity = 0.25;
   /// Minimum column distance between same-row pins. Must exceed twice the
-  /// optimizer's line-end spacing guard (see core::GenOptions::spacingGuard)
-  /// for Theorem 1's feasibility argument to hold.
+  /// line-end extension (db::kLineEndExtension), by which pin access
+  /// conflict detection inflates every interval, for Theorem 1's
+  /// feasibility argument to hold.
   Coord pinSeparation = 3;
   /// M2 tracks an M1 pin strip crosses (its candidate access tracks). Fewer
   /// tracks = fewer accessing points = sharper pin access interference

@@ -2,9 +2,8 @@
 
 namespace cpr::ilp {
 
-Index Model::addBinary(double objCoef, std::string name) {
+Index Model::addBinary(double objCoef) {
   obj_.push_back(objCoef);
-  names_.push_back(std::move(name));
   return static_cast<Index>(obj_.size() - 1);
 }
 

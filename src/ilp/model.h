@@ -9,7 +9,6 @@
 /// linear constraints with <=, =, >= senses.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "geom/types.h"
@@ -37,7 +36,7 @@ class Model {
  public:
   /// Adds a binary variable with the given objective coefficient; returns its
   /// index.
-  Index addBinary(double objCoef, std::string name = {});
+  Index addBinary(double objCoef);
 
   /// Adds `sum(terms) sense rhs`.
   void addConstraint(std::vector<Term> terms, Sense sense, double rhs);
@@ -48,9 +47,6 @@ class Model {
   }
   [[nodiscard]] const std::vector<double>& objective() const { return obj_; }
   [[nodiscard]] const std::vector<Constraint>& constraints() const { return rows_; }
-  [[nodiscard]] const std::string& varName(Index v) const {
-    return names_[static_cast<std::size_t>(v)];
-  }
 
   /// Objective value of an assignment.
   [[nodiscard]] double evaluate(const std::vector<double>& x) const;
@@ -62,7 +58,6 @@ class Model {
 
  private:
   std::vector<double> obj_;
-  std::vector<std::string> names_;
   std::vector<Constraint> rows_;
 };
 

@@ -107,7 +107,8 @@ db::Layer layerFromName(const std::string& name, int line) {
 
 }  // namespace
 
-void writeDef(const db::Design& design, std::ostream& os) {
+void writeDef(const db::Design& design, std::ostream& os,
+              const NetTail& netTail) {
   os << "VERSION 5.8 ;\n";
   os << "DESIGN " << design.name() << " ;\n";
   os << "UNITS DISTANCE MICRONS 1000 ;\n";
@@ -124,7 +125,8 @@ void writeDef(const db::Design& design, std::ostream& os) {
   os << "END BLOCKAGES\n";
 
   os << "NETS " << design.nets().size() << " ;\n";
-  for (const db::Net& net : design.nets()) {
+  for (std::size_t n = 0; n < design.nets().size(); ++n) {
+    const db::Net& net = design.nets()[n];
     os << "  - " << net.name << "\n";
     for (db::Index p : net.pins) {
       const db::Pin& pin = design.pin(p);
@@ -132,6 +134,7 @@ void writeDef(const db::Design& design, std::ostream& os) {
          << ' ' << pin.shape.y.lo << " ) ( " << pin.shape.x.hi << ' '
          << pin.shape.y.hi << " ) )\n";
     }
+    if (netTail) netTail(static_cast<db::Index>(n), os);
     os << "  ;\n";
   }
   os << "END NETS\n";

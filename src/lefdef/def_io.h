@@ -26,6 +26,7 @@
 /// number.
 #pragma once
 
+#include <functional>
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
@@ -46,8 +47,14 @@ class DefParseError : public std::runtime_error {
   int line_;
 };
 
-/// Serializes `design` in the subset syntax above.
-void writeDef(const db::Design& design, std::ostream& os);
+/// Appends statements to one net's entry, after its pins and before the
+/// entry's closing `;` (route::writeRoutedDef adds `+ ROUTED` wiring).
+using NetTail = std::function<void(db::Index net, std::ostream& os)>;
+
+/// Serializes `design` in the subset syntax above, calling a non-empty
+/// `netTail` once per net.
+void writeDef(const db::Design& design, std::ostream& os,
+              const NetTail& netTail = {});
 
 /// Parses a design; throws DefParseError on malformed input. The returned
 /// design passes `Design::validate()` whenever the input describes a

@@ -1,7 +1,7 @@
 /// \file def_export.h
-/// Routed-DEF writer: the DEF-subset design serialization of
-/// lefdef/def_io.h extended with per-net `+ ROUTED` regular wiring
-/// statements carrying the router's signed-off geometry.
+/// Routed-DEF writer: lefdef::writeDef's design serialization (blockages
+/// included) with per-net `+ ROUTED` regular wiring statements carrying the
+/// router's signed-off geometry, appended through writeDef's per-net tail.
 ///
 /// This lives in `route` (not `lefdef`) because it consumes
 /// `route::NetGeometry` — the lefdef layer sits below route in the

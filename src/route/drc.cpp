@@ -4,6 +4,7 @@
 #include <array>
 #include <compare>
 
+#include "db/layer.h"
 #include "obs/names.h"
 
 namespace cpr::route {
@@ -44,7 +45,7 @@ long sweep(std::vector<Feature>& features, Coord spacing, DrcReport& report) {
 }  // namespace
 
 DrcReport checkDesignRules(std::span<const NetGeometry> nets,
-                           const DrcRules& rules, obs::Collector* obs) {
+                           obs::Collector* obs) {
   DrcReport report;
   report.dirty.assign(nets.size(), 0);
 
@@ -59,10 +60,12 @@ DrcReport checkDesignRules(std::span<const NetGeometry> nets,
     for (const ViaSite& v : nets[n].vias)
       layers[v.level == 1 ? kV1 : kV2].push_back({v.y, v.x, v.x, net});
   }
-  const long lineEnd = sweep(layers[kM2], rules.minLineEndSpacing, report) +
-                       sweep(layers[kM3], rules.minLineEndSpacing, report);
-  const long viaSpacing = sweep(layers[kV1], rules.minViaSpacing, report) +
-                          sweep(layers[kV2], rules.minViaSpacing, report);
+  // Line ends: the committed extensions leave no further gap to keep.
+  constexpr Coord kLineEndGap = 0;
+  const long lineEnd = sweep(layers[kM2], kLineEndGap, report) +
+                       sweep(layers[kM3], kLineEndGap, report);
+  const long viaSpacing = sweep(layers[kV1], db::kViaSpacing, report) +
+                          sweep(layers[kV2], db::kViaSpacing, report);
   report.violations = lineEnd + viaSpacing;
 
   if (obs) {

@@ -4,12 +4,14 @@
 /// The paper performs line-end extensions and treats rule-violating nets as
 /// unrouted at evaluation time. The router commits every extension as metal
 /// (`RouteEngine::commitPlan`), so the checker reads the shipped geometry as
-/// is and applies no extension of its own. The rule set is the parameterized
-/// equivalent of the constraints "listed in [12]": (a) segments of different
-/// nets on the same track or column must not overlap and must keep
-/// `minLineEndSpacing` grids between line ends, and (b) same-level vias of
-/// different nets on one track must be more than `minViaSpacing` grids
-/// apart. Violations mark both offending nets dirty.
+/// is and applies no extension of its own. The rules are the constraints
+/// "listed in [12]", with their values from db/layer.h: (a) segments of
+/// different nets on the same track or column must not share a grid
+/// (line-end gap 0: the extensions already sit in the runs), and (b)
+/// same-level vias of different nets on one track must be more than
+/// `db::kViaSpacing` grids apart. Both are same-lane checks: unidirectional
+/// SADP cut conflicts happen between features on one routing line, whose
+/// cuts share a mask. Violations mark both offending nets dirty.
 #pragma once
 
 #include <span>
@@ -20,26 +22,17 @@
 
 namespace cpr::route {
 
-/// Rules live per track/column: unidirectional SADP cut conflicts happen
-/// between features on the same routing line (each line's cuts share a
-/// mask), so both checks below are same-lane checks.
-struct DrcRules {
-  Coord minLineEndSpacing = 0;  ///< required gap between diff-net segments
-  Coord minViaSpacing = 1;      ///< same-lane same-level diff-net vias need |dx| > this
-};
-
 struct DrcReport {
   long violations = 0;
   std::vector<char> dirty;  ///< per net: 1 when any rule is violated
 };
 
-/// Checks the rule set against committed geometry, indexed like
+/// Checks the rules against committed geometry, indexed like
 /// `Design::nets` (unrouted nets have empty geometry). A non-null `obs`
 /// receives the categorized `drc.*` counters (total, line-end, via-spacing,
 /// dirty nets); drivers pass it only on the signoff call so intermediate
 /// repair sweeps do not inflate the run report.
 [[nodiscard]] DrcReport checkDesignRules(std::span<const NetGeometry> nets,
-                                         const DrcRules& rules = {},
                                          obs::Collector* obs = nullptr);
 
 }  // namespace cpr::route

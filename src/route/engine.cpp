@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "db/layer.h"
 #include "obs/names.h"
 #include "route/drc.h"
 #include "support/contracts.h"
@@ -10,14 +11,8 @@
 namespace cpr::route {
 
 RouteEngine::RouteEngine(const db::Design& design,
-                         const core::PinAccessPlan* plan, Coord windowMargin,
-                         Coord lineEndExtension, obs::Collector* obs)
-    : design_(design),
-      grid_(design, plan),
-      obs_(obs),
-      maze_(grid_),
-      margin_(windowMargin),
-      lineEndExtension_(lineEndExtension) {
+                         const core::PinAccessPlan* plan, obs::Collector* obs)
+    : design_(design), grid_(design, plan), obs_(obs), maze_(grid_) {
   obs::gauge(obs_, obs::names::kRouteGridBytes,
              static_cast<double>(grid_.footprintBytes()));
   infos_.resize(design.nets().size());
@@ -90,12 +85,11 @@ int RouteEngine::recOf(const NetInfo& info, int nodeId) const {
 
 void RouteEngine::ripNet(Index net) {
   NetState& st = states_[static_cast<std::size_t>(net)];
-  if (st.routed) obs::add(obs_, obs::names::kRouteRipups);
+  if (st.routed()) obs::add(obs_, obs::names::kRouteRipups);
   for (int id : st.nodes) grid_.removeOcc(id);
   for (const ViaSite& v : st.vias) grid_.removeVia(v.x, v.y, net);
   st.nodes.clear();
   st.vias.clear();
-  st.routed = false;
 }
 
 NetPlan RouteEngine::searchNet(Index net, const MazeCosts& costs,
@@ -106,7 +100,7 @@ NetPlan RouteEngine::searchNet(Index net, const MazeCosts& costs,
   plan.recUsedXs.reserve(info.recs.size());
   plan.recUsedXs.resize(info.recs.size());  // default Interval = empty extent
 
-  const Coord m = margin_ + extraMargin;
+  const Coord m = kWindowMargin + extraMargin;
   geom::Rect window{
       geom::Interval{std::max<Coord>(0, info.window.x.lo - m),
                      std::min<Coord>(grid_.width() - 1, info.window.x.hi + m)},
@@ -222,7 +216,7 @@ void RouteEngine::commitPlan(Index net, const NetPlan& plan) {
   CPR_DCHECK(plan.found);
   const NetInfo& info = infos_[static_cast<std::size_t>(net)];
   NetState& st = states_[static_cast<std::size_t>(net)];
-  CPR_DCHECK(!st.routed);
+  CPR_DCHECK(!st.routed());
 
   std::vector<int> committed;
   for (const auto& path : plan.paths)
@@ -240,54 +234,53 @@ void RouteEngine::commitPlan(Index net, const NetPlan& plan) {
   committed.erase(std::unique(committed.begin(), committed.end()),
                   committed.end());
 
-  // Line-end extensions (Section 4): every maximal run gets one extra cell
-  // at each end, committed as metal so the negotiation itself keeps
-  // diff-net line ends a cut-mask-friendly distance apart.
-  if (lineEndExtension_ > 0) {
-    const int plane = grid_.planeSize();
-    const Coord w = grid_.width();
-    std::vector<int> extension;
-    auto tryExtend = [&](Coord x, Coord y, RLayer layer) {
-      if (!grid_.inside(x, y)) return;
-      const int id = grid_.id(Node{layer, x, y});
-      if (!grid_.blocked(id)) extension.push_back(id);
-    };
-    for (std::size_t i = 0; i < committed.size(); ++i) {
-      const int a = committed[i];
-      const Node n = grid_.node(a);
-      if (a < plane) {  // M2 run ends: previous/next column missing
-        const bool hasPrev = i > 0 && committed[i - 1] == a - 1 &&
-                             (a % plane) / w == ((a - 1) % plane) / w;
-        const bool hasNext = i + 1 < committed.size() &&
-                             committed[i + 1] == a + 1 &&
-                             (a % plane) / w == ((a + 1) % plane) / w;
-        for (Coord e = 1; e <= lineEndExtension_; ++e) {
-          if (!hasPrev) tryExtend(n.x - e, n.y, RLayer::M2);
-          if (!hasNext) tryExtend(n.x + e, n.y, RLayer::M2);
-        }
-      } else {  // M3 run ends: previous/next track missing
-        const bool hasPrev =
-            std::binary_search(committed.begin(), committed.end(), a - w);
-        const bool hasNext =
-            std::binary_search(committed.begin(), committed.end(), a + w);
-        for (Coord e = 1; e <= lineEndExtension_; ++e) {
-          if (!hasPrev) tryExtend(n.x, n.y - e, RLayer::M3);
-          if (!hasNext) tryExtend(n.x, n.y + e, RLayer::M3);
-        }
+  // Line-end extensions (Section 4): every maximal run gets
+  // db::kLineEndExtension extra cells at each end, committed as metal so the
+  // negotiation itself keeps diff-net line ends a cut-mask-friendly distance
+  // apart.
+  const int plane = grid_.planeSize();
+  const Coord w = grid_.width();
+  std::vector<int> extension;
+  auto tryExtend = [&](Coord x, Coord y, RLayer layer) {
+    if (!grid_.inside(x, y)) return;
+    const int id = grid_.id(Node{layer, x, y});
+    if (!grid_.blocked(id)) extension.push_back(id);
+  };
+  for (std::size_t i = 0; i < committed.size(); ++i) {
+    const int a = committed[i];
+    const Node n = grid_.node(a);
+    if (a < plane) {  // M2 run ends: previous/next column missing
+      const bool hasPrev = i > 0 && committed[i - 1] == a - 1 &&
+                           (a % plane) / w == ((a - 1) % plane) / w;
+      const bool hasNext = i + 1 < committed.size() &&
+                           committed[i + 1] == a + 1 &&
+                           (a % plane) / w == ((a + 1) % plane) / w;
+      for (Coord e = 1; e <= db::kLineEndExtension; ++e) {
+        if (!hasPrev) tryExtend(n.x - e, n.y, RLayer::M2);
+        if (!hasNext) tryExtend(n.x + e, n.y, RLayer::M2);
+      }
+    } else {  // M3 run ends: previous/next track missing
+      const bool hasPrev =
+          std::binary_search(committed.begin(), committed.end(), a - w);
+      const bool hasNext =
+          std::binary_search(committed.begin(), committed.end(), a + w);
+      for (Coord e = 1; e <= db::kLineEndExtension; ++e) {
+        if (!hasPrev) tryExtend(n.x, n.y - e, RLayer::M3);
+        if (!hasNext) tryExtend(n.x, n.y + e, RLayer::M3);
       }
     }
-    committed.insert(committed.end(), extension.begin(), extension.end());
-    std::sort(committed.begin(), committed.end());
-    committed.erase(std::unique(committed.begin(), committed.end()),
-                    committed.end());
   }
+  committed.insert(committed.end(), extension.begin(), extension.end());
+  std::sort(committed.begin(), committed.end());
+  committed.erase(std::unique(committed.begin(), committed.end()),
+                  committed.end());
 
+  CPR_DCHECK(!committed.empty());  // routed() reads the committed nodes
   for (int id : committed) grid_.addOcc(id);
   for (const ViaSite& v : plan.vias) grid_.addVia(v.x, v.y, net);
 
   st.nodes = std::move(committed);
   st.vias = plan.vias;
-  st.routed = true;
 }
 
 void RouteEngine::flushSearchStats(MazeScratch& scratch) {
@@ -315,7 +308,7 @@ std::optional<std::vector<int>> RouteEngine::probePath(Index net,
   MazeCosts costs;
   costs.present = present;
   costs.hardBlockOccupied = false;
-  const Coord m = margin_ * 2;
+  const Coord m = kWindowMargin * 2;
   geom::Rect window{
       geom::Interval{std::max<Coord>(0, info.window.x.lo - m),
                      std::min<Coord>(grid_.width() - 1, info.window.x.hi + m)},
@@ -330,7 +323,7 @@ std::optional<std::vector<int>> RouteEngine::probePath(Index net,
 NetGeometry RouteEngine::geometryOf(Index net) const {
   NetGeometry out;
   const NetState& st = states_[static_cast<std::size_t>(net)];
-  if (!st.routed) return out;
+  if (!st.routed()) return out;
   const int plane = grid_.planeSize();
   // Committed nodes are sorted by id: M2 first (row-major: runs are
   // consecutive ids), then M3 (runs differ by `w`). Extract maximal runs.
@@ -382,8 +375,8 @@ void RouteEngine::signoff(RoutingResult& result) const {
   obs::ScopedTimer t(obs_, obs::names::kRouteSignoffSpan);
   result.geometry = geometry();
   for (std::size_t n = 0; n < states_.size(); ++n)  // routed iff it has metal
-    CPR_CHECK(states_[n].routed == result.geometry[n].routed());
-  DrcReport report = checkDesignRules(result.geometry, DrcRules{}, obs_);
+    CPR_CHECK(states_[n].routed() == result.geometry[n].routed());
+  DrcReport report = checkDesignRules(result.geometry, obs_);
   result.dirty = std::move(report.dirty);
 }
 

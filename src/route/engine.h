@@ -47,21 +47,22 @@ struct NetPlan {
   std::vector<geom::Interval> recUsedXs;
 };
 
-/// Line-end extension (Section 4) committed at both ends of every run.
-inline constexpr Coord kLineEndExtension = 1;
+/// Search window margin around a net's pin/interval hull, in grids. Retries
+/// widen it through `extraMargin`.
+inline constexpr Coord kWindowMargin = 12;
 
 class RouteEngine {
  public:
   struct NetState {
-    bool routed = false;
     std::vector<int> nodes;      ///< committed grid nodes (sorted, unique)
     std::vector<ViaSite> vias;   ///< V1 + V2 vias
+    /// Every committed plan writes at least one node; a rip clears them.
+    [[nodiscard]] bool routed() const { return !nodes.empty(); }
   };
 
   /// A non-null `obs` receives the engine-level `route.*` counters (rip-ups,
   /// A* searches and pops); drivers layer their own stage counters on top.
   RouteEngine(const db::Design& design, const core::PinAccessPlan* plan,
-              Coord windowMargin, Coord lineEndExtension = kLineEndExtension,
               obs::Collector* obs = nullptr);
 
   [[nodiscard]] RoutingGrid& grid() { return grid_; }
@@ -74,12 +75,10 @@ class RouteEngine {
 
   /// Hull of the net's pin shapes and assigned intervals — the box the
   /// search window is grown from. Batch schedulers expand it by
-  /// `windowMargin()` (+ line-end / via slack) to test wave disjointness.
+  /// `kWindowMargin` (+ line-end / via slack) to test wave disjointness.
   [[nodiscard]] const geom::Rect& windowOf(Index net) const {
     return infos_[static_cast<std::size_t>(net)].window;
   }
-  [[nodiscard]] Coord windowMargin() const { return margin_; }
-  [[nodiscard]] Coord lineEndExtension() const { return lineEndExtension_; }
 
   /// Const search phase: finds paths for `net` under the given cost model
   /// without touching the grid or the net's state. The caller must have
@@ -158,8 +157,6 @@ class RouteEngine {
   RoutingGrid grid_;
   obs::Collector* obs_ = nullptr;
   MazeRouter maze_;
-  Coord margin_;
-  Coord lineEndExtension_;
   std::vector<NetInfo> infos_;
   std::vector<NetState> states_;
 };

@@ -1,5 +1,6 @@
 #include "route/grid.h"
 
+#include "db/layer.h"
 #include "support/contracts.h"
 
 namespace cpr::route {
@@ -104,8 +105,8 @@ std::size_t RoutingGrid::footprintBytes() const {
 }
 
 bool RoutingGrid::viaForbidden(Coord x, Coord y, Index net) const {
-  // Same-track check, mirroring the DRC via-spacing rule.
-  for (Coord dx = -1; dx <= 1; ++dx) {
+  // Same-track check: the DRC's via-spacing rule, from the same constant.
+  for (Coord dx = -db::kViaSpacing; dx <= db::kViaSpacing; ++dx) {
     const Coord nx = x + dx;
     if (!inside(nx, y)) continue;
     const std::size_t at = static_cast<std::size_t>(y) *

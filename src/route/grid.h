@@ -100,8 +100,9 @@ class RoutingGrid {
   /// Registers/unregisters a V1 or V2 via of `net` at column x, track y.
   void addVia(Coord x, Coord y, Index net);
   void removeVia(Coord x, Coord y, Index net);
-  /// True when a different net owns a via at (x-1..x+1, y) on the same
-  /// track — the router charges the paper's forbidden grid cost (10) there.
+  /// True when a different net owns a via within `db::kViaSpacing` columns
+  /// of (x, y) on the same track — the router charges the paper's forbidden
+  /// grid cost (10) there.
   [[nodiscard]] bool viaForbidden(Coord x, Coord y, Index net) const;
 
   /// Bytes of per-node state (every array above), for `route.grid_bytes`.

@@ -78,7 +78,7 @@ inline float MazeRouter::nodeCostAt(const Node& n, int id, Index net,
   }
   const int occ = grid_.occupancy(id);
   if (c.hardBlockOccupied && occ > 0) return kInf;
-  float cost = c.metal + c.present * static_cast<float>(occ) +
+  float cost = kMetalCost + c.present * static_cast<float>(occ) +
                static_cast<float>(grid_.history(id));
   if (c.adjacency > 0.0F) {
     // Same-lane neighbors: previous/next column on M2, previous/next track
@@ -133,7 +133,7 @@ std::optional<std::vector<int>> MazeRouter::findPath(
     const Coord dy = n.y < tbox.y.lo ? tbox.y.lo - n.y
                      : n.y > tbox.y.hi ? n.y - tbox.y.hi
                                        : 0;
-    return costs.metal * static_cast<float>(dx + dy);
+    return kMetalCost * static_cast<float>(dx + dy);
   };
 
   // Worst-case open-list size, so the hot loop never grows the heap: the
@@ -189,8 +189,8 @@ std::optional<std::vector<int>> MazeRouter::findPath(
         float step = nodeCostAt(v, vid, net, costs);
         if (step == kInf) return;
         if (viaMove) {
-          step += costs.via;
-          if (grid_.viaForbidden(x, y, net)) step += costs.forbiddenVia;
+          step += kViaCost;
+          if (grid_.viaForbidden(x, y, net)) step += kForbiddenViaCost;
         }
         relax(vid, v, g + step, u);
       };

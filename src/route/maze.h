@@ -7,7 +7,8 @@
 /// toggles the layer in place. Node entry cost = metal base + present-
 /// sharing penalty * occupancy + history (PathFinder negotiation [21,22]);
 /// via moves add the via base cost and the paper's forbidden grid cost (10)
-/// when a different net owns a via within one grid of the site.
+/// when a different net owns a via within `db::kViaSpacing` grids of the
+/// site.
 ///
 /// Searches are const over the grid: all per-search mutable state (the A*
 /// wavefront arrays plus the engine's tree-membership stamps) lives in a
@@ -30,10 +31,15 @@
 
 namespace cpr::route {
 
+/// Paper: base cost 1 for metal grids.
+inline constexpr float kMetalCost = 1.0F;
+/// Paper: base cost 1 for via grids.
+inline constexpr float kViaCost = 1.0F;
+/// Paper: forbidden cost 10 for via grids (`RoutingGrid::viaForbidden`).
+inline constexpr float kForbiddenViaCost = 10.0F;
+
+/// The negotiation's per-stage prices; the base costs above never change.
 struct MazeCosts {
-  float metal = 1.0F;          ///< paper: base cost 1 for metal grids
-  float via = 1.0F;            ///< paper: base cost 1 for via grids
-  float forbiddenVia = 10.0F;  ///< paper: forbidden cost 10 for via grids
   float present = 0.0F;        ///< sharing penalty multiplier (0 = independent stage)
   /// Same-lane adjacency penalty: entering a node whose same-direction
   /// neighbor is occupied by another net prices the line-end extension that

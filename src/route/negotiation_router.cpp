@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "db/layer.h"
 #include "obs/names.h"
 #include "route/drc.h"
 #include "route/engine.h"
@@ -17,8 +18,6 @@ namespace cpr::route {
 namespace {
 using Clock = std::chrono::steady_clock;
 
-/// Search window margin around a net's pin/interval hull.
-constexpr Coord kWindowMargin = 12;
 /// RRR iterations without material progress before the loop exits (see
 /// `RrrStallDetector`).
 constexpr int kCongestionStallIters = 4;
@@ -40,7 +39,7 @@ bool sharesGrid(const RouteEngine& engine, Index net) {
 /// contested grid keeps its route).
 void dropSharing(RouteEngine& engine, obs::Collector* obs) {
   for (Index n = 0; n < static_cast<Index>(engine.numNets()); ++n) {
-    if (engine.state(n).routed && sharesGrid(engine, n)) {
+    if (engine.state(n).routed() && sharesGrid(engine, n)) {
       engine.ripNet(n);
       obs->add(obs::names::kRouteDroppedSharing);
     }
@@ -63,11 +62,6 @@ class BatchRouter {
         pool_(pool),
         obs_(obs),
         scheduler_(engine.grid().width(), engine.grid().height()),
-        // Influence halo around a net's window: the search window margin,
-        // plus the line-end extension a commit writes beyond its runs, plus
-        // one grid each for the adjacency and forbidden-via lookups that a
-        // search reads around the window.
-        halo_(engine.windowMargin() + engine.lineEndExtension() + 2),
         scratches_(std::size_t(pool.size())) {}
 
   /// Rips and reroutes `nets` under `costs`. Stops launching waves once
@@ -80,8 +74,8 @@ class BatchRouter {
     for (std::size_t k = 0; k < nets.size(); ++k) {
       geom::Rect box = engine_.windowOf(nets[k]);
       if (!box.empty()) {
-        box.x = geom::Interval{box.x.lo - halo_, box.x.hi + halo_};
-        box.y = geom::Interval{box.y.lo - halo_, box.y.hi + halo_};
+        box.x = geom::Interval{box.x.lo - kHalo, box.x.hi + kHalo};
+        box.y = geom::Interval{box.y.lo - kHalo, box.y.hi + kHalo};
       }
       boxes[k] = box;
     }
@@ -136,11 +130,17 @@ class BatchRouter {
   }
 
  private:
+  /// Influence halo around a net's window: the search window margin, plus
+  /// the line-end extension a commit writes beyond its runs, plus the
+  /// adjacency (one grid) and forbidden-via (kViaSpacing) lookups that a
+  /// search reads around the window.
+  static constexpr Coord kHalo =
+      kWindowMargin + db::kLineEndExtension + 1 + db::kViaSpacing;
+
   RouteEngine& engine_;
   support::ThreadPool& pool_;
   obs::Collector* obs_;
   WaveScheduler scheduler_;
-  Coord halo_;
   /// One search arena per worker; worker 0's also serves the retries.
   std::vector<MazeScratch> scratches_;
 };
@@ -155,7 +155,7 @@ RoutingResult routeNegotiated(const db::Design& design,
   const auto t0 = Clock::now();
   RoutingResult result;
   obs::Collector* obs = &result.stats;
-  RouteEngine engine(design, plan, kWindowMargin, kLineEndExtension, obs);
+  RouteEngine engine(design, plan, obs);
   RoutingGrid& grid = engine.grid();
   const auto numNets = static_cast<Index>(design.nets().size());
 
@@ -206,7 +206,7 @@ RoutingResult routeNegotiated(const db::Design& design,
       todo.clear();
       for (Index n = 0; n < numNets; ++n) {
         // Failed nets keep retrying.
-        if (!engine.state(n).routed || sharesGrid(engine, n)) todo.push_back(n);
+        if (!engine.state(n).routed() || sharesGrid(engine, n)) todo.push_back(n);
       }
       batch.route(todo, costs, opts.deadline);
     }

@@ -14,8 +14,6 @@ namespace cpr::route {
 namespace {
 using Clock = std::chrono::steady_clock;
 
-/// Search window margin around a net's pin hull.
-constexpr Coord kWindowMargin = 12;
 /// Deferral passes before a net is given up.
 constexpr int kMaxPasses = 4;
 /// Times one net may be ripped by a blocked net.
@@ -29,8 +27,7 @@ RoutingResult routeSequential(const db::Design& design,
   const auto t0 = Clock::now();
   RoutingResult result;
   obs::Collector* obs = &result.stats;
-  RouteEngine engine(design, /*plan=*/nullptr, kWindowMargin,
-                     kLineEndExtension, obs);
+  RouteEngine engine(design, /*plan=*/nullptr, obs);
   RoutingGrid& grid = engine.grid();
   const auto numNets = static_cast<Index>(design.nets().size());
 

@@ -4,13 +4,11 @@
 
 namespace cpr::route {
 
-WaveScheduler::WaveScheduler(geom::Coord width, geom::Coord height,
-                             geom::Coord tile)
-    : tile_(std::max<geom::Coord>(1, tile)) {
-  tilesX_ = static_cast<int>((std::max<geom::Coord>(1, width) + tile_ - 1) /
-                             tile_);
-  tilesY_ = static_cast<int>((std::max<geom::Coord>(1, height) + tile_ - 1) /
-                             tile_);
+WaveScheduler::WaveScheduler(geom::Coord width, geom::Coord height) {
+  tilesX_ = static_cast<int>((std::max<geom::Coord>(1, width) + kTile - 1) /
+                             kTile);
+  tilesY_ = static_cast<int>((std::max<geom::Coord>(1, height) + kTile - 1) /
+                             kTile);
   claimed_.assign(static_cast<std::size_t>(tilesX_) *
                       static_cast<std::size_t>(tilesY_),
                   -1);
@@ -20,10 +18,10 @@ bool WaveScheduler::tryClaim(const geom::Rect& box, long wave) {
   const auto clampTile = [](long t, int hi) {
     return static_cast<int>(std::clamp<long>(t, 0, hi - 1));
   };
-  const int x0 = clampTile(box.x.lo / tile_, tilesX_);
-  const int x1 = clampTile(box.x.hi / tile_, tilesX_);
-  const int y0 = clampTile(box.y.lo / tile_, tilesY_);
-  const int y1 = clampTile(box.y.hi / tile_, tilesY_);
+  const int x0 = clampTile(box.x.lo / kTile, tilesX_);
+  const int x1 = clampTile(box.x.hi / kTile, tilesX_);
+  const int y0 = clampTile(box.y.lo / kTile, tilesY_);
+  const int y1 = clampTile(box.y.hi / kTile, tilesY_);
   for (int ty = y0; ty <= y1; ++ty) {
     for (int tx = x0; tx <= x1; ++tx) {
       if (claimed_[static_cast<std::size_t>(ty) *

@@ -29,10 +29,8 @@ namespace cpr::route {
 
 class WaveScheduler {
  public:
-  /// Tiles the `width` x `height` grid for the overlap bitmap. `tile` trades
-  /// partition sharpness against bitmap size; the default suits row heights
-  /// of a few tracks.
-  WaveScheduler(geom::Coord width, geom::Coord height, geom::Coord tile = 16);
+  /// Tiles the `width` x `height` grid for the overlap bitmap.
+  WaveScheduler(geom::Coord width, geom::Coord height);
 
   /// Splits `nets` into waves of pairwise-disjoint influence boxes.
   /// `boxes[k]` is net `nets[k]`'s influence box (already expanded by the
@@ -49,7 +47,10 @@ class WaveScheduler {
  private:
   [[nodiscard]] bool tryClaim(const geom::Rect& box, long wave) CPR_HOT;
 
-  geom::Coord tile_;
+  /// Tile side of the overlap bitmap, in grids: trades partition sharpness
+  /// against bitmap size; suits row heights of a few tracks.
+  static constexpr geom::Coord kTile = 16;
+
   int tilesX_ = 0;
   int tilesY_ = 0;
   std::vector<long> claimed_;  ///< wave id per tile (epoch-style, no clears)

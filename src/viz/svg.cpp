@@ -22,21 +22,20 @@ std::string netColor(db::Index net) {
 
 class Canvas {
  public:
-  Canvas(std::ostream& os, const geom::Rect& window)
-      : os_(os), window_(window) {}
+  Canvas(std::ostream& os, const geom::Rect& die) : os_(os), die_(die) {}
 
   /// Grid coordinates -> pixel coordinates; y flips so track 0 is at the
   /// bottom, like a layout viewer.
   [[nodiscard]] double px(Coord x) const {
-    return (x - window_.x.lo) * kCellPx;
+    return (x - die_.x.lo) * kCellPx;
   }
   [[nodiscard]] double py(Coord y) const {
-    return (window_.y.hi - y) * kCellPx;
+    return (die_.y.hi - y) * kCellPx;
   }
 
   void rect(const geom::Rect& r, const std::string& fill, double opacity,
             const std::string& stroke = "none") {
-    const geom::Rect c = geom::intersect(r, window_);
+    const geom::Rect c = geom::intersect(r, die_);
     if (c.empty()) return;
     os_ << "<rect x=\"" << px(c.x.lo) << "\" y=\"" << py(c.y.hi) << "\" width=\""
         << c.width() * kCellPx << "\" height=\""
@@ -46,14 +45,14 @@ class Canvas {
   }
 
   void text(Coord x, Coord y, const std::string& s) {
-    if (!window_.contains(geom::Point{x, y})) return;
+    if (!die_.contains(geom::Point{x, y})) return;
     os_ << "<text x=\"" << px(x) << "\" y=\"" << py(y) - 2 << "\" font-size=\""
         << kCellPx * 0.9 << "\" font-family=\"monospace\">" << s
         << "</text>\n";
   }
 
   void circle(Coord x, Coord y, double r, const std::string& fill) {
-    if (!window_.contains(geom::Point{x, y})) return;
+    if (!die_.contains(geom::Point{x, y})) return;
     os_ << "<circle cx=\"" << px(x) + kCellPx / 2 << "\" cy=\""
         << py(y) + kCellPx / 2 << "\" r=\"" << r << "\" fill=\"" << fill
         << "\"/>\n";
@@ -61,7 +60,7 @@ class Canvas {
 
  private:
   std::ostream& os_;
-  geom::Rect window_;
+  geom::Rect die_;
 };
 
 }  // namespace
@@ -70,16 +69,15 @@ void renderSvg(const db::Design& design, const core::PinAccessPlan* plan,
                const std::vector<route::NetGeometry>* geometry,
                std::ostream& os, const SvgOptions& opts) {
   const geom::Rect die{0, 0, design.width() - 1, design.gridHeight() - 1};
-  const geom::Rect window = opts.window.empty() ? die : opts.window;
-  const double w = window.width() * kCellPx;
-  const double h = window.height() * kCellPx;
+  const double w = die.width() * kCellPx;
+  const double h = die.height() * kCellPx;
 
   os << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << w
      << "\" height=\"" << h << "\" viewBox=\"0 0 " << w << ' ' << h
      << "\">\n";
   os << "<!-- design " << design.name() << ": " << design.nets().size()
      << " nets, " << design.pins().size() << " pins -->\n";
-  Canvas canvas(os, window);
+  Canvas canvas(os, die);
 
   // Die background and row shading.
   canvas.rect(die, "#fafafa", 1.0, "#404040");

@@ -19,8 +19,6 @@ namespace cpr::viz {
 
 struct SvgOptions {
   bool labelPins = true;  ///< draw pin names (disable for large designs)
-  /// Clip to a window of the die (full die when empty).
-  geom::Rect window;
 };
 
 /// Renders the design (pins, blockages, rows). `plan` adds the assigned pin

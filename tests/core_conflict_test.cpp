@@ -6,15 +6,17 @@
 #include <set>
 
 #include "core/conflict.h"
+#include "db/layer.h"
 
 namespace cpr::core {
 namespace {
 
 using geom::Interval;
 
-/// One diff-net interval per item; no spacing guard in these tests.
+/// One diff-net interval per item. The kernel inflates every span by
+/// db::kLineEndExtension (one column) per side before testing overlap.
 PanelKernel kernelWith(std::vector<std::pair<geom::Coord, Interval>> items) {
-  PanelKernelBuilder b(ProfitModel::SqrtSpan, 0);
+  PanelKernelBuilder b(ProfitModel::SqrtSpan);
   for (std::size_t k = 0; k < items.size(); ++k) {
     (void)b.addInterval(items[k].first, items[k].second,
                         static_cast<Index>(k), {}, false);
@@ -43,19 +45,28 @@ std::vector<std::vector<CandIdx>> rows(const PanelKernel& k) {
 }
 
 TEST(Conflict, DisjointIntervalsNoConflicts) {
-  const PanelKernel k = kernelWith({{0, {0, 3}}, {0, {5, 8}}, {0, {10, 12}}});
+  // Two free columns between line ends: room for both extensions.
+  const PanelKernel k = kernelWith({{0, {0, 3}}, {0, {6, 9}}, {0, {12, 14}}});
   EXPECT_EQ(k.numConflicts(), 0u);
+}
+
+TEST(Conflict, LineEndsOneColumnApartConflict) {
+  // [0,3] and [5,8] do not overlap, but their extensions would meet at 4.
+  const PanelKernel k = kernelWith({{0, {0, 3}}, {0, {5, 8}}});
+  ASSERT_EQ(k.numConflicts(), 1u);
+  EXPECT_EQ(k.conflictSpanOf(ConflictIdx{0}), 1);  // guarded common [4,4]
 }
 
 TEST(Conflict, SingleOverlapPair) {
   const PanelKernel k = kernelWith({{0, {0, 5}}, {0, {4, 9}}});
   ASSERT_EQ(k.numConflicts(), 1u);
   EXPECT_EQ(k.membersOf(ConflictIdx{0}).size(), 2u);
-  EXPECT_EQ(k.conflictSpanOf(ConflictIdx{0}), 2);  // common [4,5]
+  EXPECT_EQ(k.conflictSpanOf(ConflictIdx{0}), 4);  // guarded common [3,6]
 }
 
 TEST(Conflict, ChainYieldsTwoMaximalCliques) {
-  // a-[0,5], b-[4,9], c-[8,12]: cliques {a,b} and {b,c}, not {a,b,c}.
+  // a-[0,5], b-[4,9], c-[8,12] (guarded [-1,6], [3,10], [7,13]): cliques
+  // {a,b} and {b,c}, not {a,b,c}.
   const PanelKernel k = kernelWith({{0, {0, 5}}, {0, {4, 9}}, {0, {8, 12}}});
   const auto sets = asSets(rows(k));
   EXPECT_EQ(sets.size(), 2u);
@@ -77,10 +88,10 @@ TEST(Conflict, Figure4LikeStack) {
                                     {0, {4, 16}},
                                     {0, {6, 14}},
                                     {0, {8, 12}},
-                                    {0, {15, 30}}});
+                                    {0, {17, 30}}});
   const auto sets = asSets(rows(k));
   EXPECT_TRUE(sets.count({0, 1, 2, 3, 4}));
-  // Intervals with hi >= 15: ids 0(20),1(18),2(16),5.
+  // Intervals whose guarded hi reaches 16: ids 0(21), 1(19), 2(17), 5.
   EXPECT_TRUE(sets.count({0, 1, 2, 5}));
   EXPECT_EQ(sets.size(), 2u);
 }
@@ -88,7 +99,8 @@ TEST(Conflict, Figure4LikeStack) {
 TEST(Conflict, CommonIntersectionIsTight) {
   const PanelKernel k = kernelWith({{0, {0, 10}}, {0, {5, 15}}, {0, {7, 9}}});
   ASSERT_EQ(k.numConflicts(), 1u);
-  EXPECT_EQ(k.conflictSpanOf(ConflictIdx{0}), 3);  // common [7,9]: L_m = 3
+  // Guarded common [6,10]: L_m = 5.
+  EXPECT_EQ(k.conflictSpanOf(ConflictIdx{0}), 5);
 }
 
 TEST(Conflict, IdenticalIntervalsFormOneClique) {
@@ -119,15 +131,19 @@ TEST_P(ConflictProperty, MatchesBruteForce) {
     }
     const PanelKernel k = kernelWith(items);
     const auto scan = asSets(rows(k));
-    const auto ref = asSets(detectConflictsBruteForce(k, 0));
+    const auto ref =
+        asSets(detectConflictsBruteForce(k, db::kLineEndExtension));
     EXPECT_EQ(scan, ref) << "round " << round;
     EXPECT_LE(k.numConflicts(), items.size());  // linear bound
-    // Every clique's members truly share a common range of span L_m.
+    // Every clique's members truly share a common guarded range of span L_m.
     for (std::size_t m = 0; m < k.numConflicts(); ++m) {
       Interval common{std::numeric_limits<geom::Coord>::min(),
                       std::numeric_limits<geom::Coord>::max()};
-      for (const CandIdx i : k.membersOf(ConflictIdx{m}))
-        common = geom::intersect(common, k.spanOf(i));
+      for (const CandIdx i : k.membersOf(ConflictIdx{m})) {
+        common = geom::intersect(
+            common, Interval{k.spanOf(i).lo - db::kLineEndExtension,
+                             k.spanOf(i).hi + db::kLineEndExtension});
+      }
       ASSERT_FALSE(common.empty());
       EXPECT_EQ(k.conflictSpanOf(ConflictIdx{m}), common.span());
     }

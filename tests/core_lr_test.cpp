@@ -15,7 +15,7 @@ namespace tu = testutil;
 PanelKernel handBuilt(std::size_t nPins,
                       const std::vector<std::vector<Index>>& pinsOf,
                       const std::vector<Index>& minimal) {
-  PanelKernelBuilder b(ProfitModel::SqrtSpan, 0);
+  PanelKernelBuilder b(ProfitModel::SqrtSpan);
   for (std::size_t j = 0; j < nPins; ++j) (void)b.addPin(static_cast<Index>(j));
   for (std::size_t i = 0; i < pinsOf.size(); ++i) {
     std::vector<PinIdx> pins;

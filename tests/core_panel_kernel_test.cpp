@@ -20,6 +20,7 @@
 #include "core/interval_gen.h"
 #include "core/panel_kernel.h"
 #include "core/solver.h"
+#include "db/layer.h"
 #include "db/panel.h"
 #include "gen/generator.h"
 
@@ -146,9 +147,9 @@ TEST_P(PanelKernelProperty, ColumnsMatchTheirDefinitions) {
 
 TEST_P(PanelKernelProperty, ConflictRowsAreTheMaximalCliques) {
   const db::Design d = randomDesign(GetParam());
-  const GenOptions g;
+  constexpr Coord kGuard = db::kLineEndExtension;
   for (int panel = 0; panel < 2; ++panel) {
-    const PanelKernel k = panelKernel(d, panel, g);
+    const PanelKernel k = panelKernel(d, panel);
     ASSERT_GT(k.numConflicts(), 0u);
     std::set<std::vector<CandIdx>> rows;
     for (std::size_t m = 0; m < k.numConflicts(); ++m) {
@@ -162,8 +163,8 @@ TEST_P(PanelKernelProperty, ConflictRowsAreTheMaximalCliques) {
       for (const CandIdx i : members) {
         EXPECT_EQ(k.trackOf(i), k.conflictTrackOf(mm));
         common = geom::intersect(
-            common, geom::Interval{k.spanOf(i).lo - g.spacingGuard,
-                                   k.spanOf(i).hi + g.spacingGuard});
+            common, geom::Interval{k.spanOf(i).lo - kGuard,
+                                   k.spanOf(i).hi + kGuard});
       }
       ASSERT_FALSE(common.empty());
       EXPECT_EQ(k.conflictSpanOf(mm), common.span());
@@ -172,7 +173,7 @@ TEST_P(PanelKernelProperty, ConflictRowsAreTheMaximalCliques) {
       EXPECT_TRUE(rows.insert(sortedMembers).second) << "duplicate row " << m;
     }
     const std::vector<std::vector<CandIdx>> ref =
-        detectConflictsBruteForce(k, g.spacingGuard);
+        detectConflictsBruteForce(k, kGuard);
     EXPECT_EQ(rows, std::set<std::vector<CandIdx>>(ref.begin(), ref.end()));
   }
 }
@@ -259,8 +260,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PanelKernelProperty,
 // ---- rowSpan boundary behavior -------------------------------------------
 
 TEST(PanelKernelBoundary, EmptyPanelFinishesToEmptyKernel) {
-  const PanelKernel k =
-      PanelKernelBuilder(ProfitModel::SqrtSpan, 0).finish();
+  const PanelKernel k = PanelKernelBuilder(ProfitModel::SqrtSpan).finish();
   EXPECT_EQ(k.numPins(), 0u);
   EXPECT_EQ(k.numIntervals(), 0u);
   EXPECT_EQ(k.numConflicts(), 0u);
@@ -272,7 +272,7 @@ TEST(PanelKernelBoundary, EmptyPanelFinishesToEmptyKernel) {
 TEST(PanelKernelBoundary, SingleCandidatePanelRoundTrips) {
   // Smallest non-trivial instance: one pin, one candidate interval that is
   // also the pin's minimum interval, no conflicts.
-  PanelKernelBuilder b(ProfitModel::SqrtSpan, 0);
+  PanelKernelBuilder b(ProfitModel::SqrtSpan);
   const PinIdx pin = b.addPin(42);
   const std::vector<PinIdx> covered{pin};
   const CandIdx iv = b.addInterval(3, geom::Interval{5, 7}, 0, covered, true);

@@ -17,7 +17,7 @@ namespace tu = testutil;
 /// whose long intervals conflict, but a second track offers pin 0 a long
 /// conflict-free interval.
 PanelKernel twoTrackEscape() {
-  PanelKernelBuilder b(ProfitModel::SqrtSpan, 0);
+  PanelKernelBuilder b(ProfitModel::SqrtSpan);
   const PinIdx p0 = b.addPin(0);  // net 0
   const PinIdx p1 = b.addPin(1);  // net 1
   // Pin 0: long on track 0 (id 0), minimal (id 1), long on track 1 (id 2).

@@ -70,8 +70,11 @@ TEST(SolverInterface, IlpMatchesFreeFunction) {
 TEST(SolverInterface, NamesAndFactory) {
   EXPECT_EQ(LrSolver{}.name(), "lr");
   EXPECT_EQ(IlpSolver{}.name(), "ilp");
-  EXPECT_EQ(makeSolver({.method = Method::Lr})->name(), "lr");
-  EXPECT_EQ(makeSolver({.method = Method::Ilp})->name(), "ilp");
+  SolverOptions opts;
+  opts.method = Method::Lr;
+  EXPECT_EQ(makeSolver(opts)->name(), "lr");
+  opts.method = Method::Ilp;
+  EXPECT_EQ(makeSolver(opts)->name(), "ilp");
 }
 
 TEST(SolverInterface, MethodNameTable) {

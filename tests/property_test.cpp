@@ -8,6 +8,7 @@
 #include "core/interval_gen.h"
 #include "core/lr_solver.h"
 #include "core/solver.h"
+#include "db/layer.h"
 #include "db/panel.h"
 #include "gen/generator.h"
 #include "route/engine.h"
@@ -85,7 +86,7 @@ TEST_P(DesignProperty, SolversProduceLegalComparableSolutions) {
 
 TEST_P(DesignProperty, RoutedNetsTouchAllTheirPins) {
   const db::Design d = randomDesign(GetParam());
-  route::RouteEngine engine(d, nullptr, 12);
+  route::RouteEngine engine(d, nullptr);
   const route::RoutingGrid& g = engine.grid();
   route::MazeScratch scratch;
   for (db::Index n = 0; n < static_cast<db::Index>(d.nets().size()); ++n) {
@@ -108,8 +109,7 @@ TEST_P(DesignProperty, RoutedNetsTouchAllTheirPins) {
 TEST_P(DesignProperty, ConflictSetsCoverAllPairwiseOverlaps) {
   const db::Design d = randomDesign(GetParam(), 48, 1);
   const db::Panel panel = db::extractPanel(d, 0);
-  const core::GenOptions g;
-  const core::PanelKernel k = core::buildPanelKernel(d, {&panel, 1}, g);
+  const core::PanelKernel k = core::buildPanelKernel(d, {&panel, 1});
   // Any two intervals whose guarded spans overlap on one track must appear
   // together in at least one conflict set.
   std::set<std::pair<core::Index, core::Index>> covered;
@@ -124,8 +124,8 @@ TEST_P(DesignProperty, ConflictSetsCoverAllPairwiseOverlaps) {
     }
   }
   auto guarded = [&](core::CandIdx i) {
-    return geom::Interval{k.spanOf(i).lo - g.spacingGuard,
-                          k.spanOf(i).hi + g.spacingGuard};
+    return geom::Interval{k.spanOf(i).lo - db::kLineEndExtension,
+                          k.spanOf(i).hi + db::kLineEndExtension};
   };
   for (std::size_t a = 0; a < k.numIntervals(); ++a) {
     for (std::size_t b = a + 1; b < k.numIntervals(); ++b) {

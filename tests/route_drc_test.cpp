@@ -3,7 +3,9 @@
 #include <vector>
 
 #include "obs/names.h"
+#include "db/layer.h"
 #include "route/drc.h"
+#include "route/grid.h"
 
 namespace cpr::route {
 namespace {
@@ -46,14 +48,6 @@ TEST(Drc, AbuttingExtendedRunsAreLegal) {
   const std::vector<NetGeometry> nets{wires({m2(5, 0, 2)}),
                                       wires({m2(5, 3, 6)})};
   EXPECT_EQ(checkDesignRules(nets).violations, 0);
-}
-
-TEST(Drc, LineEndSpacingRespectsRuleParameter) {
-  const std::vector<NetGeometry> nets{wires({m2(5, 0, 2)}),
-                                      wires({m2(5, 3, 6)})};
-  DrcRules spaced;
-  spaced.minLineEndSpacing = 1;  // abutting ends now need a one-grid gap
-  EXPECT_GT(checkDesignRules(nets, spaced).violations, 0);
 }
 
 TEST(Drc, AdjacentTracksDoNotInteract) {
@@ -107,6 +101,31 @@ TEST(Drc, SameNetViasNeverViolate) {
   EXPECT_EQ(checkDesignRules(nets).violations, 0);
 }
 
+TEST(Drc, ViaSpacingFlagsExactlyTheSitesTheRouterPrices) {
+  // On an otherwise empty grid, a second net's same-level via violates the
+  // spacing rule exactly where the router charges the forbidden-via cost.
+  const db::Design empty("vias", 20, 2, 10);
+  constexpr Coord kX = 10;
+  constexpr Coord kY = 10;
+  RoutingGrid grid(empty, nullptr);
+  grid.addVia(kX, kY, /*net=*/0);
+  long priced = 0;
+  for (const std::uint8_t level : {std::uint8_t{1}, std::uint8_t{2}}) {
+    for (Coord y = 0; y < grid.height(); ++y) {
+      for (Coord x = 0; x < grid.width(); ++x) {
+        const std::vector<NetGeometry> nets{
+            vias({{kX, kY, level}}), vias({{x, y, level}})};
+        const DrcReport r = checkDesignRules(nets);
+        const bool forbidden = grid.viaForbidden(x, y, /*net=*/1);
+        EXPECT_EQ(r.violations > 0, forbidden) << x << "," << y;
+        EXPECT_EQ(r.dirty[1] != 0, forbidden) << x << "," << y;
+        priced += forbidden ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_EQ(priced, 2 * (2 * db::kViaSpacing + 1));
+}
+
 TEST(Drc, UnroutedNetsAreEmptyAndNeverDirty) {
   const std::vector<NetGeometry> nets{wires({m2(5, 0, 2)}), NetGeometry{},
                                       wires({m2(5, 2, 5)})};
@@ -124,7 +143,7 @@ TEST(Drc, CountersAreCategorized) {
       NetGeometry{{m2(5, 2, 5)}, {{21, 9, 2}}},
       wires({m2(8, 0, 4)})};
   obs::Collector obs;
-  const DrcReport r = checkDesignRules(nets, {}, &obs);
+  const DrcReport r = checkDesignRules(nets, &obs);
   EXPECT_EQ(r.violations, 2);
   EXPECT_EQ(obs.counter(obs::names::kDrcViolations), 2);
   EXPECT_EQ(obs.counter(obs::names::kDrcLineEnd), 1);

@@ -28,10 +28,10 @@ Design twoNetDesign() {
 TEST(RouteEngine, RoutesSimpleNet) {
   MazeScratch scratch;
   const Design d = twoNetDesign();
-  RouteEngine eng(d, nullptr, 8);
+  RouteEngine eng(d, nullptr);
   ASSERT_TRUE(eng.routeNet(0, {}, scratch));
   const auto& st = eng.state(0);
-  EXPECT_TRUE(st.routed);
+  EXPECT_TRUE(st.routed());
   EXPECT_FALSE(st.nodes.empty());
   // At least the pin-to-pin distance.
   EXPECT_GE(eng.geometry()[0].wirelength(), 16);
@@ -44,7 +44,7 @@ TEST(RouteEngine, RoutesSimpleNet) {
 TEST(RouteEngine, CommitsOccupancyAndRipsCleanly) {
   MazeScratch scratch;
   const Design d = twoNetDesign();
-  RouteEngine eng(d, nullptr, 8);
+  RouteEngine eng(d, nullptr);
   RoutingGrid& g = eng.grid();
   ASSERT_TRUE(eng.routeNet(0, {}, scratch));
   long occupied = 0;
@@ -54,13 +54,13 @@ TEST(RouteEngine, CommitsOccupancyAndRipsCleanly) {
   occupied = 0;
   for (int id = 0; id < g.numNodes(); ++id) occupied += g.occupancy(id);
   EXPECT_EQ(occupied, 0);
-  EXPECT_FALSE(eng.state(0).routed);
+  EXPECT_FALSE(eng.state(0).routed());
 }
 
 TEST(RouteEngine, LineEndExtensionsCommitted) {
   MazeScratch scratch;
   const Design d = twoNetDesign();
-  RouteEngine eng(d, nullptr, 8, /*lineEndExtension=*/1);
+  RouteEngine eng(d, nullptr);
   ASSERT_TRUE(eng.routeNet(0, {}, scratch));
   // The M2 runs must be extended: for every maximal M2 run of the committed
   // metal there is no way to tell extension cells apart, but the run through
@@ -74,16 +74,6 @@ TEST(RouteEngine, LineEndExtensionsCommitted) {
   EXPECT_LE(minX, 3);  // at least one column left of pin a1's column
 }
 
-TEST(RouteEngine, NoExtensionWhenDisabled) {
-  MazeScratch scratch;
-  const Design d = twoNetDesign();
-  RouteEngine ext(d, nullptr, 8, 1);
-  RouteEngine noExt(d, nullptr, 8, 0);
-  ASSERT_TRUE(ext.routeNet(0, {}, scratch));
-  ASSERT_TRUE(noExt.routeNet(0, {}, scratch));
-  EXPECT_GT(ext.state(0).nodes.size(), noExt.state(0).nodes.size());
-}
-
 TEST(RouteEngine, PlanIntervalsBecomePartialRoutes) {
   MazeScratch scratch;
   const Design d = twoNetDesign();
@@ -91,7 +81,7 @@ TEST(RouteEngine, PlanIntervalsBecomePartialRoutes) {
   plan.routes.assign(d.pins().size(), core::PinRoute{});
   plan.routes[0] = core::PinRoute{3, Interval{2, 12}};   // a1
   plan.routes[1] = core::PinRoute{3, Interval{14, 22}};  // a2
-  RouteEngine eng(d, &plan, 8);
+  RouteEngine eng(d, &plan);
   ASSERT_TRUE(eng.routeNet(0, {}, scratch));
   const auto& st = eng.state(0);
   // Metal on track 3 covering the pins' columns must be present.
@@ -113,7 +103,7 @@ TEST(RouteEngine, IntervalTrimDropsUnusedTail) {
   // a1's interval stretches far left of anything useful.
   plan.routes[0] = core::PinRoute{3, Interval{0, 12}};
   plan.routes[1] = core::PinRoute{3, Interval{14, 22}};
-  RouteEngine eng(d, &plan, 8);
+  RouteEngine eng(d, &plan);
   ASSERT_TRUE(eng.routeNet(0, {}, scratch));
   const RoutingGrid& g = eng.grid();
   // Columns 0..2 of track 3 are an unused tail (pin is at 4, connector goes
@@ -136,9 +126,9 @@ TEST(RouteEngine, FailsGracefullyWhenWalledIn) {
   // Wall every layer between the pins.
   d.addBlockage(db::Layer::M2, Rect{Interval{10, 11}, Interval{0, 9}});
   d.addBlockage(db::Layer::M3, Rect{Interval{10, 11}, Interval{0, 9}});
-  RouteEngine eng(d, nullptr, 30);
+  RouteEngine eng(d, nullptr);
   EXPECT_FALSE(eng.routeNet(0, {}, scratch));
-  EXPECT_FALSE(eng.state(0).routed);
+  EXPECT_FALSE(eng.state(0).routed());
   // Nothing committed on failure.
   const RoutingGrid& g = eng.grid();
   for (int id = 0; id < g.numNodes(); ++id) EXPECT_EQ(g.occupancy(id), 0);
@@ -150,10 +140,11 @@ TEST(RouteEngine, WirelengthCountsAdjacentPairs) {
   const db::Index a = d.addNet("A");
   d.addPin("a1", a, Rect{Interval::point(5), Interval{4, 4}});
   d.addPin("a2", a, Rect{Interval::point(10), Interval{4, 4}});
-  RouteEngine eng(d, nullptr, 8, /*lineEndExtension=*/0);
+  RouteEngine eng(d, nullptr);
   ASSERT_TRUE(eng.routeNet(0, {}, scratch));
-  // Straight run 5..10 on track 4: 6 nodes, 5 edges.
-  EXPECT_EQ(eng.geometry()[0].wirelength(), 5);
+  // Straight run 5..10 on track 4 plus one extension column at each end:
+  // 4..11, 8 nodes, 7 edges.
+  EXPECT_EQ(eng.geometry()[0].wirelength(), 5 + 2 * db::kLineEndExtension);
 }
 
 /// Reference wirelength of a committed node set: for every node, every
@@ -184,8 +175,7 @@ TEST(RouteEngine, GeometryWirelengthMatchesPairwiseScanOfCommittedNodes) {
   long routedNets = 0;
   for (int trial = 0; trial < 16; ++trial) {
     // Random small designs, every net committed in turn with sharing
-    // allowed: runs cross rows, stack M2 over M3 and stop at the die edge,
-    // with and without line-end extensions.
+    // allowed: runs cross rows, stack M2 over M3 and stop at the die edge.
     gen::GenOptions o;
     o.seed = rng();
     o.width = std::uniform_int_distribution<geom::Coord>(24, 64)(rng);
@@ -193,17 +183,17 @@ TEST(RouteEngine, GeometryWirelengthMatchesPairwiseScanOfCommittedNodes) {
     o.pinDensity = 0.2;
     o.maxNetSpan = 16;
     const Design d = gen::generate(o);
-    RouteEngine eng(d, nullptr, 8, trial % 2);
+    RouteEngine eng(d, nullptr);
     for (std::size_t n = 0; n < d.nets().size(); ++n)
       static_cast<void>(eng.routeNet(static_cast<db::Index>(n), {}, scratch));
     const std::vector<NetGeometry> geometry = eng.geometry();
     for (std::size_t n = 0; n < d.nets().size(); ++n) {
       const RouteEngine::NetState& st = eng.state(static_cast<db::Index>(n));
-      EXPECT_EQ(geometry[n].routed(), st.routed);
+      EXPECT_EQ(geometry[n].routed(), st.routed());
       EXPECT_EQ(geometry[n].wirelength(),
                 pairwiseWirelength(st.nodes, eng.grid()))
           << "trial " << trial << " net " << n;
-      routedNets += st.routed ? 1 : 0;
+      routedNets += st.routed() ? 1 : 0;
     }
   }
   EXPECT_GT(routedNets, 16);

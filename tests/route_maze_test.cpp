@@ -23,6 +23,14 @@ using db::Layer;
 using geom::Interval;
 using geom::Rect;
 
+/// `prefix` followed by `i`, e.g. "n3". Built with += because GCC 12 flags
+/// `"n" + std::to_string(i)` with a -Wrestrict false positive in Release.
+std::string numbered(char prefix, int i) {
+  std::string s(1, prefix);
+  s += std::to_string(i);
+  return s;
+}
+
 /// Empty single-row design: 30 columns, 10 tracks, two stub pins so that the
 /// grid has two distinct nets to reason about.
 Design openField() {
@@ -318,7 +326,7 @@ struct ReferenceGrid {
     }
     const int occ = g.occupancy(id);
     if (c.hardBlockOccupied && occ > 0) return inf;
-    return c.metal + c.present * static_cast<float>(occ) +
+    return kMetalCost + c.present * static_cast<float>(occ) +
            hist[std::size_t(id)];
   }
 };
@@ -333,13 +341,13 @@ TEST(MazeNodeCost, MatchesThreeArrayReferenceOnRandomDesigns) {
     Design d("rand", w, pick(1, 3), 5);
     const geom::Coord h = d.gridHeight();
     const int nets = pick(1, 5);
-    for (int n = 0; n < nets; ++n) d.addNet("n" + std::to_string(n));
+    for (int n = 0; n < nets; ++n) d.addNet(numbered('n', n));
     // Dense, overlapping pins, intervals and blockages.
     const int pins = pick(1, 3 * nets);
     for (int p = 0; p < pins; ++p) {
       const geom::Coord x = pick(0, w - 2);
       const geom::Coord y = pick(0, h - 3);
-      d.addPin("p" + std::to_string(p), pick(0, nets - 1),
+      d.addPin(numbered('p', p), pick(0, nets - 1),
                Rect{Interval{x, x + pick(0, 1)}, Interval{y, y + pick(0, 2)}});
     }
     for (int b = pick(0, 4); b > 0; --b) {
@@ -506,7 +514,7 @@ ReferenceSearch referenceAStar(const RoutingGrid& g, const MazeRouter& maze,
     const Node v = g.node(id);
     const geom::Coord dx = std::max({tbox.x.lo - v.x, v.x - tbox.x.hi, 0});
     const geom::Coord dy = std::max({tbox.y.lo - v.y, v.y - tbox.y.hi, 0});
-    return costs.metal * static_cast<float>(dx + dy);
+    return kMetalCost * static_cast<float>(dx + dy);
   };
   RefOpenList open;
   const auto relax = [&](int id, float dg, int from) {
@@ -535,8 +543,8 @@ ReferenceSearch referenceAStar(const RoutingGrid& g, const MazeRouter& maze,
       float step = maze.nodeCost(v, net, costs);
       if (std::isinf(step)) return;
       if (via) {
-        step += costs.via;
-        if (g.viaForbidden(x, y, net)) step += costs.forbiddenVia;
+        step += kViaCost;
+        if (g.viaForbidden(x, y, net)) step += kForbiddenViaCost;
       }
       relax(v, dist[std::size_t(u)] + step, u);
     };
@@ -574,11 +582,11 @@ TEST(Maze, MatchesTextbookAStarOnRandomDesigns) {
     Design d("astar", w, pick(1, 3), 5);
     const geom::Coord ht = d.gridHeight();
     const int nets = pick(2, 5);
-    for (int n = 0; n < nets; ++n) d.addNet("n" + std::to_string(n));
+    for (int n = 0; n < nets; ++n) d.addNet(numbered('n', n));
     for (int p = pick(0, 2 * nets); p > 0; --p) {
       const geom::Coord x = pick(0, w - 2);
       const geom::Coord y = pick(0, ht - 2);
-      d.addPin("p" + std::to_string(p), pick(0, nets - 1),
+      d.addPin(numbered('p', p), pick(0, nets - 1),
                Rect{Interval{x, x + pick(0, 1)}, Interval{y, y + pick(0, 1)}});
     }
     for (int b = pick(0, 3); b > 0; --b) {

@@ -31,7 +31,7 @@ TEST_P(Signoff, ResultGeometryIsWhatTheDrcChecked) {
   EXPECT_GT(routed, 0);
 
   obs::Collector recheck;
-  const DrcReport report = checkDesignRules(r.geometry, {}, &recheck);
+  const DrcReport report = checkDesignRules(r.geometry, &recheck);
   EXPECT_EQ(report.violations, r.drcViolations());
   for (const std::string_view name :
        {obs::names::kDrcViolations, obs::names::kDrcLineEnd,

@@ -78,7 +78,7 @@ TEST(ContractsDeathTest, KernelCsrIndexOutOfRangeIsCaughtInDebugBuilds) {
   // An empty instance finishes to a kernel with zero pins; any candidate
   // lookup is out of range and must trip the CSR bounds contract.
   const cpr::core::PanelKernel k =
-      cpr::core::PanelKernelBuilder(cpr::core::ProfitModel::SqrtSpan, 0)
+      cpr::core::PanelKernelBuilder(cpr::core::ProfitModel::SqrtSpan)
           .finish();
   ASSERT_EQ(k.numPins(), 0u);
   EXPECT_DEATH(static_cast<void>(k.candidatesOf(cpr::core::PinIdx{0})),
@@ -103,7 +103,7 @@ class ViolatingSolver final : public cpr::core::Solver {
 
 TEST(Contracts, ViolationIsStatusReturningAtTheTrySolveBoundary) {
   const cpr::core::PanelKernel k =
-      cpr::core::PanelKernelBuilder(cpr::core::ProfitModel::SqrtSpan, 0)
+      cpr::core::PanelKernelBuilder(cpr::core::ProfitModel::SqrtSpan)
           .finish();
   const ViolatingSolver s;
   const cpr::support::Outcome<cpr::core::Assignment> out = s.trySolve(k);

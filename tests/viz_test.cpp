@@ -9,7 +9,6 @@
 #include "route/cpr.h"
 #include "route/def_export.h"
 #include "route/negotiation_router.h"
-#include "viz/ascii.h"
 #include "viz/svg.h"
 
 namespace cpr::viz {
@@ -64,33 +63,28 @@ TEST(Svg, GeometryAddsSegmentsAndVias) {
   EXPECT_NE(os.str().find("<circle"), std::string::npos);  // vias
 }
 
-TEST(Svg, WindowClipsOutput) {
-  const db::Design d = smallDesign();
-  SvgOptions narrow;
-  narrow.window = geom::Rect{0, 0, 8, 9};
-  std::ostringstream os;
-  renderSvg(d, nullptr, nullptr, os, narrow);
-  const std::string svg = os.str();
-  EXPECT_NE(svg.find("a1"), std::string::npos);   // inside window
-  EXPECT_EQ(svg.find(">a2<"), std::string::npos);  // outside window
-}
-
-TEST(Ascii, RendersPinsBlockagesAndIntervals) {
-  const db::Design d = smallDesign();
-  const core::PinAccessPlan plan = core::optimizePinAccess(d);
-  const std::string art = renderPanelAscii(d, 0, &plan);
-  EXPECT_NE(art.find('a'), std::string::npos);  // net A pins
-  EXPECT_NE(art.find('b'), std::string::npos);
-  EXPECT_NE(art.find('#'), std::string::npos);  // blockage
-  EXPECT_NE(art.find('='), std::string::npos);  // intervals
-  // One line per track, each 4 (prefix) + 30 (width) + newline chars.
-  EXPECT_EQ(art.size(), 10u * (4 + 30 + 1));
-}
-
-TEST(Ascii, NoPlanMeansNoIntervalGlyphs) {
-  const db::Design d = smallDesign();
-  const std::string art = renderPanelAscii(d, 0, nullptr);
-  EXPECT_EQ(art.find('='), std::string::npos);
+TEST(RoutedDef, UnroutedDesignIsTheDesignDef) {
+  // With no net routed, the routed DEF is exactly the design's DEF, so it
+  // still carries the blockages the routes were found around.
+  gen::GenOptions o;
+  o.seed = 5;
+  o.width = 80;
+  o.numRows = 3;
+  const db::Design d = gen::generate(o);
+  ASSERT_FALSE(d.blockages().empty());
+  std::ostringstream routed;
+  route::writeRoutedDef(d, std::vector<route::NetGeometry>(d.nets().size()),
+                        routed);
+  std::ostringstream plain;
+  lefdef::writeDef(d, plain);
+  EXPECT_EQ(routed.str(), plain.str());
+  std::istringstream back(routed.str());
+  const db::Design read = lefdef::readDef(back);
+  ASSERT_EQ(read.blockages().size(), d.blockages().size());
+  for (std::size_t i = 0; i < d.blockages().size(); ++i) {
+    EXPECT_EQ(read.blockages()[i].layer, d.blockages()[i].layer);
+    EXPECT_EQ(read.blockages()[i].shape, d.blockages()[i].shape);
+  }
 }
 
 /// Routed DEF export draws the shipped geometry of every scheme.

@@ -53,67 +53,26 @@ std::string levelName(int level) {
   return "level " + std::to_string(level);
 }
 
-/// Cycle detection: iterative DFS with a recursion stack; each distinct
-/// cycle is reported once, anchored at its lexicographically-smallest file.
-void findCycles(const std::vector<ArchFile>& files, const Graph& g,
-                std::vector<Diagnostic>& out) {
-  enum class Color { White, Gray, Black };
-  std::vector<Color> color(files.size(), Color::White);
-  std::vector<std::size_t> stack;
-  std::set<std::string> reported;
-
-  // Depth-first over explicit frames so deep include chains cannot overflow
-  // the call stack.
-  struct Frame {
-    std::size_t node;
-    std::size_t nextEdge = 0;
-  };
-  for (std::size_t root = 0; root < files.size(); ++root) {
-    if (color[root] != Color::White) continue;
-    std::vector<Frame> frames{{root, 0}};
-    color[root] = Color::Gray;
-    stack.push_back(root);
-    while (!frames.empty()) {
-      Frame& f = frames.back();
-      if (f.nextEdge < g.adj[f.node].size()) {
-        const Graph::Edge& e = g.adj[f.node][f.nextEdge++];
-        if (color[e.to] == Color::White) {
-          color[e.to] = Color::Gray;
-          stack.push_back(e.to);
-          frames.push_back(Frame{e.to, 0});
-        } else if (color[e.to] == Color::Gray) {
-          // Back edge: the cycle is the stack suffix from e.to onward.
-          const auto at =
-              std::find(stack.begin(), stack.end(), e.to) - stack.begin();
-          std::vector<std::size_t> cycle(stack.begin() + at, stack.end());
-          // Rotate so the smallest path leads; dedupe on the rotated chain.
-          const auto smallest = std::min_element(
-              cycle.begin(), cycle.end(), [&](std::size_t a, std::size_t b) {
-                return files[a].relPath < files[b].relPath;
-              });
-          std::rotate(cycle.begin(), smallest, cycle.end());
-          std::string chain;
-          for (const std::size_t n : cycle) chain += files[n].relPath + " -> ";
-          chain += files[cycle.front()].relPath;
-          if (reported.insert(chain).second) {
-            // Anchor at the lead file's edge into the cycle.
-            int line = 1;
-            const std::size_t next = cycle[1 % cycle.size()];
-            for (const Graph::Edge& le : g.adj[cycle.front()])
-              if (le.to == next) line = le.line;
-            out.push_back(Diagnostic{
-                "LAYER-CYCLE", files[cycle.front()].relPath, line,
-                "include cycle: " + chain +
-                    "; break the cycle with a forward declaration or by "
-                    "moving the shared type down a layer"});
-          }
-        }
-      } else {
-        color[f.node] = Color::Black;
-        stack.pop_back();
-        frames.pop_back();
-      }
-    }
+/// LAYER-CYCLE: each distinct include cycle once, anchored at its
+/// lexicographically-smallest file's edge into the cycle.
+void findIncludeCycles(const std::vector<ArchFile>& files, const Graph& g,
+                       std::vector<Diagnostic>& out) {
+  std::vector<std::vector<std::size_t>> adj(files.size());
+  std::vector<std::string> names(files.size());
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    for (const Graph::Edge& e : g.adj[i]) adj[i].push_back(e.to);
+    names[i] = files[i].relPath;
+  }
+  for (const Cycle& c : findCycles(adj, names)) {
+    int line = 1;
+    const std::size_t next = c.nodes[1 % c.nodes.size()];
+    for (const Graph::Edge& e : g.adj[c.nodes.front()])
+      if (e.to == next) line = e.line;
+    out.push_back(Diagnostic{
+        "LAYER-CYCLE", names[c.nodes.front()], line,
+        "include cycle: " + c.chain +
+            "; break the cycle with a forward declaration or by moving the "
+            "shared type down a layer"});
   }
 }
 
@@ -313,7 +272,7 @@ std::vector<Diagnostic> checkArchitecture(const std::vector<ArchFile>& files,
     }
   }
 
-  findCycles(files, g, out);
+  findIncludeCycles(files, g, out);
 
   // DEAD-HEADER: src headers nothing includes. Every scanned file counts as
   // a potential includer, so tools/tests/bench keep src headers alive.

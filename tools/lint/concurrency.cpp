@@ -527,9 +527,8 @@ void checkFile(const ConcFile& f, Registry& reg,
   }
 }
 
-/// Phase 4: cycle detection over the acquisition-order graph — iterative
-/// DFS with a recursion stack, each distinct cycle reported once anchored
-/// at its lexicographically-smallest mutex (mirrors LAYER-CYCLE).
+/// Phase 4: cycles of the acquisition-order graph, each reported once
+/// anchored at its lexicographically-smallest mutex (as LAYER-CYCLE).
 void findLockCycles(const Registry& reg, std::vector<Diagnostic>& out) {
   std::vector<std::string> nodes;
   std::map<std::string, std::size_t> byName;
@@ -549,66 +548,22 @@ void findLockCycles(const Registry& reg, std::vector<Diagnostic>& out) {
   }
   adj.resize(nodes.size());
 
-  enum class Color { White, Gray, Black };
-  std::vector<Color> color(nodes.size(), Color::White);
-  std::vector<std::size_t> stack;
-  std::set<std::string> reported;
-  struct Frame {
-    std::size_t node;
-    std::size_t nextEdge = 0;
-  };
-  for (std::size_t root = 0; root < nodes.size(); ++root) {
-    if (color[root] != Color::White) continue;
-    std::vector<Frame> frames{{root, 0}};
-    color[root] = Color::Gray;
-    stack.push_back(root);
-    while (!frames.empty()) {
-      Frame& fr = frames.back();
-      if (fr.nextEdge < adj[fr.node].size()) {
-        const std::size_t to = adj[fr.node][fr.nextEdge++];
-        if (color[to] == Color::White) {
-          color[to] = Color::Gray;
-          stack.push_back(to);
-          frames.push_back(Frame{to, 0});
-        } else if (color[to] == Color::Gray) {
-          const auto at =
-              std::find(stack.begin(), stack.end(), to) - stack.begin();
-          std::vector<std::size_t> cycle(
-              stack.begin() + at, stack.end());
-          const auto smallest = std::min_element(
-              cycle.begin(), cycle.end(), [&](std::size_t a, std::size_t b) {
-                return nodes[a] < nodes[b];
-              });
-          std::rotate(cycle.begin(), smallest, cycle.end());
-          std::string chain;
-          for (const std::size_t n : cycle) chain += nodes[n] + " -> ";
-          chain += nodes[cycle.front()];
-          if (reported.insert(chain).second) {
-            const std::string& lead = nodes[cycle.front()];
-            const std::string& next = nodes[cycle[1 % cycle.size()]];
-            const auto site = reg.edges.find(std::make_pair(lead, next));
-            const std::string file =
-                site != reg.edges.end() ? site->second.file : "";
-            const int line = site != reg.edges.end() ? site->second.line : 1;
-            const bool self = cycle.size() == 1;
-            out.push_back(Diagnostic{
-                "LOCK-ORDER", file, line,
-                self ? "'" + lead +
-                           "' is re-acquired (via an annotated call) while "
-                           "already held — a non-recursive mutex "
-                           "self-deadlocks here"
-                     : "lock-order cycle: " + chain +
-                           "; two threads taking these locks in opposite "
-                           "orders deadlock — pick one global order and "
-                           "restructure the inner acquisition"});
-          }
-        }
-      } else {
-        color[fr.node] = Color::Black;
-        stack.pop_back();
-        frames.pop_back();
-      }
-    }
+  for (const Cycle& c : findCycles(adj, nodes)) {
+    const std::string& lead = nodes[c.nodes.front()];
+    const std::string& next = nodes[c.nodes[1 % c.nodes.size()]];
+    const auto site = reg.edges.find(std::make_pair(lead, next));
+    const std::string file = site != reg.edges.end() ? site->second.file : "";
+    const int line = site != reg.edges.end() ? site->second.line : 1;
+    out.push_back(Diagnostic{
+        "LOCK-ORDER", file, line,
+        c.nodes.size() == 1
+            ? "'" + lead +
+                  "' is re-acquired (via an annotated call) while already "
+                  "held — a non-recursive mutex self-deadlocks here"
+            : "lock-order cycle: " + c.chain +
+                  "; two threads taking these locks in opposite orders "
+                  "deadlock — pick one global order and restructure the "
+                  "inner acquisition"});
   }
 }
 

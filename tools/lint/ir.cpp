@@ -3,6 +3,7 @@
 #include <array>
 #include <algorithm>
 #include <map>
+#include <set>
 
 namespace cpr::lint {
 
@@ -539,6 +540,54 @@ std::vector<LockRegion> findLockRegions(const std::vector<Token>& toks,
               return a.tokBegin != b.tokBegin ? a.tokBegin < b.tokBegin
                                               : a.tokEnd < b.tokEnd;
             });
+  return out;
+}
+
+std::vector<Cycle> findCycles(const std::vector<std::vector<std::size_t>>& adj,
+                              const std::vector<std::string>& names) {
+  enum class Color { White, Gray, Black };
+  std::vector<Color> color(adj.size(), Color::White);
+  std::vector<std::size_t> stack;
+  std::set<std::string> seen;
+  std::vector<Cycle> out;
+  struct Frame {
+    std::size_t node;
+    std::size_t nextEdge = 0;
+  };
+  for (std::size_t root = 0; root < adj.size(); ++root) {
+    if (color[root] != Color::White) continue;
+    std::vector<Frame> frames{{root, 0}};
+    color[root] = Color::Gray;
+    stack.push_back(root);
+    while (!frames.empty()) {
+      Frame& f = frames.back();
+      if (f.nextEdge == adj[f.node].size()) {
+        color[f.node] = Color::Black;
+        stack.pop_back();
+        frames.pop_back();
+        continue;
+      }
+      const std::size_t to = adj[f.node][f.nextEdge++];
+      if (color[to] == Color::White) {
+        color[to] = Color::Gray;
+        stack.push_back(to);
+        frames.push_back(Frame{to, 0});
+      } else if (color[to] == Color::Gray) {
+        // Back edge: the cycle is the stack suffix from `to` onward.
+        Cycle c;
+        c.nodes.assign(std::find(stack.begin(), stack.end(), to), stack.end());
+        std::rotate(c.nodes.begin(),
+                    std::min_element(c.nodes.begin(), c.nodes.end(),
+                                     [&](std::size_t a, std::size_t b) {
+                                       return names[a] < names[b];
+                                     }),
+                    c.nodes.end());
+        for (const std::size_t n : c.nodes) c.chain += names[n] + " -> ";
+        c.chain += names[c.nodes.front()];
+        if (seen.insert(c.chain).second) out.push_back(std::move(c));
+      }
+    }
+  }
   return out;
 }
 

@@ -158,4 +158,18 @@ struct LockRegion {
     const std::vector<Token>& toks, std::size_t bodyBegin,
     std::size_t bodyEnd);
 
+/// One cycle of a directed graph, rotated so its smallest name leads.
+struct Cycle {
+  std::vector<std::size_t> nodes;
+  std::string chain;  ///< "a -> b -> a"
+};
+
+/// Every distinct cycle of the graph `adj` whose node ids index `names`
+/// (unique), in discovery order: an iterative DFS (deep graphs cannot
+/// overflow the call stack) cuts each back edge's cycle off its stack. A
+/// self-loop is a one-node cycle. Used by LAYER-CYCLE and LOCK-ORDER.
+[[nodiscard]] std::vector<Cycle> findCycles(
+    const std::vector<std::vector<std::size_t>>& adj,
+    const std::vector<std::string>& names);
+
 }  // namespace cpr::lint
