@@ -125,8 +125,7 @@ int main(int argc, char** argv) {
   for (const gen::SuiteSpec& spec : suite) {
     const db::Design d = gen::makeSuiteDesign(spec);
 
-    route::SequentialOptions so;
-    const eval::Metrics mSeq = eval::summarize(d, route::routeSequential(d, so));
+    const eval::Metrics mSeq = eval::summarize(d, route::routeSequential(d));
 
     const route::RoutingResult rNoPao = route::routeNegotiated(d, nullptr);
     notePeak(rNoPao);

@@ -50,11 +50,18 @@ constexpr int index(Layer l) { return static_cast<int>(l); }
 // on one lane violate it only when they share a grid (a line-end gap of 0).
 // Two same-level diff-net vias on one track violate it when they are at
 // most `kViaSpacing` grids apart; the router prices exactly those sites
-// with the forbidden-via cost.
+// with the forbidden-via cost. Every via sits on M2 metal of its own net,
+// which reaches `kLineEndExtension` grids past it, so while `kViaSpacing <=
+// kLineEndExtension` a via-spacing violation also puts two nets on one
+// grid. The negotiated router drops every net still sharing a grid, which
+// keeps its output DRC-clean without a repair stage.
 
 /// Line-end extension committed at both ends of every run, in grids.
 inline constexpr geom::Coord kLineEndExtension = 1;
 /// Same-track, same-level diff-net vias need |dx| > kViaSpacing.
 inline constexpr geom::Coord kViaSpacing = 1;
+static_assert(kViaSpacing <= kLineEndExtension,
+              "via spacing wider than the line-end extension lets negotiated "
+              "output break the via rule without sharing a grid");
 
 }  // namespace cpr::db

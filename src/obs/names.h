@@ -109,7 +109,8 @@ inline constexpr std::string_view kRouteScratchPeakBytes =
 inline constexpr std::string_view kRouteGridBytes = "route.grid_bytes";
 inline constexpr std::string_view kRouteDroppedSharing =
     "route.dropped.sharing";
-/// A router loop (RRR, sequential queue, DRC repair) stopped by a Deadline.
+/// A router loop stopped by a Deadline: negotiated independent waves or
+/// RRR, the sequential queue or its legalization passes.
 inline constexpr std::string_view kRouteTimeout = "route.timeout";
 // Wave-parallel batch routing (search/commit split).
 /// Waves launched by the batch router (every batched net loop contributes).
@@ -124,7 +125,8 @@ inline constexpr std::string_view kRouteParallelNets = "route.parallel_nets";
 /// Bench series: per-thread-count RRR wall-clock rows (bench_table2_routers
 /// --thread-sweep).
 inline constexpr std::string_view kRouteSweepSeries = "route.sweep";
-// Negotiation-router phase spans.
+// Router phase spans. `route.drc_repair` times the sequential router's
+// legalization; negotiated runs have no repair stage and never open it.
 inline constexpr std::string_view kRouteIndependentSpan = "route.independent";
 inline constexpr std::string_view kRouteRrrSpan = "route.rrr";
 inline constexpr std::string_view kRouteDrcRepairSpan = "route.drc_repair";

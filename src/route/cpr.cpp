@@ -37,7 +37,7 @@ CprResult routeScheme(const db::Design& design, Scheme scheme,
   out.routing =
       scheme == Scheme::NoPao
           ? routeNegotiated(design, nullptr, opts.routing)
-          : routeSequential(design, SequentialOptions{opts.routing.deadline});
+          : routeSequential(design, opts.routing.deadline);
   return out;
 }
 

@@ -30,8 +30,8 @@ struct DrcReport {
 /// Checks the rules against committed geometry, indexed like
 /// `Design::nets` (unrouted nets have empty geometry). A non-null `obs`
 /// receives the categorized `drc.*` counters (total, line-end, via-spacing,
-/// dirty nets); drivers pass it only on the signoff call so intermediate
-/// repair sweeps do not inflate the run report.
+/// dirty nets); drivers pass it only on the signoff call, so the sequential
+/// router's legalization sweeps do not inflate the run report.
 [[nodiscard]] DrcReport checkDesignRules(std::span<const NetGeometry> nets,
                                          obs::Collector* obs = nullptr);
 

@@ -7,7 +7,6 @@
 
 #include "db/layer.h"
 #include "obs/names.h"
-#include "route/drc.h"
 #include "route/engine.h"
 #include "route/wave_scheduler.h"
 #include "support/contracts.h"
@@ -21,8 +20,6 @@ using Clock = std::chrono::steady_clock;
 /// RRR iterations without material progress before the loop exits (see
 /// `RrrStallDetector`).
 constexpr int kCongestionStallIters = 4;
-/// Reroute sweeps over DRC-dirty nets after RRR.
-constexpr int kDrcRepairPasses = 2;
 /// Present-sharing penalty of RRR iteration i is kPresentFactor * i.
 constexpr float kPresentFactor = 3.0F;
 
@@ -211,28 +208,9 @@ RoutingResult routeNegotiated(const db::Design& design,
       batch.route(todo, costs, opts.deadline);
     }
   }
-  dropSharing(engine, obs);  // unresolved sharing
-
-  // ---- DRC repair ----
-  costs.present = kPresentFactor * static_cast<float>(opts.maxRrrIterations);
-  costs.adjacency = 0.5F * costs.present;
-  {
-    obs::ScopedTimer t(obs, obs::names::kRouteDrcRepairSpan);
-    for (int pass = 0; pass < kDrcRepairPasses; ++pass) {
-      if (opts.deadline.expired()) {
-        obs::add(obs, obs::names::kRouteTimeout);
-        break;
-      }
-      const DrcReport report = checkDesignRules(engine.geometry());
-      todo.clear();
-      for (Index n = 0; n < numNets; ++n) {
-        if (report.dirty[static_cast<std::size_t>(n)]) todo.push_back(n);
-      }
-      if (todo.empty()) break;
-      batch.route(todo, costs, opts.deadline);
-      dropSharing(engine, obs);  // rerouting may reintroduce sharing
-    }
-  }
+  // Unresolved sharing. Dropping it leaves the layout DRC-clean (every
+  // violation puts two nets on one grid, db/layer.h): no repair stage.
+  dropSharing(engine, obs);
 
   // Arena high-water mark. A gauge, not a counter: the value depends on how
   // nets landed on workers, so it may vary with the thread count.

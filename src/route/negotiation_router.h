@@ -5,19 +5,21 @@
 /// routes every net ignoring sharing (the congested-grid count after this
 /// stage is the Fig. 7(b) metric), then *rip-up & reroute* iterations add
 /// history cost on congested grids and reroute the offending nets with a
-/// growing present-sharing penalty until no grid is shared. Design rule
-/// violations are mitigated by the forbidden via grid cost during search and
-/// by dedicated DRC repair passes; nets still dirty at signoff are counted
-/// unrouted.
+/// growing present-sharing penalty until no grid is shared. Nets still
+/// sharing a grid after RRR are dropped (left unrouted). There is no DRC
+/// repair stage: every rule violation needs two nets on one grid once the
+/// committed line-end extensions are counted (db/layer.h), so the output is
+/// DRC-clean by construction, and the signoff DRC in `RouteEngine::signoff`
+/// is the only one this driver runs.
 ///
 /// With a `PinAccessPlan` this is the paper's CPR (intervals become partial
 /// routes and other nets' intervals become blockages); with `plan == nullptr`
 /// it is the "routing w/o pin access optimization" baseline [21].
 ///
-/// Every net loop (independent stage, each RRR iteration, each DRC repair
-/// pass) runs through a wave scheduler: nets whose influence boxes are
-/// disjoint search concurrently against the immutable grid, then commit
-/// serially in net-index order (see wave_scheduler.h and DESIGN.md §13).
+/// Every net loop (the independent stage and each RRR iteration) runs
+/// through a wave scheduler: nets whose influence boxes are disjoint
+/// search concurrently against the immutable grid, then commit serially
+/// in net-index order (see wave_scheduler.h and DESIGN.md §13).
 /// The wave order is part of the algorithm, not of the execution: route
 /// results are bit-identical for every `threads` value.
 #pragma once
@@ -31,13 +33,13 @@
 
 namespace cpr::route {
 
-/// The negotiation's fixed parameters (window margin, stall window, DRC
-/// repair passes, present/history schedule) are constants of the driver
+/// The negotiation's fixed parameters (window margin, stall window,
+/// present/history schedule) are constants of the driver
 /// (negotiation_router.cpp); these are the knobs callers set.
 struct NegotiationOptions {
   /// Rip-up & reroute iteration cap, at most 255: a node's history counts
-  /// the iterations in which it was shared, in 8 bits (the DRC repair passes
-  /// add none). `routeNegotiated` checks the bound (CPR_CHECK).
+  /// the iterations in which it was shared, in 8 bits. `routeNegotiated`
+  /// checks the bound (CPR_CHECK).
   int maxRrrIterations = 20;
   /// Worker threads for the wave-parallel net searches (0 = one per
   /// hardware thread, 1 = sequential). Pure throughput knob: the wave
@@ -45,10 +47,10 @@ struct NegotiationOptions {
   /// identical for every value.
   int threads = 0;
   /// Wall-clock budget (unset = none). Checked between waves of the
-  /// independent routing stage, between rip-up & reroute iterations, and
-  /// between DRC repair passes — signoff always runs, so an expired
-  /// deadline still yields a complete, consistently reported result
-  /// (`route.timeout` counts the stages cut short). Never checked mid-net,
+  /// independent routing stage (and before its widened-window retries) and
+  /// between rip-up & reroute iterations — signoff always runs, so an
+  /// expired deadline still yields a complete, consistently reported result
+  /// (`route.timeout` counts the loops cut short). Never checked mid-net,
   /// so nets are never half-routed.
   support::Deadline deadline;
 };

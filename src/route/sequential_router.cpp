@@ -23,7 +23,7 @@ constexpr int kLegalizationPasses = 2;
 }  // namespace
 
 RoutingResult routeSequential(const db::Design& design,
-                              const SequentialOptions& opts) {
+                              support::Deadline deadline) {
   const auto t0 = Clock::now();
   RoutingResult result;
   obs::Collector* obs = &result.stats;
@@ -67,7 +67,7 @@ RoutingResult routeSequential(const db::Design& design,
   int passes = 0;
 
   while (!queue.empty()) {
-    if (opts.deadline.expired()) {
+    if (deadline.expired()) {
       // Budget fired: stop routing; everything still queued stays unrouted
       // (routed nets keep their geometry — nets are never half-routed).
       obs::add(obs, obs::names::kRouteTimeout);
@@ -116,22 +116,25 @@ RoutingResult routeSequential(const db::Design& design,
   }
 
   // ---- legalization: reroute DRC-dirty nets ----
-  for (int pass = 0; pass < kLegalizationPasses; ++pass) {
-    if (opts.deadline.expired()) {
-      obs::add(obs, obs::names::kRouteTimeout);
-      break;
+  {
+    obs::ScopedTimer t(obs, obs::names::kRouteDrcRepairSpan);
+    for (int pass = 0; pass < kLegalizationPasses; ++pass) {
+      if (deadline.expired()) {
+        obs::add(obs, obs::names::kRouteTimeout);
+        break;
+      }
+      const DrcReport report = checkDesignRules(engine.geometry());
+      bool any = false;
+      for (Index n = 0; n < numNets; ++n) {
+        if (!report.dirty[static_cast<std::size_t>(n)]) continue;
+        any = true;
+        rip(n);
+        if (engine.routeNet(n, costs, scratch) ||
+            engine.routeNet(n, costs, scratch, retryMargin))
+          claim(n);
+      }
+      if (!any) break;
     }
-    const DrcReport report = checkDesignRules(engine.geometry());
-    bool any = false;
-    for (Index n = 0; n < numNets; ++n) {
-      if (!report.dirty[static_cast<std::size_t>(n)]) continue;
-      any = true;
-      rip(n);
-      if (engine.routeNet(n, costs, scratch) ||
-          engine.routeNet(n, costs, scratch, retryMargin))
-        claim(n);
-    }
-    if (!any) break;
   }
 
   obs->gauge(obs::names::kRouteScratchPeakBytes,

@@ -7,8 +7,9 @@
 /// (the paper's net-deferring / dynamic reordering); in later passes a
 /// blocked net may rip up the nets occupying its cheapest probe path and
 /// requeue them — the expensive sequential rip-up behaviour that Table 2's
-/// runtime column quantifies. A final legalization pass reroutes
-/// DRC-violating nets; nets still dirty count as unrouted.
+/// runtime column quantifies. Final legalization passes (the
+/// `route.drc_repair` span) reroute DRC-violating nets; nets still dirty
+/// count as unrouted.
 #pragma once
 
 #include "db/design.h"
@@ -19,15 +20,11 @@ namespace cpr::route {
 
 /// The scheme's fixed parameters (window margin, deferral passes, rip
 /// budget, legalization passes, die-spanning retry) are constants of the
-/// driver (sequential_router.cpp).
-struct SequentialOptions {
-  /// Wall-clock budget (unset = none). Checked between queue pops and
-  /// between legalization passes; when it fires, still-queued nets stay
-  /// unrouted (never half-routed) and `route.timeout` is counted.
-  support::Deadline deadline;
-};
-
+/// driver (sequential_router.cpp). `deadline` is the wall-clock budget
+/// (unset = none), checked between queue pops and between legalization
+/// passes; when it fires, still-queued nets stay unrouted (never
+/// half-routed) and `route.timeout` is counted.
 [[nodiscard]] RoutingResult routeSequential(const db::Design& design,
-                                            const SequentialOptions& opts = {});
+                                            support::Deadline deadline = {});
 
 }  // namespace cpr::route

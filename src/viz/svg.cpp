@@ -11,6 +11,8 @@ namespace {
 using geom::Coord;
 
 constexpr double kCellPx = 8.0;  ///< pixels per grid unit
+/// Largest design, in pins, whose pins are drawn with their names.
+constexpr std::size_t kMaxLabelledPins = 400;
 
 /// Deterministic per-net color from a small qualitative palette.
 std::string netColor(db::Index net) {
@@ -67,7 +69,7 @@ class Canvas {
 
 void renderSvg(const db::Design& design, const core::PinAccessPlan* plan,
                const std::vector<route::NetGeometry>* geometry,
-               std::ostream& os, const SvgOptions& opts) {
+               std::ostream& os) {
   const geom::Rect die{0, 0, design.width() - 1, design.gridHeight() - 1};
   const double w = die.width() * kCellPx;
   const double h = die.height() * kCellPx;
@@ -122,9 +124,10 @@ void renderSvg(const db::Design& design, const core::PinAccessPlan* plan,
   }
 
   // M1 pins.
+  const bool labelPins = design.pins().size() <= kMaxLabelledPins;
   for (const db::Pin& pin : design.pins()) {
     canvas.rect(pin.shape, netColor(pin.net), 0.95, "#000000");
-    if (opts.labelPins) canvas.text(pin.shape.x.lo, pin.shape.y.hi, pin.name);
+    if (labelPins) canvas.text(pin.shape.x.lo, pin.shape.y.hi, pin.name);
   }
 
   os << "</svg>\n";
@@ -132,10 +135,10 @@ void renderSvg(const db::Design& design, const core::PinAccessPlan* plan,
 
 void saveSvg(const db::Design& design, const core::PinAccessPlan* plan,
              const std::vector<route::NetGeometry>* geometry,
-             const std::string& path, const SvgOptions& opts) {
+             const std::string& path) {
   std::ofstream os(path);
   if (!os) throw std::runtime_error("cannot open for writing: " + path);
-  renderSvg(design, plan, geometry, os, opts);
+  renderSvg(design, plan, geometry, os);
   if (!os) throw std::runtime_error("write failed: " + path);
 }
 

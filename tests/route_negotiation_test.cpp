@@ -99,8 +99,8 @@ TEST(Negotiation, ExpiredDeadlineCutsStagesButNeverHalfRoutesNets) {
   NegotiationOptions opts;
   opts.deadline = support::Deadline::after(0.0);
   const RoutingResult r = routeNegotiated(d, nullptr, opts);
-  // Every stage (independent waves, RRR, DRC repair) was cut short.
-  EXPECT_GE(r.stats.counter(obs::names::kRouteTimeout), 1);
+  // Both stages (independent waves, RRR) were cut short.
+  EXPECT_EQ(r.stats.counter(obs::names::kRouteTimeout), 2);
   ASSERT_EQ(r.geometry.size(), d.nets().size());
   for (const NetGeometry& g : r.geometry) {
     if (g.routed()) {

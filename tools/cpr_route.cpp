@@ -202,9 +202,7 @@ int main(int argc, char** argv) {
       std::printf("wrote %s\n", args.tracePath.c_str());
     }
     if (!args.svgPath.empty()) {
-      viz::SvgOptions svg;
-      svg.labelPins = d.pins().size() <= 400;
-      viz::saveSvg(d, &r.plan, &result.geometry, args.svgPath, svg);
+      viz::saveSvg(d, &r.plan, &result.geometry, args.svgPath);
       std::printf("wrote %s\n", args.svgPath.c_str());
     }
     if (!args.routedDefPath.empty()) {
