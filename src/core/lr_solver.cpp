@@ -63,6 +63,50 @@ void runMaxGainsOrdered(const PanelKernel& k,
   }
 }
 
+/// First position in [first, last) whose key is not before `key`, by
+/// galloping from `first`: a splice's sorted queue lands each key a few
+/// events past the previous one, so the search stays short.
+template <class It>
+It gallopLowerBound(It first, It last, const LrSortKey& key) {
+  std::ptrdiff_t step = 1;
+  while (step < last - first && keyLess(first[step], key)) {
+    first += step;
+    step *= 2;
+  }
+  return std::lower_bound(first, first + std::min(step, last - first), key,
+                          keyLess);
+}
+
+/// Pin `j`'s first single-pin candidate in key order under `penalties`
+/// (invalid when every candidate of `j` is shared).
+CandIdx bestSingleOf(const PanelKernel& k,
+                     const std::vector<double>& penalties, PinIdx j) {
+  CandIdx best = CandIdx::invalid();
+  LrSortKey bestKey{};
+  for (const CandIdx i : k.candidatesOf(j)) {
+    if (k.degreeOf(i) != 1) continue;
+    const LrSortKey key{k.weightOf(i) - penalties[i.idx()], 1, i};
+    if (!best.valid() || keyLess(key, bestKey)) {
+      best = i;
+      bestKey = key;
+    }
+  }
+  return best;
+}
+
+/// True when every assigned interval covers the pin it is assigned to —
+/// what lets conflict removal walk `pinsOf(i)` instead of every pin.
+bool assignedWithinCover(const PanelKernel& k,
+                         const std::vector<CandIdx>& assign) {
+  for (std::size_t j = 0; j < assign.size(); ++j) {
+    if (!assign[j].valid()) continue;
+    const std::span<const PinIdx> pins = k.pinsOf(assign[j]);
+    if (std::find(pins.begin(), pins.end(), PinIdx{j}) == pins.end())
+      return false;
+  }
+  return true;
+}
+
 int selectedCount(const PanelKernel& k, ConflictIdx m,
                   const std::vector<char>& selFlag) {
   int count = 0;
@@ -75,10 +119,12 @@ int selectedCount(const PanelKernel& k, ConflictIdx m,
 std::size_t LrScratch::footprintBytes() const {
   auto bytes = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
   return bytes(penalties) + bytes(lambda) + bytes(csCount) + bytes(touched) +
-         bytes(keys) + bytes(dirtyKeys) + bytes(mergeBuf) + bytes(dirtyFlag) +
-         bytes(dirtyList) + bytes(curSel) + bytes(curAssign) + bytes(bestSel) +
-         bytes(bestAssign) + bytes(selFlag) + bytes(usage) +
-         bytes(freedWithin) + bytes(members);
+         bytes(events) + bytes(spliceBuf) + bytes(removals) +
+         bytes(additions) + bytes(dirtyFlag) + bytes(dirtyList) +
+         bytes(bestSingle) + bytes(rival) + bytes(bestGain) +
+         bytes(pinTouched) + bytes(touchedPins) + bytes(curSel) +
+         bytes(curAssign) + bytes(bestSel) + bytes(bestAssign) +
+         bytes(selFlag) + bytes(usage) + bytes(freedWithin) + bytes(members);
 }
 
 std::vector<Index> maxGains(const PanelKernel& k,
@@ -117,75 +163,140 @@ Assignment solveLr(const PanelKernel& k, const LrOptions& opts,
   s.touched.clear();
   s.touched.reserve(nCs);
 
-  // Sorted key order, maintained incrementally: only intervals whose
-  // penalties changed are re-keyed and merged back (the full per-iteration
-  // sort dominates LR runtime on large panels otherwise).
-  s.keys.reserve(n);
-  s.keys.resize(n);
+  auto keyOf = [&](CandIdx i) {
+    return LrSortKey{k.weightOf(i) - s.penalties[i.idx()], k.degreeOf(i), i};
+  };
+
+  // maxGains event list: each pin's best single-pin candidate plus every
+  // shared candidate, in key order. A single-pin candidate behind its pin's
+  // best can never be taken (the best already took or found the pin held),
+  // so walking the events selects exactly what walking every candidate
+  // would, in the same order.
+  std::size_t nShared = 0;
   for (std::size_t i = 0; i < n; ++i)
-    s.keys[i] = LrSortKey{k.weightOf(CandIdx{i}), k.degreeOf(CandIdx{i}),
-                          CandIdx{i}};
-  std::sort(s.keys.begin(), s.keys.end(), keyLess);
+    nShared += k.degreeOf(CandIdx{i}) >= 2 ? 1 : 0;
+  s.events.clear();
+  s.events.reserve(nPins + nShared);
+  s.bestSingle.assign(nPins, CandIdx::invalid());
+  s.bestGain.assign(nPins, 0.0);
+  for (std::size_t j = 0; j < nPins; ++j) {
+    const CandIdx b = bestSingleOf(k, s.penalties, PinIdx{j});
+    if (!b.valid()) continue;
+    s.bestSingle[j] = b;
+    s.bestGain[j] = keyOf(b).gain;
+    s.events.push_back(keyOf(b));
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (k.degreeOf(CandIdx{i}) >= 2) s.events.push_back(keyOf(CandIdx{i}));
+  }
+  std::sort(s.events.begin(), s.events.end(), keyLess);
   s.dirtyFlag.assign(n, 0);
   s.dirtyList.clear();
   s.dirtyList.reserve(n);
-  s.dirtyKeys.reserve(n);
+  s.removals.clear();
+  s.removals.reserve(s.events.size());
+  s.additions.clear();
+  s.additions.reserve(s.events.size());
+  s.rival.assign(nPins, CandIdx::invalid());
+  s.pinTouched.assign(nPins, 0);
+  s.touchedPins.clear();
+  s.touchedPins.reserve(nPins);
 
+  // Called before the candidate's penalty changes, so a shared candidate's
+  // listed key is still current and can be queued for removal.
   auto markDirty = [&](CandIdx i) {
     CPR_DCHECK(i.idx() < s.dirtyFlag.size());
     if (!s.dirtyFlag[i.idx()]) {
       s.dirtyFlag[i.idx()] = 1;
       s.dirtyList.push_back(i);
+      if (k.degreeOf(i) >= 2) s.removals.push_back(keyOf(i));
     }
   };
 
-  auto refreshKeys = [&] {
+  // Re-keys the dirty events and splices them back in.
+  auto refreshEvents = [&] {
     if (s.dirtyList.empty()) return;
-    if (s.dirtyList.size() > n / 3) {
-      for (std::size_t i = 0; i < n; ++i)
-        s.keys[i] = LrSortKey{k.weightOf(CandIdx{i}) - s.penalties[i],
-                              k.degreeOf(CandIdx{i}), CandIdx{i}};
-      std::sort(s.keys.begin(), s.keys.end(), keyLess);
-    } else {
-      s.dirtyKeys.clear();
-      for (const CandIdx i : s.dirtyList) {
-        s.dirtyKeys.push_back(LrSortKey{k.weightOf(i) - s.penalties[i.idx()],
-                                        k.degreeOf(i), i});
+    for (const CandIdx i : s.dirtyList) {
+      s.dirtyFlag[i.idx()] = 0;
+      const Index degree = k.degreeOf(i);
+      if (degree >= 2) {
+        s.additions.push_back(keyOf(i));
+        continue;
       }
-      std::sort(s.dirtyKeys.begin(), s.dirtyKeys.end(), keyLess);
-      s.mergeBuf.clear();
-      s.mergeBuf.reserve(n);
-      // Drop stale entries, then merge the re-keyed ones back in.
-      auto clean = [&](const LrSortKey& key) {
-        return !s.dirtyFlag[key.idx.idx()];
-      };
-      std::size_t a = 0;
-      std::size_t b = 0;
-      while (a < s.keys.size() || b < s.dirtyKeys.size()) {
-        while (a < s.keys.size() && !clean(s.keys[a])) ++a;
-        if (a == s.keys.size()) {
-          while (b < s.dirtyKeys.size()) s.mergeBuf.push_back(s.dirtyKeys[b++]);
-          break;
-        }
-        if (b == s.dirtyKeys.size() || keyLess(s.keys[a], s.dirtyKeys[b])) {
-          s.mergeBuf.push_back(s.keys[a++]);
-        } else {
-          s.mergeBuf.push_back(s.dirtyKeys[b++]);
-        }
+      if (degree != 1) continue;  // covers no pin: never taken, never listed
+      const PinIdx p = k.pinsOf(i)[0];
+      if (!s.pinTouched[p.idx()]) {
+        s.pinTouched[p.idx()] = 1;
+        s.touchedPins.push_back(p);
       }
-      // The merge must be a permutation: same key count in as out, or the
-      // incremental order has dropped/duplicated an interval.
-      CPR_DCHECK(s.mergeBuf.size() == s.keys.size());
-      s.keys.swap(s.mergeBuf);
+      CandIdx& r = s.rival[p.idx()];
+      if (i != s.bestSingle[p.idx()] &&
+          (!r.valid() || keyLess(keyOf(i), keyOf(r))))
+        r = i;
     }
-    for (const CandIdx i : s.dirtyList) s.dirtyFlag[i.idx()] = 0;
     s.dirtyList.clear();
+    // A pin's best changes only when the best got dirtier (any single of
+    // the pin may lead now) or a dirty rival overtook it; a clean rival
+    // stays behind a best whose key held or rose.
+    for (const PinIdx p : s.touchedPins) {
+      const CandIdx b = s.bestSingle[p.idx()];
+      const LrSortKey listed{s.bestGain[p.idx()], 1, b};
+      CandIdx next = b;
+      LrSortKey nextKey = keyOf(b);
+      if (keyLess(listed, nextKey)) {
+        next = bestSingleOf(k, s.penalties, p);
+        nextKey = keyOf(next);
+      } else if (const CandIdx r = s.rival[p.idx()];
+                 r.valid() && keyLess(keyOf(r), nextKey)) {
+        next = r;
+        nextKey = keyOf(r);
+      }
+      s.rival[p.idx()] = CandIdx::invalid();
+      s.pinTouched[p.idx()] = 0;
+      if (next == b && nextKey.gain == listed.gain) continue;
+      s.removals.push_back(listed);
+      s.additions.push_back(nextKey);
+      s.bestSingle[p.idx()] = next;
+      s.bestGain[p.idx()] = nextKey.gain;
+    }
+    s.touchedPins.clear();
+    // Splice: walk both sorted queues in key order, search each one's place
+    // in the listed order and block-copy the run before it.
+    std::sort(s.removals.begin(), s.removals.end(), keyLess);
+    std::sort(s.additions.begin(), s.additions.end(), keyLess);
+    s.spliceBuf.clear();
+    s.spliceBuf.reserve(s.events.size() + s.additions.size());
+    auto from = s.events.begin();
+    std::size_t r = 0;
+    std::size_t a = 0;
+    while (r < s.removals.size() || a < s.additions.size()) {
+      const bool drop =
+          a == s.additions.size() ||
+          (r < s.removals.size() && keyLess(s.removals[r], s.additions[a]));
+      const LrSortKey& key = drop ? s.removals[r++] : s.additions[a++];
+      const auto at = gallopLowerBound(from, s.events.end(), key);
+      s.spliceBuf.insert(s.spliceBuf.end(), from, at);
+      if (drop) {
+        // A removal names a listed key exactly.
+        CPR_DCHECK(at != s.events.end() && at->idx == key.idx);
+        from = at + 1;
+      } else {
+        s.spliceBuf.push_back(key);
+        from = at;
+      }
+    }
+    s.spliceBuf.insert(s.spliceBuf.end(), from, s.events.end());
+    // Every listed entry was re-keyed in place: the list keeps its length.
+    CPR_DCHECK(s.spliceBuf.size() == s.events.size());
+    s.events.swap(s.spliceBuf);
+    s.removals.clear();
+    s.additions.clear();
   };
 
   for (int it = 1; it <= opts.maxIterations; ++it) {
     iterations = it;
-    refreshKeys();
-    runMaxGainsOrdered(k, s.keys, s.curSel, s.curAssign);
+    refreshEvents();
+    runMaxGainsOrdered(k, s.events, s.curSel, s.curAssign);
 
     // Per-set selected counts, touching only sets of selected intervals.
     s.touched.clear();
@@ -204,8 +315,8 @@ Assignment solveLr(const PanelKernel& k, const LrOptions& opts,
       s.lambda[m.idx()] += delta;
       lambdaL1 += delta;  // multipliers stay >= 0, so Σλ is the L1 norm
       for (const CandIdx i : k.membersOf(m)) {
-        s.penalties[i.idx()] += delta;
         markDirty(i);
+        s.penalties[i.idx()] += delta;
       }
     };
     for (const ConflictIdx m : s.touched) {
@@ -229,7 +340,8 @@ Assignment solveLr(const PanelKernel& k, const LrOptions& opts,
 
     const int newBest = std::min(bestVio, vio);
     if (obs) {
-      // The extra O(pins) objective sum only runs when tracing is on.
+      // O(pins) per iteration: the optimizer hands every panel solve its
+      // collector, so this sum runs on every solve, not only when tracing.
       double curObjective = 0.0;
       for (std::size_t j = 0; j < nPins; ++j) {
         const CandIdx i = s.curAssign[j];
@@ -246,6 +358,11 @@ Assignment solveLr(const PanelKernel& k, const LrOptions& opts,
       bestVio = vio;
       s.bestSel.swap(s.curSel);
       s.bestAssign.swap(s.curAssign);
+      // Every assignment stays within the pins its interval covers: maxGains
+      // takes an interval for its own pins, the fallback and `shrink` hand
+      // a pin its own minimum interval, and re-expansion re-points only
+      // `pinsOf(i)`. Conflict removal below relies on it.
+      CPR_DCHECK(assignedWithinCover(k, s.bestAssign));
       haveBest = true;
       stall = 0;
     } else if (opts.stallLimit > 0 && ++stall >= opts.stallLimit) {
@@ -279,19 +396,19 @@ Assignment solveLr(const PanelKernel& k, const LrOptions& opts,
     // only when every member is shrinkable — terminates with at most one
     // selected interval per conflict set.
     auto shrinkable = [&](CandIdx i) {
-      for (std::size_t q = 0; q < nPins; ++q) {
-        if (s.bestAssign[q] == i && k.minimalIntervalOf(PinIdx{q}) != i)
+      for (const PinIdx q : k.pinsOf(i)) {
+        if (s.bestAssign[q.idx()] == i && k.minimalIntervalOf(q) != i)
           return true;
       }
       return false;
     };
     auto shrink = [&](CandIdx i) {
       s.selFlag[i.idx()] = 0;
-      for (std::size_t q = 0; q < nPins; ++q) {
-        if (s.bestAssign[q] != i) continue;
-        const CandIdx mi = k.minimalIntervalOf(PinIdx{q});
+      for (const PinIdx q : k.pinsOf(i)) {
+        if (s.bestAssign[q.idx()] != i) continue;
+        const CandIdx mi = k.minimalIntervalOf(q);
         CPR_DCHECK(mi.valid());
-        s.bestAssign[q] = mi;
+        s.bestAssign[q.idx()] = mi;
         s.selFlag[mi.idx()] = 1;
       }
     };
@@ -322,9 +439,11 @@ Assignment solveLr(const PanelKernel& k, const LrOptions& opts,
         // Ghost members (selected but assigned to no pin) just deselect.
         for (const CandIdx i : s.members) {
           if (i != keep && !shrinkable(i)) {
-            bool assigned = false;
-            for (std::size_t q = 0; q < nPins && !assigned; ++q)
-              assigned = s.bestAssign[q] == i;
+            const std::span<const PinIdx> pins = k.pinsOf(i);
+            const bool assigned =
+                std::any_of(pins.begin(), pins.end(), [&](PinIdx q) {
+                  return s.bestAssign[q.idx()] == i;
+                });
             if (!assigned && s.selFlag[i.idx()]) {
               s.selFlag[i.idx()] = 0;
               changed = true;

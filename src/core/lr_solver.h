@@ -10,7 +10,11 @@
 /// shrinking intervals to their pins' minimum intervals.
 ///
 /// The hot path consumes a `PanelKernel` (flat CSR arrays) and an optional
-/// `LrScratch` arena of reusable buffers.
+/// `LrScratch` arena of reusable buffers. maxGains walks an *event list*,
+/// not every candidate: a single-pin candidate that is not its pin's first
+/// in key order can never be taken (its pin is already held by then), so
+/// the list keeps each pin's best single-pin candidate plus every shared
+/// candidate, in key order, and re-keys only what a penalty update touched.
 #pragma once
 
 #include <vector>
@@ -66,9 +70,19 @@ struct LrScratch {
   std::vector<double> lambda;
   std::vector<int> csCount;
   std::vector<ConflictIdx> touched;
-  std::vector<LrSortKey> keys, dirtyKeys, mergeBuf;
+  /// maxGains event list in key order (each pin's best single-pin candidate
+  /// plus every shared candidate) and the buffer a splice builds into.
+  std::vector<LrSortKey> events, spliceBuf;
+  /// One penalty update's splice: listed keys to drop, fresh keys to add.
+  std::vector<LrSortKey> removals, additions;
   std::vector<char> dirtyFlag;
   std::vector<CandIdx> dirtyList;
+  // Per pin: the listed best single-pin candidate and its listed gain, the
+  // best dirty rival this update, and whether the update touched the pin.
+  std::vector<CandIdx> bestSingle, rival;
+  std::vector<double> bestGain;
+  std::vector<char> pinTouched;
+  std::vector<PinIdx> touchedPins;
   // maxGains selection double-buffer (current iterate and best-so-far).
   std::vector<CandIdx> curSel, curAssign, bestSel, bestAssign;
   std::vector<char> selFlag;

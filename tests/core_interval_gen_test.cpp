@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "core/interval_gen.h"
 #include "db/panel.h"
+#include "gen/generator.h"
 #include "obs/names.h"
 
 namespace cpr::core {
@@ -42,6 +45,81 @@ PinIdx localPin(const PanelKernel& k, const Design& d,
     if (d.pin(k.designPinOf(PinIdx{j})).name == name) return PinIdx{j};
   }
   return PinIdx::invalid();
+}
+
+/// Builds one kernel over `panels` and checks generation's bookkeeping
+/// against a brute-force recount: each candidate covers exactly the kernel
+/// pins of its net whose shape holds its track and whose columns lie inside
+/// its span, listed in the track bucket's order (ascending x.lo); no two
+/// candidates share (net, track, lo, hi); and `gen.intervals.shared` counts
+/// the candidates covering more than one pin.
+void expectGenerationInvariants(const Design& d,
+                                std::span<const db::Panel> panels,
+                                const std::string& what) {
+  obs::Collector stats;
+  const PanelKernel k = buildPanelKernel(d, panels, {}, &stats);
+  ASSERT_GT(k.numIntervals(), 0u) << what;
+  std::set<std::tuple<db::Index, geom::Coord, geom::Coord, geom::Coord>> seen;
+  long shared = 0;
+  for (std::size_t i = 0; i < k.numIntervals(); ++i) {
+    const CandIdx c{i};
+    const Interval span = k.spanOf(c);
+    EXPECT_TRUE(seen.emplace(k.netOf(c), k.trackOf(c), span.lo, span.hi).second)
+        << what << ": duplicate candidate " << i;
+    std::vector<PinIdx> want;
+    for (std::size_t j = 0; j < k.numPins(); ++j) {
+      const db::Pin& pin = d.pin(k.designPinOf(PinIdx{j}));
+      if (pin.net == k.netOf(c) && pin.shape.y.contains(k.trackOf(c)) &&
+          span.contains(pin.shape.x))
+        want.push_back(PinIdx{j});
+    }
+    const std::span<const PinIdx> pins = k.pinsOf(c);
+    std::vector<PinIdx> got(pins.begin(), pins.end());
+    for (std::size_t a = 1; a < got.size(); ++a) {
+      EXPECT_LE(d.pin(k.designPinOf(got[a - 1])).shape.x.lo,
+                d.pin(k.designPinOf(got[a])).shape.x.lo)
+          << what << ": candidate " << i << " pins out of bucket order";
+    }
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want) << what << ": candidate " << i;
+    shared += got.size() > 1 ? 1 : 0;
+  }
+  EXPECT_EQ(stats.counter(obs::names::kGenShared), shared) << what;
+  for (std::size_t j = 0; j < k.numPins(); ++j) {
+    const CandIdx mi = k.minimalIntervalOf(PinIdx{j});
+    if (!mi.valid()) continue;
+    EXPECT_TRUE(k.isMinimal(mi)) << what;
+    EXPECT_EQ(k.spanOf(mi), d.pin(k.designPinOf(PinIdx{j})).shape.x) << what;
+  }
+}
+
+TEST(IntervalGen, CoverageAndDedupeMatchBruteForceOnSuitePanels) {
+  for (const char* name : {"ecc", "efc"}) {
+    const Design d = gen::makeSuiteDesign(gen::suiteSpec(name));
+    const std::vector<db::Panel> panels = db::extractPanels(d);
+    ASSERT_FALSE(panels.empty());
+    for (std::size_t p = 0; p < panels.size(); ++p) {
+      expectGenerationInvariants(
+          d, {&panels[p], 1},
+          std::string(name) + " panel " + std::to_string(p));
+    }
+  }
+}
+
+TEST(IntervalGen, CoverageAndDedupeMatchBruteForceOnMergedPanels) {
+  // Several panels in one kernel, as the Fig. 6 sweep builds them.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    gen::GenOptions o;
+    o.seed = seed;
+    o.width = 160;
+    o.numRows = 4;
+    o.pinDensity = 0.35;
+    o.maxNetSpan = 60;
+    o.blockagesPerRow = 2;
+    const Design d = gen::generate(o);
+    const std::vector<db::Panel> panels = db::extractPanels(d);
+    expectGenerationInvariants(d, panels, "seed " + std::to_string(seed));
+  }
 }
 
 TEST(IntervalGen, EveryPinGetsAMinimalInterval) {
@@ -120,6 +198,28 @@ TEST(IntervalGen, SharedIntervalCoversMultipleSameNetPins) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST(IntervalGen, WideDiffNetPinStartingLeftOfTheBoxStillCuts) {
+  // b1 spans columns 0..7 and overlaps a2's box [3, 20] from its left;
+  // its cut line (column 8) bounds a2's strips on the tracks they share.
+  Design d("wide", 40, /*numRows=*/1, /*tracksPerRow=*/10);
+  const db::Index nA = d.addNet("A");
+  const db::Index nB = d.addNet("B");
+  d.addPin("a1", nA, Rect{Interval::point(3), Interval{0, 1}});
+  d.addPin("a2", nA, Rect{Interval::point(12), Interval{2, 4}});
+  d.addPin("a3", nA, Rect{Interval::point(20), Interval{0, 1}});
+  d.addPin("b1", nB, Rect{Interval{0, 7}, Interval{3, 5}});
+  const PanelKernel k = rowKernel(d);
+  const PinIdx a2 = localPin(k, d, "a2");
+  std::set<std::pair<geom::Coord, geom::Coord>> spans;
+  for (const CandIdx i : k.candidatesOf(a2)) {
+    if (k.trackOf(i) == 3) spans.insert({k.spanOf(i).lo, k.spanOf(i).hi});
+  }
+  EXPECT_TRUE(spans.count({3, 20}));   // box-wide
+  EXPECT_TRUE(spans.count({8, 20}));   // stop after b1
+  EXPECT_TRUE(spans.count({12, 12}));  // minimum interval
+  EXPECT_EQ(spans.size(), 3u);
 }
 
 TEST(IntervalGen, BlockageClipsAvailableRange) {
