@@ -121,8 +121,7 @@ std::size_t LrScratch::footprintBytes() const {
   return bytes(penalties) + bytes(lambda) + bytes(csCount) + bytes(touched) +
          bytes(events) + bytes(spliceBuf) + bytes(removals) +
          bytes(additions) + bytes(dirtyFlag) + bytes(dirtyList) +
-         bytes(bestSingle) + bytes(rival) + bytes(bestGain) +
-         bytes(pinTouched) + bytes(touchedPins) + bytes(curSel) +
+         bytes(bestSingle) + bytes(bestGain) + bytes(curSel) +
          bytes(curAssign) + bytes(bestSel) + bytes(bestAssign) +
          bytes(selFlag) + bytes(usage) + bytes(freedWithin) + bytes(members);
 }
@@ -197,10 +196,6 @@ Assignment solveLr(const PanelKernel& k, const LrOptions& opts,
   s.removals.reserve(s.events.size());
   s.additions.clear();
   s.additions.reserve(s.events.size());
-  s.rival.assign(nPins, CandIdx::invalid());
-  s.pinTouched.assign(nPins, 0);
-  s.touchedPins.clear();
-  s.touchedPins.reserve(nPins);
 
   // Called before the candidate's penalty changes, so a shared candidate's
   // listed key is still current and can be queued for removal.
@@ -224,42 +219,20 @@ Assignment solveLr(const PanelKernel& k, const LrOptions& opts,
         continue;
       }
       if (degree != 1) continue;  // covers no pin: never taken, never listed
+      // Penalties only rise, so a single behind its pin's best stays behind
+      // it; the best changes only when the best itself got dirtier, and then
+      // any single of the pin may lead.
       const PinIdx p = k.pinsOf(i)[0];
-      if (!s.pinTouched[p.idx()]) {
-        s.pinTouched[p.idx()] = 1;
-        s.touchedPins.push_back(p);
-      }
-      CandIdx& r = s.rival[p.idx()];
-      if (i != s.bestSingle[p.idx()] &&
-          (!r.valid() || keyLess(keyOf(i), keyOf(r))))
-        r = i;
+      const LrSortKey listed{s.bestGain[p.idx()], 1, i};
+      if (i != s.bestSingle[p.idx()] || keyOf(i).gain == listed.gain)
+        continue;
+      const LrSortKey next = keyOf(bestSingleOf(k, s.penalties, p));
+      s.removals.push_back(listed);
+      s.additions.push_back(next);
+      s.bestSingle[p.idx()] = next.idx;
+      s.bestGain[p.idx()] = next.gain;
     }
     s.dirtyList.clear();
-    // A pin's best changes only when the best got dirtier (any single of
-    // the pin may lead now) or a dirty rival overtook it; a clean rival
-    // stays behind a best whose key held or rose.
-    for (const PinIdx p : s.touchedPins) {
-      const CandIdx b = s.bestSingle[p.idx()];
-      const LrSortKey listed{s.bestGain[p.idx()], 1, b};
-      CandIdx next = b;
-      LrSortKey nextKey = keyOf(b);
-      if (keyLess(listed, nextKey)) {
-        next = bestSingleOf(k, s.penalties, p);
-        nextKey = keyOf(next);
-      } else if (const CandIdx r = s.rival[p.idx()];
-                 r.valid() && keyLess(keyOf(r), nextKey)) {
-        next = r;
-        nextKey = keyOf(r);
-      }
-      s.rival[p.idx()] = CandIdx::invalid();
-      s.pinTouched[p.idx()] = 0;
-      if (next == b && nextKey.gain == listed.gain) continue;
-      s.removals.push_back(listed);
-      s.additions.push_back(nextKey);
-      s.bestSingle[p.idx()] = next;
-      s.bestGain[p.idx()] = nextKey.gain;
-    }
-    s.touchedPins.clear();
     // Splice: walk both sorted queues in key order, search each one's place
     // in the listed order and block-copy the run before it.
     std::sort(s.removals.begin(), s.removals.end(), keyLess);
@@ -293,7 +266,7 @@ Assignment solveLr(const PanelKernel& k, const LrOptions& opts,
     s.additions.clear();
   };
 
-  for (int it = 1; it <= opts.maxIterations; ++it) {
+  for (int it = 1; it <= kLrMaxIterations; ++it) {
     iterations = it;
     refreshEvents();
     runMaxGainsOrdered(k, s.events, s.curSel, s.curAssign);
@@ -307,11 +280,13 @@ Assignment solveLr(const PanelKernel& k, const LrOptions& opts,
     }
 
     // Algorithm 1, penalize: subgradient multiplier update (Eq. 3) with
-    // step t_k = L_m / k^alpha.
+    // step t_k = L_m / k^alpha, raising λm of every violated set only.
     int vio = 0;
     const double step = 1.0 / std::pow(static_cast<double>(it), opts.alpha);
     auto applyDelta = [&](ConflictIdx m, double delta) {
       CPR_DCHECK(m.idx() < s.lambda.size());
+      // The event list relies on it: no candidate's key ever rises.
+      CPR_DCHECK(delta >= 0.0);
       s.lambda[m.idx()] += delta;
       lambdaL1 += delta;  // multipliers stay >= 0, so Σλ is the L1 norm
       for (const CandIdx i : k.membersOf(m)) {
@@ -325,16 +300,6 @@ Assignment solveLr(const PanelKernel& k, const LrOptions& opts,
       ++vio;
       const double tk = step * static_cast<double>(k.conflictSpanOf(m));
       applyDelta(m, tk * static_cast<double>(count - 1));
-    }
-    if (opts.bidirectionalMultipliers) {
-      // Full subgradient: multipliers of unselected sets decay toward 0.
-      for (std::size_t m = 0; m < nCs; ++m) {
-        if (s.csCount[m] != 0 || s.lambda[m] == 0.0) continue;
-        const double tk =
-            step * static_cast<double>(k.conflictSpanOf(ConflictIdx{m}));
-        applyDelta(ConflictIdx{m},
-                   std::max(0.0, s.lambda[m] - tk) - s.lambda[m]);
-      }
     }
     for (const ConflictIdx m : s.touched) s.csCount[m.idx()] = 0;
 

@@ -15,6 +15,8 @@
 /// in key order can never be taken (its pin is already held by then), so
 /// the list keeps each pin's best single-pin candidate plus every shared
 /// candidate, in key order, and re-keys only what a penalty update touched.
+/// Multipliers only rise (Algorithm 1's penalize step), so a pin's best is
+/// re-picked only when the best itself got dirtier.
 #pragma once
 
 #include <vector>
@@ -26,9 +28,10 @@
 
 namespace cpr::core {
 
+/// Subgradient iteration upper bound: the paper's UB = 200.
+inline constexpr int kLrMaxIterations = 200;
+
 struct LrOptions {
-  /// Iteration upper bound (the paper's experiments use UB = 200).
-  int maxIterations = 200;
   /// Engineering addition: stop early when the best violation count has not
   /// improved for this many iterations (0 disables; the paper always runs to
   /// UB or zero violations, but stalled panels only waste time — the best
@@ -36,10 +39,6 @@ struct LrOptions {
   int stallLimit = 40;
   /// Subgradient step exponent α in t_k = L_m / k^α (paper: 0.95).
   double alpha = 0.95;
-  /// Also decrease multipliers of satisfied conflict sets (full subgradient
-  /// of Eq. 3 instead of Algorithm 1's increase-on-violation). Off by
-  /// default to match the paper.
-  bool bidirectionalMultipliers = false;
   /// Skip the final greedy conflict removal. Test-only today (the raw
   /// best-iterate objective); kept for the planned per-stage objective
   /// series that splits LR's optimality gap across its stages.
@@ -77,12 +76,9 @@ struct LrScratch {
   std::vector<LrSortKey> removals, additions;
   std::vector<char> dirtyFlag;
   std::vector<CandIdx> dirtyList;
-  // Per pin: the listed best single-pin candidate and its listed gain, the
-  // best dirty rival this update, and whether the update touched the pin.
-  std::vector<CandIdx> bestSingle, rival;
+  // Per pin: the listed best single-pin candidate and its listed gain.
+  std::vector<CandIdx> bestSingle;
   std::vector<double> bestGain;
-  std::vector<char> pinTouched;
-  std::vector<PinIdx> touchedPins;
   // maxGains selection double-buffer (current iterate and best-so-far).
   std::vector<CandIdx> curSel, curAssign, bestSel, bestAssign;
   std::vector<char> selFlag;

@@ -101,7 +101,6 @@ class LrSolver final : public Solver {
                                  obs::Collector* obs = nullptr,
                                  support::Deadline deadline = {}) const override
       CPR_HOT;
-  [[nodiscard]] const LrOptions& options() const { return opts_; }
 
  private:
   LrOptions opts_;
@@ -122,7 +121,6 @@ class IlpSolver final : public Solver {
                                  obs::Collector* obs = nullptr,
                                  support::Deadline deadline = {}) const override
       CPR_COLD_OK;
-  [[nodiscard]] const ilp::IlpOptions& options() const { return opts_; }
 
  private:
   ilp::IlpOptions opts_;

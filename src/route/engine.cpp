@@ -92,6 +92,13 @@ void RouteEngine::ripNet(Index net) {
   st.vias.clear();
 }
 
+geom::Rect RouteEngine::searchWindow(const NetInfo& info, Coord m) const {
+  const geom::Rect& w = info.window;
+  return geom::intersect(
+      geom::Rect{w.x.lo - m, w.y.lo - m, w.x.hi + m, w.y.hi + m},
+      geom::Rect{0, 0, grid_.width() - 1, grid_.height() - 1});
+}
+
 NetPlan RouteEngine::searchNet(Index net, const MazeCosts& costs,
                                Coord extraMargin, MazeScratch& scratch) const {
   NetPlan plan;
@@ -100,12 +107,7 @@ NetPlan RouteEngine::searchNet(Index net, const MazeCosts& costs,
   plan.recUsedXs.reserve(info.recs.size());
   plan.recUsedXs.resize(info.recs.size());  // default Interval = empty extent
 
-  const Coord m = kWindowMargin + extraMargin;
-  geom::Rect window{
-      geom::Interval{std::max<Coord>(0, info.window.x.lo - m),
-                     std::min<Coord>(grid_.width() - 1, info.window.x.hi + m)},
-      geom::Interval{std::max<Coord>(0, info.window.y.lo - m),
-                     std::min<Coord>(grid_.height() - 1, info.window.y.hi + m)}};
+  const geom::Rect window = searchWindow(info, kWindowMargin + extraMargin);
   // Every access target lies inside the window, so each findPath below
   // binds the scratch to this same box and the tree stamps stay valid.
   scratch.bind(window);
@@ -308,12 +310,7 @@ std::optional<std::vector<int>> RouteEngine::probePath(Index net,
   MazeCosts costs;
   costs.present = present;
   costs.hardBlockOccupied = false;
-  const Coord m = kWindowMargin * 2;
-  geom::Rect window{
-      geom::Interval{std::max<Coord>(0, info.window.x.lo - m),
-                     std::min<Coord>(grid_.width() - 1, info.window.x.hi + m)},
-      geom::Interval{std::max<Coord>(0, info.window.y.lo - m),
-                     std::min<Coord>(grid_.height() - 1, info.window.y.hi + m)}};
+  const geom::Rect window = searchWindow(info, kWindowMargin * 2);
   auto path = maze_.findPath(info.access[0].targets, info.access[1].targets,
                              window, net, costs, scratch);
   flushSearchStats(scratch);

@@ -148,6 +148,9 @@ class RouteEngine {
   };
 
   void buildNetInfo(Index net, const core::PinAccessPlan* plan);
+  /// The box one search may explore: the net's window grown by `m` on
+  /// every side, clamped to the grid.
+  [[nodiscard]] geom::Rect searchWindow(const NetInfo& info, Coord m) const;
   /// One net's entry of `geometry()`.
   [[nodiscard]] NetGeometry geometryOf(Index net) const;
   /// Index of the interval record a path endpoint landed on (-1 if none).

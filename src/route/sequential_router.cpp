@@ -34,10 +34,14 @@ RoutingResult routeSequential(const db::Design& design,
   MazeCosts costs;
   costs.hardBlockOccupied = true;
   costs.adjacency = 25.0F;  // line-end awareness
+  MazeScratch scratch;  // the one search arena of this single-threaded driver
   // Failed nets retry with a die-spanning window — PARR "depends on
   // detours" to finish nets, which is where its runtime goes (Section 5.2).
   const Coord retryMargin = std::max(grid.width(), grid.height());
-  MazeScratch scratch;  // the one search arena of this single-threaded driver
+  auto routeOrRetry = [&](Index net) {
+    return engine.routeNet(net, costs, scratch) ||
+           engine.routeNet(net, costs, scratch, retryMargin);
+  };
 
   // Node owner map (occupancy never exceeds 1 in hard mode).
   std::vector<Index> owner(static_cast<std::size_t>(grid.numNodes()),
@@ -78,8 +82,7 @@ RoutingResult routeSequential(const db::Design& design,
     ++attempts[static_cast<std::size_t>(net)];
     passes = std::max(passes, attempts[static_cast<std::size_t>(net)]);
 
-    if (engine.routeNet(net, costs, scratch) ||
-        engine.routeNet(net, costs, scratch, retryMargin)) {
+    if (routeOrRetry(net)) {
       claim(net);
       continue;
     }
@@ -104,9 +107,7 @@ RoutingResult routeSequential(const db::Design& design,
           queue.push_back(b);
           rippedAny = true;
         }
-        if (rippedAny &&
-            (engine.routeNet(net, costs, scratch) ||
-             engine.routeNet(net, costs, scratch, retryMargin))) {
+        if (rippedAny && routeOrRetry(net)) {
           claim(net);
           continue;
         }
@@ -129,9 +130,7 @@ RoutingResult routeSequential(const db::Design& design,
         if (!report.dirty[static_cast<std::size_t>(n)]) continue;
         any = true;
         rip(n);
-        if (engine.routeNet(n, costs, scratch) ||
-            engine.routeNet(n, costs, scratch, retryMargin))
-          claim(n);
+        if (routeOrRetry(n)) claim(n);
       }
       if (!any) break;
     }

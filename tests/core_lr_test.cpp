@@ -83,12 +83,19 @@ TEST(LrSolver, RespectsIterationBound) {
   const db::Design d = tu::tinyDesign(3, 40, 0.5);
   const PanelKernel k = tu::panelKernel(d);
   LrOptions opts;
-  opts.maxIterations = 5;
+  opts.stallLimit = 0;  // only the bound or zero violations stop it
   obs::Collector stats;
-  const Assignment a = solveLr(k, opts, &stats);
+  Assignment a = solveLr(k, opts, &stats);
   EXPECT_GT(stats.counter(obs::names::kLrIterations), 0);
-  EXPECT_LE(stats.counter(obs::names::kLrIterations), 5);
-  EXPECT_EQ(a.violations, 0);  // conflict removal still cleans up
+  EXPECT_LE(stats.counter(obs::names::kLrIterations), kLrMaxIterations);
+  EXPECT_EQ(a.violations, 0);
+  // An expired deadline is checked after the first iteration: exactly one
+  // runs, and conflict removal still cleans up.
+  obs::Collector cut;
+  a = solveLr(k, opts, &cut, nullptr, support::Deadline::after(0));
+  EXPECT_EQ(cut.counter(obs::names::kLrIterations), 1);
+  EXPECT_EQ(cut.counter(obs::names::kLrTimeout), 1);
+  EXPECT_EQ(a.violations, 0);
 }
 
 TEST(LrSolver, SkipConflictRemovalMayLeaveViolations) {
@@ -96,24 +103,16 @@ TEST(LrSolver, SkipConflictRemovalMayLeaveViolations) {
   const db::Design d = tu::tinyDesign(5, 40, 0.6);
   const PanelKernel k = tu::panelKernel(d);
   LrOptions opts;
-  opts.maxIterations = 1;
   opts.skipConflictRemoval = true;
-  const Assignment a = solveLr(k, opts);
+  obs::Collector stats;
+  const Assignment a =
+      solveLr(k, opts, &stats, nullptr, support::Deadline::after(0));
+  EXPECT_EQ(stats.counter(obs::names::kLrTimeout), 1);  // one iteration ran
   const AssignmentAudit audit_ = audit(k, a);
   EXPECT_EQ(audit_.unassignedPins, 0);  // every pin still assigned
   // violations is the count under the conflict-set definition; the direct
   // geometric audit must agree about whether any conflict exists.
   EXPECT_EQ(a.violations > 0, audit_.overlapsBetweenNets > 0);
-}
-
-TEST(LrSolver, BidirectionalMultipliersStayValid) {
-  const db::Design d = tu::tinyDesign(7, 48, 0.5);
-  const PanelKernel k = tu::panelKernel(d);
-  LrOptions opts;
-  opts.bidirectionalMultipliers = true;
-  const Assignment a = solveLr(k, opts);
-  EXPECT_EQ(a.violations, 0);
-  EXPECT_EQ(audit(k, a).overlapsBetweenNets, 0);
 }
 
 TEST(LrSolver, ObjectiveImprovesOnAllMinimalBaseline) {
@@ -146,7 +145,7 @@ ReferenceRun referenceLr(const PanelKernel& k, const LrOptions& opts) {
   const std::size_t nPins = k.numPins();
   const std::size_t nCs = k.numConflicts();
   ReferenceRun run;
-  std::vector<double> penalties(n, 0.0), lambda(nCs, 0.0);
+  std::vector<double> penalties(n, 0.0);
   double lambdaL1 = 0.0;
   std::vector<int> csCount(nCs, 0);
   std::vector<ConflictIdx> touched;
@@ -211,7 +210,7 @@ ReferenceRun referenceLr(const PanelKernel& k, const LrOptions& opts) {
   int bestVio = std::numeric_limits<int>::max();
   bool haveBest = false;
   int stall = 0;
-  for (int it = 1; it <= opts.maxIterations; ++it) {
+  for (int it = 1; it <= kLrMaxIterations; ++it) {
     refreshKeys();
     runMaxGains();
     touched.clear();
@@ -222,8 +221,12 @@ ReferenceRun referenceLr(const PanelKernel& k, const LrOptions& opts) {
     }
     int vio = 0;
     const double step = 1.0 / std::pow(static_cast<double>(it), opts.alpha);
-    auto applyDelta = [&](ConflictIdx m, double delta) {
-      lambda[m.idx()] += delta;
+    for (const ConflictIdx m : touched) {
+      const int count = csCount[m.idx()];
+      if (count <= 1) continue;
+      ++vio;
+      const double tk = step * static_cast<double>(k.conflictSpanOf(m));
+      const double delta = tk * static_cast<double>(count - 1);
       lambdaL1 += delta;
       for (const CandIdx i : k.membersOf(m)) {
         penalties[i.idx()] += delta;
@@ -231,21 +234,6 @@ ReferenceRun referenceLr(const PanelKernel& k, const LrOptions& opts) {
           dirtyFlag[i.idx()] = 1;
           dirtyList.push_back(i);
         }
-      }
-    };
-    for (const ConflictIdx m : touched) {
-      const int count = csCount[m.idx()];
-      if (count <= 1) continue;
-      ++vio;
-      const double tk = step * static_cast<double>(k.conflictSpanOf(m));
-      applyDelta(m, tk * static_cast<double>(count - 1));
-    }
-    if (opts.bidirectionalMultipliers) {
-      for (std::size_t m = 0; m < nCs; ++m) {
-        if (csCount[m] != 0 || lambda[m] == 0.0) continue;
-        const double tk =
-            step * static_cast<double>(k.conflictSpanOf(ConflictIdx{m}));
-        applyDelta(ConflictIdx{m}, std::max(0.0, lambda[m] - tk) - lambda[m]);
       }
     }
     for (const ConflictIdx m : touched) csCount[m.idx()] = 0;
@@ -470,7 +458,9 @@ PanelKernel randomKernel(std::uint64_t seed) {
   return std::move(b).finish();
 }
 
-/// Runs both solvers on `k`; returns the reference's iteration count.
+/// Runs both solvers on `k`; returns the reference's iteration count. Also
+/// checks the event list's premise: multipliers only rise, so the
+/// `lambda_norm` column of `lr.iter` never falls from one row to the next.
 std::size_t expectMatchesReference(const PanelKernel& k,
                                    const LrOptions& opts, LrScratch& scratch,
                                    const std::string& what) {
@@ -483,17 +473,21 @@ std::size_t expectMatchesReference(const PanelKernel& k,
   std::vector<std::vector<double>> rows;
   const auto it = stats.series().find(obs::names::kLrIterSeries);
   if (it != stats.series().end()) {
-    for (const std::vector<double>& row : it->second.rows)
+    const std::vector<std::string>& cols = it->second.columns;
+    const auto lambdaCol = static_cast<std::size_t>(
+        std::find(cols.begin(), cols.end(), "lambda_norm") - cols.begin());
+    EXPECT_LT(lambdaCol, cols.size()) << what;
+    double lambdaNorm = 0.0;  // every multiplier starts at 0
+    for (const std::vector<double>& row : it->second.rows) {
+      if (lambdaCol < cols.size()) {
+        EXPECT_GE(row[lambdaCol], lambdaNorm) << what << " iter " << row[1];
+        lambdaNorm = row[lambdaCol];
+      }
       rows.emplace_back(row.begin() + 1, row.end());  // drop "src"
+    }
   }
   EXPECT_EQ(rows, want.rows) << what;
   return want.rows.size();
-}
-
-LrOptions bidirectional() {
-  LrOptions o;
-  o.bidirectionalMultipliers = true;
-  return o;
 }
 
 LrOptions noStall() {
@@ -527,7 +521,6 @@ TEST(LrEventList, MatchesFullKeyOrderOnRandomKernels) {
     ties += kernelTies;
     const std::string tag = "seed " + std::to_string(seed);
     expectMatchesReference(k, LrOptions{}, scratch, tag + " default");
-    expectMatchesReference(k, bidirectional(), scratch, tag + " bidirectional");
     iterations += static_cast<long>(
         expectMatchesReference(k, noStall(), scratch, tag + " stallLimit=0"));
   }
@@ -547,8 +540,6 @@ TEST(LrEventList, MatchesFullKeyOrderOnEverySuitePanel) {
       const PanelKernel k = buildPanelKernel(d, {&panels[p], 1});
       const std::string tag = std::string(name) + " panel " + std::to_string(p);
       expectMatchesReference(k, LrOptions{}, scratch, tag);
-      expectMatchesReference(k, bidirectional(), scratch,
-                             tag + " bidirectional");
     }
   }
 }
