@@ -11,11 +11,10 @@ namespace cpr::core {
 
 namespace {
 
-bool keyLess(const LrSortKey& a, const LrSortKey& b) {
-  if (a.gain != b.gain) return a.gain > b.gain;
-  if (a.degree != b.degree) return a.degree > b.degree;
-  return a.idx < b.idx;
-}
+/// `LrScratch::dirtyFlag` states: a dirty candidate waits for its re-key; a
+/// stale one's listed key is dropped by the next splice.
+constexpr char kDirty = 1;
+constexpr char kStale = 2;
 
 /// Algorithm 1, maxGains selection over a pre-sorted key order: select an
 /// interval when every covered pin is still free; leftover pins fall back to
@@ -23,7 +22,7 @@ bool keyLess(const LrSortKey& a, const LrSortKey& b) {
 /// selected interval ids into `sel` and the per-pin assignment into
 /// `assign` (both fully reinitialized).
 void runMaxGainsOrdered(const PanelKernel& k,
-                        const std::vector<LrSortKey>& keys,
+                        const std::vector<LrPackedKey>& keys,
                         std::vector<CandIdx>& sel,
                         std::vector<CandIdx>& assign) {
   sel.clear();
@@ -45,13 +44,14 @@ void runMaxGainsOrdered(const PanelKernel& k,
       }
     }
   };
-  for (const LrSortKey& key : keys) {
+  for (const LrPackedKey& key : keys) {
     if (unassigned == 0) break;  // every pin holds an interval already
-    const std::span<const PinIdx> pins = k.pinsOf(key.idx);
+    const CandIdx i = key.idx();
+    const std::span<const PinIdx> pins = k.pinsOf(i);
     const bool allFree = std::all_of(pins.begin(), pins.end(), [&](PinIdx q) {
       return !assign[q.idx()].valid();
     });
-    if (allFree && !pins.empty()) takeInterval(key.idx);
+    if (allFree && !pins.empty()) takeInterval(i);
   }
   // Equality constraints (1b): every pin must hold exactly one interval.
   for (std::size_t j = 0; j < k.numPins(); ++j) {
@@ -63,30 +63,17 @@ void runMaxGainsOrdered(const PanelKernel& k,
   }
 }
 
-/// First position in [first, last) whose key is not before `key`, by
-/// galloping from `first`: a splice's sorted queue lands each key a few
-/// events past the previous one, so the search stays short.
-template <class It>
-It gallopLowerBound(It first, It last, const LrSortKey& key) {
-  std::ptrdiff_t step = 1;
-  while (step < last - first && keyLess(first[step], key)) {
-    first += step;
-    step *= 2;
-  }
-  return std::lower_bound(first, first + std::min(step, last - first), key,
-                          keyLess);
-}
-
 /// Pin `j`'s first single-pin candidate in key order under `penalties`
 /// (invalid when every candidate of `j` is shared).
 CandIdx bestSingleOf(const PanelKernel& k,
                      const std::vector<double>& penalties, PinIdx j) {
   CandIdx best = CandIdx::invalid();
-  LrSortKey bestKey{};
+  LrPackedKey bestKey;
   for (const CandIdx i : k.candidatesOf(j)) {
     if (k.degreeOf(i) != 1) continue;
-    const LrSortKey key{k.weightOf(i) - penalties[i.idx()], 1, i};
-    if (!best.valid() || keyLess(key, bestKey)) {
+    const LrPackedKey key =
+        packLrKey({k.weightOf(i) - penalties[i.idx()], 1, i});
+    if (!best.valid() || key < bestKey) {
       best = i;
       bestKey = key;
     }
@@ -119,8 +106,8 @@ int selectedCount(const PanelKernel& k, ConflictIdx m,
 std::size_t LrScratch::footprintBytes() const {
   auto bytes = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
   return bytes(penalties) + bytes(lambda) + bytes(csCount) + bytes(touched) +
-         bytes(events) + bytes(spliceBuf) + bytes(removals) +
-         bytes(additions) + bytes(dirtyFlag) + bytes(dirtyList) +
+         bytes(events) + bytes(spliceBuf) + bytes(additions) +
+         bytes(dirtyFlag) + bytes(dirtyList) +
          bytes(bestSingle) + bytes(bestGain) + bytes(curSel) +
          bytes(curAssign) + bytes(bestSel) + bytes(bestAssign) +
          bytes(selFlag) + bytes(usage) + bytes(freedWithin) + bytes(members);
@@ -128,10 +115,10 @@ std::size_t LrScratch::footprintBytes() const {
 
 std::vector<Index> maxGains(const PanelKernel& k,
                             const std::vector<double>& gains) {
-  std::vector<LrSortKey> keys(k.numIntervals());
+  std::vector<LrPackedKey> keys(k.numIntervals());
   for (std::size_t i = 0; i < keys.size(); ++i)
-    keys[i] = LrSortKey{gains[i], k.degreeOf(CandIdx{i}), CandIdx{i}};
-  std::sort(keys.begin(), keys.end(), keyLess);
+    keys[i] = packLrKey({gains[i], k.degreeOf(CandIdx{i}), CandIdx{i}});
+  std::sort(keys.begin(), keys.end());
   std::vector<CandIdx> sel, assign;
   runMaxGainsOrdered(k, keys, sel, assign);
   std::vector<Index> out;
@@ -162,8 +149,9 @@ Assignment solveLr(const PanelKernel& k, const LrOptions& opts,
   s.touched.clear();
   s.touched.reserve(nCs);
 
+  auto gainOf = [&](CandIdx i) { return k.weightOf(i) - s.penalties[i.idx()]; };
   auto keyOf = [&](CandIdx i) {
-    return LrSortKey{k.weightOf(i) - s.penalties[i.idx()], k.degreeOf(i), i};
+    return packLrKey({gainOf(i), k.degreeOf(i), i});
   };
 
   // maxGains event list: each pin's best single-pin candidate plus every
@@ -182,29 +170,24 @@ Assignment solveLr(const PanelKernel& k, const LrOptions& opts,
     const CandIdx b = bestSingleOf(k, s.penalties, PinIdx{j});
     if (!b.valid()) continue;
     s.bestSingle[j] = b;
-    s.bestGain[j] = keyOf(b).gain;
+    s.bestGain[j] = gainOf(b);
     s.events.push_back(keyOf(b));
   }
   for (std::size_t i = 0; i < n; ++i) {
     if (k.degreeOf(CandIdx{i}) >= 2) s.events.push_back(keyOf(CandIdx{i}));
   }
-  std::sort(s.events.begin(), s.events.end(), keyLess);
+  std::sort(s.events.begin(), s.events.end());
   s.dirtyFlag.assign(n, 0);
   s.dirtyList.clear();
   s.dirtyList.reserve(n);
-  s.removals.clear();
-  s.removals.reserve(s.events.size());
   s.additions.clear();
   s.additions.reserve(s.events.size());
 
-  // Called before the candidate's penalty changes, so a shared candidate's
-  // listed key is still current and can be queued for removal.
   auto markDirty = [&](CandIdx i) {
     CPR_DCHECK(i.idx() < s.dirtyFlag.size());
     if (!s.dirtyFlag[i.idx()]) {
-      s.dirtyFlag[i.idx()] = 1;
+      s.dirtyFlag[i.idx()] = kDirty;
       s.dirtyList.push_back(i);
-      if (k.degreeOf(i) >= 2) s.removals.push_back(keyOf(i));
     }
   };
 
@@ -212,57 +195,48 @@ Assignment solveLr(const PanelKernel& k, const LrOptions& opts,
   auto refreshEvents = [&] {
     if (s.dirtyList.empty()) return;
     for (const CandIdx i : s.dirtyList) {
-      s.dirtyFlag[i.idx()] = 0;
+      char& flag = s.dirtyFlag[i.idx()];
       const Index degree = k.degreeOf(i);
       if (degree >= 2) {
+        flag = kStale;
         s.additions.push_back(keyOf(i));
         continue;
       }
+      flag = 0;
       if (degree != 1) continue;  // covers no pin: never taken, never listed
       // Penalties only rise, so a single behind its pin's best stays behind
       // it; the best changes only when the best itself got dirtier, and then
       // any single of the pin may lead.
       const PinIdx p = k.pinsOf(i)[0];
-      const LrSortKey listed{s.bestGain[p.idx()], 1, i};
-      if (i != s.bestSingle[p.idx()] || keyOf(i).gain == listed.gain)
+      if (i != s.bestSingle[p.idx()] || gainOf(i) == s.bestGain[p.idx()])
         continue;
-      const LrSortKey next = keyOf(bestSingleOf(k, s.penalties, p));
-      s.removals.push_back(listed);
-      s.additions.push_back(next);
-      s.bestSingle[p.idx()] = next.idx;
-      s.bestGain[p.idx()] = next.gain;
+      const CandIdx next = bestSingleOf(k, s.penalties, p);
+      flag = kStale;
+      s.additions.push_back(keyOf(next));
+      s.bestSingle[p.idx()] = next;
+      s.bestGain[p.idx()] = gainOf(next);
     }
     s.dirtyList.clear();
-    // Splice: walk both sorted queues in key order, search each one's place
-    // in the listed order and block-copy the run before it.
-    std::sort(s.removals.begin(), s.removals.end(), keyLess);
-    std::sort(s.additions.begin(), s.additions.end(), keyLess);
+    // Splice: one pass over the listed order drops the stale entries (each
+    // candidate is listed at most once) and merges the sorted fresh keys in.
+    std::sort(s.additions.begin(), s.additions.end());
     s.spliceBuf.clear();
-    s.spliceBuf.reserve(s.events.size() + s.additions.size());
-    auto from = s.events.begin();
-    std::size_t r = 0;
-    std::size_t a = 0;
-    while (r < s.removals.size() || a < s.additions.size()) {
-      const bool drop =
-          a == s.additions.size() ||
-          (r < s.removals.size() && keyLess(s.removals[r], s.additions[a]));
-      const LrSortKey& key = drop ? s.removals[r++] : s.additions[a++];
-      const auto at = gallopLowerBound(from, s.events.end(), key);
-      s.spliceBuf.insert(s.spliceBuf.end(), from, at);
-      if (drop) {
-        // A removal names a listed key exactly.
-        CPR_DCHECK(at != s.events.end() && at->idx == key.idx);
-        from = at + 1;
-      } else {
-        s.spliceBuf.push_back(key);
-        from = at;
+    s.spliceBuf.reserve(s.events.size());
+    auto fresh = s.additions.begin();
+    for (const LrPackedKey& key : s.events) {
+      char& flag = s.dirtyFlag[key.idx().idx()];
+      if (flag) {  // kStale: its fresh key is among the additions
+        flag = 0;
+        continue;
       }
+      for (; fresh != s.additions.end() && *fresh < key; ++fresh)
+        s.spliceBuf.push_back(*fresh);
+      s.spliceBuf.push_back(key);
     }
-    s.spliceBuf.insert(s.spliceBuf.end(), from, s.events.end());
+    s.spliceBuf.insert(s.spliceBuf.end(), fresh, s.additions.end());
     // Every listed entry was re-keyed in place: the list keeps its length.
     CPR_DCHECK(s.spliceBuf.size() == s.events.size());
     s.events.swap(s.spliceBuf);
-    s.removals.clear();
     s.additions.clear();
   };
 

@@ -19,6 +19,8 @@
 /// re-picked only when the best itself got dirtier.
 #pragma once
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "core/panel_kernel.h"
@@ -59,6 +61,36 @@ struct LrSortKey {
   CandIdx idx;
 };
 
+/// An `LrSortKey` packed into two unsigned words whose lexicographic order
+/// is the key order, so sorts and merges compare integers only:
+///   * `gain`: the complemented order-preserving bits of `gain + 0.0` (the
+///     `+ 0.0` folds −0.0 into +0.0, which compare equal as doubles);
+///   * `rest`: the complemented degree in the high half, the index in the
+///     low half.
+struct LrPackedKey {
+  std::uint64_t gain = 0;
+  std::uint64_t rest = 0;
+
+  [[nodiscard]] CandIdx idx() const {
+    return CandIdx{static_cast<Index>(static_cast<std::uint32_t>(rest))};
+  }
+  friend bool operator<(const LrPackedKey& a, const LrPackedKey& b) {
+    return a.gain < b.gain || (a.gain == b.gain && a.rest < b.rest);
+  }
+};
+
+[[nodiscard]] inline LrPackedKey packLrKey(const LrSortKey& key) {
+  const auto bits = std::bit_cast<std::uint64_t>(key.gain + 0.0);
+  // Negative doubles order by complemented bits, the rest by bits with the
+  // sign set; complementing the result puts the largest gain first.
+  const std::uint64_t ordered =
+      bits >> 63 ? ~bits : bits | (std::uint64_t{1} << 63);
+  return LrPackedKey{
+      ~ordered,
+      std::uint64_t{~static_cast<std::uint32_t>(key.degree)} << 32 |
+          static_cast<std::uint32_t>(key.idx.value())};
+}
+
 /// Reusable per-worker buffers for `solveLr`. Every solve fully
 /// (re)initializes the entries it reads, so a scratch can serve panels of
 /// any size back to back; reuse only saves the allocations. Buffers keep
@@ -71,10 +103,10 @@ struct LrScratch {
   std::vector<ConflictIdx> touched;
   /// maxGains event list in key order (each pin's best single-pin candidate
   /// plus every shared candidate) and the buffer a splice builds into.
-  std::vector<LrSortKey> events, spliceBuf;
-  /// One penalty update's splice: listed keys to drop, fresh keys to add.
-  std::vector<LrSortKey> removals, additions;
-  std::vector<char> dirtyFlag;
+  std::vector<LrPackedKey> events, spliceBuf;
+  /// One penalty update's fresh keys, spliced in while the stale ones drop.
+  std::vector<LrPackedKey> additions;
+  std::vector<char> dirtyFlag;  ///< per candidate: 0, dirty or stale
   std::vector<CandIdx> dirtyList;
   // Per pin: the listed best single-pin candidate and its listed gain.
   std::vector<CandIdx> bestSingle;

@@ -1,6 +1,7 @@
 #include "route/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "db/layer.h"
@@ -10,6 +11,11 @@
 
 namespace cpr::route {
 
+namespace {
+/// sharingNets' coarse cells are 2^kCellShift grids on a side.
+constexpr int kCellShift = 4;
+}  // namespace
+
 RouteEngine::RouteEngine(const db::Design& design,
                          const core::PinAccessPlan* plan, obs::Collector* obs)
     : design_(design), grid_(design, plan), obs_(obs), maze_(grid_) {
@@ -17,6 +23,12 @@ RouteEngine::RouteEngine(const db::Design& design,
              static_cast<double>(grid_.footprintBytes()));
   infos_.resize(design.nets().size());
   states_.resize(design.nets().size());
+  recheck_.assign(design.nets().size(), 0);
+  cellCols_ = ((grid_.width() - 1) >> kCellShift) + 1;
+  hotCell_.assign(static_cast<std::size_t>(cellCols_) *
+                      static_cast<std::size_t>(
+                          ((grid_.height() - 1) >> kCellShift) + 1),
+                  0);
   for (std::size_t n = 0; n < design.nets().size(); ++n)
     buildNetInfo(static_cast<Index>(n), plan);
 }
@@ -90,6 +102,51 @@ void RouteEngine::ripNet(Index net) {
   for (const ViaSite& v : st.vias) grid_.removeVia(v.x, v.y, net);
   st.nodes.clear();
   st.vias.clear();
+  st.box = geom::Rect{};
+}
+
+bool RouteEngine::sharesGrid(Index net) const {
+  for (int id : states_[static_cast<std::size_t>(net)].nodes) {
+    if (grid_.occupancy(id) > 1) return true;
+  }
+  return false;
+}
+
+const std::vector<Index>& RouteEngine::sharingNets() {
+  // A net that shares now either was re-flagged (committed since the last
+  // call, or sharing at it) or kept its nodes, one of which became shared
+  // since; that node lies in the net's box, so its cell is hot.
+  bool anyHot = false;
+  for (const int id : grid_.sharedSinceMark()) {
+    if (grid_.occupancy(id) <= 1) continue;
+    const Node n = grid_.node(id);
+    hotCell_[static_cast<std::size_t>((n.y >> kCellShift) * cellCols_ +
+                                      (n.x >> kCellShift))] = 1;
+    anyHot = true;
+  }
+  const auto boxIsHot = [&](const geom::Rect& b) {
+    for (Coord cy = b.y.lo >> kCellShift; cy <= b.y.hi >> kCellShift; ++cy) {
+      for (Coord cx = b.x.lo >> kCellShift; cx <= b.x.hi >> kCellShift; ++cx) {
+        if (hotCell_[static_cast<std::size_t>(cy * cellCols_ + cx)])
+          return true;
+      }
+    }
+    return false;
+  };
+  sharing_.clear();
+  for (std::size_t n = 0; n < states_.size(); ++n) {
+    const bool flagged = recheck_[n] != 0;
+    recheck_[n] = 0;
+    const NetState& st = states_[n];
+    if (!st.routed() || !(flagged || (anyHot && boxIsHot(st.box)))) continue;
+    if (sharesGrid(static_cast<Index>(n))) {
+      sharing_.push_back(static_cast<Index>(n));
+      recheck_[n] = 1;
+    }
+  }
+  if (anyHot) std::fill(hotCell_.begin(), hotCell_.end(), 0);
+  grid_.markShared();
+  return sharing_;
 }
 
 geom::Rect RouteEngine::searchWindow(const NetInfo& info, Coord m) const {
@@ -172,12 +229,15 @@ NetPlan RouteEngine::searchNet(Index net, const MazeCosts& costs,
         maze_.findPath(tree, acc.targets, window, net, costs, scratch);
     if (!path) return plan;  // not found; caller may retry with a larger margin
     CPR_DCHECK(scratch.box == window);
-    // Record V2 vias along the path and interval usage at both ends.
-    for (std::size_t i = 0; i + 1 < path->size(); ++i) {
-      const Node a = grid_.node((*path)[i]);
-      const Node b = grid_.node((*path)[i + 1]);
-      if (a.layer != b.layer)
-        plan.vias.push_back(ViaSite{a.x, a.y, 2});
+    // Record the path's box, V2 vias along it and interval usage at both
+    // ends.
+    Node a = grid_.node(path->front());
+    plan.box.expand(geom::Point{a.x, a.y});
+    for (std::size_t i = 1; i < path->size(); ++i) {
+      const Node b = grid_.node((*path)[i]);
+      if (a.layer != b.layer) plan.vias.push_back(ViaSite{a.x, a.y, 2});
+      plan.box.expand(geom::Point{b.x, b.y});
+      a = b;
     }
     noteIntervalUse(path->front());
     noteIntervalUse(path->back());
@@ -207,6 +267,7 @@ NetPlan RouteEngine::searchNet(Index net, const MazeCosts& costs,
       accVia[order[0]] = ViaSite{n0.x, n0.y, 1};
       plan.vias.push_back(accVia[order[0]]);
       plan.paths.push_back({acc0.targets.front()});
+      plan.box.expand(geom::Point{n0.x, n0.y});
     }
   }
 
@@ -220,69 +281,118 @@ void RouteEngine::commitPlan(Index net, const NetPlan& plan) {
   NetState& st = states_[static_cast<std::size_t>(net)];
   CPR_DCHECK(!st.routed());
 
-  std::vector<int> committed;
-  for (const auto& path : plan.paths)
-    committed.insert(committed.end(), path.begin(), path.end());
-  // Interval metal, trimmed to used extent but always covering its pins
-  // (unused tails are not manufactured; Section 5's WL stays comparable).
-  for (std::size_t r = 0; r < info.recs.size(); ++r) {
+  // The box of the paths and the interval metal. Interval metal is trimmed
+  // to its used extent but always covers its pins (unused tails are not
+  // manufactured; Section 5's WL stays comparable).
+  const auto trimmed = [&](std::size_t r) {
     const IntervalRec& rec = info.recs[r];
-    geom::Interval trimmed = geom::hull(rec.needed, plan.recUsedXs[r]);
-    trimmed = geom::intersect(trimmed, rec.span);
-    for (Coord x = trimmed.lo; x <= trimmed.hi; ++x)
-      committed.push_back(grid_.id(Node{RLayer::M2, x, rec.track}));
+    return geom::intersect(geom::hull(rec.needed, plan.recUsedXs[r]),
+                           rec.span);
+  };
+  geom::Rect box = plan.box;
+  for (std::size_t r = 0; r < info.recs.size(); ++r) {
+    const geom::Interval xs = trimmed(r);
+    if (!xs.empty())
+      box.expand(geom::Rect{xs, geom::Interval::point(info.recs[r].track)});
   }
-  std::sort(committed.begin(), committed.end());
-  committed.erase(std::unique(committed.begin(), committed.end()),
-                  committed.end());
+  CPR_DCHECK(!box.empty());  // routed() reads the committed nodes
+  // Line-end extensions reach db::kLineEndExtension past the box.
+  constexpr Coord kExt = db::kLineEndExtension;
+  box = geom::intersect(
+      geom::Rect{box.x.lo - kExt, box.y.lo - kExt, box.x.hi + kExt,
+                 box.y.hi + kExt},
+      geom::Rect{0, 0, grid_.width() - 1, grid_.height() - 1});
+
+  // A bitmap of the box over both layers, rows padded to whole words: one
+  // pass marks the nodes (deduplicating them), word operations add the
+  // line-end extensions, and a row-major walk emits the ids in ascending
+  // order.
+  const int bh = box.height();
+  const int rowWords = (box.width() + 63) / 64;
+  bits_.assign(static_cast<std::size_t>(2 * bh * rowWords), 0);
+  const auto rowOf = [&](RLayer layer, Coord y) {
+    return bits_.data() +
+           static_cast<std::ptrdiff_t>(
+               (static_cast<int>(layer) * bh + (y - box.y.lo)) * rowWords);
+  };
+  const auto mark = [&](const Node& n) {
+    CPR_DCHECK(box.contains(geom::Point{n.x, n.y}));
+    const auto lx = static_cast<unsigned>(n.x - box.x.lo);
+    rowOf(n.layer, n.y)[lx >> 6] |= std::uint64_t{1} << (lx & 63);
+  };
+  for (const auto& path : plan.paths) {
+    for (const int id : path) mark(grid_.node(id));
+  }
+  for (std::size_t r = 0; r < info.recs.size(); ++r) {
+    const geom::Interval xs = trimmed(r);
+    for (Coord x = xs.lo; x <= xs.hi; ++x)
+      mark(Node{RLayer::M2, x, info.recs[r].track});
+  }
 
   // Line-end extensions (Section 4): every maximal run gets
   // db::kLineEndExtension extra cells at each end, committed as metal so the
   // negotiation itself keeps diff-net line ends a cut-mask-friendly distance
-  // apart.
-  const int plane = grid_.planeSize();
-  const Coord w = grid_.width();
-  std::vector<int> extension;
-  auto tryExtend = [&](Coord x, Coord y, RLayer layer) {
-    if (!grid_.inside(x, y)) return;
-    const int id = grid_.id(Node{layer, x, y});
-    if (!grid_.blocked(id)) extension.push_back(id);
+  // apart. A cell that close to a run along the run's direction is on the
+  // run or past one of its ends, so the extensions are the nodes' dilation
+  // along their layer's direction, less the nodes themselves and blocked
+  // cells: word shifts on M2, neighbouring rows on M3. The box is clipped
+  // to the die, and no node lies within the reach of its other sides, so
+  // masking the row padding is the only clipping left.
+  static_assert(kExt > 0 && kExt < 64);
+  const int tail = box.width() % 64;
+  const std::uint64_t lastWord = tail == 0 ? ~std::uint64_t{0}
+                                           : (std::uint64_t{1} << tail) - 1;
+  extension_.clear();
+  const auto extend = [&](std::uint64_t grown, int word, Coord y,
+                          RLayer layer) {
+    if (word + 1 == rowWords) grown &= lastWord;
+    for (; grown != 0; grown &= grown - 1) {
+      const Node n{layer, box.x.lo + word * 64 + std::countr_zero(grown), y};
+      if (!grid_.blocked(grid_.id(n))) extension_.push_back(n);
+    }
   };
-  for (std::size_t i = 0; i < committed.size(); ++i) {
-    const int a = committed[i];
-    const Node n = grid_.node(a);
-    if (a < plane) {  // M2 run ends: previous/next column missing
-      const bool hasPrev = i > 0 && committed[i - 1] == a - 1 &&
-                           (a % plane) / w == ((a - 1) % plane) / w;
-      const bool hasNext = i + 1 < committed.size() &&
-                           committed[i + 1] == a + 1 &&
-                           (a % plane) / w == ((a + 1) % plane) / w;
-      for (Coord e = 1; e <= db::kLineEndExtension; ++e) {
-        if (!hasPrev) tryExtend(n.x - e, n.y, RLayer::M2);
-        if (!hasNext) tryExtend(n.x + e, n.y, RLayer::M2);
+  for (Coord y = box.y.lo; y <= box.y.hi; ++y) {
+    const std::uint64_t* m2 = rowOf(RLayer::M2, y);
+    const std::uint64_t* m3 = rowOf(RLayer::M3, y);
+    for (int j = 0; j < rowWords; ++j) {
+      const std::uint64_t left = j > 0 ? m2[j - 1] : 0;
+      const std::uint64_t right = j + 1 < rowWords ? m2[j + 1] : 0;
+      std::uint64_t grown2 = 0;
+      std::uint64_t grown3 = 0;
+      for (Coord e = 1; e <= kExt; ++e) {
+        grown2 |= m2[j] << e | left >> (64 - e);   // the columns at +e
+        grown2 |= m2[j] >> e | right << (64 - e);  // the columns at -e
+        if (y - e >= box.y.lo) grown3 |= rowOf(RLayer::M3, y - e)[j];
+        if (y + e <= box.y.hi) grown3 |= rowOf(RLayer::M3, y + e)[j];
       }
-    } else {  // M3 run ends: previous/next track missing
-      const bool hasPrev =
-          std::binary_search(committed.begin(), committed.end(), a - w);
-      const bool hasNext =
-          std::binary_search(committed.begin(), committed.end(), a + w);
-      for (Coord e = 1; e <= db::kLineEndExtension; ++e) {
-        if (!hasPrev) tryExtend(n.x, n.y - e, RLayer::M3);
-        if (!hasNext) tryExtend(n.x, n.y + e, RLayer::M3);
+      extend(grown2 & ~m2[j], j, y, RLayer::M2);
+      extend(grown3 & ~m3[j], j, y, RLayer::M3);
+    }
+  }
+  for (const Node& n : extension_) mark(n);
+
+  std::size_t count = 0;
+  for (const std::uint64_t w : bits_)
+    count += static_cast<std::size_t>(std::popcount(w));
+  st.nodes.reserve(count);
+
+  for (const RLayer layer : {RLayer::M2, RLayer::M3}) {
+    for (Coord y = box.y.lo; y <= box.y.hi; ++y) {
+      const std::uint64_t* row = rowOf(layer, y);
+      const int rowBase = grid_.id(Node{layer, box.x.lo, y});
+      for (int j = 0; j < rowWords; ++j) {
+        for (std::uint64_t w = row[j]; w != 0; w &= w - 1) {
+          const int id = rowBase + j * 64 + std::countr_zero(w);
+          st.nodes.push_back(id);
+          grid_.addOcc(id);
+        }
       }
     }
   }
-  committed.insert(committed.end(), extension.begin(), extension.end());
-  std::sort(committed.begin(), committed.end());
-  committed.erase(std::unique(committed.begin(), committed.end()),
-                  committed.end());
-
-  CPR_DCHECK(!committed.empty());  // routed() reads the committed nodes
-  for (int id : committed) grid_.addOcc(id);
   for (const ViaSite& v : plan.vias) grid_.addVia(v.x, v.y, net);
-
-  st.nodes = std::move(committed);
   st.vias = plan.vias;
+  st.box = box;
+  recheck_[static_cast<std::size_t>(net)] = 1;
 }
 
 void RouteEngine::flushSearchStats(MazeScratch& scratch) {
@@ -337,24 +447,26 @@ NetGeometry RouteEngine::geometryOf(Index net) const {
         RouteSegment{false, start.y, geom::Interval{start.x, last.x}});
     k = e + 1;
   }
-  // M3: group by column.
-  std::vector<int> m3(st.nodes.begin() + static_cast<std::ptrdiff_t>(k),
-                      st.nodes.end());
-  std::sort(m3.begin(), m3.end(), [&](int a, int b) {
-    const Node na = grid_.node(a);
-    const Node nb = grid_.node(b);
-    return na.x != nb.x ? na.x < nb.x : na.y < nb.y;
-  });
+  // M3: group by column, sorting (x, y) keys decoded once per node.
+  std::vector<std::uint64_t> m3;
+  m3.reserve(st.nodes.size() - k);
+  for (std::size_t i = k; i < st.nodes.size(); ++i) {
+    const Node n = grid_.node(st.nodes[i]);
+    m3.push_back(std::uint64_t{static_cast<std::uint32_t>(n.x)} << 32 |
+                 static_cast<std::uint32_t>(n.y));
+  }
+  std::sort(m3.begin(), m3.end());
+  const auto xOf = [](std::uint64_t key) {
+    return static_cast<Coord>(key >> 32);
+  };
+  const auto yOf = [](std::uint64_t key) {
+    return static_cast<Coord>(static_cast<std::uint32_t>(key));
+  };
   for (std::size_t i = 0; i < m3.size();) {
-    const Node start = grid_.node(m3[i]);
     std::size_t e = i;
-    while (e + 1 < m3.size()) {
-      const Node next = grid_.node(m3[e + 1]);
-      if (next.x != start.x || next.y != grid_.node(m3[e]).y + 1) break;
-      ++e;
-    }
+    while (e + 1 < m3.size() && m3[e + 1] == m3[e] + 1) ++e;  // same x, next y
     out.segments.push_back(RouteSegment{
-        true, start.x, geom::Interval{start.y, grid_.node(m3[e]).y}});
+        true, xOf(m3[i]), geom::Interval{yOf(m3[i]), yOf(m3[e])}});
     i = e + 1;
   }
   out.vias = st.vias;

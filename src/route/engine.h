@@ -20,6 +20,7 @@
 /// caller's scratch, and commits in one call.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -39,6 +40,7 @@ struct NetPlan {
   bool found = false;
   std::vector<std::vector<int>> paths;  ///< node-id paths, one per connection
   std::vector<ViaSite> vias;            ///< V1 + V2 vias in discovery order
+  geom::Rect box;                       ///< bounding box of the paths' nodes
   /// Used x-extent per interval record (parallel to the net's records;
   /// default-empty when the record was never touched). Commit trims each
   /// interval to hull(needed, used) — identical to hulling the individual
@@ -56,6 +58,7 @@ class RouteEngine {
   struct NetState {
     std::vector<int> nodes;      ///< committed grid nodes (sorted, unique)
     std::vector<ViaSite> vias;   ///< V1 + V2 vias
+    geom::Rect box;              ///< holds every committed node; empty if none
     /// Every committed plan writes at least one node; a rip clears them.
     [[nodiscard]] bool routed() const { return !nodes.empty(); }
   };
@@ -110,6 +113,17 @@ class RouteEngine {
   /// Removes the net's committed metal, occupancy and vias.
   void ripNet(Index net);
 
+  /// True when some committed node of `net` is shared with another net.
+  [[nodiscard]] bool sharesGrid(Index net) const;
+
+  /// Every routed net that shares a grid node with another net, ascending.
+  /// Costs O(nets) plus the nodes of the nets it re-checks: the nets that
+  /// shared at the previous call, the nets committed since, and the nets
+  /// whose box holds a node that became shared since (DESIGN.md §13). A
+  /// net outside all three kept its nodes, and none of them was shared
+  /// then or became shared since. The view lives until the next call.
+  [[nodiscard]] const std::vector<Index>& sharingNets();
+
   /// Min-cost path for `net` ignoring hard occupancy (sharing allowed at
   /// cost `present`); used by the sequential driver to find blocker nets.
   /// Searches through `scratch` and flushes its tallies.
@@ -162,6 +176,21 @@ class RouteEngine {
   MazeRouter maze_;
   std::vector<NetInfo> infos_;
   std::vector<NetState> states_;
+
+  // ---- commitPlan's buffers, reused across commits ----
+  /// Window-local node bitmap, both layers, each row padded to whole words.
+  std::vector<std::uint64_t> bits_;
+  std::vector<Node> extension_;        ///< line-end extension nodes
+
+  // ---- sharingNets' state ----
+  /// Per net: re-check at the next sharingNets (committed since the last
+  /// call, or sharing at it).
+  std::vector<char> recheck_;
+  std::vector<Index> sharing_;          ///< the last call's answer
+  /// Per coarse cell: holds a node that became shared since the last call
+  /// (all clear between calls).
+  std::vector<char> hotCell_;
+  int cellCols_ = 0;  ///< coarse cells per row
 };
 
 }  // namespace cpr::route

@@ -8,6 +8,9 @@ namespace cpr::route {
 RoutingGrid::RoutingGrid(const db::Design& design,
                          const core::PinAccessPlan* plan)
     : w_(design.width()), h_(design.gridHeight()) {
+  CPR_CHECK(w_ >= 1);
+  rowMagic_ =
+      ((std::uint64_t{1} << 63) - 1) / static_cast<std::uint64_t>(w_) + 1;
   const std::size_t plane = static_cast<std::size_t>(planeSize());
   const auto at = [this](Coord x, Coord y) {
     return static_cast<std::size_t>(y) * static_cast<std::size_t>(w_) +
@@ -63,19 +66,47 @@ RoutingGrid::RoutingGrid(const db::Design& design,
   }
 }
 
-void RoutingGrid::accrueHistory() {
-  for (std::size_t id = 0; id < occ_.size(); ++id) {
-    if (occ_[id] > 1) {
-      CPR_DCHECK(hist_[id] < 255);
-      ++hist_[id];
-    }
-  }
+void RoutingGrid::noteOverused(int id, std::uint16_t& occ) {
+  ++overused_;
+  if (occ & kListed) return;  // still listed since it was last overused
+  occ |= kListed;
+  overusedList_.push_back(id);
+  if (overusedList_.size() >= 2 * static_cast<std::size_t>(overused_) + 64)
+    compact();
 }
 
-long RoutingGrid::congestedNodeCount() const {
-  long count = 0;
-  for (const std::uint16_t o : occ_) count += o > 1 ? 1 : 0;
-  return count;
+void RoutingGrid::compact() {
+  // A node dropped here is unlisted, so if it is overused again it is
+  // appended after the mark: the mark's promise survives compaction.
+  std::size_t kept = 0;
+  std::size_t keptBeforeMark = 0;
+  for (std::size_t k = 0; k < overusedList_.size(); ++k) {
+    const int id = overusedList_[k];
+    std::uint16_t& o = occ_[static_cast<std::size_t>(id)];
+    if ((o & kOccMask) > 1) {
+      overusedList_[kept++] = id;
+      if (k < mark_) ++keptBeforeMark;
+    } else {
+      o &= kOccMask;  // unlisted: the next 1 → 2 step lists it again
+    }
+  }
+  overusedList_.resize(kept);
+  mark_ = keptBeforeMark;
+  CPR_DCHECK(overusedList_.size() == static_cast<std::size_t>(overused_));
+}
+
+void RoutingGrid::markShared() {
+  compact();
+  mark_ = overusedList_.size();
+}
+
+void RoutingGrid::accrueHistory() {
+  compact();
+  for (const int id : overusedList_) {
+    std::uint8_t& h = hist_[static_cast<std::size_t>(id)];
+    CPR_DCHECK(h < 255);
+    ++h;
+  }
 }
 
 void RoutingGrid::addVia(Coord x, Coord y, Index net) {

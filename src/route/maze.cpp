@@ -149,9 +149,11 @@ std::optional<std::vector<int>> MazeRouter::findPath(
 
   // `id` is the global node id (heap entries and parents keep it, so the
   // (f, id) tie-break is independent of the box), `n` its decoded node.
-  auto relax = [&](int id, const Node& n, float g, int from) {
-    const std::size_t i = scratch.local(n);
-    if (scratch.stamp[i] == epoch && scratch.dist[i] <= g) return;
+  auto reached = [&](std::size_t i, float g) {
+    return scratch.stamp[i] == epoch && scratch.dist[i] <= g;
+  };
+  auto relax = [&](int id, const Node& n, std::size_t i, float g, int from) {
+    if (reached(i, g)) return;
     scratch.stamp[i] = epoch;
     scratch.dist[i] = g;
     scratch.parent[i] = from;
@@ -162,7 +164,10 @@ std::optional<std::vector<int>> MazeRouter::findPath(
   int goal = -1;
   {
     const support::alloc::HotRegion hotRegion;  // runtime zero-alloc pin
-    for (int s : sources) relax(s, grid_.node(s), 0.0F, -1);
+    for (int s : sources) {
+      const Node n = grid_.node(s);
+      relax(s, n, scratch.local(n), 0.0F, -1);
+    }
 
     while (!scratch.heap.empty()) {
       const std::uint64_t top = scratch.heap.front();
@@ -182,9 +187,16 @@ std::optional<std::vector<int>> MazeRouter::findPath(
       }
       const float g = scratch.dist[ui];
 
+      // Every step costs at least kMetalCost (+ kViaCost on a via move),
+      // and float addition is monotone, so a neighbour already reached
+      // within g + that floor would reject the move: skip its pricing.
+      const float metalFloor = g + kMetalCost;
+      const float viaFloor = g + (kMetalCost + kViaCost);
       auto tryMove = [&](Coord x, Coord y, RLayer layer, bool viaMove) {
         if (!grid_.inside(x, y) || !window.contains(geom::Point{x, y})) return;
         const Node v{layer, x, y};
+        const std::size_t vi = scratch.local(v);
+        if (reached(vi, viaMove ? viaFloor : metalFloor)) return;
         const int vid = grid_.id(v);
         float step = nodeCostAt(v, vid, net, costs);
         if (step == kInf) return;
@@ -192,7 +204,7 @@ std::optional<std::vector<int>> MazeRouter::findPath(
           step += kViaCost;
           if (grid_.viaForbidden(x, y, net)) step += kForbiddenViaCost;
         }
-        relax(vid, v, g + step, u);
+        relax(vid, v, vi, g + step, u);
       };
 
       if (n.layer == RLayer::M2) {

@@ -23,20 +23,12 @@ constexpr int kCongestionStallIters = 4;
 /// Present-sharing penalty of RRR iteration i is kPresentFactor * i.
 constexpr float kPresentFactor = 3.0F;
 
-/// True when some committed grid of `net` is shared with another net.
-bool sharesGrid(const RouteEngine& engine, Index net) {
-  const RoutingGrid& grid = engine.grid();
-  for (int id : engine.state(net).nodes) {
-    if (grid.occupancy(id) > 1) return true;
-  }
-  return false;
-}
-
 /// Greedily drops routed nets until no grid is shared (the survivor on each
-/// contested grid keeps its route).
+/// contested grid keeps its route). Only a net that shares now can share
+/// after earlier drops, so the walk visits just those, in net order.
 void dropSharing(RouteEngine& engine, obs::Collector* obs) {
-  for (Index n = 0; n < static_cast<Index>(engine.numNets()); ++n) {
-    if (engine.state(n).routed() && sharesGrid(engine, n)) {
+  for (const Index n : engine.sharingNets()) {
+    if (engine.sharesGrid(n)) {
       engine.ripNet(n);
       obs->add(obs::names::kRouteDroppedSharing);
     }
@@ -171,8 +163,6 @@ RoutingResult routeNegotiated(const db::Design& design,
     for (Index n = 0; n < numNets; ++n) todo.push_back(n);
     batch.route(todo, costs, opts.deadline);
   }
-  // Only batch.route changes occupancy, so the whole-grid scan runs once
-  // per grid state: here, and in each RRR iteration after the first.
   long congestion = grid.congestedNodeCount();
   obs->add(obs::names::kRouteCongestedPreRrr, congestion);
 
@@ -185,26 +175,30 @@ RoutingResult routeNegotiated(const db::Design& design,
         obs::add(obs, obs::names::kRouteTimeout);
         break;
       }
-      if (iter > 1) congestion = grid.congestedNodeCount();
+      congestion = grid.congestedNodeCount();
       if (congestion == 0) break;
       if (stall.shouldStop(congestion))
         break;  // negotiation has stopped making material progress
       obs->add(obs::names::kRouteRrrIterations);
       obs->row("rrr.iter", {"iter", "congested"},
                {static_cast<double>(iter), static_cast<double>(congestion)});
+      // Snapshot this iteration's reroute set — unrouted nets plus nets
+      // sharing a grid, in net order — then rip & reroute it as one batch.
+      // (The legacy sequential loop re-tested sharing net by net as earlier
+      // reroutes landed; the snapshot is the wave-order equivalent and is
+      // what the determinism policy pins.)
+      todo.clear();
+      const std::vector<Index>& sharing = engine.sharingNets();
+      auto next = sharing.begin();
+      for (Index n = 0; n < numNets; ++n) {
+        const bool shares = next != sharing.end() && *next == n;
+        if (shares) ++next;
+        // Failed nets keep retrying.
+        if (shares || !engine.state(n).routed()) todo.push_back(n);
+      }
       grid.accrueHistory();  // +1 on every node shared right now
       costs.present = kPresentFactor * static_cast<float>(iter);
       costs.adjacency = 0.5F * costs.present;
-      // Snapshot this iteration's reroute set — unrouted nets plus nets
-      // sharing a grid — then rip & reroute it as one batch. (The legacy
-      // sequential loop re-tested sharing net by net as earlier reroutes
-      // landed; the snapshot is the wave-order equivalent and is what the
-      // determinism policy pins.)
-      todo.clear();
-      for (Index n = 0; n < numNets; ++n) {
-        // Failed nets keep retrying.
-        if (!engine.state(n).routed() || sharesGrid(engine, n)) todo.push_back(n);
-      }
       batch.route(todo, costs, opts.deadline);
     }
   }

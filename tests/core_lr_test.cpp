@@ -530,6 +530,31 @@ TEST(LrEventList, MatchesFullKeyOrderOnRandomKernels) {
   EXPECT_GT(ties, 60L);
 }
 
+TEST(LrEventList, PackedKeysOrderLikeKeyLess) {
+  // Gains with ties, both zeros, subnormals, infinities and both signs;
+  // degrees with ties and extremes; indices across the 32-bit range.
+  using Limits = std::numeric_limits<double>;
+  const double gains[] = {-Limits::infinity(), -1e300, -2.5, -1.0,
+                          -Limits::denorm_min(), -0.0, 0.0,
+                          Limits::denorm_min(), 1e-300, 0.1 + 0.2, 0.3, 1.0,
+                          2.5, 1e300, Limits::infinity()};
+  const Index degrees[] = {0, 1, 2, 3, 1000, std::numeric_limits<Index>::max()};
+  const Index ids[] = {0, 1, 7, 65536, std::numeric_limits<Index>::max() - 1};
+  std::vector<LrSortKey> keys;
+  for (const double g : gains)
+    for (const Index d : degrees)
+      for (const Index i : ids) keys.push_back(LrSortKey{g, d, CandIdx{i}});
+  for (const LrSortKey& a : keys) {
+    const LrPackedKey pa = packLrKey(a);
+    EXPECT_EQ(pa.idx(), a.idx);
+    for (const LrSortKey& b : keys) {
+      ASSERT_EQ(pa < packLrKey(b), refKeyLess(a, b))
+          << a.gain << "/" << a.degree << "/" << a.idx.value() << " vs "
+          << b.gain << "/" << b.degree << "/" << b.idx.value();
+    }
+  }
+}
+
 TEST(LrEventList, MatchesFullKeyOrderOnEverySuitePanel) {
   LrScratch scratch;
   for (const char* name : {"ecc", "efc"}) {

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <vector>
 
 #include "core/optimizer.h"
+#include "db/layer.h"
 #include "gen/generator.h"
 #include "route/engine.h"
 
@@ -197,6 +199,285 @@ TEST(RouteEngine, GeometryWirelengthMatchesPairwiseScanOfCommittedNodes) {
     }
   }
   EXPECT_GT(routedNets, 16);
+}
+
+// ---- commitPlan and sharingNets against their first implementations ----
+
+/// The commit the window-local bitmap replaced, kept as the oracle: sort
+/// the plan's nodes, find run ends by division (M2) and binary search (M3),
+/// add the unblocked line-end extensions and sort again.
+std::vector<int> referenceCommit(const RoutingGrid& g,
+                                 std::vector<int> committed) {
+  std::sort(committed.begin(), committed.end());
+  committed.erase(std::unique(committed.begin(), committed.end()),
+                  committed.end());
+  const int plane = g.planeSize();
+  const geom::Coord w = g.width();
+  std::vector<int> extension;
+  auto tryExtend = [&](geom::Coord x, geom::Coord y, RLayer layer) {
+    if (!g.inside(x, y)) return;
+    const int id = g.id(Node{layer, x, y});
+    if (!g.blocked(id)) extension.push_back(id);
+  };
+  for (std::size_t i = 0; i < committed.size(); ++i) {
+    const int a = committed[i];
+    const geom::Coord x = (a % plane) % w;
+    const geom::Coord y = (a % plane) / w;
+    if (a < plane) {
+      const bool hasPrev = i > 0 && committed[i - 1] == a - 1 &&
+                           (a % plane) / w == ((a - 1) % plane) / w;
+      const bool hasNext = i + 1 < committed.size() &&
+                           committed[i + 1] == a + 1 &&
+                           (a % plane) / w == ((a + 1) % plane) / w;
+      for (geom::Coord e = 1; e <= db::kLineEndExtension; ++e) {
+        if (!hasPrev) tryExtend(x - e, y, RLayer::M2);
+        if (!hasNext) tryExtend(x + e, y, RLayer::M2);
+      }
+    } else {
+      const bool hasPrev =
+          std::binary_search(committed.begin(), committed.end(), a - w);
+      const bool hasNext =
+          std::binary_search(committed.begin(), committed.end(), a + w);
+      for (geom::Coord e = 1; e <= db::kLineEndExtension; ++e) {
+        if (!hasPrev) tryExtend(x, y - e, RLayer::M3);
+        if (!hasNext) tryExtend(x, y + e, RLayer::M3);
+      }
+    }
+  }
+  committed.insert(committed.end(), extension.begin(), extension.end());
+  std::sort(committed.begin(), committed.end());
+  committed.erase(std::unique(committed.begin(), committed.end()),
+                  committed.end());
+  return committed;
+}
+
+/// A random found plan for a net inside `region` (the whole die when
+/// empty): straight M2 and M3 runs plus loose nodes, drawn so that many
+/// touch the region's edges, and so the die's four edges, on both layers.
+NetPlan randomPlan(const RoutingGrid& g, std::mt19937& rng,
+                   std::size_t records, Rect region = {}) {
+  if (region.empty()) region = Rect{0, 0, g.width() - 1, g.height() - 1};
+  auto coord = [&](Interval range) {
+    const int pick = std::uniform_int_distribution<int>(0, 5)(rng);
+    if (pick == 0) return range.lo;
+    if (pick == 1) return range.hi;
+    if (pick == 2) return std::min(range.lo + 1, range.hi);
+    return std::uniform_int_distribution<geom::Coord>(range.lo, range.hi)(rng);
+  };
+  NetPlan plan;
+  plan.found = true;
+  const int runs = std::uniform_int_distribution<int>(1, 6)(rng);
+  for (int r = 0; r < runs; ++r) {
+    std::vector<int> path;
+    const bool m3 = std::uniform_int_distribution<int>(0, 1)(rng) != 0;
+    const int len = std::uniform_int_distribution<int>(1, 9)(rng);
+    geom::Coord x = coord(region.x);
+    geom::Coord y = coord(region.y);
+    for (int k = 0; k < len; ++k) {
+      path.push_back(g.id(Node{m3 ? RLayer::M3 : RLayer::M2, x, y}));
+      // Walk toward the region's interior so edge runs stay inside it.
+      if (m3)
+        y += y < region.y.hi ? 1 : (y > region.y.lo ? -1 : 0);
+      else
+        x += x < region.x.hi ? 1 : (x > region.x.lo ? -1 : 0);
+    }
+    if (std::uniform_int_distribution<int>(0, 3)(rng) == 0)
+      path.push_back(
+          g.id(Node{RLayer::M2, coord(region.x), coord(region.y)}));
+    for (const int id : path)
+      plan.box.expand(geom::Point{g.node(id).x, g.node(id).y});
+    plan.paths.push_back(std::move(path));
+  }
+  plan.recUsedXs.resize(records);
+  for (geom::Interval& used : plan.recUsedXs) {
+    if (std::uniform_int_distribution<int>(0, 2)(rng) == 0) continue;
+    const geom::Coord a = coord(region.x);
+    const geom::Coord b = coord(region.x);
+    used = geom::Interval{std::min(a, b), std::max(a, b)};
+  }
+  return plan;
+}
+
+/// Interval records as the engine builds them: one per distinct
+/// (track, span) among the net's valid routes, in pin order, each with the
+/// hull of its pins' x-ranges.
+struct RefRecord {
+  geom::Coord track;
+  Interval span;
+  Interval needed;
+};
+std::vector<RefRecord> referenceRecords(const Design& d,
+                                        const core::PinAccessPlan& plan,
+                                        db::Index net) {
+  std::vector<RefRecord> recs;
+  for (const db::Index pin : d.net(net).pins) {
+    const core::PinRoute& r = plan.routes[static_cast<std::size_t>(pin)];
+    if (!r.valid()) continue;
+    auto it = std::find_if(recs.begin(), recs.end(), [&](const RefRecord& rec) {
+      return rec.track == r.track && rec.span == r.span;
+    });
+    if (it == recs.end())
+      recs.push_back(RefRecord{r.track, r.span, d.pin(pin).shape.x});
+    else
+      it->needed = geom::hull(it->needed, d.pin(pin).shape.x);
+  }
+  return recs;
+}
+
+/// Die with blockages on both layers along all four edges (so extensions
+/// are skipped there) and nets whose access intervals reach the die edges.
+Design edgeDesign(geom::Coord width, core::PinAccessPlan& plan) {
+  Design d("edge", width, 2, 6);
+  const geom::Coord h = 12;
+  for (int n = 0; n < 6; ++n) {
+    std::string name = "n";
+    name += std::to_string(n);
+    d.addNet(name);
+  }
+  for (int p = 0; p < 12; ++p) {
+    const geom::Coord x = (p * 5) % width;
+    std::string name = "p";
+    name += std::to_string(p);
+    d.addPin(name, p % 6,
+             Rect{Interval::point(x), Interval::point((p * 3) % h)});
+  }
+  const auto block = [&](db::Layer layer, Interval xs, Interval ys) {
+    xs = geom::intersect(xs, Interval{0, width - 1});
+    if (!xs.empty()) d.addBlockage(layer, Rect{xs, ys});
+  };
+  block(db::Layer::M2, Interval{0, 0}, Interval{4, 5});
+  block(db::Layer::M2, Interval{width - 1, width - 1}, Interval{7, 8});
+  block(db::Layer::M3, Interval{2, 3}, Interval{0, 0});
+  block(db::Layer::M3, Interval{5, 6}, Interval{h - 1, h - 1});
+  block(db::Layer::M3, Interval{0, 7}, Interval{3, 3});
+  plan.routes.assign(d.pins().size(), core::PinRoute{});
+  for (std::size_t p = 0; p < d.pins().size(); p += 2) {
+    const geom::Coord x = d.pins()[p].shape.x.lo;
+    plan.routes[p] = core::PinRoute{d.pins()[p].shape.y.lo,
+                                    Interval{std::max<geom::Coord>(0, x - 3),
+                                             std::min(width - 1, x + 2)}};
+  }
+  return d;
+}
+
+TEST(RouteEngine, CommitPlanMatchesSortAndDivideReference) {
+  std::mt19937 rng(31);
+  long checked = 0;
+  for (const geom::Coord width : {1, 2, 3, 17, 64, 65, 130}) {
+    core::PinAccessPlan pap;
+    const Design d = edgeDesign(width, pap);
+    for (const bool withPlan : {false, true}) {
+      RouteEngine eng(d, withPlan ? &pap : nullptr);
+      const RoutingGrid& g = eng.grid();
+      for (int trial = 0; trial < 60; ++trial) {
+        const auto net = static_cast<db::Index>(trial % 6);
+        const std::vector<RefRecord> recs =
+            withPlan ? referenceRecords(d, pap, net) : std::vector<RefRecord>{};
+        const NetPlan plan = randomPlan(g, rng, recs.size());
+        std::vector<int> base;
+        for (const auto& path : plan.paths)
+          base.insert(base.end(), path.begin(), path.end());
+        for (std::size_t r = 0; r < recs.size(); ++r) {
+          const Interval trimmed = geom::intersect(
+              geom::hull(recs[r].needed, plan.recUsedXs[r]), recs[r].span);
+          for (geom::Coord x = trimmed.lo; x <= trimmed.hi; ++x)
+            base.push_back(g.id(Node{RLayer::M2, x, recs[r].track}));
+        }
+        eng.ripNet(net);
+        eng.commitPlan(net, plan);
+        const std::vector<int> want = referenceCommit(g, base);
+        ASSERT_EQ(eng.state(net).nodes, want)
+            << "width " << width << " plan " << withPlan << " trial " << trial;
+        for (const int id : want) ASSERT_TRUE(eng.state(net).box.contains(
+            geom::Point{g.node(id).x, g.node(id).y}));
+        ++checked;
+      }
+      // Occupancy is the sum of the committed nets' nodes.
+      std::vector<int> occ(static_cast<std::size_t>(g.numNodes()), 0);
+      for (db::Index n = 0; n < 6; ++n)
+        for (const int id : eng.state(n).nodes)
+          ++occ[static_cast<std::size_t>(id)];
+      for (int id = 0; id < g.numNodes(); ++id)
+        ASSERT_EQ(g.occupancy(id), occ[static_cast<std::size_t>(id)]);
+    }
+  }
+  EXPECT_EQ(checked, 7 * 2 * 60);
+}
+
+TEST(RouteEngine, SinglePinNetCommitsItsAccessNode) {
+  // No path search runs: the plan's one path is the pin's first access
+  // node, which must still bound the commit.
+  MazeScratch scratch;
+  Design d("single", 30, 1, 10);
+  const db::Index a = d.addNet("A");
+  d.addPin("a1", a, Rect{Interval::point(5), Interval{2, 4}});
+  RouteEngine eng(d, nullptr);
+  ASSERT_TRUE(eng.routeNet(a, {}, scratch));
+  const RoutingGrid& g = eng.grid();
+  const int access = g.id(Node{RLayer::M2, 5, 2});
+  EXPECT_EQ(eng.state(a).nodes, referenceCommit(g, {access}));
+  EXPECT_EQ(eng.state(a).nodes.size(), 3u);  // the node and two extensions
+  EXPECT_EQ(eng.state(a).vias.size(), 1u);
+}
+
+TEST(RouteEngine, SharingNetsMatchesFullScan) {
+  // Random committed states, reached by batches of rips and commits like
+  // the negotiation's iterations, with queries in between. Each net keeps
+  // to a home region, so most nets share with few others and their boxes
+  // cover few coarse cells; regions hug the die edges, some nets stay
+  // unrouted, and some rounds change nothing.
+  std::mt19937 rng(37);
+  long sharingSeen = 0;
+  long roundsWithoutChange = 0;
+  for (const geom::Coord width : {5, 70, 150}) {
+    Design d("share", width, 6, 8);  // 48 tracks
+    constexpr db::Index kNets = 24;
+    for (db::Index n = 0; n < kNets; ++n) {
+      std::string name = "n";
+      name += std::to_string(n);
+      d.addNet(name);
+    }
+    RouteEngine eng(d, nullptr);
+    const RoutingGrid& g = eng.grid();
+    auto draw = [&](geom::Coord lo, geom::Coord hi) {
+      return std::uniform_int_distribution<geom::Coord>(lo, hi)(rng);
+    };
+    std::vector<Rect> home;
+    for (db::Index n = 0; n < kNets; ++n) {
+      const geom::Coord w = draw(1, std::min<geom::Coord>(width, 24));
+      const geom::Coord h = draw(1, 12);
+      const geom::Coord x = draw(0, width - w);
+      const geom::Coord y = draw(0, 48 - h);
+      home.push_back(Rect{x, y, x + w - 1, y + h - 1});
+    }
+    auto scan = [&] {
+      std::vector<db::Index> out;
+      for (db::Index n = 0; n < kNets; ++n) {
+        const auto& nodes = eng.state(n).nodes;
+        if (std::any_of(nodes.begin(), nodes.end(),
+                        [&](int id) { return g.occupancy(id) > 1; }))
+          out.push_back(n);
+      }
+      return out;
+    };
+    for (int round = 0; round < 300; ++round) {
+      const int changes = draw(0, 5);
+      roundsWithoutChange += changes == 0 ? 1 : 0;
+      for (int c = 0; c < changes; ++c) {
+        const auto net = static_cast<db::Index>(draw(0, kNets - 1));
+        eng.ripNet(net);
+        if (draw(0, 4) == 0) continue;
+        eng.commitPlan(
+            net, randomPlan(g, rng, 0, home[static_cast<std::size_t>(net)]));
+      }
+      const std::vector<db::Index> want = scan();
+      ASSERT_EQ(eng.sharingNets(), want)
+          << "width " << width << " round " << round;
+      sharingSeen += static_cast<long>(want.size());
+    }
+  }
+  EXPECT_GT(sharingSeen, 300);
+  EXPECT_GT(roundsWithoutChange, 50);
 }
 
 }  // namespace

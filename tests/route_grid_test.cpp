@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <set>
+#include <vector>
+
 #include "route/grid.h"
 
 namespace cpr::route {
@@ -195,6 +200,120 @@ TEST(RoutingGrid, ViaForbiddenIsSameTrackOnly) {
   EXPECT_FALSE(g.viaForbidden(11, 10, 0));  // same net: fine
   g.removeVia(10, 10, 0);
   EXPECT_FALSE(g.viaForbidden(10, 10, 1));
+}
+
+TEST(RoutingGrid, NodeDecodeMatchesDivisionForEveryId) {
+  // Width 1 is where a naive ceil(2^64 / w) multiplier wraps to 0; the
+  // others cover small, odd, power-of-two and 16-bit-wide rows.
+  std::vector<Coord> widths;
+  for (Coord w = 1; w <= 257; ++w) widths.push_back(w);
+  for (const Coord w : {2025, 4096, 65535}) widths.push_back(w);
+  for (const Coord w : widths) {
+    const Design d("w", w, w >= 2025 ? 2 : 3, w >= 2025 ? 4 : 5);
+    const RoutingGrid g(d, nullptr);
+    const int plane = g.planeSize();
+    for (int id = 0; id < g.numNodes(); ++id) {
+      const int rem = id % plane;
+      const Node want{id < plane ? RLayer::M2 : RLayer::M3, rem % w, rem / w};
+      const Node got = g.node(id);
+      if (!(got == want)) {
+        ADD_FAILURE() << "width " << w << " id " << id << ": got ("
+                      << got.x << "," << got.y << ")";
+        break;
+      }
+    }
+  }
+}
+
+TEST(RoutingGrid, IncrementalCongestionMatchesFullScans) {
+  // Random addOcc/removeOcc/accrueHistory/markShared sequences against a
+  // shadow grid scanned in full after every step: the count, the history
+  // and the promise of sharedSinceMark (every node overused now and not at
+  // the last mark is listed, once), with the list kept O(overused).
+  std::mt19937 rng(29);
+  for (int trial = 0; trial < 12; ++trial) {
+    const Design d("cong", 24 + trial, 2, 10);
+    RoutingGrid g(d, nullptr);
+    const int nodes = g.numNodes();
+    // A small hot region makes sharing common; the rest of the grid is
+    // touched too so nodes leave and re-enter the overused set.
+    const int hot = 40 + trial * 7;
+    std::vector<int> occ(static_cast<std::size_t>(nodes), 0);
+    std::vector<int> hist(static_cast<std::size_t>(nodes), 0);
+    std::vector<char> overusedAtMark(static_cast<std::size_t>(nodes), 0);
+    std::uniform_int_distribution<int> op(0, 99);
+    std::uniform_int_distribution<int> any(0, nodes - 1);
+    std::uniform_int_distribution<int> inHot(0, hot - 1);
+    int accruals = 0;
+    for (int step = 0; step < 6000; ++step) {
+      const int o = op(rng);
+      const int id = o % 3 == 0 ? any(rng) : inHot(rng) * (nodes / hot);
+      if (o < 50) {
+        g.addOcc(id);
+        ++occ[static_cast<std::size_t>(id)];
+      } else if (o < 96) {
+        if (occ[static_cast<std::size_t>(id)] == 0) continue;
+        g.removeOcc(id);
+        --occ[static_cast<std::size_t>(id)];
+      } else if (o < 98 && accruals < 255) {
+        g.accrueHistory();
+        ++accruals;
+        for (std::size_t k = 0; k < occ.size(); ++k) hist[k] += occ[k] > 1;
+      } else {
+        g.markShared();
+        EXPECT_TRUE(g.sharedSinceMark().empty());
+        for (int k = 0; k < nodes; ++k)
+          overusedAtMark[static_cast<std::size_t>(k)] =
+              occ[static_cast<std::size_t>(k)] > 1;
+      }
+
+      long overused = 0;
+      std::set<int> listed(g.sharedSinceMark().begin(),
+                           g.sharedSinceMark().end());
+      ASSERT_EQ(listed.size(), g.sharedSinceMark().size()) << "duplicate entry";
+      for (int k = 0; k < nodes; ++k) {
+        const auto kk = static_cast<std::size_t>(k);
+        ASSERT_EQ(g.occupancy(k), occ[kk]);
+        if (occ[kk] <= 1) continue;
+        ++overused;
+        if (!overusedAtMark[kk]) {
+          ASSERT_TRUE(listed.count(k)) << "trial " << trial << " step " << step;
+        }
+      }
+      ASSERT_EQ(g.congestedNodeCount(), overused);
+      // Removals leave stale entries; the next addOcc bounds them again.
+      if (o < 50) {
+        ASSERT_LT(g.sharedSinceMark().size(),
+                  2 * static_cast<std::size_t>(overused) + 64);
+      }
+    }
+    for (int k = 0; k < nodes; ++k)
+      EXPECT_EQ(g.history(k), hist[static_cast<std::size_t>(k)]) << k;
+    EXPECT_GT(accruals, 20);
+  }
+}
+
+TEST(RoutingGrid, OverusedListStaysBoundedWithoutMarks) {
+  // The sequential router never marks or accrues: nodes that stop being
+  // overused must still leave the list once they outnumber the live ones.
+  const Design d("seq", 40, 2, 10);
+  RoutingGrid g(d, nullptr);
+  for (int id = 0; id < 500; ++id) {
+    g.addOcc(id);
+    g.addOcc(id);
+  }
+  for (int id = 0; id < 500; ++id) g.removeOcc(id);
+  EXPECT_EQ(g.congestedNodeCount(), 0);
+  EXPECT_EQ(g.sharedSinceMark().size(), 500u);  // all stale, none dropped yet
+  const int fresh = 700;
+  g.addOcc(fresh);
+  g.addOcc(fresh);
+  ASSERT_EQ(g.sharedSinceMark().size(), 1u);
+  EXPECT_EQ(g.sharedSinceMark()[0], fresh);
+  // A dropped node is listed again when it is overused again.
+  g.addOcc(3);
+  EXPECT_EQ(g.congestedNodeCount(), 2);
+  EXPECT_EQ(g.sharedSinceMark().size(), 2u);
 }
 
 }  // namespace
