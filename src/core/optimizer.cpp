@@ -33,11 +33,12 @@ bool usable(const PanelKernel& k, const Assignment& a) {
   return audit(k, a).overlapsBetweenNets == 0;
 }
 
-/// Degradation rung 3: one pass over intervals in non-increasing objective
-/// weight, selecting an interval iff its covered pins are all unassigned and
-/// every conflict row it belongs to is still empty (constraint (1c) holds by
-/// construction). Leftover pins then try their minimal interval under the
-/// same guard. Deterministic and near-linear; legal by construction.
+/// Degradation rung 3 (terminal): one pass over intervals in non-increasing
+/// objective weight, selecting an interval iff its covered pins are all
+/// unassigned and every conflict row it belongs to is still empty
+/// (constraint (1c) holds by construction). Leftover pins then try their
+/// minimal interval under the same guard. Deterministic and near-linear;
+/// legal by construction, and empty only when no pin has a candidate.
 Assignment greedyProfitOrder(const PanelKernel& k) {
   Assignment a;
   a.intervalOfPin.assign(k.numPins(), geom::kInvalidIndex);
@@ -68,35 +69,8 @@ Assignment greedyProfitOrder(const PanelKernel& k) {
   return a;
 }
 
-/// Degradation rung 4 (terminal): every pin takes its minimal access
-/// interval, the assignment Theorem 1 guarantees to be selectable and
-/// mutually conflict-free given the spacing guard. The conflict-row guard is
-/// kept anyway so the rung stays legal even on instances that break the
-/// theorem's premise (a pin whose row is taken is left unassigned instead).
-Assignment minimalIntervalAssignment(const PanelKernel& k) {
-  Assignment a;
-  a.intervalOfPin.assign(k.numPins(), geom::kInvalidIndex);
-  std::vector<char> rowUsed(k.numConflicts(), 0);
-  for (std::size_t j = 0; j < k.numPins(); ++j) {
-    if (a.intervalOfPin[j] != geom::kInvalidIndex) continue;
-    const CandIdx mi = k.minimalIntervalOf(PinIdx{j});
-    if (!mi.valid()) continue;
-    bool clash = false;
-    for (ConflictIdx m : k.conflictsOf(mi))
-      if (rowUsed[m.idx()]) { clash = true; break; }
-    if (clash) continue;
-    for (PinIdx p : k.pinsOf(mi))
-      if (a.intervalOfPin[p.idx()] == geom::kInvalidIndex)
-        a.intervalOfPin[p.idx()] = mi.value();
-    for (ConflictIdx m : k.conflictsOf(mi)) rowUsed[m.idx()] = 1;
-  }
-  a.objective = audit(k, a).objective;
-  a.violations = 0;
-  return a;
-}
-
 /// Which rung of the degradation ladder produced the shipped assignment.
-enum class Rung { Primary, Lr, Greedy, Minimal };
+enum class Rung { Primary, Lr, Greedy };
 
 /// Solves one panel and writes its pins' routes into `routes`. Every design
 /// pin belongs to exactly one panel, so concurrent workers write disjoint
@@ -146,44 +120,30 @@ PanelOutcome solvePanel(const db::Design& design, const db::Panel& panel,
 
     Assignment assignment;
     Rung rung = Rung::Primary;
-    bool chosen = false;
     if (usable(kernel, primary.value())) {
       assignment = primary.take();
-      chosen = true;
     } else {
       // Walk the degradation ladder. Every rung below the primary solver is
-      // cheaper and more reliable than the one above; the terminal rung
-      // cannot fail.
+      // cheaper and more reliable than the one above; the terminal greedy
+      // rung ships unchecked, as it is legal by construction.
       obs::ScopedTimer t(obs, obs::names::kPaoFallbackSpan);
       obs->add(obs::names::kPaoFallbacks);
+      rung = Rung::Greedy;
       if (!runExpired && solver.name() != "lr") {
         support::Outcome<Assignment> lr = LrSolver(opts.solve.lr)
             .trySolve(kernel, &scratch, obs, panelDeadline);
         if (usable(kernel, lr.value())) {
           assignment = lr.take();
           rung = Rung::Lr;
-          chosen = true;
         }
       }
-      if (!chosen) {
-        Assignment g = greedyProfitOrder(kernel);
-        if (usable(kernel, g)) {
-          assignment = std::move(g);
-          rung = Rung::Greedy;
-          chosen = true;
-        }
-      }
-      if (!chosen) {
-        assignment = minimalIntervalAssignment(kernel);
-        rung = Rung::Minimal;
-      }
+      if (rung == Rung::Greedy) assignment = greedyProfitOrder(kernel);
     }
 
     switch (rung) {
       case Rung::Primary: obs->add(obs::names::kPaoRungPrimary); break;
       case Rung::Lr: obs->add(obs::names::kPaoRungLr); break;
       case Rung::Greedy: obs->add(obs::names::kPaoRungGreedy); break;
-      case Rung::Minimal: obs->add(obs::names::kPaoRungMinimal); break;
     }
     // Exactly one of failed/degraded per faulted panel: `failed` when the
     // primary solver threw, `degraded` when it timed out, proved the panel

@@ -56,11 +56,10 @@ inline constexpr std::string_view kPaoPanelFailed = "pao.panel.failed";
 inline constexpr std::string_view kPaoPanelDegraded = "pao.panel.degraded";
 /// Ladder rung that produced the shipped assignment, summed over panels:
 /// primary solves land in pao.panel.rung.primary, rescued panels in
-/// rung.lr / rung.greedy / rung.minimal.
+/// rung.lr / rung.greedy (the terminal rung).
 inline constexpr std::string_view kPaoRungPrimary = "pao.panel.rung.primary";
 inline constexpr std::string_view kPaoRungLr = "pao.panel.rung.lr";
 inline constexpr std::string_view kPaoRungGreedy = "pao.panel.rung.greedy";
-inline constexpr std::string_view kPaoRungMinimal = "pao.panel.rung.minimal";
 /// Bytes of the compiled CSR kernels, summed across panels. Size-based (not
 /// capacity-based), so the count is deterministic for a given design.
 inline constexpr std::string_view kPaoKernelBytes = "pao.kernel.bytes";
@@ -194,7 +193,7 @@ inline constexpr std::string_view kServeEvRejected = "serve.job.rejected";
 /// are unique and follow the `^[a-z]+(\.[a-z_]+)+$` grammar, which is what
 /// catches a typo'd or duplicated metric name at test time rather than in a
 /// dashboard.
-inline constexpr std::array<std::string_view, 81> kAll = {
+inline constexpr std::array<std::string_view, 80> kAll = {
     kGenIntervals,        kGenShared,           kGenBlockedPins,
     kConflictSets,        kLrIterations,        kLrRemovalRounds,
     kLrReexpandUpgrades,  kLrTimeout,           kIlpNodes,
@@ -203,7 +202,7 @@ inline constexpr std::array<std::string_view, 81> kAll = {
     kPaoIntervals,        kPaoConflicts,        kPaoUnassigned,
     kPaoFallbacks,        kPaoPanelFailed,      kPaoPanelDegraded,
     kPaoRungPrimary,      kPaoRungLr,           kPaoRungGreedy,
-    kPaoRungMinimal,      kPaoKernelBytes,      kPaoScratchPeakBytes,
+    kPaoKernelBytes,      kPaoScratchPeakBytes,
     kPaoGenSpan,          kPaoConflictSpan,     kPaoCompileSpan,
     kPaoSolveSpan,        kPaoFallbackSpan,     kPaoTotalSpan,
     kPaoSolverNote,       kPaoPanelStatusNote,  kPaoPanelErrorNote,

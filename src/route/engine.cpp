@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <numeric>
 
 #include "db/layer.h"
 #include "obs/names.h"
@@ -77,11 +78,25 @@ void RouteEngine::buildNetInfo(Index net, const core::PinAccessPlan* plan) {
         for (Coord x = pin.shape.x.lo; x <= pin.shape.x.hi; ++x)
           acc.targets.push_back(grid_.id(Node{RLayer::M2, x, t}));
       }
-      acc.via = ViaSite{0, 0, 1};  // filled at landing time
       window.expand(pin.shape);
     }
     info.access.push_back(std::move(acc));
   }
+  // Store the access list in connection order.
+  const std::vector<Index>& pins = design_.net(net).pins;
+  std::vector<std::size_t> order(info.access.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return design_.pin(pins[a]).shape.x.lo < design_.pin(pins[b]).shape.x.lo;
+  });
+  std::vector<PinAccess> access;
+  access.reserve(order.size());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    if (order[k] == 0) info.probeFrom = static_cast<int>(k);
+    if (order[k] == 1) info.probeTo = static_cast<int>(k);
+    access.push_back(std::move(info.access[order[k]]));
+  }
+  info.access = std::move(access);
   info.window = window;
 }
 
@@ -156,37 +171,31 @@ geom::Rect RouteEngine::searchWindow(const NetInfo& info, Coord m) const {
       geom::Rect{0, 0, grid_.width() - 1, grid_.height() - 1});
 }
 
-NetPlan RouteEngine::searchNet(Index net, const MazeCosts& costs,
-                               Coord extraMargin, MazeScratch& scratch) const {
-  NetPlan plan;
+void RouteEngine::searchNet(Index net, const MazeCosts& costs,
+                            Coord extraMargin, MazeScratch& scratch,
+                            NetPlan& plan) const {
+  // Refill the slot, keeping its capacity.
   const NetInfo& info = infos_[static_cast<std::size_t>(net)];
-  if (info.access.empty()) return plan;
-  plan.recUsedXs.reserve(info.recs.size());
-  plan.recUsedXs.resize(info.recs.size());  // default Interval = empty extent
+  plan.found = false;
+  plan.nodes.clear();
+  plan.vias.clear();
+  plan.box = geom::Rect{};
+  plan.recUsedXs.assign(info.recs.size(), geom::Interval{});  // empty extents
+  if (info.access.empty()) return;
 
   const geom::Rect window = searchWindow(info, kWindowMargin + extraMargin);
   // Every access target lies inside the window, so each findPath below
   // binds the scratch to this same box and the tree stamps stay valid.
   scratch.bind(window);
 
-  // Connect pins left-to-right starting from pin 0's access component.
-  std::vector<std::size_t> order(info.access.size());
-  for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const Index pa = design_.net(net).pins[a];
-    const Index pb = design_.net(net).pins[b];
-    return design_.pin(pa).shape.x.lo < design_.pin(pb).shape.x.lo;
-  });
-
   // Plan-assembly vectors get their expected sizes up front: one V1 per pin
-  // (+1 for the first pin's projection V1), one path per connection, and the
-  // seed targets for the tree. Landed paths can still grow vias/tree past
-  // these — that growth is plan assembly between searches, outside the
-  // armed hot region, not the A* inner loop.
+  // (+1 for the first pin's projection V1) and the seed targets for the
+  // tree. Landed paths can still grow nodes/vias/tree past these — that
+  // growth is plan assembly between searches, outside the armed hot
+  // region, not the A* inner loop, and a warm slot has the room already.
   std::size_t seedCap = 0;
   for (const PinAccess& a : info.access) seedCap += a.targets.size();
   plan.vias.reserve(info.access.size() + 1);
-  plan.paths.reserve(info.access.size());
   const long treeEpoch = ++scratch.treeEpoch;
   std::vector<int>& tree = scratch.tree;
   tree.clear();
@@ -207,72 +216,59 @@ NetPlan RouteEngine::searchNet(Index net, const MazeCosts& costs,
     }
   };
 
-  // Projection-pin V1 sites are discovered at landing time; searches must
-  // not write them back into the (shared, const) net info, so they live in
-  // a local shadow of the access list.
-  std::vector<ViaSite> accVia(info.access.size());
-  for (std::size_t k = 0; k < info.access.size(); ++k)
-    accVia[k] = info.access[k].via;
+  // Connect pins left-to-right starting from the first pin's access
+  // component. An interval pin's V1 is known up front; a projection pin's
+  // is found where a path lands on it (the first pin's: where the first
+  // path leaves it, or, for a single-pin net, at its first target).
+  const PinAccess& acc0 = info.access.front();
+  for (int id : acc0.targets) addTree(id);
+  if (acc0.rec >= 0) plan.vias.push_back(acc0.via);
 
-  // Seed with the first pin.
-  {
-    const PinAccess& acc0 = info.access[order[0]];
-    for (int id : acc0.targets) addTree(id);
-    if (acc0.rec >= 0) plan.vias.push_back(accVia[order[0]]);
-    // Projection pins get their V1 at the first path's source (or, for
-    // single-pin nets, at the first target).
-  }
-
-  for (std::size_t k = 1; k < order.size(); ++k) {
-    const PinAccess& acc = info.access[order[k]];
-    std::optional<std::vector<int>> path =
-        maze_.findPath(tree, acc.targets, window, net, costs, scratch);
-    if (!path) return plan;  // not found; caller may retry with a larger margin
+  for (std::size_t k = 1; k < info.access.size(); ++k) {
+    const PinAccess& acc = info.access[k];
+    const std::size_t begin = plan.nodes.size();
+    if (!maze_.findPath(tree, acc.targets, window, net, costs, scratch,
+                        plan.nodes))
+      return;  // not found; caller may retry with a larger margin
     CPR_DCHECK(scratch.box == window);
     // Record the path's box, V2 vias along it and interval usage at both
     // ends.
-    Node a = grid_.node(path->front());
+    const int front = plan.nodes[begin];
+    const int back = plan.nodes.back();
+    Node a = grid_.node(front);
     plan.box.expand(geom::Point{a.x, a.y});
-    for (std::size_t i = 1; i < path->size(); ++i) {
-      const Node b = grid_.node((*path)[i]);
+    for (std::size_t i = begin + 1; i < plan.nodes.size(); ++i) {
+      const Node b = grid_.node(plan.nodes[i]);
       if (a.layer != b.layer) plan.vias.push_back(ViaSite{a.x, a.y, 2});
       plan.box.expand(geom::Point{b.x, b.y});
       a = b;
     }
-    noteIntervalUse(path->front());
-    noteIntervalUse(path->back());
+    noteIntervalUse(front);
+    noteIntervalUse(back);
     if (acc.rec >= 0) {
-      plan.vias.push_back(accVia[order[k]]);
+      plan.vias.push_back(acc.via);
       for (int id : acc.targets) addTree(id);
     } else {
-      const Node landing = grid_.node(path->back());
-      accVia[order[k]] = ViaSite{landing.x, landing.y, 1};
-      plan.vias.push_back(accVia[order[k]]);
+      const Node landing = grid_.node(back);
+      plan.vias.push_back(ViaSite{landing.x, landing.y, 1});
     }
-    // First pin's projection V1: source end of the first path.
-    if (k == 1 && info.access[order[0]].rec < 0) {
-      const Node src = grid_.node(path->front());
-      accVia[order[0]] = ViaSite{src.x, src.y, 1};
-      plan.vias.push_back(accVia[order[0]]);
+    if (k == 1 && acc0.rec < 0) {
+      const Node src = grid_.node(front);
+      plan.vias.push_back(ViaSite{src.x, src.y, 1});
     }
-    for (int id : *path) addTree(id);
-    plan.paths.push_back(std::move(*path));
+    for (std::size_t i = begin; i < plan.nodes.size(); ++i)
+      addTree(plan.nodes[i]);
   }
 
-  if (order.size() == 1) {
-    // Single-pin net: drop one via on the first access node.
-    const PinAccess& acc0 = info.access[order[0]];
-    if (acc0.rec < 0) {
-      const Node n0 = grid_.node(acc0.targets.front());
-      accVia[order[0]] = ViaSite{n0.x, n0.y, 1};
-      plan.vias.push_back(accVia[order[0]]);
-      plan.paths.push_back({acc0.targets.front()});
-      plan.box.expand(geom::Point{n0.x, n0.y});
-    }
+  if (info.access.size() == 1 && acc0.rec < 0) {
+    // Single projection pin: one via on its first access node.
+    const Node n0 = grid_.node(acc0.targets.front());
+    plan.vias.push_back(ViaSite{n0.x, n0.y, 1});
+    plan.nodes.assign(1, acc0.targets.front());  // no path was searched
+    plan.box.expand(geom::Point{n0.x, n0.y});
   }
 
   plan.found = true;
-  return plan;
 }
 
 void RouteEngine::commitPlan(Index net, const NetPlan& plan) {
@@ -320,9 +316,7 @@ void RouteEngine::commitPlan(Index net, const NetPlan& plan) {
     const auto lx = static_cast<unsigned>(n.x - box.x.lo);
     rowOf(n.layer, n.y)[lx >> 6] |= std::uint64_t{1} << (lx & 63);
   };
-  for (const auto& path : plan.paths) {
-    for (const int id : path) mark(grid_.node(id));
-  }
+  for (const int id : plan.nodes) mark(grid_.node(id));
   for (std::size_t r = 0; r < info.recs.size(); ++r) {
     const geom::Interval xs = trimmed(r);
     for (Coord x = xs.lo; x <= xs.hi; ++x)
@@ -405,26 +399,27 @@ void RouteEngine::flushSearchStats(MazeScratch& scratch) {
 bool RouteEngine::routeNet(Index net, const MazeCosts& costs,
                            MazeScratch& scratch, Coord extraMargin) {
   ripNet(net);
-  NetPlan plan = searchNet(net, costs, extraMargin, scratch);
+  searchNet(net, costs, extraMargin, scratch, plan_);
   flushSearchStats(scratch);
-  if (!plan.found) return false;
-  commitPlan(net, plan);
+  if (!plan_.found) return false;
+  commitPlan(net, plan_);
   return true;
 }
 
-std::optional<std::vector<int>> RouteEngine::probePath(Index net,
-                                                       float present,
-                                                       MazeScratch& scratch) {
+bool RouteEngine::probePath(Index net, float present, MazeScratch& scratch,
+                            std::vector<int>& path) {
   const NetInfo& info = infos_[static_cast<std::size_t>(net)];
-  if (info.access.size() < 2) return std::nullopt;
+  if (info.access.size() < 2) return false;
   MazeCosts costs;
   costs.present = present;
   costs.hardBlockOccupied = false;
   const geom::Rect window = searchWindow(info, kWindowMargin * 2);
-  auto path = maze_.findPath(info.access[0].targets, info.access[1].targets,
-                             window, net, costs, scratch);
+  const bool found = maze_.findPath(
+      info.access[static_cast<std::size_t>(info.probeFrom)].targets,
+      info.access[static_cast<std::size_t>(info.probeTo)].targets, window, net,
+      costs, scratch, path);
   flushSearchStats(scratch);
-  return path;
+  return found;
 }
 
 NetGeometry RouteEngine::geometryOf(Index net) const {

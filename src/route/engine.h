@@ -8,20 +8,20 @@
 /// nets in two phases:
 ///
 ///   * **search** (`searchNet`, const): negotiated A* connects the net's
-///     pins into a tree over an immutable view of the grid; every mutable
-///     byte lives in the caller's `MazeScratch` arena, so many searches may
-///     run concurrently against one grid.
+///     pins into a tree over an immutable view of the grid and fills the
+///     caller's `NetPlan`; every mutable byte lives in the caller's
+///     `MazeScratch` arena and plan, so many searches may run concurrently
+///     against one grid.
 ///   * **commit** (`commitPlan`): the found paths, V1/V2 vias, trimmed
 ///     interval metal, and line-end extensions are written into the grid's
 ///     occupancy / via maps and the net's state. Commits mutate shared
 ///     state and must be serialized by the caller.
 ///
 /// `routeNet` is the sequential convenience that rips, searches through the
-/// caller's scratch, and commits in one call.
+/// caller's scratch into the engine's own plan, and commits in one call.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/optimizer.h"
@@ -34,13 +34,16 @@
 namespace cpr::route {
 
 /// Outcome of one net search: everything `commitPlan` needs, and nothing
-/// that aliases engine or grid state — a plan is immutable data produced by
-/// a const search, possibly on another thread.
+/// that aliases engine or grid state. A plan is a reusable slot: each
+/// `searchNet` clears and refills it (possibly on another thread), keeping
+/// its capacity, so a warm search allocates nothing.
 struct NetPlan {
   bool found = false;
-  std::vector<std::vector<int>> paths;  ///< node-id paths, one per connection
-  std::vector<ViaSite> vias;            ///< V1 + V2 vias in discovery order
-  geom::Rect box;                       ///< bounding box of the paths' nodes
+  /// Node ids of the found paths, concatenated in connection order (a
+  /// single-pin net: its first access node).
+  std::vector<int> nodes;
+  std::vector<ViaSite> vias;  ///< V1 + V2 vias in discovery order
+  geom::Rect box;             ///< bounding box of `nodes`
   /// Used x-extent per interval record (parallel to the net's records;
   /// default-empty when the record was never touched). Commit trims each
   /// interval to hull(needed, used) — identical to hulling the individual
@@ -84,15 +87,15 @@ class RouteEngine {
   }
 
   /// Const search phase: finds paths for `net` under the given cost model
-  /// without touching the grid or the net's state. The caller must have
-  /// ripped any previous route of the net first (a committed self-route
-  /// would otherwise be priced as foreign sharing). `extraMargin` widens
-  /// the search window (used by retries). All search state and the
-  /// `route.astar.*` tallies land in `scratch`; flush them to the observer
-  /// with `flushSearchStats` outside any parallel region.
-  [[nodiscard]] NetPlan searchNet(Index net, const MazeCosts& costs,
-                                  Coord extraMargin,
-                                  MazeScratch& scratch) const CPR_HOT;
+  /// without touching the grid or the net's state, and refills `plan` with
+  /// them (`plan.found` tells whether every pin connected). The caller must
+  /// have ripped any previous route of the net first (a committed
+  /// self-route would otherwise be priced as foreign sharing).
+  /// `extraMargin` widens the search window (used by retries). All search
+  /// state and the `route.astar.*` tallies land in `scratch`; flush them to
+  /// the observer with `flushSearchStats` outside any parallel region.
+  void searchNet(Index net, const MazeCosts& costs, Coord extraMargin,
+                 MazeScratch& scratch, NetPlan& plan) const CPR_HOT;
 
   /// Commit phase: writes a found plan's metal, vias, interval trims, and
   /// line-end extensions into the grid and the net's state. Must be called
@@ -105,8 +108,8 @@ class RouteEngine {
   void flushSearchStats(MazeScratch& scratch);
 
   /// Routes `net` under the given cost model: rip + search (through
-  /// `scratch`) + commit + tally flush in one sequential call. Returns
-  /// success; on failure the net is left unrouted.
+  /// `scratch`, into the engine's plan) + commit + tally flush in one
+  /// sequential call. Returns success; on failure the net is left unrouted.
   bool routeNet(Index net, const MazeCosts& costs, MazeScratch& scratch,
                 Coord extraMargin = 0);
 
@@ -124,11 +127,13 @@ class RouteEngine {
   /// then or became shared since. The view lives until the next call.
   [[nodiscard]] const std::vector<Index>& sharingNets();
 
-  /// Min-cost path for `net` ignoring hard occupancy (sharing allowed at
-  /// cost `present`); used by the sequential driver to find blocker nets.
-  /// Searches through `scratch` and flushes its tallies.
-  [[nodiscard]] std::optional<std::vector<int>> probePath(
-      Index net, float present, MazeScratch& scratch);
+  /// Min-cost path between the net's first two pins ignoring hard
+  /// occupancy (sharing allowed at cost `present`), appended to `path`;
+  /// false when the net has fewer than two pins or none connects. Used by
+  /// the sequential driver to find blocker nets. Searches through `scratch`
+  /// and flushes its tallies.
+  [[nodiscard]] bool probePath(Index net, float present, MazeScratch& scratch,
+                               std::vector<int>& path);
 
   /// Committed geometry of every net as maximal straight segments plus
   /// vias, indexed like `Design::nets` (empty for unrouted nets).
@@ -153,10 +158,18 @@ class RouteEngine {
   struct PinAccess {
     std::vector<int> targets;  ///< M2 node ids reaching the pin
     int rec = -1;              ///< interval record index (-1: raw projection)
-    ViaSite via;               ///< V1 site (projection pins: filled at landing)
+    /// V1 site of an interval pin; a projection pin's is where a path
+    /// lands on it, so each search finds it anew.
+    ViaSite via;
   };
   struct NetInfo {
+    /// One entry per pin, in connection order: pins by the left edge of
+    /// their shape.
     std::vector<PinAccess> access;
+    /// Positions in `access` of the net's first two pins in pin order:
+    /// probePath's endpoints.
+    int probeFrom = 0;
+    int probeTo = 0;
     std::vector<IntervalRec> recs;
     geom::Rect window;
   };
@@ -176,6 +189,8 @@ class RouteEngine {
   MazeRouter maze_;
   std::vector<NetInfo> infos_;
   std::vector<NetState> states_;
+
+  NetPlan plan_;  ///< routeNet's plan, reused across calls
 
   // ---- commitPlan's buffers, reused across commits ----
   /// Window-local node bitmap, both layers, each row padded to whole words.

@@ -100,11 +100,12 @@ float MazeRouter::nodeCost(int id, Index net, const MazeCosts& c) const {
   return nodeCostAt(grid_.node(id), id, net, c);
 }
 
-std::optional<std::vector<int>> MazeRouter::findPath(
-    const std::vector<int>& sources, const std::vector<int>& targets,
-    const geom::Rect& window, Index net, const MazeCosts& costs,
-    MazeScratch& scratch) const {
-  if (sources.empty() || targets.empty()) return std::nullopt;
+bool MazeRouter::findPath(const std::vector<int>& sources,
+                          const std::vector<int>& targets,
+                          const geom::Rect& window, Index net,
+                          const MazeCosts& costs, MazeScratch& scratch,
+                          std::vector<int>& path) const {
+  if (sources.empty() || targets.empty()) return false;
   // Target bbox for the admissible A* heuristic (min edge cost = metal).
   geom::Rect tbox;
   for (int t : targets) {
@@ -219,18 +220,19 @@ std::optional<std::vector<int>> MazeRouter::findPath(
     }
   }
   scratch.pops += pops;
-  if (goal == -1) return std::nullopt;
+  if (goal == -1) return false;
 
-  // Result assembly happens outside the hot region: the path vector is the
-  // caller's to keep, so it cannot live in scratch.
+  // The path lands in the caller's vector, outside the hot region; it grows
+  // geometrically, and a reused vector soon stops growing at all.
   const auto parentOf = [&](int v) {
     return scratch.parent[scratch.local(grid_.node(v))];
   };
-  std::size_t len = 0;
-  for (int v = goal; v != -1; v = parentOf(v)) ++len;
-  std::vector<int> path(len);
-  for (int v = goal; v != -1; v = parentOf(v)) path[--len] = v;
-  return path;
+  std::size_t end = path.size();
+  for (int v = goal; v != -1; v = parentOf(v)) ++end;
+  if (end > path.capacity()) path.reserve(std::max(end, 2 * path.capacity()));
+  path.resize(end);
+  for (int v = goal; v != -1; v = parentOf(v)) path[--end] = v;
+  return true;
 }
 
 }  // namespace cpr::route

@@ -21,7 +21,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "geom/rect.h"
@@ -139,17 +138,18 @@ class MazeRouter {
   explicit MazeRouter(const RoutingGrid& grid) : grid_(grid) {}
 
   /// Finds a min-cost path from any source to any target inside `window`
-  /// (both layers). Returns the node-id path source→target inclusive, or
-  /// nullopt when disconnected. Sources already in the target set return a
-  /// single-node path. Sources and targets may lie outside `window`; only
-  /// the moves between them are confined to it. Const over the grid; all
-  /// mutable search state and the searches/pops tallies land in `scratch`,
-  /// which is bound to the hull of `window` and the endpoints (clipped to
-  /// the grid).
-  [[nodiscard]] std::optional<std::vector<int>> findPath(
-      const std::vector<int>& sources, const std::vector<int>& targets,
-      const geom::Rect& window, Index net, const MazeCosts& costs,
-      MazeScratch& scratch) const CPR_HOT;
+  /// (both layers) and appends its node ids, source→target inclusive, to
+  /// `path`. Returns false, leaving `path` as it was, when disconnected.
+  /// Sources already in the target set append a single node. Sources and
+  /// targets may lie outside `window`; only the moves between them are
+  /// confined to it. Const over the grid; all mutable search state and the
+  /// searches/pops tallies land in `scratch`, which is bound to the hull of
+  /// `window` and the endpoints (clipped to the grid).
+  [[nodiscard]] bool findPath(const std::vector<int>& sources,
+                              const std::vector<int>& targets,
+                              const geom::Rect& window, Index net,
+                              const MazeCosts& costs, MazeScratch& scratch,
+                              std::vector<int>& path) const CPR_HOT;
 
   /// Cost of entering node `id` for `net` (via costs excluded), or +inf when
   /// the net may not enter: a blockage, a foreign or contested M2 owner, or

@@ -83,15 +83,15 @@ class BatchRouter {
         obs::add(obs_, obs::names::kRouteParallelNets,
                  static_cast<long>(wave.size()));
       for (Index net : wave) engine_.ripNet(net);
-      std::vector<NetPlan> plans(wave.size());
+      if (plans_.size() < wave.size()) plans_.resize(wave.size());
       pool_.parallelFor(wave.size(), [&](int worker, std::size_t k) {
-        plans[k] = engine_.searchNet(wave[k], costs, /*extraMargin=*/0,
-                                     scratches_[std::size_t(worker)]);
+        engine_.searchNet(wave[k], costs, /*extraMargin=*/0,
+                          scratches_[std::size_t(worker)], plans_[k]);
       });
       for (MazeScratch& s : scratches_) engine_.flushSearchStats(s);
       for (std::size_t k = 0; k < wave.size(); ++k) {
-        if (plans[k].found)
-          engine_.commitPlan(wave[k], plans[k]);
+        if (plans_[k].found)
+          engine_.commitPlan(wave[k], plans_[k]);
         else
           misses.push_back(wave[k]);
       }
@@ -132,6 +132,9 @@ class BatchRouter {
   WaveScheduler scheduler_;
   /// One search arena per worker; worker 0's also serves the retries.
   std::vector<MazeScratch> scratches_;
+  /// One plan per wave slot, refilled by every wave (slot k holds the k-th
+  /// net of the current wave).
+  std::vector<NetPlan> plans_;
 };
 
 }  // namespace

@@ -66,6 +66,7 @@ RoutingResult routeSequential(const db::Design& design,
   });
 
   std::deque<Index> queue(order.begin(), order.end());
+  std::vector<int> probe;  // the rip-up pass's probe path, reused
   std::vector<int> attempts(static_cast<std::size_t>(numNets), 0);
   std::vector<int> ripped(static_cast<std::size_t>(numNets), 0);
   int passes = 0;
@@ -90,9 +91,10 @@ RoutingResult routeSequential(const db::Design& design,
       continue;  // given up: the net stays unrouted
     if (attempts[static_cast<std::size_t>(net)] >= 2) {
       // Rip-up pass: evict the nets sitting on the cheapest probe path.
-      if (auto probe = engine.probePath(net, /*present=*/50.0F, scratch)) {
+      probe.clear();
+      if (engine.probePath(net, /*present=*/50.0F, scratch, probe)) {
         std::vector<Index> blockers;
-        for (int id : *probe) {
+        for (int id : probe) {
           const Index o = owner[static_cast<std::size_t>(id)];
           if (o != geom::kInvalidIndex && o != net &&
               std::find(blockers.begin(), blockers.end(), o) == blockers.end())

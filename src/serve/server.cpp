@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -93,13 +94,10 @@ support::Status Server::start() {
     phase_ = Phase::kRunning;
   }
   acceptThread_ = std::thread([this] { acceptLoop(); });
-  // Workers are long-lived tasks on the shared pool seam. Pool size is
-  // workers + 1 because the constructing thread counts as worker 0 and
-  // posted tasks only run on the spawned workers.
   const int workers = std::max(1, opts_.workers);
-  workerPool_ = std::make_unique<support::ThreadPool>(workers + 1);
+  workers_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i)
-    workerPool_->post([this] { workerLoop(); });
+    workers_.emplace_back([this] { workerLoop(); });
   return support::Status::ok();
 }
 
@@ -122,10 +120,7 @@ void Server::stop() {
   // terminals — every admitted job reaches a terminal frame, even now.
   ::shutdown(listenFd_, SHUT_RDWR);
   queue_.close();
-  if (workerPool_) {
-    workerPool_->drain();  // closed queue -> every workerLoop task returns
-    workerPool_.reset();
-  }
+  for (std::thread& w : workers_) w.join();  // closed queue: each returns
   for (Job& job : queue_.drainRemaining()) {
     JobResult r;
     r.id = job.request.id;
@@ -378,10 +373,17 @@ void Server::handleRequest(const std::shared_ptr<Connection>& conn,
 }
 
 void Server::workerLoop() {
-  while (true) {
-    std::optional<Job> job = queue_.pop();
-    if (!job) return;
-    runJob(std::move(*job));
+  while (std::optional<Job> job = queue_.pop()) {
+    // runJob folds every pipeline fault into the job's terminal frame. This
+    // is the thread boundary: anything else (say, bad_alloc while framing a
+    // result) is reported here and the worker keeps serving.
+    try {
+      runJob(std::move(*job));
+    } catch (...) {
+      std::fputs("serve: a job worker caught an exception outside the job "
+                 "pipeline\n",
+                 stderr);
+    }
   }
 }
 

@@ -4,12 +4,10 @@
 /// header implements.
 ///
 /// Topology: one accept thread, one reader thread per connection, and a
-/// fixed set of job workers — long-running `support::ThreadPool` tasks
-/// (the repo's single worker-pool seam) — pulling from a
-/// `BoundedJobQueue`. Readers do
-/// only cheap work (frame decode, admission); every expensive or fallible
-/// stage — DEF parse, validation, pin access, routing — runs on a worker,
-/// inside a catch-all boundary. The failure containment ladder:
+/// fixed set of job worker threads pulling from a `BoundedJobQueue`.
+/// Readers do only cheap work (frame decode, admission); every expensive or
+/// fallible stage — DEF parse, validation, pin access, routing — runs on a
+/// worker, inside a catch-all boundary. The failure containment ladder:
 ///
 ///   - malformed frame        -> error frame, connection stays up
 ///   - queue lane full        -> serve.job.rejected (Cancelled), accept
@@ -47,7 +45,6 @@
 #include "support/backoff.h"
 #include "support/status.h"
 #include "support/thread_annotations.h"
-#include "support/thread_pool.h"
 
 namespace cpr::serve {
 
@@ -180,9 +177,9 @@ class Server {
 
   /// Joined by stop() (the only teardown path).
   std::thread acceptThread_ CPR_THREAD_REAPER;
-  /// Job workers run as long-lived posted tasks on the shared pool seam;
-  /// stop() closes the queue (tasks return) and then drains the pool.
-  std::unique_ptr<support::ThreadPool> workerPool_;
+  /// Job worker threads; stop() closes the queue (each worker returns
+  /// after its in-flight job) and then joins them.
+  std::vector<std::thread> workers_ CPR_THREAD_REAPER;
   /// Connection registry, guarded by connMu_. `conns_` holds connections
   /// whose reader is still running (queued jobs keep their own refs);
   /// `readers_` maps each live connection to its reader thread. A reader

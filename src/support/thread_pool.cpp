@@ -38,44 +38,14 @@ void ThreadPool::runShare(int worker) {
   }
 }
 
-void ThreadPool::runTask(const std::function<void()>& task) {
-  try {
-    task();
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!taskError_) taskError_ = std::current_exception();
-  }
-}
-
 void ThreadPool::workerLoop(int worker) {
   long seen = 0;
   for (;;) {
-    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      wake_.wait(lock, [&] {
-        return stop_ || generation_ != seen || !tasks_.empty();
-      });
-      // Shutdown wins over queued work: whatever is still in tasks_ is
-      // discarded unrun (see ~ThreadPool). A task already dequeued below
-      // still completes before its worker observes stop_.
+      wake_.wait(lock, [&] { return stop_ || generation_ != seen; });
       if (stop_) return;
-      if (!tasks_.empty()) {
-        task = std::move(tasks_.front());
-        tasks_.pop_front();
-        ++taskBusy_;
-      } else {
-        seen = generation_;
-      }
-    }
-    if (task) {
-      runTask(task);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        --taskBusy_;
-      }
-      done_.notify_all();
-      continue;
+      seen = generation_;
     }
     runShare(worker);
     {
@@ -119,31 +89,6 @@ void ThreadPool::parallelFor(
   }
   body_ = nullptr;
   if (pending) std::rethrow_exception(pending);
-}
-
-bool ThreadPool::post(std::function<void()> task) {
-  if (size_ == 1) {
-    runTask(task);
-    return true;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) return false;
-    tasks_.push_back(std::move(task));
-  }
-  wake_.notify_one();
-  return true;
-}
-
-void ThreadPool::drain() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_.wait(lock, [&] { return tasks_.empty() && taskBusy_ == 0; });
-  if (taskError_) {
-    std::exception_ptr e = taskError_;
-    taskError_ = nullptr;
-    lock.unlock();
-    std::rethrow_exception(e);
-  }
 }
 
 }  // namespace cpr::support

@@ -16,19 +16,11 @@
 /// write to per-item slots and merge in item order afterwards, exactly the
 /// PanelKernel discipline. Nothing here depends on the thread count except
 /// wall-clock time.
-///
-/// Besides the blocking `parallelFor`, the pool accepts fire-and-forget
-/// tasks through `post` (the serve layer's job-execution seam). The two
-/// modes share workers but are meant for different owners: a pool used as a
-/// task executor should not also run `parallelFor` waves, because a worker
-/// stuck in a long task would stall the wave. Shutdown is deliberately
-/// non-draining — see `~ThreadPool`.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -46,13 +38,7 @@ class ThreadPool {
   explicit ThreadPool(int threads = 0);
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
-  /// Shutdown is prompt, not draining: tasks still *queued* via `post` are
-  /// destroyed unrun (their owners must tolerate abandonment — the serve
-  /// layer cancels queued jobs explicitly before tearing its pool down),
-  /// while tasks already *running* complete and are joined. A task that
-  /// throws during this final drain is contained exactly like any other
-  /// task exception: captured, never allowed to escape into `terminate`,
-  /// and simply discarded because no `drain()` call remains to claim it.
+  /// Wakes the idle workers and joins them.
   ~ThreadPool();
 
   /// Number of workers, including the calling thread. Always >= 1.
@@ -71,26 +57,11 @@ class ThreadPool {
                    const std::function<void(int, std::size_t)>& body)
       CPR_EXCLUDES(mu_) CPR_NO_THREAD_SAFETY_ANALYSIS;
 
-  /// Enqueues a fire-and-forget task for the spawned workers. Returns false
-  /// (dropping the task) once shutdown has begun. On a pool of size 1 there
-  /// are no spawned workers, so the task runs inline before `post` returns.
-  /// Task exceptions never propagate out of a worker: the first one is
-  /// captured and surfaces from the next `drain()`.
-  bool post(std::function<void()> task) CPR_EXCLUDES(mu_);
-
-  /// Blocks until every task posted so far finished (queue empty, no worker
-  /// mid-task), then rethrows the first captured task exception, clearing
-  /// it; the pool stays usable either way. Note this waits for *tasks*, not
-  /// for `parallelFor` (which is synchronous already).
-  void drain() CPR_EXCLUDES(mu_) CPR_NO_THREAD_SAFETY_ANALYSIS;
-
  private:
   void workerLoop(int worker) CPR_EXCLUDES(mu_) CPR_NO_THREAD_SAFETY_ANALYSIS;
   /// Pulls items off the shared cursor until the range is exhausted; stores
   /// the first exception and abandons the remaining items.
   void runShare(int worker);
-  /// Runs one posted task, capturing the first exception into taskError_.
-  void runTask(const std::function<void()>& task);
 
   int size_ = 1;
   /// size_ - 1 spawned threads; joined by the destructor after stop_.
@@ -110,13 +81,6 @@ class ThreadPool {
   std::size_t count_ = 0;
   const std::function<void(int, std::size_t)>* body_ = nullptr;
   std::exception_ptr error_ CPR_GUARDED_BY(mu_);  ///< first body exception
-
-  // Posted-task state, guarded by mu_. Destruction discards tasks_ unrun.
-  std::deque<std::function<void()>> tasks_ CPR_GUARDED_BY(mu_);
-  /// Workers currently inside a posted task.
-  int taskBusy_ CPR_GUARDED_BY(mu_) = 0;
-  /// First task exception.
-  std::exception_ptr taskError_ CPR_GUARDED_BY(mu_);
 };
 
 }  // namespace cpr::support

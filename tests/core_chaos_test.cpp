@@ -65,7 +65,7 @@ class ChaosSolver : public Solver {
 };
 
 /// Same fault pattern, but claims to BE the LR solver — the optimizer then
-/// skips the LR rung and must recover through greedy / minimal-interval.
+/// skips the LR rung and must recover through the terminal greedy rung.
 class ChaosLrSolver final : public ChaosSolver {
  public:
   [[nodiscard]] std::string_view name() const override { return "lr"; }
@@ -134,7 +134,7 @@ TEST(Chaos, FaultedPanelsDegradeToALegalPlan) {
   EXPECT_EQ(plan.unassignedPins(), 0);
 }
 
-TEST(Chaos, LadderReachesGreedyAndMinimalRungs) {
+TEST(Chaos, LadderReachesTheGreedyRung) {
   const db::Design d = chaosDesign();
   OptimizerOptions opts;
   opts.solver = std::make_shared<ChaosLrSolver>();  // LR rung unavailable
@@ -143,9 +143,29 @@ TEST(Chaos, LadderReachesGreedyAndMinimalRungs) {
   const long faults = expectedFaults(plan, 1) + expectedFaults(plan, 2);
   EXPECT_EQ(plan.panelsBelowPrimary(), faults);
   EXPECT_EQ(plan.stats.counter(obs::names::kPaoRungLr), 0);
-  EXPECT_EQ(plan.stats.counter(obs::names::kPaoRungGreedy) +
-                plan.stats.counter(obs::names::kPaoRungMinimal),
-            faults);
+  EXPECT_EQ(plan.stats.counter(obs::names::kPaoRungGreedy), faults);
+}
+
+TEST(Chaos, PanelWithNoAccessShipsEmptyAtTheGreedyRung) {
+  // Every track of every pin is blocked: no pin has a candidate, so the
+  // primary LR solve is empty (degraded), the LR rung is the primary, and
+  // the terminal greedy rung ships the panel all-unassigned.
+  db::Design d("buried", 30, 1, 10);
+  const db::Index n = d.addNet("A");
+  d.addPin("p", n, geom::Rect{geom::Interval::point(5), geom::Interval{2, 3}});
+  d.addPin("q", n, geom::Rect{geom::Interval::point(12), geom::Interval{6, 7}});
+  d.addBlockage(db::Layer::M2,
+                geom::Rect{geom::Interval{4, 6}, geom::Interval{2, 3}});
+  d.addBlockage(db::Layer::M2,
+                geom::Rect{geom::Interval{11, 13}, geom::Interval{6, 7}});
+  const PinAccessPlan plan = optimizePinAccess(d, OptimizerOptions{});
+  EXPECT_EQ(plan.stats.counter(obs::names::kPaoPanels), 1);
+  EXPECT_EQ(plan.stats.counter(obs::names::kPaoRungGreedy), 1);
+  EXPECT_EQ(plan.stats.counter(obs::names::kPaoRungPrimary), 0);
+  EXPECT_EQ(plan.stats.counter(obs::names::kPaoPanelDegraded), 1);
+  EXPECT_EQ(plan.stats.counter(obs::names::kPaoPanelFailed), 0);
+  EXPECT_EQ(plan.unassignedPins(), 2);
+  for (const PinRoute& r : plan.routes) EXPECT_FALSE(r.valid());
 }
 
 TEST(Chaos, PlansAndCountersAreThreadCountInvariant) {
@@ -169,8 +189,7 @@ TEST(Chaos, PlansAndCountersAreThreadCountInvariant) {
     for (const std::string_view name :
          {obs::names::kPaoPanelFailed, obs::names::kPaoPanelDegraded,
           obs::names::kPaoRungPrimary, obs::names::kPaoRungLr,
-          obs::names::kPaoRungGreedy, obs::names::kPaoRungMinimal,
-          obs::names::kPaoFallbacks, obs::names::kPaoUnassigned,
+          obs::names::kPaoRungGreedy, obs::names::kPaoFallbacks, obs::names::kPaoUnassigned,
           obs::names::kLrIterations}) {
       EXPECT_EQ(p.stats.counter(name), ref.stats.counter(name)) << name;
     }
@@ -190,9 +209,7 @@ TEST(Chaos, ExpiredRunDeadlineDegradesEveryPanelButStaysLegal) {
   EXPECT_EQ(plan.stats.counter(obs::names::kPaoPanelFailed), 0);
   EXPECT_EQ(plan.stats.counter(obs::names::kPaoRungPrimary), 0);
   EXPECT_EQ(plan.stats.counter(obs::names::kPaoRungLr), 0);
-  EXPECT_EQ(plan.stats.counter(obs::names::kPaoRungGreedy) +
-                plan.stats.counter(obs::names::kPaoRungMinimal),
-            panels);
+  EXPECT_EQ(plan.stats.counter(obs::names::kPaoRungGreedy), panels);
 }
 
 TEST(Chaos, TrySolveClassifiesFaults) {

@@ -6,12 +6,15 @@
 /// `MazeRouter::findPath` performs ZERO heap allocations inside its hot
 /// region, from the very first armed search on a bound scratch (reserve
 /// happens outside the region, so there is no warmup forgiveness), and the
-/// paths it returns are identical to the unarmed run.
+/// paths it returns are identical to the unarmed run. A whole warm net
+/// search (`RouteEngine::searchNet` into a reused plan and scratch) then
+/// allocates nothing at all.
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <vector>
 
+#include "core/optimizer.h"
+#include "route/engine.h"
 #include "route/maze.h"
 #include "support/alloc_hook.h"
 
@@ -110,18 +113,18 @@ TEST(AllocGate, MazeSearchHotRegionIsAllocationFreeFromTheFirstRun) {
   const int s = g.id(Node{RLayer::M2, 1, 1});
   const int t = g.id(Node{RLayer::M2, 20, 8});
 
-  const auto unarmed = maze.findPath({s}, {t}, fullWindow(g), 0, {}, scratch);
-  ASSERT_TRUE(unarmed.has_value());
+  std::vector<int> unarmed;
+  ASSERT_TRUE(maze.findPath({s}, {t}, fullWindow(g), 0, {}, scratch, unarmed));
 
   ArmedScope armed;
-  std::optional<std::vector<int>> path;
+  std::vector<int> path;
   for (int run = 0; run < 5; ++run) {
-    path = maze.findPath({s}, {t}, fullWindow(g), 0, {}, scratch);
-    ASSERT_TRUE(path.has_value());
+    path.clear();
+    ASSERT_TRUE(maze.findPath({s}, {t}, fullWindow(g), 0, {}, scratch, path));
     EXPECT_EQ(alloc::hotRegionAllocs(), 0)
         << "hot-path allocation on armed run " << run;
   }
-  EXPECT_EQ(*path, *unarmed) << "arming the gate changed the route";
+  EXPECT_EQ(path, unarmed) << "arming the gate changed the route";
 }
 
 // A fresh (never-bound) scratch allocates in bind() and in the reserve —
@@ -135,8 +138,8 @@ TEST(AllocGate, ColdScratchBindStaysOutsideTheHotRegion) {
   MazeScratch cold;
   const int s = g.id(Node{RLayer::M2, 2, 2});
   const int t = g.id(Node{RLayer::M2, 12, 2});
-  const auto path = maze.findPath({s}, {t}, fullWindow(g), 0, {}, cold);
-  ASSERT_TRUE(path.has_value());
+  std::vector<int> path;
+  ASSERT_TRUE(maze.findPath({s}, {t}, fullWindow(g), 0, {}, cold, path));
   EXPECT_EQ(alloc::hotRegionAllocs(), 0);
 }
 
@@ -159,23 +162,74 @@ TEST(AllocGate, ArenaReuseAcrossWindowsMatchesFreshScratch) {
                      g.id(Node{RLayer::M2, 26, 8}), Rect{15, 5, 28, 9}};
   auto fresh = [&](const Search& q) {
     MazeScratch scratch;
-    return maze.findPath({q.source}, {q.target}, q.window, 0, {}, scratch);
+    std::vector<int> path;
+    EXPECT_TRUE(maze.findPath({q.source}, {q.target}, q.window, 0, {},
+                              scratch, path));
+    return path;
   };
-  const auto largeRef = fresh(large);
-  const auto smallRef = fresh(small);
-  ASSERT_TRUE(largeRef.has_value());
-  ASSERT_TRUE(smallRef.has_value());
+  const std::vector<int> largeRef = fresh(large);
+  const std::vector<int> smallRef = fresh(small);
 
   MazeScratch reused;
   ArmedScope armed;
   for (const Search* q : {&large, &small, &large}) {
-    const auto path =
-        maze.findPath({q->source}, {q->target}, q->window, 0, {}, reused);
+    std::vector<int> path;
+    ASSERT_TRUE(maze.findPath({q->source}, {q->target}, q->window, 0, {},
+                              reused, path));
     EXPECT_EQ(alloc::hotRegionAllocs(), 0);
-    ASSERT_TRUE(path.has_value());
-    EXPECT_EQ(*path, q == &small ? *smallRef : *largeRef);
+    EXPECT_EQ(path, q == &small ? smallRef : largeRef);
   }
   EXPECT_EQ(reused.box, large.window);
+}
+
+// A whole net search, not just its A* loops: once the scratch and the plan
+// have seen the net, `searchNet` allocates nothing anywhere — no pin order,
+// no per-path vector, no plan growth. The net mixes interval pins (access
+// intervals from a pin access plan) with raw-projection pins, so both V1
+// paths of the search run, and the found plan equals the cold one.
+TEST(AllocGate, WarmNetSearchIntoAReusedPlanAllocatesNothing) {
+  Design d("net", 40, 1, 10);
+  const db::Index a = d.addNet("A");
+  d.addNet("B");
+  d.addPin("a1", a, Rect{Interval::point(30), Interval{5, 7}});
+  d.addPin("a2", a, Rect{Interval::point(2), Interval{1, 3}});
+  d.addPin("a3", a, Rect{Interval::point(15), Interval{2, 4}});
+  d.addPin("a4", a, Rect{Interval::point(36), Interval{1, 2}});
+  d.addPin("b1", 1, Rect{Interval::point(22), Interval{1, 8}});
+  core::PinAccessPlan pap;
+  pap.routes.assign(d.pins().size(), core::PinRoute{});
+  pap.routes[0] = core::PinRoute{6, Interval{27, 33}};  // a1: interval
+  pap.routes[1] = core::PinRoute{2, Interval{0, 5}};    // a2: interval
+  RouteEngine eng(d, &pap);
+
+  MazeScratch scratch;
+  NetPlan plan;
+  eng.searchNet(a, {}, 0, scratch, plan);  // cold: sizes scratch and plan
+  ASSERT_TRUE(plan.found);
+  ASSERT_EQ(plan.recUsedXs.size(), 2u);
+  int v1 = 0;
+  for (const ViaSite& v : plan.vias) v1 += v.level == 1 ? 1 : 0;
+  ASSERT_EQ(v1, 4);  // one V1 per pin, interval and projection alike
+  const NetPlan cold = plan;
+
+  ArmedScope armed;
+  for (int run = 0; run < 3; ++run) {
+    {
+      const alloc::HotRegion region;
+      eng.searchNet(a, {}, 0, scratch, plan);
+    }
+    EXPECT_EQ(alloc::hotRegionAllocs(), 0) << "allocation on warm run " << run;
+    ASSERT_TRUE(plan.found);
+    EXPECT_EQ(plan.nodes, cold.nodes);
+    ASSERT_EQ(plan.vias.size(), cold.vias.size());
+    for (std::size_t i = 0; i < plan.vias.size(); ++i) {
+      EXPECT_EQ(plan.vias[i].x, cold.vias[i].x);
+      EXPECT_EQ(plan.vias[i].y, cold.vias[i].y);
+      EXPECT_EQ(plan.vias[i].level, cold.vias[i].level);
+    }
+    EXPECT_EQ(plan.box, cold.box);
+    EXPECT_EQ(plan.recUsedXs, cold.recUsedXs);
+  }
 }
 
 }  // namespace

@@ -286,7 +286,7 @@ NetPlan randomPlan(const RoutingGrid& g, std::mt19937& rng,
           g.id(Node{RLayer::M2, coord(region.x), coord(region.y)}));
     for (const int id : path)
       plan.box.expand(geom::Point{g.node(id).x, g.node(id).y});
-    plan.paths.push_back(std::move(path));
+    plan.nodes.insert(plan.nodes.end(), path.begin(), path.end());
   }
   plan.recUsedXs.resize(records);
   for (geom::Interval& used : plan.recUsedXs) {
@@ -374,9 +374,7 @@ TEST(RouteEngine, CommitPlanMatchesSortAndDivideReference) {
         const std::vector<RefRecord> recs =
             withPlan ? referenceRecords(d, pap, net) : std::vector<RefRecord>{};
         const NetPlan plan = randomPlan(g, rng, recs.size());
-        std::vector<int> base;
-        for (const auto& path : plan.paths)
-          base.insert(base.end(), path.begin(), path.end());
+        std::vector<int> base = plan.nodes;
         for (std::size_t r = 0; r < recs.size(); ++r) {
           const Interval trimmed = geom::intersect(
               geom::hull(recs[r].needed, plan.recUsedXs[r]), recs[r].span);
@@ -418,6 +416,78 @@ TEST(RouteEngine, SinglePinNetCommitsItsAccessNode) {
   EXPECT_EQ(eng.state(a).nodes, referenceCommit(g, {access}));
   EXPECT_EQ(eng.state(a).nodes.size(), 3u);  // the node and two extensions
   EXPECT_EQ(eng.state(a).vias.size(), 1u);
+}
+
+/// Field for plan-slot reuse: net A has five pins, listed out of x order,
+/// two of them on access intervals; net B has two projection pins; net C
+/// has two interval pins and connects them, but not its third pin, behind
+/// a wall of blockage on both layers.
+Design slotDesign(core::PinAccessPlan& pap) {
+  Design d("slots", 60, 1, 10);
+  const db::Index a = d.addNet("A");
+  const db::Index b = d.addNet("B");
+  const db::Index c = d.addNet("C");
+  d.addPin("a3", a, Rect{Interval::point(29), Interval{2, 4}});
+  d.addPin("a1", a, Rect{Interval::point(3), Interval{1, 3}});
+  d.addPin("a5", a, Rect{Interval::point(52), Interval{1, 2}});
+  d.addPin("a2", a, Rect{Interval::point(17), Interval{6, 8}});
+  d.addPin("a4", a, Rect{Interval::point(41), Interval{5, 7}});
+  d.addPin("b1", b, Rect{Interval::point(10), Interval{4, 5}});
+  d.addPin("b2", b, Rect{Interval::point(14), Interval{1, 2}});
+  d.addPin("c1", c, Rect{Interval::point(40), Interval{8, 9}});
+  d.addPin("c2", c, Rect{Interval::point(46), Interval{8, 9}});
+  d.addPin("c3", c, Rect{Interval::point(58), Interval{8, 9}});
+  d.addBlockage(db::Layer::M2, Rect{Interval::point(55), Interval{0, 9}});
+  d.addBlockage(db::Layer::M3, Rect{Interval::point(55), Interval{0, 9}});
+  pap.routes.assign(d.pins().size(), core::PinRoute{});
+  pap.routes[3] = core::PinRoute{7, Interval{15, 21}};  // a2
+  pap.routes[4] = core::PinRoute{6, Interval{39, 44}};  // a4
+  pap.routes[7] = core::PinRoute{9, Interval{37, 41}};  // c1
+  pap.routes[8] = core::PinRoute{9, Interval{45, 49}};  // c2
+  return d;
+}
+
+void expectSamePlan(const NetPlan& got, const NetPlan& want) {
+  EXPECT_EQ(got.found, want.found);
+  EXPECT_EQ(got.nodes, want.nodes);
+  ASSERT_EQ(got.vias.size(), want.vias.size());
+  for (std::size_t i = 0; i < got.vias.size(); ++i) {
+    EXPECT_EQ(got.vias[i].x, want.vias[i].x) << "via " << i;
+    EXPECT_EQ(got.vias[i].y, want.vias[i].y) << "via " << i;
+    EXPECT_EQ(got.vias[i].level, want.vias[i].level) << "via " << i;
+  }
+  EXPECT_EQ(got.box, want.box);
+  EXPECT_EQ(got.recUsedXs, want.recUsedXs);
+}
+
+TEST(RouteEngine, ReusedPlanSlotMatchesAFreshPlan) {
+  // One slot refilled by a five-pin net, then by smaller nets: neither the
+  // larger net's nodes, vias and interval extents, nor the leftovers of a
+  // search that failed part-way, may reach a later plan or its commit.
+  core::PinAccessPlan pap;
+  const Design d = slotDesign(pap);
+  RouteEngine eng(d, &pap);
+  RouteEngine ref(d, &pap);
+  MazeScratch scratch;
+  NetPlan slot;
+  for (const db::Index net : {0, 2, 1, 2, 0, 1}) {
+    eng.searchNet(net, {}, 0, scratch, slot);
+    MazeScratch freshScratch;
+    NetPlan fresh;
+    ref.searchNet(net, {}, 0, freshScratch, fresh);
+    expectSamePlan(slot, fresh);
+    EXPECT_EQ(slot.found, net != 2) << "net " << net;
+    if (!slot.found) {
+      EXPECT_FALSE(slot.nodes.empty());  // net C's first connection landed
+      continue;
+    }
+    eng.commitPlan(net, slot);
+    ref.commitPlan(net, fresh);
+    EXPECT_EQ(eng.state(net).nodes, ref.state(net).nodes) << "net " << net;
+    EXPECT_EQ(eng.state(net).vias.size(), ref.state(net).vias.size());
+    eng.ripNet(net);
+    ref.ripNet(net);
+  }
 }
 
 TEST(RouteEngine, SharingNetsMatchesFullScan) {

@@ -55,11 +55,11 @@ TEST(Maze, StraightTrackPath) {
   MazeScratch scratch;
   const int s = g.id(Node{RLayer::M2, 2, 2});
   const int t = g.id(Node{RLayer::M2, 12, 2});
-  const auto path = maze.findPath({s}, {t}, fullWindow(g), 0, {}, scratch);
-  ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(path->size(), 11u);  // straight run of 11 nodes
-  EXPECT_EQ(path->front(), s);
-  EXPECT_EQ(path->back(), t);
+  std::vector<int> path;
+  ASSERT_TRUE(maze.findPath({s}, {t}, fullWindow(g), 0, {}, scratch, path));
+  EXPECT_EQ(path.size(), 11u);  // straight run of 11 nodes
+  EXPECT_EQ(path.front(), s);
+  EXPECT_EQ(path.back(), t);
 }
 
 TEST(Maze, SourceIsTargetYieldsTrivialPath) {
@@ -68,9 +68,9 @@ TEST(Maze, SourceIsTargetYieldsTrivialPath) {
   MazeRouter maze(g);
   MazeScratch scratch;
   const int s = g.id(Node{RLayer::M2, 4, 4});
-  const auto path = maze.findPath({s}, {s}, fullWindow(g), 0, {}, scratch);
-  ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(path->size(), 1u);
+  std::vector<int> path;
+  ASSERT_TRUE(maze.findPath({s}, {s}, fullWindow(g), 0, {}, scratch, path));
+  EXPECT_EQ(path.size(), 1u);
 }
 
 TEST(Maze, TrackChangeUsesVias) {
@@ -80,12 +80,12 @@ TEST(Maze, TrackChangeUsesVias) {
   MazeScratch scratch;
   const int s = g.id(Node{RLayer::M2, 5, 2});
   const int t = g.id(Node{RLayer::M2, 5, 7});
-  const auto path = maze.findPath({s}, {t}, fullWindow(g), 0, {}, scratch);
-  ASSERT_TRUE(path.has_value());
+  std::vector<int> path;
+  ASSERT_TRUE(maze.findPath({s}, {t}, fullWindow(g), 0, {}, scratch, path));
   // M2 -> via -> M3 run -> via -> M2: two layer changes.
   int layerChanges = 0;
-  for (std::size_t i = 0; i + 1 < path->size(); ++i) {
-    if ((g.node((*path)[i]).layer) != (g.node((*path)[i + 1]).layer))
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    if ((g.node(path[i]).layer) != (g.node(path[i + 1]).layer))
       ++layerChanges;
   }
   EXPECT_EQ(layerChanges, 2);
@@ -98,11 +98,11 @@ TEST(Maze, UnidirectionalMovesOnly) {
   MazeScratch scratch;
   const int s = g.id(Node{RLayer::M2, 1, 1});
   const int t = g.id(Node{RLayer::M2, 20, 8});
-  const auto path = maze.findPath({s}, {t}, fullWindow(g), 0, {}, scratch);
-  ASSERT_TRUE(path.has_value());
-  for (std::size_t i = 0; i + 1 < path->size(); ++i) {
-    const Node u = g.node((*path)[i]);
-    const Node v = g.node((*path)[i + 1]);
+  std::vector<int> path;
+  ASSERT_TRUE(maze.findPath({s}, {t}, fullWindow(g), 0, {}, scratch, path));
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    const Node u = g.node(path[i]);
+    const Node v = g.node(path[i + 1]);
     if (u.layer == v.layer) {
       if (u.layer == RLayer::M2) {
         EXPECT_EQ(u.y, v.y);  // horizontal only
@@ -132,18 +132,18 @@ TEST(Maze, OtherNetPinProjectionIsHardWall) {
   MazeScratch scratch;
   const int s = g.id(Node{RLayer::M2, 2, 4});
   const int t = g.id(Node{RLayer::M2, 27, 4});
-  const auto path = maze.findPath({s}, {t}, fullWindow(g), a, {}, scratch);
-  ASSERT_TRUE(path.has_value());
-  for (int id : *path) {
+  std::vector<int> path;
+  ASSERT_TRUE(maze.findPath({s}, {t}, fullWindow(g), a, {}, scratch, path));
+  for (int id : path) {
     const db::Index owner = id < g.planeSize() ? g.owner(id) : geom::kInvalidIndex;
     EXPECT_TRUE(owner == geom::kInvalidIndex || owner == a);
   }
   // Net B itself may use its own projection.
-  const auto own = maze.findPath({g.id(Node{RLayer::M2, 14, 4})},
-                                 {g.id(Node{RLayer::M2, 15, 4})},
-                                 fullWindow(g), b, {}, scratch);
-  ASSERT_TRUE(own.has_value());
-  EXPECT_EQ(own->size(), 2u);
+  std::vector<int> own;
+  ASSERT_TRUE(maze.findPath({g.id(Node{RLayer::M2, 14, 4})},
+                            {g.id(Node{RLayer::M2, 15, 4})}, fullWindow(g),
+                            b, {}, scratch, own));
+  EXPECT_EQ(own.size(), 2u);
 }
 
 TEST(Maze, HardBlockOccupiedMode) {
@@ -160,9 +160,9 @@ TEST(Maze, HardBlockOccupiedMode) {
   hard.hardBlockOccupied = true;
   const int s = g.id(Node{RLayer::M2, 2, 2});
   const int t = g.id(Node{RLayer::M2, 20, 2});
-  const auto path = maze.findPath({s}, {t}, fullWindow(g), 0, hard, scratch);
-  ASSERT_TRUE(path.has_value());
-  for (int id : *path) EXPECT_EQ(g.occupancy(id), 0);
+  std::vector<int> path;
+  ASSERT_TRUE(maze.findPath({s}, {t}, fullWindow(g), 0, hard, scratch, path));
+  for (int id : path) EXPECT_EQ(g.occupancy(id), 0);
 }
 
 TEST(Maze, WindowLimitsSearch) {
@@ -177,9 +177,10 @@ TEST(Maze, WindowLimitsSearch) {
   const int s = g2.id(Node{RLayer::M2, 2, 2});
   const int t = g2.id(Node{RLayer::M2, 20, 2});
   const geom::Rect narrow{0, 2, 29, 2};  // single track
-  EXPECT_FALSE(maze.findPath({s}, {t}, narrow, 0, {}, scratch).has_value());
-  EXPECT_TRUE(
-      maze.findPath({s}, {t}, fullWindow(g2), 0, {}, scratch).has_value());
+  std::vector<int> path;
+  EXPECT_FALSE(maze.findPath({s}, {t}, narrow, 0, {}, scratch, path));
+  EXPECT_TRUE(path.empty());  // a miss appends nothing
+  EXPECT_TRUE(maze.findPath({s}, {t}, fullWindow(g2), 0, {}, scratch, path));
 }
 
 // Endpoints outside the window are still searched from (the scratch binds to
@@ -192,16 +193,16 @@ TEST(Maze, SourceOutsideWindowIsStillASource) {
   const int s = g.id(Node{RLayer::M2, 9, 2});
   const int t = g.id(Node{RLayer::M2, 15, 2});
   const geom::Rect window{10, 2, 20, 2};  // single track, right of s
-  const auto path = maze.findPath({s}, {t}, window, 0, {}, scratch);
-  ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(path->size(), 7u);  // 9..15 on track 2
-  EXPECT_EQ(path->front(), s);
-  EXPECT_EQ(path->back(), t);
+  std::vector<int> path;
+  ASSERT_TRUE(maze.findPath({s}, {t}, window, 0, {}, scratch, path));
+  EXPECT_EQ(path.size(), 7u);  // 9..15 on track 2
+  EXPECT_EQ(path.front(), s);
+  EXPECT_EQ(path.back(), t);
   // A source that is also a target needs no move at all, window or not.
   const int far = g.id(Node{RLayer::M3, 2, 8});
-  const auto trivial = maze.findPath({far}, {far}, window, 0, {}, scratch);
-  ASSERT_TRUE(trivial.has_value());
-  EXPECT_EQ(*trivial, std::vector<int>{far});
+  std::vector<int> trivial;
+  ASSERT_TRUE(maze.findPath({far}, {far}, window, 0, {}, scratch, trivial));
+  EXPECT_EQ(trivial, std::vector<int>{far});
 }
 
 TEST(Maze, PresentCostAvoidsSharing) {
@@ -216,10 +217,10 @@ TEST(Maze, PresentCostAvoidsSharing) {
   costs.present = 50.0F;
   const int s = g.id(Node{RLayer::M2, 2, 2});
   const int t = g.id(Node{RLayer::M2, 18, 2});
-  const auto path = maze.findPath({s}, {t}, fullWindow(g), 0, costs, scratch);
-  ASSERT_TRUE(path.has_value());
+  std::vector<int> path;
+  ASSERT_TRUE(maze.findPath({s}, {t}, fullWindow(g), 0, costs, scratch, path));
   int shared = 0;
-  for (int id : *path) shared += g.occupancy(id) > 0 ? 1 : 0;
+  for (int id : path) shared += g.occupancy(id) > 0 ? 1 : 0;
   EXPECT_EQ(shared, 0);  // detour around the congestion
 }
 
@@ -232,11 +233,11 @@ TEST(Maze, ForbiddenViaCostSteersViaPlacement) {
   MazeScratch scratch;
   const int s = g.id(Node{RLayer::M2, 5, 2});
   const int t = g.id(Node{RLayer::M2, 5, 8});
-  const auto path = maze.findPath({s}, {t}, fullWindow(g), 0, {}, scratch);
-  ASSERT_TRUE(path.has_value());
-  for (std::size_t i = 0; i + 1 < path->size(); ++i) {
-    const Node u = g.node((*path)[i]);
-    const Node v = g.node((*path)[i + 1]);
+  std::vector<int> path;
+  ASSERT_TRUE(maze.findPath({s}, {t}, fullWindow(g), 0, {}, scratch, path));
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    const Node u = g.node(path[i]);
+    const Node v = g.node(path[i + 1]);
     if (u.layer != v.layer) {
       // The chosen via sites must not be adjacent to net 1's via.
       EXPECT_FALSE(g.viaForbidden(u.x, u.y, 0))
@@ -620,11 +621,18 @@ TEST(Maze, MatchesTextbookAStarOnRandomDesigns) {
     const ReferenceSearch want =
         referenceAStar(g, maze, sources, targets, window, net, costs);
     scratch.pops = 0;
-    const auto got =
-        maze.findPath(sources, targets, window, net, costs, scratch);
-    ASSERT_EQ(got, want.path) << "trial " << trial;
+    // findPath appends: whatever the caller's vector holds stays in front.
+    const std::vector<int> prefix(static_cast<std::size_t>(trial % 3), -1);
+    std::vector<int> got = prefix;
+    const bool ok =
+        maze.findPath(sources, targets, window, net, costs, scratch, got);
+    ASSERT_EQ(ok, want.path.has_value()) << "trial " << trial;
+    std::vector<int> expected = prefix;
+    if (ok)
+      expected.insert(expected.end(), want.path->begin(), want.path->end());
+    ASSERT_EQ(got, expected) << "trial " << trial;
     ASSERT_EQ(scratch.pops, want.pops) << "trial " << trial;
-    found += got.has_value() ? 1 : 0;
+    found += ok ? 1 : 0;
   }
   EXPECT_GT(found, 30);  // most trials connect, so paths are compared
 }
