@@ -7,6 +7,11 @@
 ///        [--thread-sweep 1,2,4,8] [--report out.json]
 ///        (default: all six designs)
 ///
+/// `--threads n` runs both negotiated columns (noPAO and CPR, pin access
+/// included) at n threads, so their cpu(s) columns compare like with like.
+/// The sequential column has no thread knob: `routeSequential` is a
+/// single-threaded driver.
+///
 /// `--thread-sweep` appends a routing-only scaling table: pin access runs
 /// once per design, then the negotiation router reruns at each listed thread
 /// count. Rows land in the `route.sweep` series of the report (columns:
@@ -127,7 +132,10 @@ int main(int argc, char** argv) {
 
     const eval::Metrics mSeq = eval::summarize(d, route::routeSequential(d));
 
-    const route::RoutingResult rNoPao = route::routeNegotiated(d, nullptr);
+    route::NegotiationOptions nopts;
+    nopts.threads = h.threads();
+    const route::RoutingResult rNoPao =
+        route::routeNegotiated(d, nullptr, nopts);
     notePeak(rNoPao);
     const eval::Metrics mNoPao = eval::summarize(d, rNoPao);
 

@@ -196,7 +196,7 @@ void RouteEngine::searchNet(Index net, const MazeCosts& costs,
   std::size_t seedCap = 0;
   for (const PinAccess& a : info.access) seedCap += a.targets.size();
   plan.vias.reserve(info.access.size() + 1);
-  const long treeEpoch = ++scratch.treeEpoch;
+  const std::uint32_t treeEpoch = scratch.nextTreeEpoch();
   std::vector<int>& tree = scratch.tree;
   tree.clear();
   tree.reserve(seedCap);  // warm no-op once the largest net has been seen

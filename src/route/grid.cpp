@@ -9,8 +9,7 @@ RoutingGrid::RoutingGrid(const db::Design& design,
                          const core::PinAccessPlan* plan)
     : w_(design.width()), h_(design.gridHeight()) {
   CPR_CHECK(w_ >= 1);
-  rowMagic_ =
-      ((std::uint64_t{1} << 63) - 1) / static_cast<std::uint64_t>(w_) + 1;
+  rowMagic_ = rowMagic(w_);
   const std::size_t plane = static_cast<std::size_t>(planeSize());
   const auto at = [this](Coord x, Coord y) {
     return static_cast<std::size_t>(y) * static_cast<std::size_t>(w_) +

@@ -34,6 +34,20 @@ inline constexpr Index kContestedOwner = -2;
 /// M2 owner code of a blockage.
 inline constexpr Index kBlockedOwner = -3;
 
+/// Row decode without division, shared by `RoutingGrid::node` and the maze
+/// arena's box-local ids: for a row width `w ≥ 1`, `rowMagic(w)` is
+/// M = ceil(2^63 / w), and `rowOf(rem, M)` is `rem * M >> 63`. With
+/// e = M·w − 2^63 < w, the product overshoots rem / w by rem·e / (w·2^63),
+/// less than 1/w for every rem < 2^31, so the floor is exact for every
+/// width, 1 included (M = 2^63 still fits; DESIGN.md §13).
+[[nodiscard]] constexpr std::uint64_t rowMagic(Coord w) {
+  return ((std::uint64_t{1} << 63) - 1) / static_cast<std::uint64_t>(w) + 1;
+}
+[[nodiscard]] constexpr Coord rowOf(std::uint32_t rem, std::uint64_t magic) {
+  return static_cast<Coord>((static_cast<unsigned __int128>(rem) * magic) >>
+                            63);
+}
+
 struct Node {
   RLayer layer = RLayer::M2;
   Coord x = 0;
@@ -61,17 +75,12 @@ class RoutingGrid {
   [[nodiscard]] int id(const Node& n) const {
     return static_cast<int>(n.layer) * planeSize() + n.y * w_ + n.x;
   }
-  /// Decodes an id with no division: the row of the in-plane offset `rem`
-  /// is `rem * M >> 63` with M = ceil(2^63 / w) (`rowMagic_`). With
-  /// e = M·w − 2^63 < w, the product overshoots rem / w by
-  /// rem·e / (w·2^63), less than 1/w for every rem < 2^31, so the floor is
-  /// exact for every width, 1 included (M = 2^63 still fits; DESIGN.md §13).
+  /// Decodes an id with no division (`rowOf`).
   [[nodiscard]] Node node(int id) const {
     const int plane = planeSize();
     const bool m3 = id >= plane;
     const auto rem = static_cast<std::uint32_t>(m3 ? id - plane : id);
-    const auto y = static_cast<Coord>(
-        (static_cast<unsigned __int128>(rem) * rowMagic_) >> 63);
+    const Coord y = rowOf(rem, rowMagic_);
     return Node{m3 ? RLayer::M3 : RLayer::M2,
                 static_cast<Coord>(rem) - y * w_, y};
   }
@@ -160,7 +169,7 @@ class RoutingGrid {
 
   Coord w_ = 0;
   Coord h_ = 0;
-  std::uint64_t rowMagic_ = 0;          ///< ceil(2^63 / w_), for node()
+  std::uint64_t rowMagic_ = 0;          ///< rowMagic(w_), for node()
   std::vector<Index> owner_;            ///< per M2 node
   std::vector<std::uint8_t> m3Blocked_; ///< per M3 node
   std::vector<std::uint16_t> occ_;      ///< per node: count | kListed

@@ -11,16 +11,18 @@
 /// site.
 ///
 /// Searches are const over the grid: all per-search mutable state (the A*
-/// wavefront arrays plus the engine's tree-membership stamps) lives in a
+/// cells and open list plus the engine's tree-membership stamps) lives in a
 /// `MazeScratch` arena, one per worker, mirroring `core::PanelScratch`.
 /// That is what lets the negotiation router search many nets concurrently
 /// against one shared grid and serialize only the commits.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "geom/rect.h"
@@ -48,11 +50,11 @@ struct MazeCosts {
   bool hardBlockOccupied = false;  ///< sequential mode: occupied nodes are walls
 };
 
-/// Open-list key of an entry with priority `f` and global node id `id`:
-/// f's IEEE-754 bits in the high word, the id in the low word. For f ≥ 0
-/// (never NaN, never −0) the bits of f order like its value, so comparing
-/// two keys as unsigned integers is the (f, id) lexicographic comparison in
-/// one instruction, ties broken by the smaller id.
+/// Open-list key of an entry with priority `f` and node id `id`: f's
+/// IEEE-754 bits in the high word, the id in the low word. For f ≥ 0 (never
+/// NaN, never −0) the bits of f order like its value, so comparing two keys
+/// as unsigned integers is the (f, id) lexicographic comparison in one
+/// instruction, ties broken by the smaller id.
 [[nodiscard]] inline std::uint64_t openKey(float f, int id) {
   CPR_DCHECK(f >= 0.0F && !std::signbit(f) && id >= 0);
   return (std::uint64_t{std::bit_cast<std::uint32_t>(f)} << 32) |
@@ -67,33 +69,96 @@ struct MazeCosts {
 
 /// 4-ary min-heap over `heap[0, n)` whose last entry `heap[n-1]` was just
 /// appended: moves it up to its place. The sifts move a hole, not swapped
-/// pairs, and never grow anything — the caller owns the storage (push_back,
-/// then sift up; sift down, then pop_back).
+/// pairs, and never grow anything — the caller owns the storage.
 void openSiftUp(std::uint64_t* heap, std::size_t n) CPR_NOALLOC;
 /// Removes the minimum of the 4-ary min-heap `heap[0, n)` (n ≥ 1): the last
 /// entry refills the root and sinks, leaving the heap in `heap[0, n-1)`.
-/// Read `heap[0]` first; drop the stale last slot afterwards.
+/// Read `heap[0]` first.
 void openSiftDown(std::uint64_t* heap, std::size_t n) CPR_NOALLOC;
 
-/// Per-worker arena for everything one net search mutates: the A* distance/
-/// parent/stamp arrays, the engine's Steiner-tree membership stamps, and the
+/// The A* open list: pops `openKey` words in ascending unsigned order, so in
+/// exactly the sequence a `std::priority_queue<std::pair<float, int>>` under
+/// `std::greater<>` pops the same pushes, for any non-negative floats and in
+/// any push order (no monotonicity is assumed).
+///
+/// Two levels. A 4-ary heap (`openSiftUp`/`openSiftDown`) holds the entries
+/// whose f is at or below the last level drawn; every other entry waits in
+/// one of 32 radix buckets, keyed on the highest bit in which its f's IEEE
+/// bits differ from the level's. Bucket b holds only f above the level
+/// that agree with it above bit b, so the buckets are disjoint ranges in
+/// bucket order. A push above the level is a list link; when the heap runs
+/// dry, `popMin` draws the lowest non-empty bucket: its least f becomes the
+/// level, the entries at that f move into the heap, and the rest relink
+/// into lower buckets (each entry moves down at most 31 times). The
+/// buckets are singly linked lists in one bump-allocated pool with a
+/// non-empty mask, so a search never clears them.
+class OpenList {
+ public:
+  /// Empties the list and makes room for `pushes` pushes before the next
+  /// reset. Grows only; the one allocating member, called before a search.
+  void reset(std::size_t pushes) CPR_COLD_OK;
+  [[nodiscard]] bool empty() const { return heapSize_ == 0 && mask_ == 0; }
+  /// Adds `key` (an `openKey`). At most `pushes` per reset.
+  void push(std::uint64_t key) CPR_NOALLOC;
+  /// Removes and returns the least key; the list must not be empty.
+  [[nodiscard]] std::uint64_t popMin() CPR_NOALLOC;
+  [[nodiscard]] std::size_t footprintBytes() const CPR_NOALLOC;
+
+ private:
+  struct Entry {
+    std::uint32_t fbits;  ///< high word of the key
+    std::uint32_t id;     ///< low word of the key
+    std::uint32_t next;   ///< next entry of the same bucket, or kEnd
+  };
+  static constexpr std::uint32_t kEnd = ~std::uint32_t{0};
+
+  void heapPush(std::uint64_t key) CPR_NOALLOC;
+  /// Links pool entry `e` (f bits above the level) into its bucket.
+  void link(std::uint32_t e) CPR_NOALLOC;
+  /// Refills the empty heap from the lowest non-empty bucket.
+  void draw() CPR_NOALLOC;
+
+  std::unique_ptr<std::uint64_t[]> heap_;
+  std::unique_ptr<Entry[]> pool_;
+  std::size_t capacity_ = 0;  ///< slots in each of heap_ and pool_
+  std::size_t heapSize_ = 0;
+  std::uint32_t poolSize_ = 0;
+  std::uint32_t level_ = 0;   ///< f bits of the last level drawn
+  std::uint32_t mask_ = 0;    ///< bit b set: bucket b is non-empty
+  std::array<std::uint32_t, 32> head_{};  ///< valid where mask_ is set
+};
+
+/// One box node's search state, 16 bytes, so a pop reads one cell and a
+/// move's reached test one more. Stamps are epochs: the fields count only
+/// when `stamp` (for dist and parent) or `target` equals the search's
+/// epoch, so a search clears nothing.
+struct MazeCell {
+  float dist = 0.0F;                  ///< g of the best path found so far
+  std::uint32_t parent = kNoParent;   ///< box-local id of the predecessor
+  std::uint32_t stamp = 0;            ///< epoch of dist/parent
+  std::uint32_t target = 0;           ///< epoch in which the node is a target
+  static constexpr std::uint32_t kNoParent = ~std::uint32_t{0};
+};
+static_assert(sizeof(MazeCell) == 16);
+
+/// Per-worker arena for everything one net search mutates: the A* cells and
+/// open list, the engine's Steiner-tree membership stamps, and the
 /// `route.astar.*` tallies (flushed to the observer by whoever owns the
 /// collector, after the parallel region — the collector itself is not
 /// thread-safe). Reused across searches; epochs avoid per-search clears.
 ///
 /// The per-node arrays cover only the box the search is bound to (a net's
-/// window, not the die), indexed by the row-major local id
-/// `layer·bw·bh + (y−y0)·bw + (x−x0)`. Stored node ids (`parent`, `tree`,
-/// heap entries) stay global, so pop order and route digests do not depend
-/// on where the box sits.
+/// window, not the die), indexed by the row-major box-local id
+/// `layer·bw·bh + (y−y0)·bw + (x−x0)`. Inside one box local ids order like
+/// global ids (both are row-major over (layer, y, x)), so the open list and
+/// `parent` carry local ids and the (f, id) tie-break, the pop order and
+/// every digest do not depend on where the box sits. Only the path handed
+/// back, the tree and the grid lookups use global ids.
 struct MazeScratch {
-  std::vector<float> dist;
-  std::vector<int> parent;        ///< global id of the predecessor
-  std::vector<long> stamp;        ///< epoch per node for dist/parent
-  std::vector<long> targetStamp;  ///< epoch per node marking targets
-  long epoch = 0;
-  std::vector<long> treeStamp;    ///< epoch per node for tree membership
-  long treeEpoch = 0;
+  std::vector<MazeCell> cells;
+  std::uint32_t epoch = 0;              ///< of the current search's cells
+  std::vector<std::uint32_t> treeStamp; ///< epoch per node for tree membership
+  std::uint32_t treeEpoch = 0;
   /// Scratch-resident Steiner-tree node list for the engine's searchNet:
   /// the multi-source seed set grows with every landed path, and keeping
   /// it here means warm searches reuse the capacity of the largest net
@@ -103,25 +168,25 @@ struct MazeScratch {
   std::vector<int> tree;
   long searches = 0;  ///< route.astar.searches since the last flush
   long pops = 0;      ///< route.astar.pops since the last flush
-  /// The A* open list: a 4-ary min-heap of `openKey(f, id)` words (see
-  /// there), kept by `openSiftUp`/`openSiftDown`. The unsigned order of a
-  /// key is the (f, id) lexicographic order, so entries pop in exactly the
-  /// sequence a `std::priority_queue<std::pair<float, int>>` under
-  /// `std::greater<>` pops them, and route digests do not depend on the
-  /// heap's shape. Scratch-resident so warm searches never touch the heap
-  /// allocator; findPath reserves the worst-case entry count before
-  /// entering the hot loop.
-  std::vector<std::uint64_t> heap;
+  /// Scratch-resident so warm searches never touch the allocator; findPath
+  /// resets it to the worst-case push count before entering the hot loop.
+  OpenList open;
   geom::Rect box;     ///< bound box (grid columns × tracks)
   int boxWidth = 0;   ///< box.width(), the local row stride
   int boxPlane = 0;   ///< nodes per layer inside the box
+  std::uint64_t boxRowMagic = 0;  ///< rowMagic(boxWidth), for row()
 
   /// Binds the arena to a non-empty `box`: later local ids are relative to
   /// it. The arrays only grow, when the box holds more nodes than any box
-  /// before; stale entries are harmless because epochs only increase.
-  /// Sanctioned warmup allocation: everything the hot search loop touches
-  /// is (re)allocated here or not at all.
+  /// before; stale entries are harmless because a live epoch never matches
+  /// them. Sanctioned warmup allocation: everything the hot search loop
+  /// touches is (re)allocated here or in `OpenList::reset`, or not at all.
   void bind(const geom::Rect& box) CPR_COLD_OK;
+  /// The next cell epoch. When the 32-bit count wraps, every cell's stamps
+  /// are cleared first, so no stale stamp can equal a live epoch.
+  [[nodiscard]] std::uint32_t nextEpoch() CPR_NOALLOC;
+  /// The next tree epoch, with the same wrap reset over `treeStamp`.
+  [[nodiscard]] std::uint32_t nextTreeEpoch() CPR_NOALLOC;
   /// Nodes (both layers) inside the bound box.
   [[nodiscard]] int boxNodes() const { return 2 * boxPlane; }
   /// Local id of a node inside the bound box.
@@ -129,6 +194,10 @@ struct MazeScratch {
     return static_cast<std::size_t>(static_cast<int>(n.layer) * boxPlane +
                                     (n.y - box.y.lo) * boxWidth +
                                     (n.x - box.x.lo));
+  }
+  /// Box row (y − y0) of the in-layer offset `rem` of a local id.
+  [[nodiscard]] Coord row(std::uint32_t rem) const {
+    return rowOf(rem, boxRowMagic);
   }
   [[nodiscard]] std::size_t footprintBytes() const CPR_NOALLOC;
 };
@@ -159,6 +228,8 @@ class MazeRouter {
 
  private:
   /// nodeCost for a node the caller has already decoded: `n` is node `id`.
+  /// Its same-lane neighbours are the ids next to `id` (±1 on M2, ±width
+  /// on M3), so nothing here decodes or encodes a node.
   [[nodiscard]] float nodeCostAt(const Node& n, int id, Index net,
                                  const MazeCosts& c) const CPR_HOT;
 

@@ -1,7 +1,7 @@
 /// \file alloc_guard.cpp
 /// Opt-in global operator new/delete replacement that reports every
 /// allocation to the hot-region counter (alloc_hook.h). Built as its own
-/// static library (`cpr_alloc_guard`) and linked ONLY by the bench harness
+/// object library (`cpr_alloc_guard`) and linked ONLY by the bench harness
 /// and the allocation-regression test; production binaries keep the
 /// default allocator. Replacement operators are program-global, so linking
 /// this TU anywhere instruments the whole binary.

@@ -11,7 +11,7 @@
 ///      flushes) plus a process-wide armed flag and counter. When nothing
 ///      arms the hook, a region open/close is two thread-local integer
 ///      writes — cheap enough to keep in the production hot loops.
-///   2. An opt-in static library (`cpr_alloc_guard`, src/support/
+///   2. An opt-in object library (`cpr_alloc_guard`, src/support/
 ///      alloc_guard.cpp) that replaces global operator new/delete and calls
 ///      `noteAlloc()` on every allocation. Only benches and the
 ///      allocation-regression test link it; production binaries keep the

@@ -1,8 +1,10 @@
 /// Allocation-regression gate: this binary (and only this binary, plus the
 /// benches) links `cpr::alloc_guard`, which replaces the global operator
 /// new/delete with a counting pair that reports into support/alloc_hook.h.
-/// The tests first prove the guard is actually live — an allocation inside
-/// an armed HotRegion must be observed — and then pin the real contract:
+/// Every case first proves the guard is actually live — an allocation
+/// inside an armed HotRegion must be observed, or the case fails before it
+/// runs (a sanitizer runtime's own operator new must not turn the zeros
+/// below into vacuous passes) — and then the cases pin the real contract:
 /// `MazeRouter::findPath` performs ZERO heap allocations inside its hot
 /// region, from the very first armed search on a bound scratch (reserve
 /// happens outside the region, so there is no warmup forgiveness), and the
@@ -11,6 +13,7 @@
 /// allocates nothing at all.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "core/optimizer.h"
@@ -58,10 +61,37 @@ geom::Rect fullWindow(const RoutingGrid& g) {
   return {0, 0, g.width() - 1, g.height() - 1};
 }
 
+/// True when an allocation inside an armed region reaches the counter: the
+/// guard's operator new is the one this binary calls.
+bool guardIsLive() {
+  alloc::resetHotRegionAllocs();
+  alloc::arm(true);
+  {
+    const alloc::HotRegion region;
+    std::vector<int> probe;
+    probe.reserve(64);
+  }
+  alloc::arm(false);
+  const bool live = alloc::hotRegionAllocs() > 0;
+  alloc::resetHotRegionAllocs();
+  return live;
+}
+
+/// Every case of this binary runs behind the negative control, so a build
+/// whose operator new is not the guard's fails each one by name.
+class AllocGate : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(guardIsLive())
+        << "cpr::alloc_guard is not intercepting operator new in this "
+           "build; every zero-allocation check would pass vacuously";
+  }
+};
+
 // Negative control: without this, every zero below could be vacuous (the
 // guard not linked, or the hook disarmed). A vector forced to grow inside
 // an armed region must be seen by the replaced operator new.
-TEST(AllocGate, GuardObservesAllocationsInsideArmedRegions) {
+TEST_F(AllocGate, GuardObservesAllocationsInsideArmedRegions) {
   ArmedScope armed;
   {
     const alloc::HotRegion region;
@@ -73,7 +103,7 @@ TEST(AllocGate, GuardObservesAllocationsInsideArmedRegions) {
       << "cpr::alloc_guard is not intercepting operator new";
 }
 
-TEST(AllocGate, AllocationsOutsideRegionsOrWhileDisarmedAreIgnored) {
+TEST_F(AllocGate, AllocationsOutsideRegionsOrWhileDisarmedAreIgnored) {
   alloc::resetHotRegionAllocs();
   alloc::arm(true);
   std::vector<int> outside(128, 7);  // no region open
@@ -87,7 +117,7 @@ TEST(AllocGate, AllocationsOutsideRegionsOrWhileDisarmedAreIgnored) {
   alloc::resetHotRegionAllocs();
 }
 
-TEST(AllocGate, PauseSuppressesCountingAndNestingRestoresIt) {
+TEST_F(AllocGate, PauseSuppressesCountingAndNestingRestoresIt) {
   ArmedScope armed;
   {
     const alloc::HotRegion region;
@@ -104,7 +134,7 @@ TEST(AllocGate, PauseSuppressesCountingAndNestingRestoresIt) {
 // The gate itself. Zero from the FIRST armed search: bind() and the heap
 // reserve run outside the hot region, so there is no warmup pass whose
 // allocations the gate forgives.
-TEST(AllocGate, MazeSearchHotRegionIsAllocationFreeFromTheFirstRun) {
+TEST_F(AllocGate, MazeSearchHotRegionIsAllocationFreeFromTheFirstRun) {
   const Design d = openField();
   const RoutingGrid g(d, nullptr);
   const MazeRouter maze(g);
@@ -127,9 +157,32 @@ TEST(AllocGate, MazeSearchHotRegionIsAllocationFreeFromTheFirstRun) {
   EXPECT_EQ(path, unarmed) << "arming the gate changed the route";
 }
 
+// The open list's two levels — heap pushes, bucket links in the pool, and
+// the draws that refill the heap — run on the storage `reset` sized, so a
+// full fill and drain inside an armed region allocates nothing.
+TEST_F(AllocGate, OpenListPushesAndDrawsAllocateNothingAfterReset) {
+  constexpr int kPushes = 4096;
+  OpenList open;
+  open.reset(kPushes);
+  ArmedScope armed;
+  std::uint64_t last = 0;
+  {
+    const alloc::HotRegion region;
+    for (int i = 0; i < kPushes; ++i)
+      open.push(openKey(0.25F * static_cast<float>((i * 7919) % 1021),
+                        (i * 104729) % 5003));
+    while (!open.empty()) {
+      const std::uint64_t key = open.popMin();
+      EXPECT_LE(last, key);
+      last = key;
+    }
+  }
+  EXPECT_EQ(alloc::hotRegionAllocs(), 0);
+}
+
 // A fresh (never-bound) scratch allocates in bind() and in the reserve —
 // but still not inside the hot region.
-TEST(AllocGate, ColdScratchBindStaysOutsideTheHotRegion) {
+TEST_F(AllocGate, ColdScratchBindStaysOutsideTheHotRegion) {
   const Design d = openField();
   const RoutingGrid g(d, nullptr);
   const MazeRouter maze(g);
@@ -148,7 +201,7 @@ TEST(AllocGate, ColdScratchBindStaysOutsideTheHotRegion) {
 // another origin through the same arrays, and returns to the large one. Each
 // armed search allocates nothing in the hot region and finds exactly the
 // path a fresh scratch finds.
-TEST(AllocGate, ArenaReuseAcrossWindowsMatchesFreshScratch) {
+TEST_F(AllocGate, ArenaReuseAcrossWindowsMatchesFreshScratch) {
   const Design d = openField();
   const RoutingGrid g(d, nullptr);
   const MazeRouter maze(g);
@@ -187,7 +240,7 @@ TEST(AllocGate, ArenaReuseAcrossWindowsMatchesFreshScratch) {
 // no per-path vector, no plan growth. The net mixes interval pins (access
 // intervals from a pin access plan) with raw-projection pins, so both V1
 // paths of the search run, and the found plan equals the cold one.
-TEST(AllocGate, WarmNetSearchIntoAReusedPlanAllocatesNothing) {
+TEST_F(AllocGate, WarmNetSearchIntoAReusedPlanAllocatesNothing) {
   Design d("net", 40, 1, 10);
   const db::Index a = d.addNet("A");
   d.addNet("B");

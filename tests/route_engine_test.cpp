@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -488,6 +489,30 @@ TEST(RouteEngine, ReusedPlanSlotMatchesAFreshPlan) {
     eng.ripNet(net);
     ref.ripNet(net);
   }
+}
+
+TEST(RouteEngine, TreeEpochWrapMatchesAFreshPlan) {
+  // The tree epoch is 32 bits. Nets 0, 2 and 1 stamp their trees at epochs
+  // 1 to 3; the epoch is then moved to just before the wrap, so the nets
+  // that follow run at epochs max, 1, 2 and 3 again. Net 0 at the new epoch
+  // 1 has the same window and the same access nodes as at the old one: had
+  // the wrap kept the stamps, its whole seed set would read as already in
+  // the tree and its search would start from nothing.
+  core::PinAccessPlan pap;
+  const Design d = slotDesign(pap);
+  RouteEngine eng(d, &pap);
+  MazeScratch scratch;
+  NetPlan slot;
+  const std::vector<db::Index> order = {0, 2, 1, 1, 0, 2, 1};
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    if (k == 3) scratch.treeEpoch = ~std::uint32_t{0} - 1;
+    eng.searchNet(order[k], {}, 0, scratch, slot);
+    MazeScratch freshScratch;
+    NetPlan fresh;
+    eng.searchNet(order[k], {}, 0, freshScratch, fresh);
+    expectSamePlan(slot, fresh);
+  }
+  EXPECT_EQ(scratch.treeEpoch, 3u);
 }
 
 TEST(RouteEngine, SharingNetsMatchesFullScan) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <climits>
 #include <cmath>
 #include <cstdint>
@@ -486,6 +487,84 @@ TEST(OpenList, SiftsOrderRawKeysAsUnsigned) {
   }
 }
 
+// The two-level list against the reference protocol. f comes from four
+// regimes: multiples of 0.5 (heavy ties), arbitrary bit patterns of
+// non-negative floats (denormals, huge values and +inf included), values
+// packed into one binade (levels differ in low mantissa bits only), and
+// exact repeats of the last popped f. A third of the pushes after a pop go
+// at or below the f just popped — below the level the list last drew — and
+// equal-f pushes often carry a smaller id than the entries they tie with.
+TEST(OpenList, TwoLevelPopsLikePriorityQueue) {
+  std::mt19937 rng(20261022);
+  const auto pick = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  const auto anyFloat = [&] {  // any non-negative, non-NaN bit pattern
+    for (;;) {
+      const auto bits = static_cast<std::uint32_t>(rng()) & 0x7fffffffU;
+      const float f = std::bit_cast<float>(bits);
+      if (!std::isnan(f)) return f;
+    }
+  };
+  OpenList open;  // one list across streams, as in a worker's scratch
+  long below = 0;
+  long tiedSmallerId = 0;
+  for (int stream = 0; stream < 300; ++stream) {
+    const int ops = pick(1, 800);
+    open.reset(static_cast<std::size_t>(ops));
+    RefOpenList ref;
+    const int regime = stream % 4;
+    const int pushBias = pick(1, 3);  // 1: balanced, 3: mostly pushes
+    float lastPopped = 0.0F;
+    int lastId = 0;
+    for (int op = 0; op < ops; ++op) {
+      if (ref.empty() || pick(0, pushBias) != 0) {
+        float f = 0.0F;
+        int id = pick(0, 1) == 0 ? pick(0, 31) : INT_MAX - pick(0, 31);
+        if (op > 0 && pick(0, 2) == 0) {
+          // At or below the level: the popped f itself or anything under it.
+          f = pick(0, 1) == 0 ? lastPopped
+                              : lastPopped * static_cast<float>(pick(0, 99)) /
+                                    100.0F;
+          if (f == lastPopped && lastId > 0) {
+            id = pick(0, lastId - 1);
+            ++tiedSmallerId;
+          }
+          below += f < lastPopped ? 1 : 0;
+        } else if (regime == 0) {
+          f = pick(0, 3) == 0 ? 0.0F : 0.5F * static_cast<float>(pick(0, 128));
+        } else if (regime == 1) {
+          f = anyFloat();
+        } else if (regime == 2) {
+          f = 1024.0F + static_cast<float>(pick(0, 4096)) / 8.0F;
+        } else {
+          f = lastPopped + static_cast<float>(pick(0, 2));
+        }
+        ref.emplace(f, id);
+        open.push(openKey(f, id));
+      } else {
+        ASSERT_FALSE(open.empty());
+        const std::uint64_t top = open.popMin();
+        ASSERT_EQ(openKeyF(top), ref.top().first) << "stream " << stream;
+        ASSERT_EQ(openKeyId(top), ref.top().second) << "stream " << stream;
+        lastPopped = ref.top().first;
+        lastId = ref.top().second;
+        ref.pop();
+      }
+    }
+    while (!ref.empty()) {  // drain
+      ASSERT_FALSE(open.empty());
+      const std::uint64_t top = open.popMin();
+      ASSERT_EQ(std::make_pair(openKeyF(top), openKeyId(top)), ref.top())
+          << "stream " << stream;
+      ref.pop();
+    }
+    ASSERT_TRUE(open.empty());
+  }
+  EXPECT_GT(below, 1000);  // the streams did push under the level
+  EXPECT_GT(tiedSmallerId, 1000);
+}
+
 // ---- findPath against a textbook A* ----
 
 struct ReferenceSearch {
@@ -635,6 +714,370 @@ TEST(Maze, MatchesTextbookAStarOnRandomDesigns) {
     found += ok ? 1 : 0;
   }
   EXPECT_GT(found, 30);  // most trials connect, so paths are compared
+}
+
+// ---- findPath against the global-id A* it replaced ----
+
+/// nodeCost as it stood before the adjacency lookup moved to id offsets:
+/// each same-lane neighbour is encoded from its coordinates.
+float referenceNodeCost(const RoutingGrid& g, int id, db::Index net,
+                        const MazeCosts& c) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const Node n = g.node(id);
+  if (n.layer == RLayer::M2) {
+    const db::Index owner = g.owner(id);
+    if (owner != geom::kInvalidIndex && owner != net) return inf;
+  } else if (g.blocked(id)) {
+    return inf;
+  }
+  const int occ = g.occupancy(id);
+  if (c.hardBlockOccupied && occ > 0) return inf;
+  float cost = kMetalCost + c.present * static_cast<float>(occ) +
+               static_cast<float>(g.history(id));
+  if (c.adjacency > 0.0F) {
+    const auto occAt = [&](geom::Coord x, geom::Coord y) {
+      return g.inside(x, y) ? g.occupancy(g.id(Node{n.layer, x, y})) : 0;
+    };
+    const int near = n.layer == RLayer::M2
+                         ? occAt(n.x - 1, n.y) + occAt(n.x + 1, n.y)
+                         : occAt(n.x, n.y - 1) + occAt(n.x, n.y + 1);
+    cost += c.adjacency * static_cast<float>(near);
+  }
+  return cost;
+}
+
+/// `MazeRouter::findPath` as it stood before box-local ids, the 16-byte
+/// cell and the two-level open list: separate window-local arrays with
+/// `long` epochs, one 4-ary heap of `openKey` words over **global** ids,
+/// global parents, and moves that decode and encode nodes through the grid
+/// with an unclipped window test. Kept to pin that the rewrite pops the same
+/// entries in the same order and lands on the same path.
+struct GlobalIdReference {
+  std::vector<float> dist;
+  std::vector<int> parent;
+  std::vector<long> stamp;
+  std::vector<long> targetStamp;
+  long epoch = 0;
+  std::vector<std::uint64_t> heap;
+  Rect box;
+  int boxWidth = 0;
+  int boxPlane = 0;
+  long pops = 0;
+
+  void bind(const Rect& b) {
+    box = b;
+    boxWidth = b.width();
+    boxPlane = b.width() * b.height();
+    const auto n = static_cast<std::size_t>(2 * boxPlane);
+    if (dist.size() >= n) return;
+    dist.resize(n, std::numeric_limits<float>::infinity());
+    parent.resize(n, -1);
+    stamp.resize(n, -1);
+    targetStamp.resize(n, -1);
+  }
+  [[nodiscard]] std::size_t local(const Node& n) const {
+    return static_cast<std::size_t>(static_cast<int>(n.layer) * boxPlane +
+                                    (n.y - box.y.lo) * boxWidth +
+                                    (n.x - box.x.lo));
+  }
+
+  bool findPath(const RoutingGrid& g, const std::vector<int>& sources,
+                const std::vector<int>& targets, const Rect& window,
+                db::Index net, const MazeCosts& costs,
+                std::vector<int>& path) {
+    const float inf = std::numeric_limits<float>::infinity();
+    if (sources.empty() || targets.empty()) return false;
+    Rect tbox;
+    for (int t : targets) tbox.expand(geom::Point{g.node(t).x, g.node(t).y});
+    Rect b = window;
+    b.expand(tbox);
+    for (int src : sources) b.expand(geom::Point{g.node(src).x, g.node(src).y});
+    bind(geom::intersect(b, Rect{0, 0, g.width() - 1, g.height() - 1}));
+    const long ep = ++epoch;
+    for (int t : targets) targetStamp[local(g.node(t))] = ep;
+    const auto heuristic = [&](const Node& n) {
+      const geom::Coord dx = n.x < tbox.x.lo   ? tbox.x.lo - n.x
+                             : n.x > tbox.x.hi ? n.x - tbox.x.hi
+                                               : 0;
+      const geom::Coord dy = n.y < tbox.y.lo   ? tbox.y.lo - n.y
+                             : n.y > tbox.y.hi ? n.y - tbox.y.hi
+                                               : 0;
+      return kMetalCost * static_cast<float>(dx + dy);
+    };
+    heap.clear();
+    const auto reached = [&](std::size_t i, float gv) {
+      return stamp[i] == ep && dist[i] <= gv;
+    };
+    const auto relax = [&](int id, const Node& n, std::size_t i, float gv,
+                           int from) {
+      if (reached(i, gv)) return;
+      stamp[i] = ep;
+      dist[i] = gv;
+      parent[i] = from;
+      heap.push_back(openKey(gv + heuristic(n), id));
+      openSiftUp(heap.data(), heap.size());
+    };
+    for (int src : sources) relax(src, g.node(src), local(g.node(src)), 0.0F, -1);
+    int goal = -1;
+    while (!heap.empty()) {
+      const std::uint64_t top = heap.front();
+      openSiftDown(heap.data(), heap.size());
+      heap.pop_back();
+      const float f = openKeyF(top);
+      const int u = openKeyId(top);
+      ++pops;
+      const Node n = g.node(u);
+      const std::size_t ui = local(n);
+      if (stamp[ui] != ep || f > dist[ui] + heuristic(n) + 1e-5F) continue;
+      if (targetStamp[ui] == ep) {
+        goal = u;
+        break;
+      }
+      const float gu = dist[ui];
+      const auto tryMove = [&](geom::Coord x, geom::Coord y, RLayer layer,
+                               bool viaMove) {
+        if (!g.inside(x, y) || !window.contains(geom::Point{x, y})) return;
+        const Node v{layer, x, y};
+        const std::size_t vi = local(v);
+        if (reached(vi, gu + (viaMove ? kMetalCost + kViaCost : kMetalCost)))
+          return;
+        const int vid = g.id(v);
+        float step = referenceNodeCost(g, vid, net, costs);
+        if (step == inf) return;
+        if (viaMove) {
+          step += kViaCost;
+          if (g.viaForbidden(x, y, net)) step += kForbiddenViaCost;
+        }
+        relax(vid, v, vi, gu + step, u);
+      };
+      if (n.layer == RLayer::M2) {
+        tryMove(n.x - 1, n.y, RLayer::M2, false);
+        tryMove(n.x + 1, n.y, RLayer::M2, false);
+        tryMove(n.x, n.y, RLayer::M3, true);
+      } else {
+        tryMove(n.x, n.y - 1, RLayer::M3, false);
+        tryMove(n.x, n.y + 1, RLayer::M3, false);
+        tryMove(n.x, n.y, RLayer::M2, true);
+      }
+    }
+    if (goal == -1) return false;
+    std::vector<int> rev;
+    for (int v = goal; v != -1; v = parent[local(g.node(v))]) rev.push_back(v);
+    path.insert(path.end(), rev.rbegin(), rev.rend());
+    return true;
+  }
+};
+
+/// A window for `SearchesMatchGlobalIdReference`: random, at or past a die
+/// edge, one column or one track wide, the whole die, or off the die.
+Rect randomWindow(const std::function<int(int, int)>& pick, geom::Coord w,
+                  geom::Coord h) {
+  switch (pick(0, 5)) {
+    case 0: {  // crosses a die edge
+      const geom::Coord x = pick(-3, w - 1);
+      const geom::Coord y = pick(-3, h - 1);
+      return {x, y, x + pick(0, w + 3), y + pick(0, h + 3)};
+    }
+    case 1: {  // one column
+      const geom::Coord x = pick(0, w - 1);
+      return {x, pick(-2, h / 2), x, pick(h / 2, h + 1)};
+    }
+    case 2: {  // one track
+      const geom::Coord y = pick(0, h - 1);
+      return {pick(-2, w / 2), y, pick(w / 2, w + 1), y};
+    }
+    case 3:
+      return {0, 0, w - 1, h - 1};
+    case 4:  // entirely off the die: only a source that is a target connects
+      return {w + 1, 0, w + 4, h - 1};
+    default: {
+      const geom::Coord x = pick(0, w - 1);
+      const geom::Coord y = pick(0, h - 1);
+      return {x, y, pick(x, w - 1), pick(y, h - 1)};
+    }
+  }
+}
+
+// Random small grids with random owners (pins, access intervals and the
+// contested nodes where they disagree), blockages, occupancy, history and
+// vias, under random present, adjacency and hard-block costs; windows at
+// and past the die edges, one column or one track wide (so 1-wide and
+// 1-tall boxes, on dies down to one column), and sources and targets that
+// often lie outside the window. One scratch serves every search, as in a
+// worker. Each search must find the same path with the same pop count as
+// the global-id reference.
+TEST(Maze, SearchesMatchGlobalIdReference) {
+  std::mt19937 rng(20261022);
+  const std::function<int(int, int)> pick = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  MazeScratch scratch;
+  GlobalIdReference ref;
+  int found = 0;
+  int oneWide = 0;
+  int oneTall = 0;
+  int outside = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const geom::Coord w = pick(0, 5) == 0 ? pick(1, 2) : pick(3, 24);
+    Design d("ref", w, pick(1, 3), pick(0, 3) == 0 ? 1 : 5);
+    const geom::Coord ht = d.gridHeight();
+    const int nets = pick(1, 4);
+    for (int n = 0; n < nets; ++n) d.addNet(numbered('n', n));
+    for (int p = pick(0, 2 * nets); p > 0; --p) {
+      const geom::Coord x = pick(0, w - 1);
+      const geom::Coord y = pick(0, ht - 1);
+      d.addPin(numbered('p', p), pick(0, nets - 1),
+               Rect{Interval{x, std::min(w - 1, x + pick(0, 1))},
+                    Interval{y, std::min(ht - 1, y + pick(0, 1))}});
+    }
+    for (int b = pick(0, 3); b > 0; --b) {
+      const geom::Coord x = pick(0, w - 1);
+      const geom::Coord y = pick(0, ht - 1);
+      d.addBlockage(pick(0, 1) ? Layer::M2 : Layer::M3,
+                    Rect{Interval{x, std::min(w - 1, x + pick(0, 2))},
+                         Interval{y, std::min(ht - 1, y + pick(0, 1))}});
+    }
+    core::PinAccessPlan plan;
+    plan.routes.assign(d.pins().size(), core::PinRoute{});
+    for (core::PinRoute& r : plan.routes) {
+      if (pick(0, 2) == 0) continue;
+      const geom::Coord lo = pick(0, w - 1);
+      r = core::PinRoute{pick(0, ht - 1),
+                         Interval{lo, std::min(w - 1, lo + pick(0, 5))}};
+    }
+    RoutingGrid g(d, &plan);
+    for (int iter = pick(0, 3); iter > 0; --iter) {
+      for (int k = pick(0, g.numNodes() / 2); k > 0; --k)
+        g.addOcc(pick(0, g.numNodes() - 1));
+      g.accrueHistory();
+    }
+    for (int v = pick(0, w / 2 + 1); v > 0; --v)
+      g.addVia(pick(0, w - 1), pick(0, ht - 1), pick(0, nets - 1));
+
+    MazeRouter maze(g);
+    MazeCosts costs;
+    costs.present = 0.5F * static_cast<float>(pick(0, 12));
+    costs.adjacency = pick(0, 1) == 0 ? 0.0F : 0.5F * static_cast<float>(pick(1, 6));
+    costs.hardBlockOccupied = pick(0, 4) == 0;
+    const db::Index net = pick(0, nets - 1);
+    const Rect window = randomWindow(pick, w, ht);
+    const Rect onDie = geom::intersect(window, Rect{0, 0, w - 1, ht - 1});
+    auto node = [&] {
+      // Mostly inside the window when it has any die nodes, else anywhere.
+      if (!onDie.empty() && pick(0, 2) != 0)
+        return g.id(Node{pick(0, 1) ? RLayer::M2 : RLayer::M3,
+                         pick(onDie.x.lo, onDie.x.hi),
+                         pick(onDie.y.lo, onDie.y.hi)});
+      return pick(0, g.numNodes() - 1);
+    };
+    std::vector<int> sources(static_cast<std::size_t>(pick(1, 3)));
+    std::vector<int> targets(static_cast<std::size_t>(pick(1, 3)));
+    for (int& v : sources) v = node();
+    for (int& v : targets) v = node();
+    if (pick(0, 9) == 0) targets.push_back(sources.front());
+
+    Rect hull = window;
+    for (const std::vector<int>* ids : {&sources, &targets})
+      for (int v : *ids) {
+        hull.expand(geom::Point{g.node(v).x, g.node(v).y});
+        outside += onDie.contains(geom::Point{g.node(v).x, g.node(v).y}) ? 0 : 1;
+      }
+    hull = geom::intersect(hull, Rect{0, 0, w - 1, ht - 1});
+    oneWide += hull.width() == 1 ? 1 : 0;
+    oneTall += hull.height() == 1 ? 1 : 0;
+
+    std::vector<int> want;
+    ref.pops = 0;
+    const bool wantOk =
+        ref.findPath(g, sources, targets, window, net, costs, want);
+    std::vector<int> got;
+    scratch.pops = 0;
+    const bool ok =
+        maze.findPath(sources, targets, window, net, costs, scratch, got);
+    ASSERT_EQ(ok, wantOk) << "trial " << trial;
+    ASSERT_EQ(got, want) << "trial " << trial;
+    ASSERT_EQ(scratch.pops, ref.pops) << "trial " << trial;
+    found += ok ? 1 : 0;
+  }
+  EXPECT_GT(found, 200);
+  EXPECT_GT(oneWide, 20);
+  EXPECT_GT(oneTall, 20);
+  EXPECT_GT(outside, 200);
+}
+
+// ---- epoch wrap-around ----
+
+// A 32-bit cell epoch wraps after 2^32 searches. The wrap clears every
+// stamp, so the searches right after it (epochs 1, 2, 3 again) cannot read
+// the stamps that the first searches of the arena left at those epochs:
+// each reversed search below would otherwise meet its own source as a stale
+// target of epoch 1, 2 or 3. Every search must match a fresh arena.
+TEST(Maze, EpochWrapClearsStaleStamps) {
+  Design d = openField();
+  RoutingGrid g(d, nullptr);
+  for (geom::Coord x = 4; x <= 12; ++x) g.addOcc(g.id(Node{RLayer::M2, x, 3}));
+  const MazeRouter maze(g);
+  MazeCosts costs;
+  costs.present = 4.0F;
+  struct Search {
+    int source, target;
+    Rect window;
+  };
+  const std::vector<Search> first = {
+      {g.id(Node{RLayer::M2, 1, 3}), g.id(Node{RLayer::M2, 20, 3}),
+       fullWindow(g)},
+      {g.id(Node{RLayer::M2, 2, 1}), g.id(Node{RLayer::M3, 9, 8}),
+       Rect{0, 0, 15, 9}},
+      {g.id(Node{RLayer::M2, 25, 6}), g.id(Node{RLayer::M2, 5, 2}),
+       Rect{3, 1, 28, 7}},
+  };
+  std::vector<Search> order = first;
+  order.push_back(first[0]);  // at the last epoch before the wrap
+  for (const Search& q : first)
+    order.push_back(Search{q.target, q.source, q.window});
+
+  MazeScratch scratch;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    if (k == first.size()) scratch.epoch = ~std::uint32_t{0} - 1;
+    const Search& q = order[k];
+    std::vector<int> got;
+    scratch.pops = 0;
+    ASSERT_TRUE(maze.findPath({q.source}, {q.target}, q.window, 0, costs,
+                              scratch, got))
+        << "search " << k;
+    MazeScratch fresh;
+    std::vector<int> want;
+    ASSERT_TRUE(maze.findPath({q.source}, {q.target}, q.window, 0, costs,
+                              fresh, want));
+    EXPECT_EQ(got, want) << "search " << k;
+    EXPECT_EQ(scratch.pops, fresh.pops) << "search " << k;
+  }
+  EXPECT_EQ(scratch.epoch, 3u);  // wrapped, and counted on from 1
+}
+
+// The tree epoch wraps the same way: the stamp of every node is cleared, so
+// a node stamped at epoch 1 long ago is not "in the tree" at the new epoch 1.
+TEST(Maze, TreeEpochWrapClearsStaleStamps) {
+  MazeScratch scratch;
+  scratch.bind(Rect{0, 0, 9, 4});
+  EXPECT_EQ(scratch.nextTreeEpoch(), 1u);
+  for (std::uint32_t& t : scratch.treeStamp) t = 1;
+  scratch.treeEpoch = ~std::uint32_t{0} - 1;
+  EXPECT_EQ(scratch.nextTreeEpoch(), ~std::uint32_t{0});
+  EXPECT_EQ(scratch.nextTreeEpoch(), 1u);
+  for (const std::uint32_t t : scratch.treeStamp) EXPECT_NE(t, 1u);
+}
+
+// Box-local rows decode without division for every offset of boxes of
+// every width up to 64, 1 included.
+TEST(Maze, BoxRowDecodeMatchesDivision) {
+  MazeScratch scratch;
+  for (geom::Coord bw = 1; bw <= 64; ++bw) {
+    scratch.bind(Rect{5, 7, 5 + bw - 1, 7 + 40});
+    for (std::uint32_t rem = 0; rem < static_cast<std::uint32_t>(scratch.boxPlane); ++rem)
+      ASSERT_EQ(scratch.row(rem), static_cast<geom::Coord>(rem) / bw)
+          << "width " << bw << " offset " << rem;
+  }
 }
 
 }  // namespace
